@@ -15,7 +15,7 @@ import json
 import numpy as np
 
 from pdsr import EvalMode, ProtocolConfig, evaluate
-from pdsr.generator import GenSpec, corrupted_provider, generate
+from pdsr.generator import GenSpec, PlantedProvider, generate
 
 DEFAULT_WEIGHTS = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 1e6)
 
@@ -58,7 +58,7 @@ def main() -> None:
     interior_max = 0
     for seed in range(args.seeds):
         gen = generate(stressor_spec(seed, args))
-        provider = corrupted_provider(gen, noise_sigma=args.corruption, seed=seed)
+        provider = PlantedProvider(gen.truth, noise_sigma=args.corruption, seed=seed)
         curve = []
         for w in args.weights:
             report = evaluate(

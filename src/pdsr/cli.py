@@ -37,7 +37,7 @@ from .fusion import DEFAULT_FUSION_WEIGHT, wf_embedding
 from .generator import generate, load_gen_spec
 from .model import CanonicalPoseSet, Dataset, validate_dataset
 from .providers import RepresentativeChoice, file_backed_provider
-from .quantizer import assign_pose
+from .quantizer import assignment_distances, nearest_poses
 from .regulation import pose_normalize
 
 ENV_CONFIG = "PDSR_CONFIG"
@@ -177,26 +177,26 @@ def synthgen(obj: CliContext, spec_path: Path, out_dir: Path):
 def quantize(obj: CliContext, out_path: Path | None):
     """Assign every frame to its nearest canonical pose."""
     dataset, canon = _load_inputs(obj)
-    counts = {j: 0 for j in canon.indices}
-    unassignable = 0
-    lines = []
-    for t in sorted(dataset.tracklets, key=lambda t: t.tracklet_id):
-        for f in t.frames_by_id():
-            a = assign_pose(f.pose, canon, frame_id=f.frame_id)
-            if a.pose is None:
-                unassignable += 1
-            else:
-                counts[a.pose] += 1
-            lines.append(
-                f"{t.tracklet_id}\t{f.frame_id}\t"
-                f"{a.pose if a.pose is not None else '-'}\t{a.distance!r}"
-            )
+    frames = [
+        (t.tracklet_id, f)
+        for t in sorted(dataset.tracklets, key=lambda t: t.tracklet_id)
+        for f in t.frames_by_id()
+    ]
+    poses, distances = nearest_poses(assignment_distances([f.pose for _, f in frames], canon))
     if out_path is not None:
-        out_path.write_text("".join(line + "\n" for line in lines))
-    total = sum(counts.values()) + unassignable
-    click.echo(f"{total} frames: {total - unassignable} assigned, {unassignable} unassignable")
+        out_path.write_text(
+            "".join(
+                f"{tid}\t{f.frame_id}\t{'-' if j is None else j}\t{d!r}\n"
+                for (tid, f), j, d in zip(frames, poses, distances)
+            )
+        )
+    unassignable = poses.count(None)
+    click.echo(
+        f"{len(frames)} frames: {len(frames) - unassignable} assigned, "
+        f"{unassignable} unassignable"
+    )
     for j in canon.indices:
-        click.echo(f"pose {j}: {counts[j]}")
+        click.echo(f"pose {j}: {poses.count(j)}")
 
 
 @main.command()
@@ -224,7 +224,7 @@ def embed(obj: CliContext, mode: str, weight: float, out_path: Path,
                 wf_embedding(
                     t, provider, canon, config.fusion_weight,
                     config.representative, strict=config.strict,
-                ).vector
+                )
                 for t in tracklets
             ]
         )
@@ -242,7 +242,7 @@ def embed(obj: CliContext, mode: str, weight: float, out_path: Path,
             for t in tracklets
         ]
         dataset_io.write_pose_embeddings(embeddings, index_path, out_path)
-        entries = sum(len(e.entries) for e in embeddings)
+        entries = sum(int(e.observed.sum()) for e in embeddings)
         click.echo(f"{entries} pose entries over {len(embeddings)} tracklets -> {out_path}")
 
 

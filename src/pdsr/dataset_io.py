@@ -246,12 +246,13 @@ def write_pose_embeddings(
     index_path: str | Path,
     matrix_path: str | Path,
 ) -> None:
-    """Export pose-normalized embeddings as a keyed feature file.
+    """Export the observed poses of pose-normalized embeddings as a keyed feature file.
 
     Index lines are `tracklet_id <tab> pose <tab> origin <tab> frequency
     <tab> row`, walking tracklets by ascending id and poses ascending, with
-    the vectors in a companion feature matrix.  This is an inspection/join
-    export; pair alignment works from the in-memory embeddings.
+    the vectors in a companion feature matrix.  Only observed poses are
+    exported, so `origin` is always `real`.  This is an inspection/join
+    export; scoring works from the in-memory embeddings.
     """
     rows = []
     with open(index_path, "w") as fh:
@@ -260,12 +261,12 @@ def write_pose_embeddings(
                 raise ValueError(
                     f"tracklet id {emb.tracklet_id!r} cannot contain tab or newline"
                 )
-            for pose, entry in emb.entries.items():
+            for i in np.flatnonzero(emb.observed).tolist():
                 fh.write(
-                    f"{emb.tracklet_id}\t{pose}\t{entry.origin.value}"
-                    f"\t{entry.frequency!r}\t{len(rows)}\n"
+                    f"{emb.tracklet_id}\t{i + 1}\treal"
+                    f"\t{emb.frequencies[i].item()!r}\t{len(rows)}\n"
                 )
-                rows.append(entry.vector)
+                rows.append(emb.vectors[i])
     if not rows:
         raise ValueError("no pose entries to export")
     write_feature_matrix(matrix_path, np.stack(rows))
@@ -350,20 +351,6 @@ def load_report_json(path: str | Path) -> EvalReport:
         )
     except (KeyError, TypeError) as exc:
         raise FileFormatError(f"{path}: missing or malformed field: {exc}") from exc
-
-
-def save_report(report: EvalReport, path: str | Path, format: str = "json") -> None:
-    """Single entry point over the two report writers."""
-    if format == "json":
-        save_report_json(report, path)
-    elif format == "csv":
-        save_report_csv(report, path)
-    else:
-        raise ValueError(f"unknown report format {format!r}")
-
-
-def load_report(path: str | Path) -> EvalReport:
-    return load_report_json(path)
 
 
 def _csv_value(value: object) -> str:

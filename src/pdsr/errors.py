@@ -5,10 +5,6 @@ class PdsrError(Exception):
     """Base class for all library-specific failures."""
 
 
-class NoCommonJointsError(PdsrError):
-    """Two pose vectors share fewer mutually visible joints than required."""
-
-
 class AllFramesUnassignableError(PdsrError):
     """No frame of a tracklet could be assigned to any canonical pose."""
 

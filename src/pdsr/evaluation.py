@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .fusion import DEFAULT_FUSION_WEIGHT, wf_embedding
+from .fusion import DEFAULT_FUSION_WEIGHT, baseline_embedding, wf_embedding
 from .model import CanonicalPoseSet, Dataset, Tracklet
 from .providers import RepresentativeChoice, SyntheticFeatureProvider
 from .quantizer import DEFAULT_MIN_COMMON_JOINTS
@@ -251,14 +251,15 @@ def score_matrix(
 
     `provider` may be None in BASELINE mode, which uses no synthetics.
     """
+    if provider is None and mode is not EvalMode.BASELINE:
+        raise ValueError(f"mode {mode.value!r} needs a synthetic feature provider")
     by_id = dataset.by_id()
     all_tracklets = [by_id[tid] for tid in sorted(by_id)]
     probe_tracklets = [by_id[c.probe_id] for c in cases]
 
     if mode in (EvalMode.BASELINE, EvalMode.WF, EvalMode.FUSED):
         if mode is EvalMode.BASELINE:
-            def vec(t: Tracklet) -> np.ndarray:
-                return np.mean(np.stack([f.feature for f in t.frames_by_id()]), axis=0)
+            vec = baseline_embedding
         else:
             def vec(t: Tracklet) -> np.ndarray:
                 return wf_embedding(
@@ -268,7 +269,7 @@ def score_matrix(
                     config.fusion_weight,
                     config.representative,
                     strict=config.strict,
-                ).vector
+                )
         cos = cosine_matrix(
             np.stack([vec(t) for t in probe_tracklets]),
             np.stack([vec(t) for t in all_tracklets]),
@@ -311,6 +312,12 @@ def evaluate(
     identities = {t.tracklet_id: t.identity for t in dataset.tracklets}
 
     scores = score_matrix(dataset, canon, provider, cases, config, mode)
+    nonfinite = [c.probe_id for c, ok in zip(cases, np.isfinite(scores).all(axis=1)) if not ok]
+    if nonfinite:
+        raise ValueError(
+            f"non-finite scores for probe(s) {', '.join(nonfinite)}; "
+            "validate_dataset names the offending inputs"
+        )
 
     results = []
     for i, case in enumerate(cases):

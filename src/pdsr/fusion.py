@@ -11,27 +11,14 @@ absorbs global scale, so `w` is the single knob balancing the two branches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import MissingSyntheticError
 from .model import CanonicalPoseSet, Tracklet
 from .providers import RepresentativeChoice, SyntheticFeatureProvider, choose_representative
-from .similarity import cosine
 
 #: Default fusion weight; the empirically best-performing setting.
 DEFAULT_FUSION_WEIGHT = 4.0
-
-
-@dataclass(frozen=True, eq=False)
-class WfEmbedding:
-    """A fused tracklet embedding plus the bookkeeping of how it was built."""
-
-    vector: np.ndarray
-    weight_used: float
-    real_count: int
-    synth_count: int
 
 
 def baseline_embedding(tracklet: Tracklet) -> np.ndarray:
@@ -78,24 +65,14 @@ def wf_embedding(
     rep: RepresentativeChoice,
     *,
     strict: bool = True,
-) -> WfEmbedding:
+) -> np.ndarray:
     """Fuse the real-frame mean with the synthetic per-pose mean under weight w."""
     if w < 0.0:
         raise ValueError("fusion weight must be non-negative")
     real_mean = baseline_embedding(tracklet)
-    synth, served = synthetic_mean(tracklet, provider, canon, rep, strict=strict)
+    synth, _ = synthetic_mean(tracklet, provider, canon, rep, strict=strict)
     if synth.shape != real_mean.shape:
         raise ValueError(
             f"synthetic dimension {synth.shape[0]} != real dimension {real_mean.shape[0]}"
         )
-    return WfEmbedding(
-        vector=w * real_mean + synth,
-        weight_used=float(w),
-        real_count=len(tracklet.frames),
-        synth_count=served,
-    )
-
-
-def wf_score(probe: WfEmbedding, gallery: list[WfEmbedding] | tuple[WfEmbedding, ...]) -> np.ndarray:
-    """Cosine similarity of the probe against each gallery embedding."""
-    return np.array([cosine(probe.vector, g.vector) for g in gallery], dtype=np.float64)
+    return w * real_mean + synth

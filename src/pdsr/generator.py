@@ -22,7 +22,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import FileFormatError
+from .errors import FileFormatError, MissingSyntheticError
 from .model import (
     DISTRACTOR,
     CanonicalPoseSet,
@@ -138,9 +138,9 @@ class PlantedProvider(SyntheticFeatureProvider):
     def query(self, tracklet_id: str, representative_frame_id: int, pose: int) -> np.ndarray:
         truth = self._truth
         if tracklet_id not in truth.latent_key:
-            raise KeyError(f"unknown tracklet {tracklet_id!r}")
+            raise MissingSyntheticError(f"unknown tracklet {tracklet_id!r}")
         if not 1 <= pose <= truth.pose_offsets.shape[0]:
-            raise IndexError(f"pose {pose} outside planted pose range")
+            raise MissingSyntheticError(f"pose {pose} outside planted pose range")
         vec = truth.latents[truth.latent_key[tracklet_id]] + truth.pose_offsets[pose - 1]
         noise = rng_for(self._seed, "provider-noise", tracklet_id, pose).normal(
             0.0, self._sigma, vec.shape[0]
@@ -154,11 +154,6 @@ class GeneratedData:
     canon: CanonicalPoseSet
     provider: PlantedProvider
     truth: PlantedTruth
-
-
-def corrupted_provider(gen: GeneratedData, noise_sigma: float, seed: int = 0) -> PlantedProvider:
-    """The same planted provider with extra noise, for weight trade-off studies."""
-    return PlantedProvider(gen.truth, noise_sigma=noise_sigma, seed=seed)
 
 
 def _make_canon(spec: GenSpec) -> CanonicalPoseSet:

@@ -9,20 +9,12 @@ violations instead of raising.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
-from typing import Iterator, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 #: Reserved identity label for tracklets that never count as positives.
 DISTRACTOR = "DISTRACTOR"
-
-
-class Origin(Enum):
-    """Whether a per-pose vector was pooled from real frames or synthesized."""
-
-    REAL = "real"
-    SYNTHETIC = "synthetic"
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,44 +111,20 @@ class CanonicalPoseSet:
 
 
 @dataclass(frozen=True, eq=False)
-class PoseEntry:
-    """A per-canonical-pose vector with its frame fraction and provenance."""
-
-    vector: np.ndarray
-    frequency: float
-    origin: Origin
-
-
-@dataclass(frozen=True, eq=False)
 class PoseNormalizedEmbedding:
-    """Per-pose pooled features of one tracklet, keyed by canonical pose.
+    """Per-pose pooled features of one tracklet on the canonical pose axis.
 
-    `entries` holds one PoseEntry per pose index, iterated in strictly
-    increasing pose order.  `observed_set` are the poses pooled from real
-    frames; `backfilled_set` are synthetic fill-ins (disjoint from observed).
-    The representative frame id is retained so providers can be queried for
-    missing poses at pair-alignment time.
+    Row j - 1 of each array belongs to canonical pose j.  A pose no frame
+    maps to has a zero vector, frequency 0 and `observed` False.  The
+    representative frame id is retained so providers can be queried for
+    missing poses at matching time.
     """
 
     tracklet_id: str
     representative_frame_id: int
-    entries: Mapping[int, PoseEntry]
-    observed_set: frozenset[int]
-    backfilled_set: frozenset[int] = frozenset()
-
-    def __post_init__(self) -> None:
-        ordered = dict(sorted(self.entries.items()))
-        object.__setattr__(self, "entries", ordered)
-        object.__setattr__(self, "observed_set", frozenset(self.observed_set))
-        object.__setattr__(self, "backfilled_set", frozenset(self.backfilled_set))
-        if self.observed_set & self.backfilled_set:
-            raise ValueError("observed and backfilled pose sets must be disjoint")
-
-    def poses(self) -> tuple[int, ...]:
-        return tuple(self.entries.keys())
-
-    def __iter__(self) -> Iterator[tuple[int, PoseEntry]]:
-        return iter(self.entries.items())
+    vectors: np.ndarray  # (M, d) mean feature of the frames assigned to each pose
+    frequencies: np.ndarray  # (M,) fraction of assignable frames per pose
+    observed: np.ndarray  # (M,) bool
 
 
 @dataclass(frozen=True, eq=False)

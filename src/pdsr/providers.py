@@ -135,37 +135,3 @@ class StubProvider(SyntheticFeatureProvider):
             rng = rng_for(self._seed, "stub-noise", tracklet_id, pose)
             out = out + rng.normal(0.0, self._sigma, out.shape[0])
         return out
-
-
-def stub_provider(
-    tracklets: list[Tracklet] | tuple[Tracklet, ...],
-    canon_prototypes: np.ndarray,
-    alpha: float,
-    noise_sigma: float = 0.0,
-    seed: int = 0,
-) -> StubProvider:
-    return StubProvider(tracklets, canon_prototypes, alpha, noise_sigma, seed)
-
-
-class CachedProvider(SyntheticFeatureProvider):
-    """Memoizes an inner provider per (tracklet, pose); misses are cached too.
-
-    Providers are deterministic, so caching cannot change results; it exists
-    so one generation per (tracklet, pose) serves every pair alignment.
-    """
-
-    def __init__(self, inner: SyntheticFeatureProvider):
-        self._inner = inner
-        self._cache: dict[tuple[str, int], np.ndarray | None] = {}
-
-    def query(self, tracklet_id: str, representative_frame_id: int, pose: int) -> np.ndarray:
-        key = (tracklet_id, pose)
-        if key not in self._cache:
-            try:
-                self._cache[key] = self._inner.query(tracklet_id, representative_frame_id, pose)
-            except MissingSyntheticError:
-                self._cache[key] = None
-        hit = self._cache[key]
-        if hit is None:
-            raise MissingSyntheticError(f"no synthetic feature for ({tracklet_id!r}, pose {pose})")
-        return hit

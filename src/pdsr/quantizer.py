@@ -13,19 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllFramesUnassignableError, NoCommonJointsError
+from .errors import AllFramesUnassignableError
 from .model import CanonicalPoseSet, FrameRecord, PoseVector, Tracklet
 
 DEFAULT_MIN_COMMON_JOINTS = 4
-
-
-@dataclass(frozen=True)
-class PoseAssignment:
-    """The canonical pose a frame quantizes to; pose None means unassignable."""
-
-    frame_id: int
-    pose: int | None
-    distance: float
+_BLOCK_FRAMES = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,58 +29,6 @@ class PoseGroups:
     unassignable: tuple[int, ...]  # frame ids excluded from every group
 
 
-def keypoint_distance(
-    a: PoseVector,
-    b: PoseVector,
-    *,
-    min_common_joints: int = DEFAULT_MIN_COMMON_JOINTS,
-) -> float:
-    """Visibility-masked mean-RMS distance between two keypoint vectors.
-
-    Raises NoCommonJointsError when fewer than `min_common_joints` joints
-    are visible in both poses.
-    """
-    if a.joint_count != b.joint_count:
-        raise ValueError(f"joint counts differ: {a.joint_count} vs {b.joint_count}")
-    common = a.visibility & b.visibility
-    n = int(common.sum())
-    if n < min_common_joints:
-        raise NoCommonJointsError(
-            f"only {n} mutually visible joints, need at least {min_common_joints}"
-        )
-    # Masked full-length reduction, bitwise identical to assignment_distances.
-    diff = a.joints - b.joints
-    sq = np.where(common, np.sum(diff * diff, axis=-1), 0.0)
-    return math.sqrt(float(sq.sum()) / n)
-
-
-def assign_pose(
-    frame_pose: PoseVector,
-    canon: CanonicalPoseSet,
-    *,
-    frame_id: int = -1,
-    min_common_joints: int = DEFAULT_MIN_COMMON_JOINTS,
-) -> PoseAssignment:
-    """Assign a pose vector to its nearest canonical pose.
-
-    Ties break toward the lowest canonical index.  If no canonical pose
-    shares enough visible joints, the frame is unassignable (pose None).
-    """
-    best_index: int | None = None
-    best_distance = math.inf
-    for j in canon.indices:
-        try:
-            d = keypoint_distance(frame_pose, canon.pose(j), min_common_joints=min_common_joints)
-        except NoCommonJointsError:
-            continue
-        if d < best_distance:
-            best_index = j
-            best_distance = d
-    if best_index is None:
-        return PoseAssignment(frame_id=frame_id, pose=None, distance=math.inf)
-    return PoseAssignment(frame_id=frame_id, pose=best_index, distance=best_distance)
-
-
 def assignment_distances(
     poses: list[PoseVector],
     canon: CanonicalPoseSet,
@@ -97,22 +37,46 @@ def assignment_distances(
 ) -> np.ndarray:
     """Distance matrix (len(poses), M); inf where too few common joints.
 
-    Vectorized equivalent of calling keypoint_distance pairwise.
+    Each row depends only on its own pose, so any batch gives a frame the
+    same distances bit for bit.
     """
+    if not poses:
+        return np.empty((0, len(canon.poses)))
     frame_joints = np.stack([p.joints for p in poses])  # (L, k, 2)
     frame_vis = np.stack([p.visibility for p in poses])  # (L, k)
     canon_joints = np.stack([p.joints for p in canon.poses])  # (M, k, 2)
     canon_vis = np.stack([p.visibility for p in canon.poses])  # (M, k)
+    if frame_joints.shape[1] != canon_joints.shape[1]:
+        raise ValueError(
+            f"joint counts differ: {frame_joints.shape[1]} vs {canon_joints.shape[1]}"
+        )
 
-    common = frame_vis[:, None, :] & canon_vis[None, :, :]  # (L, M, k)
-    diff = frame_joints[:, None, :, :] - canon_joints[None, :, :, :]  # (L, M, k, 2)
-    sq = np.sum(diff * diff, axis=-1)  # (L, M, k)
-    sq = np.where(common, sq, 0.0)
-    counts = common.sum(axis=-1)  # (L, M)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        dist = np.sqrt(sq.sum(axis=-1) / counts)
-    dist[counts < min_common_joints] = np.inf
+    dist = np.empty((len(poses), len(canon.poses)))
+    # Blocks bound the (block, M, k, 2) temporaries; a whole dataset at
+    # once would hold several of them, each far larger than the result.
+    for start in range(0, len(poses), _BLOCK_FRAMES):
+        rows = slice(start, start + _BLOCK_FRAMES)
+        common = frame_vis[rows, None, :] & canon_vis[None, :, :]  # (B, M, k)
+        diff = frame_joints[rows, None, :, :] - canon_joints[None, :, :, :]  # (B, M, k, 2)
+        sq = np.where(common, np.sum(diff * diff, axis=-1), 0.0)  # (B, M, k)
+        counts = common.sum(axis=-1)  # (B, M)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            block = np.sqrt(sq.sum(axis=-1) / counts)
+        block[counts < min_common_joints] = np.inf
+        dist[rows] = block
     return dist
+
+
+def nearest_poses(dist: np.ndarray) -> tuple[list[int | None], list[float]]:
+    """Nearest canonical pose (1-based) and its distance, per row of `dist`.
+
+    Ties break toward the lowest canonical index.  A row without a finite
+    distance is unassignable: pose None, distance inf.
+    """
+    best = np.argmin(dist, axis=1)
+    nearest = dist[np.arange(dist.shape[0]), best].tolist()
+    poses = [None if math.isinf(d) else j + 1 for j, d in zip(best.tolist(), nearest)]
+    return poses, nearest
 
 
 def group_by_pose(
@@ -131,15 +95,16 @@ def group_by_pose(
     if not frames:
         raise AllFramesUnassignableError(f"tracklet {tracklet.tracklet_id!r} has no frames")
 
-    dist = assignment_distances([f.pose for f in frames], canon, min_common_joints=min_common_joints)
+    poses, _ = nearest_poses(
+        assignment_distances([f.pose for f in frames], canon, min_common_joints=min_common_joints)
+    )
     groups: dict[int, list[FrameRecord]] = {}
     unassignable: list[int] = []
-    for f, row in zip(frames, dist):
-        j = int(np.argmin(row)) + 1
-        if math.isinf(row[j - 1]):
+    for f, j in zip(frames, poses):
+        if j is None:
             unassignable.append(f.frame_id)
-            continue
-        groups.setdefault(j, []).append(f)
+        else:
+            groups.setdefault(j, []).append(f)
 
     assignable = sum(len(g) for g in groups.values())
     if assignable == 0:

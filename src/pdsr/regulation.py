@@ -1,4 +1,4 @@
-"""Pose-regulated pair alignment and frequency-weighted pose-wise matching.
+"""Pose-regulated, frequency-weighted pose-wise matching.
 
 A tracklet is first reduced to per-canonical-pose pooled vectors with their
 frame fractions.  To match two tracklets, both sides are completed over the
@@ -17,30 +17,15 @@ are reproducible and invariant to frame storage order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import EmptyUnionError, MissingSyntheticError, ZeroVectorError
-from .model import CanonicalPoseSet, Origin, PoseEntry, PoseNormalizedEmbedding, Tracklet
+from .model import CanonicalPoseSet, PoseNormalizedEmbedding, Tracklet
 from .providers import RepresentativeChoice, SyntheticFeatureProvider, choose_representative
 from .quantizer import DEFAULT_MIN_COMMON_JOINTS, group_by_pose
-from .similarity import cosine, unit_rows
-
-
-@dataclass(frozen=True, eq=False)
-class AlignedPair:
-    """Two tracklets completed over the union of their observed poses.
-
-    Both sides define an entry for every pose in `poses` (strictly
-    increasing).  `nu` carries the normalized averaged pose frequencies.
-    """
-
-    poses: tuple[int, ...]
-    left: Mapping[int, PoseEntry]
-    right: Mapping[int, PoseEntry]
-    nu: Mapping[int, float]
+from .similarity import unit_rows
 
 
 def pose_normalize(
@@ -53,135 +38,46 @@ def pose_normalize(
     """Pool a tracklet's frames per observed canonical pose.
 
     Missing poses are not filled here; which ones are needed depends on the
-    matching partner, so backfill happens at pair-alignment time.  The
+    matching partner, so backfill happens at scoring time.  The
     representative frame id is fixed now so later provider queries are
     consistent across pairs.
     """
     groups = group_by_pose(tracklet, canon, min_common_joints=min_common_joints)
-    entries = {
-        j: PoseEntry(
-            vector=np.mean(np.stack([f.feature for f in frames]), axis=0),
-            frequency=groups.frequencies[j],
-            origin=Origin.REAL,
-        )
-        for j, frames in groups.groups.items()
-    }
+    vectors = np.zeros((len(canon), tracklet.frames[0].feature.shape[0]))
+    frequencies = np.zeros(len(canon))
+    for j, frames in groups.groups.items():
+        vectors[j - 1] = np.mean(np.stack([f.feature for f in frames]), axis=0)
+        frequencies[j - 1] = groups.frequencies[j]
     return PoseNormalizedEmbedding(
         tracklet_id=tracklet.tracklet_id,
         representative_frame_id=choose_representative(tracklet, rep),
-        entries=entries,
-        observed_set=frozenset(entries),
+        vectors=vectors,
+        frequencies=frequencies,
+        observed=frequencies > 0.0,
     )
-
-
-def _fill_side(
-    emb: PoseNormalizedEmbedding,
-    poses: Sequence[int],
-    provider: SyntheticFeatureProvider,
-    strict: bool,
-) -> tuple[dict[int, PoseEntry], set[int]]:
-    """Entries of one side over `poses`; returns the poses it cannot fill."""
-    side: dict[int, PoseEntry] = {}
-    unfillable: set[int] = set()
-    for j in poses:
-        if j in emb.entries:
-            side[j] = emb.entries[j]
-            continue
-        try:
-            vec = provider.query(emb.tracklet_id, emb.representative_frame_id, j)
-        except MissingSyntheticError:
-            if strict:
-                raise
-            unfillable.add(j)
-            continue
-        side[j] = PoseEntry(vector=vec, frequency=0.0, origin=Origin.SYNTHETIC)
-    return side, unfillable
-
-
-def align_pair(
-    a: PoseNormalizedEmbedding,
-    b: PoseNormalizedEmbedding,
-    provider: SyntheticFeatureProvider,
-    canon: CanonicalPoseSet,
-    *,
-    strict: bool = True,
-) -> AlignedPair:
-    """Complete a pair over the union of observed poses and weight the poses.
-
-    nu_j starts as the average of the two sides' frequencies and is then
-    normalized to sum 1.  In lenient mode, poses unfillable on either side
-    are dropped from the union (nu renormalized over what remains).
-    """
-    union = sorted(a.observed_set | b.observed_set)
-    if not union:
-        raise EmptyUnionError("neither tracklet observes any canonical pose")
-    left, bad_a = _fill_side(a, union, provider, strict)
-    right, bad_b = _fill_side(b, union, provider, strict)
-    kept = [j for j in union if j not in bad_a and j not in bad_b]
-    if not kept:
-        raise EmptyUnionError(
-            f"no pose of {a.tracklet_id!r} / {b.tracklet_id!r} survives alignment"
-        )
-    raw = {j: (left[j].frequency + right[j].frequency) / 2.0 for j in kept}
-    total = sum(raw.values())
-    nu = {j: raw[j] / total for j in kept}
-    return AlignedPair(
-        poses=tuple(kept),
-        left={j: left[j] for j in kept},
-        right={j: right[j] for j in kept},
-        nu=nu,
-    )
-
-
-def wpr_score(pair: AlignedPair) -> float:
-    """Frequency-weighted sum of per-pose cosines, in [-1, 1].
-
-    Summation runs left to right in increasing pose index so repeated
-    evaluations are bitwise reproducible.
-    """
-    score = 0.0
-    for j in pair.poses:
-        score += pair.nu[j] * cosine(pair.left[j].vector, pair.right[j].vector)
-    return score
-
-
-@dataclass(frozen=True, eq=False)
-class _DenseRep:
-    """Per-pose vectors of one tracklet on a fixed pose axis (matrix path)."""
-
-    unit_vectors: np.ndarray  # (P, d) row-normalized; zero rows where unavailable
-    frequencies: np.ndarray  # (P,)
-    available: np.ndarray  # (P,) bool
 
 
 def _dense_rep(
     emb: PoseNormalizedEmbedding,
-    pose_axis: Sequence[int],
-    needed: frozenset[int],
+    pose_axis: np.ndarray,
+    needed: np.ndarray,
     provider: SyntheticFeatureProvider,
-    dim: int,
     strict: bool,
-) -> _DenseRep:
-    """Lay one tracklet's per-pose vectors on the shared pose axis.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unit per-pose vectors, frequencies and availability on the shared pose axis.
 
     Only poses in `needed` (those that can appear in some pair union
-    involving this tracklet) are backfilled, so strict-mode provider
-    failures match the per-pair path exactly.
+    involving this tracklet) are backfilled, so a provider gap at a pose no
+    pair uses fails nothing, even in strict mode.  Unavailable poses get
+    zero vectors.
     """
-    vectors = np.zeros((len(pose_axis), dim))
-    freqs = np.zeros(len(pose_axis))
-    avail = np.zeros(len(pose_axis), dtype=bool)
-    for row, j in enumerate(pose_axis):
-        if j in emb.entries:
-            entry = emb.entries[j]
-            vectors[row] = entry.vector
-            freqs[row] = entry.frequency
-            avail[row] = True
-            continue
-        if j not in needed:
+    vectors = emb.vectors[pose_axis]
+    avail = emb.observed[pose_axis]
+    for row, j in enumerate(pose_axis.tolist()):
+        if avail[row] or not needed[j]:
             continue
         try:
-            vectors[row] = provider.query(emb.tracklet_id, emb.representative_frame_id, j)
+            vectors[row] = provider.query(emb.tracklet_id, emb.representative_frame_id, j + 1)
             avail[row] = True
         except MissingSyntheticError:
             if strict:
@@ -190,7 +86,7 @@ def _dense_rep(
         raise ZeroVectorError(
             f"tracklet {emb.tracklet_id!r} has an all-zero per-pose vector"
         )
-    return _DenseRep(unit_vectors=unit_rows(vectors), frequencies=freqs, available=avail)
+    return unit_rows(vectors), emb.frequencies[pose_axis], avail
 
 
 def wpr_score_matrix(
@@ -201,53 +97,52 @@ def wpr_score_matrix(
     *,
     strict: bool = True,
 ) -> np.ndarray:
-    """Score every probe against every gallery tracklet; equals the per-pair path.
+    """Score every probe against every gallery tracklet.
 
     One synthetic vector is generated (and reused) per (tracklet, pose);
     only poses observed somewhere in the batch ever need filling.  The
-    per-pose accumulation runs in increasing pose index, matching the
-    summation order of wpr_score.
+    per-pose accumulation runs in increasing pose index, so repeated
+    evaluations are bitwise reproducible.  In lenient mode a pose that
+    either side of a pair cannot fill is dropped from that pair's union
+    (nu renormalized over what remains).
     """
     if not probes or not gallery:
         return np.zeros((len(probes), len(gallery)))
-    probe_union: frozenset[int] = frozenset().union(*(e.observed_set for e in probes))
-    gallery_union: frozenset[int] = frozenset().union(*(e.observed_set for e in gallery))
-    pose_axis = sorted(probe_union | gallery_union)
-    if not set(pose_axis) <= set(canon.indices):
-        raise ValueError("embedding observes a pose outside the canonical set")
-    dim = next(iter(gallery[0].entries.values())).vector.shape[0]
+    if any(e.observed.shape != (len(canon),) for e in (*probes, *gallery)):
+        raise ValueError("embedding pose axis does not match the canonical set")
+    probe_union = np.logical_or.reduce([e.observed for e in probes])
+    gallery_union = np.logical_or.reduce([e.observed for e in gallery])
+    pose_axis = np.flatnonzero(probe_union | gallery_union)
 
     # A probe can only ever be asked for poses some gallery tracklet
     # observes, and vice versa; querying beyond that would surface provider
-    # gaps the per-pair path never touches.
-    needed: dict[str, frozenset[int]] = {}
-    for emb in probes:
-        needed[emb.tracklet_id] = emb.observed_set | gallery_union
+    # gaps no pair union contains.
+    needed = {emb.tracklet_id: gallery_union for emb in probes}
     for emb in gallery:
-        prior = needed.get(emb.tracklet_id, frozenset())
-        needed[emb.tracklet_id] = prior | emb.observed_set | probe_union
-    reps: dict[str, _DenseRep] = {}
-    for emb in list(probes) + list(gallery):
-        if emb.tracklet_id not in reps:
-            reps[emb.tracklet_id] = _dense_rep(
-                emb, pose_axis, needed[emb.tracklet_id], provider, dim, strict
-            )
+        needed[emb.tracklet_id] = needed.get(emb.tracklet_id, False) | probe_union
 
-    p_reps = [reps[e.tracklet_id] for e in probes]
-    g_reps = [reps[e.tracklet_id] for e in gallery]
-    p_freq = np.stack([r.frequencies for r in p_reps])  # (P, M')
-    g_freq = np.stack([r.frequencies for r in g_reps])
-    p_avail = np.stack([r.available for r in p_reps])
-    g_avail = np.stack([r.available for r in g_reps])
-    p_unit = np.stack([r.unit_vectors for r in p_reps])  # (P, M', d)
-    g_unit = np.stack([r.unit_vectors for r in g_reps])
+    # One row per distinct tracklet, shared by the probe and gallery sides.
+    distinct: dict[str, PoseNormalizedEmbedding] = {}
+    for emb in (*probes, *gallery):
+        distinct.setdefault(emb.tracklet_id, emb)
+    shape = (len(distinct), len(pose_axis))
+    unit = np.empty(shape + (probes[0].vectors.shape[1],))  # (T, M', d)
+    freq = np.empty(shape)
+    avail = np.empty(shape, dtype=bool)
+    for i, emb in enumerate(distinct.values()):
+        unit[i], freq[i], avail[i] = _dense_rep(
+            emb, pose_axis, needed[emb.tracklet_id], provider, strict
+        )
+    row = {tid: i for i, tid in enumerate(distinct)}
+    p = [row[e.tracklet_id] for e in probes]
+    g = [row[e.tracklet_id] for e in gallery]
 
     numer = np.zeros((len(probes), len(gallery)))
     denom = np.zeros_like(numer)
     for m in range(len(pose_axis)):
-        weight = (p_freq[:, m, None] + g_freq[None, :, m]) / 2.0
-        weight = weight * (p_avail[:, m, None] & g_avail[None, :, m])
-        cos = p_unit[:, m, :] @ g_unit[:, m, :].T
+        weight = (freq[p, m][:, None] + freq[g, m][None, :]) / 2.0
+        weight = weight * (avail[p, m][:, None] & avail[g, m][None, :])
+        cos = unit[p, m] @ unit[g, m].T
         numer += weight * cos
         denom += weight
     if (denom == 0.0).any():

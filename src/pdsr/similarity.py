@@ -7,17 +7,6 @@ import numpy as np
 from .errors import ZeroVectorError
 
 
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity of two vectors, in [-1, 1]."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        raise ZeroVectorError("cosine similarity is undefined for the all-zero vector")
-    return float(np.dot(a, b) / (na * nb))
-
-
 def unit_rows(matrix: np.ndarray) -> np.ndarray:
     """Row-normalize a matrix; all-zero rows are left as zeros."""
     matrix = np.asarray(matrix, dtype=np.float64)

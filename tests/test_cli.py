@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from pdsr import load_report, read_feature_matrix, read_synth_index
+from naive_reference import naive_assign, naive_keypoint_distance
+from pdsr import load_canon, load_dataset, read_feature_matrix, read_synth_index
 from pdsr.cli import main
+from pdsr.dataset_io import load_report_json
 from pdsr.generator import GenSpec, save_gen_spec
 
 
@@ -88,6 +90,39 @@ def test_quantize_reports_and_writes_assignments(workspace, tmp_path):
         float(distance)  # repr round-trips
 
 
+def test_quantize_matches_oracle_with_unassignable_frames(workspace, tmp_path):
+    root, _ = workspace
+    data = root / "data"
+    manifest = json.loads((data / "manifest.json").read_text())
+    for t in manifest["tracklets"]:
+        for f in t["frames"][::2]:  # every other frame shows only 3 joints
+            for joint in f["keypoints"][3:]:
+                joint[2] = 0
+    low = tmp_path / "low.json"
+    low.write_text(json.dumps(manifest))
+    out = tmp_path / "assign.tsv"
+    run(["--manifest", str(low), "--features", str(data / "features.bin"),
+         "--canon", str(data / "canon.json"), "quantize", "--out", str(out)])
+
+    dataset = load_dataset(low, data / "features.bin")
+    canon = load_canon(data / "canon.json")
+    frames = {(t.tracklet_id, f.frame_id): f for t in dataset.tracklets for f in t.frames}
+    rows = [line.split("\t") for line in out.read_text().splitlines()]
+    assert [(tid, int(fid)) for tid, fid, _, _ in rows] == sorted(frames)
+    unassignable = 0
+    for tid, fid, pose, distance in rows:
+        frame = frames[(tid, int(fid))]
+        expected = naive_assign(frame.pose, canon)
+        if expected is None:
+            unassignable += 1
+            assert (pose, distance) == ("-", "inf")
+            continue
+        assert int(pose) == expected
+        naive = naive_keypoint_distance(frame.pose, canon.poses[expected - 1])
+        assert abs(float(distance) - naive) <= 1e-12
+    assert unassignable >= len(dataset.tracklets)
+
+
 def test_embed_wf_writes_matrix_and_ids(workspace, tmp_path):
     _, flags = workspace
     out, ids = tmp_path / "wf.bin", tmp_path / "ids.tsv"
@@ -141,7 +176,7 @@ def test_eval_writes_report_and_csv(workspace, tmp_path):
     result = run(flags + ["eval", "--mode", "wf+wpr",
                           "--report", str(report_path), "--csv", str(csv_path)])
     assert "mAP" in result.output
-    report = load_report(report_path)
+    report = load_report_json(report_path)
     assert report.mode == "wf+wpr"
     assert report.num_probes == 4
     assert csv_path.read_text().startswith("section,key,value")

@@ -20,7 +20,6 @@ from pdsr import (
     evaluate,
     load_canon,
     load_dataset,
-    load_report,
     pose_normalize,
     read_feature_matrix,
     read_pose_embedding_index,
@@ -29,12 +28,18 @@ from pdsr import (
     rng_for,
     save_canon,
     save_dataset,
-    save_report,
     write_feature_matrix,
     write_pose_embeddings,
     write_synth_index,
 )
-from pdsr.dataset_io import _HEADER, FORMAT_VERSION, MAGIC
+from pdsr.dataset_io import (
+    _HEADER,
+    FORMAT_VERSION,
+    MAGIC,
+    load_report_json,
+    save_report_csv,
+    save_report_json,
+)
 from pdsr.generator import GenSpec, generate
 
 
@@ -264,9 +269,10 @@ def test_pose_embedding_export_round_trip(tmp_path, small_gen):
 
     expected = []
     for emb in sorted(embs, key=lambda e: e.tracklet_id):
-        for pose, entry in emb.entries.items():
-            expected.append((emb.tracklet_id, pose, entry.origin.value,
-                             entry.frequency, entry.vector))
+        for pose in small_gen.canon.indices:
+            if emb.observed[pose - 1]:
+                expected.append((emb.tracklet_id, pose, "real",
+                                 emb.frequencies[pose - 1], emb.vectors[pose - 1]))
     assert len(rows) == len(expected) == matrix.shape[0]
     for got, (tid, pose, origin, freq, vec) in zip(rows, expected):
         assert got[:4] == (tid, pose, origin, freq)
@@ -319,14 +325,14 @@ def test_report_json_round_trip_100_random(tmp_path):
     for i in range(100):
         report = random_report(rng)
         path = tmp_path / f"r{i}.json"
-        save_report(report, path)
-        assert report_to_dict(load_report(path)) == report_to_dict(report)
+        save_report_json(report, path)
+        assert report_to_dict(load_report_json(path)) == report_to_dict(report)
 
 
 def test_report_json_keeps_full_float_precision(tmp_path):
     report = random_report(rng_for(4, "io"))
-    save_report(report, tmp_path / "r.json")
-    loaded = load_report(tmp_path / "r.json")
+    save_report_json(report, tmp_path / "r.json")
+    loaded = load_report_json(tmp_path / "r.json")
     assert loaded.mean_ap == report.mean_ap  # bitwise, not approximately
     assert loaded.cmc == report.cmc
 
@@ -345,7 +351,7 @@ def test_report_csv_writes_null_markers_and_exact_floats(tmp_path):
             ProbeResult("t1", "id1", 1, 5, 0, None, None),
         ),
     )
-    save_report(report, tmp_path / "r.csv", format="csv")
+    save_report_csv(report, tmp_path / "r.csv")
     text = (tmp_path / "r.csv").read_text()
     lines = text.splitlines()
     assert lines[0] == "section,key,value"
@@ -356,8 +362,3 @@ def test_report_csv_writes_null_markers_and_exact_floats(tmp_path):
     assert "probe,t1.first_correct_rank,null" in lines
     assert "probe,t1.ap,null" in lines
     assert "cmc,1,0.5" in lines
-
-
-def test_save_report_rejects_unknown_format(tmp_path):
-    with pytest.raises(ValueError):
-        save_report(random_report(rng_for(5, "io")), tmp_path / "r.xml", format="xml")

@@ -250,6 +250,35 @@ def test_baseline_mode_needs_no_provider(small_gen):
     assert report.num_scored > 0
 
 
+@pytest.mark.parametrize("mode", [EvalMode.WF, EvalMode.WPR, EvalMode.FUSED])
+def test_synthetic_modes_without_provider_raise(small_gen, mode):
+    config = ProtocolConfig(seed=0)
+    cases = build_protocol(small_gen.dataset, config.seed)
+    with pytest.raises(ValueError) as exc:
+        score_matrix(small_gen.dataset, small_gen.canon, None, cases, config, mode)
+    assert repr(mode.value) in str(exc.value)
+    with pytest.raises(ValueError) as exc:
+        evaluate(small_gen.dataset, small_gen.canon, None, config, mode)
+    assert repr(mode.value) in str(exc.value)
+
+
+def test_evaluate_rejects_non_finite_scores():
+    rows = [(f"{i}-{c}", f"id{i}", c) for i in "abc" for c in (0, 1)]
+    dataset = make_dataset(rows)
+    bad = dataset.tracklets[3]
+    nan_feature = bad.frames[0].feature.copy()
+    nan_feature[0] = np.nan
+    frames = (FrameRecord(0, nan_feature, bad.frames[0].pose),) + bad.frames[1:]
+    tracklets = list(dataset.tracklets)
+    tracklets[3] = Tracklet(bad.tracklet_id, bad.identity, bad.camera, frames)
+    dataset = Dataset("nan", 8, 5, 2, 2, tuple(tracklets))
+    with pytest.raises(ValueError, match="non-finite") as exc:
+        evaluate(dataset, make_canon(), None, ProtocolConfig(), EvalMode.BASELINE)
+    # the NaN tracklet sits in every probe's score row
+    for case in build_protocol(dataset, 0):
+        assert case.probe_id in str(exc.value)
+
+
 def test_camera_confusion_matches_restricted_gallery_oracle():
     gen = generate(
         GenSpec(

@@ -6,23 +6,25 @@ import pytest
 from naive_reference import naive_cosine, naive_wf_vec
 from pdsr import (
     CanonicalPoseSet,
+    Dataset,
+    EvalMode,
     FrameRecord,
     MissingSyntheticError,
     PoseVector,
+    ProbeCase,
+    ProtocolConfig,
     RepresentativeChoice,
     Strategy,
-    StubProvider,
     SyntheticFeatureProvider,
     Tracklet,
-    WfEmbedding,
+    ZeroVectorError,
     baseline_embedding,
-    cosine,
-    pose_normalize,
+    cosine_matrix,
     rank_gallery,
     rng_for,
+    score_matrix,
     synthetic_mean,
     wf_embedding,
-    wf_score,
 )
 
 REP = RepresentativeChoice(strategy=Strategy.MIDDLE_FRAME)
@@ -104,8 +106,7 @@ def test_weight_zero_is_bitwise_synthetic_only():
     provider = PoseOnlyProvider(rng.normal(size=(3, 6)))
     fused = wf_embedding(t, provider, canon, 0.0, REP)
     synth, _ = synthetic_mean(t, provider, canon, REP)
-    assert np.array_equal(fused.vector, synth)
-    assert fused.weight_used == 0.0
+    assert np.array_equal(fused, synth)
 
 
 def test_wf_formula_matches_naive():
@@ -114,7 +115,7 @@ def test_wf_formula_matches_naive():
     canon = make_canon(rng)
     provider = PoseOnlyProvider(rng.normal(size=(3, 6)))
     for w in (0.5, 1.0, 4.0):
-        got = wf_embedding(t, provider, canon, w, REP).vector
+        got = wf_embedding(t, provider, canon, w, REP)
         rep_frame = t.frames_by_id()[len(t.frames) // 2].frame_id
         expected = naive_wf_vec(t, provider, 3, w, rep_frame)
         assert np.allclose(got, expected, atol=1e-12)
@@ -138,25 +139,34 @@ def test_wf_invariant_to_frame_storage_order():
     canon = make_canon(rng)
     provider = PoseOnlyProvider(rng.normal(size=(3, 6)))
     shuffled = Tracklet("t0", "x", 0, tuple(reversed(t.frames)))
-    a = wf_embedding(t, provider, canon, 4.0, REP).vector
-    b = wf_embedding(shuffled, provider, canon, 4.0, REP).vector
+    a = wf_embedding(t, provider, canon, 4.0, REP)
+    b = wf_embedding(shuffled, provider, canon, 4.0, REP)
     assert np.array_equal(a, b)
 
 
 def test_wf_score_is_per_gallery_cosine():
-    rng = rng_for(7, "wf")
-    vecs = [rng.normal(size=6) for _ in range(4)]
-    embs = [WfEmbedding(v, 4.0, 1, 1) for v in vecs]
-    scores = wf_score(embs[0], embs[1:])
-    for score, emb in zip(scores, embs[1:]):
-        assert score == pytest.approx(cosine(vecs[0], emb.vector), abs=1e-15)
+    # WF mode scores a probe against each tracklet by the cosine of their
+    # fused vectors.
+    canon, tracklets, provider = gallery_setup(7)
+    dataset = Dataset("wf", 6, 5, 3, 1, tuple(tracklets))
+    case = ProbeCase("g00", "x", 0, tuple(t.tracklet_id for t in tracklets[1:]))
+    config = ProtocolConfig(representative=REP)
+    scores = score_matrix(dataset, canon, provider, [case], config, EvalMode.WF)
+    probe = list(wf_embedding(tracklets[0], provider, canon, 4.0, REP))
+    for score, t in zip(scores[0], tracklets):
+        expected = naive_cosine(probe, list(wf_embedding(t, provider, canon, 4.0, REP)))
+        assert score == pytest.approx(expected, abs=1e-12)
 
 
 def test_cosine_matches_naive_oracle():
     rng = rng_for(8, "cos")
-    for _ in range(20):
-        u, v = rng.normal(size=10), rng.normal(size=10)
-        assert cosine(u, v) == pytest.approx(naive_cosine(list(u), list(v)), abs=1e-12)
+    left, right = rng.normal(size=(5, 10)), rng.normal(size=(20, 10))
+    matrix = cosine_matrix(left, right)
+    for i, u in enumerate(left):
+        for k, v in enumerate(right):
+            assert matrix[i, k] == pytest.approx(naive_cosine(list(u), list(v)), abs=1e-12)
+    with pytest.raises(ZeroVectorError):
+        cosine_matrix(left, np.zeros((1, 10)))
 
 
 def gallery_setup(seed, n=8):
@@ -168,8 +178,8 @@ def gallery_setup(seed, n=8):
 
 
 def ranking_ids(probe_vec, gallery_vecs, ids):
-    scores = [cosine(probe_vec, g) for g in gallery_vecs]
-    return rank_gallery(ids, scores).gallery_ids
+    scores = cosine_matrix(probe_vec[None, :], np.stack(gallery_vecs))[0]
+    return rank_gallery(ids, scores.tolist()).gallery_ids
 
 
 def test_large_weight_ranking_equals_baseline_ranking():
@@ -178,8 +188,8 @@ def test_large_weight_ranking_equals_baseline_ranking():
     probe, gallery = tracklets[0], tracklets[1:]
     for w in (1e6, 1e9):
         wf_rank = ranking_ids(
-            wf_embedding(probe, provider, canon, w, REP).vector,
-            [wf_embedding(g, provider, canon, w, REP).vector for g in gallery],
+            wf_embedding(probe, provider, canon, w, REP),
+            [wf_embedding(g, provider, canon, w, REP) for g in gallery],
             ids,
         )
         base_rank = ranking_ids(
@@ -193,8 +203,8 @@ def test_zero_weight_ranking_equals_synthetic_only_ranking():
     ids = [t.tracklet_id for t in tracklets[1:]]
     probe, gallery = tracklets[0], tracklets[1:]
     wf_rank = ranking_ids(
-        wf_embedding(probe, provider, canon, 0.0, REP).vector,
-        [wf_embedding(g, provider, canon, 0.0, REP).vector for g in gallery],
+        wf_embedding(probe, provider, canon, 0.0, REP),
+        [wf_embedding(g, provider, canon, 0.0, REP) for g in gallery],
         ids,
     )
     synth_rank = ranking_ids(
@@ -208,7 +218,7 @@ def test_zero_weight_ranking_equals_synthetic_only_ranking():
 def test_global_scaling_leaves_ranking_identical():
     canon, tracklets, provider = gallery_setup(11)
     ids = [t.tracklet_id for t in tracklets[1:]]
-    vecs = [wf_embedding(t, provider, canon, 4.0, REP).vector for t in tracklets]
+    vecs = [wf_embedding(t, provider, canon, 4.0, REP) for t in tracklets]
     plain = ranking_ids(vecs[0], vecs[1:], ids)
     scaled = ranking_ids(7.5 * vecs[0], [7.5 * v for v in vecs[1:]], ids)
     assert plain == scaled

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+from naive_reference import naive_cosine
 from pdsr import (
     DISTRACTOR,
+    MissingSyntheticError,
     RepresentativeChoice,
-    assign_pose,
+    assignment_distances,
     baseline_embedding,
-    cosine,
+    nearest_poses,
     rng_for,
     validate_dataset,
     wf_embedding,
@@ -16,7 +18,6 @@ from pdsr import (
 from pdsr.generator import (
     GenSpec,
     PlantedProvider,
-    corrupted_provider,
     generate,
     load_gen_spec,
     save_gen_spec,
@@ -26,13 +27,13 @@ SMALL = dict(identities=2, cameras=2, frames_per_tracklet=(4, 6), feature_dim=8,
 
 
 def recovery_rate(gen):
-    hit = total = 0
-    for t in gen.dataset.tracklets:
-        for f in t.frames:
-            total += 1
-            planted = gen.truth.frame_poses[(t.tracklet_id, f.frame_id)]
-            hit += assign_pose(f.pose, gen.canon).pose == planted
-    return hit / total
+    frames = [(t.tracklet_id, f) for t in gen.dataset.tracklets for f in t.frames]
+    poses, _ = nearest_poses(assignment_distances([f.pose for _, f in frames], gen.canon))
+    hits = [
+        pose == gen.truth.frame_poses[(tid, f.frame_id)]
+        for (tid, f), pose in zip(frames, poses)
+    ]
+    return sum(hits) / len(hits)
 
 
 def test_same_spec_and_seed_is_bit_identical():
@@ -115,10 +116,10 @@ def test_disjoint_visibility_hurts_baseline_more_than_wf():
             pairs.setdefault(t.identity, []).append(t)
         base, fused = [], []
         for ta, tb in pairs.values():
-            base.append(cosine(baseline_embedding(ta), baseline_embedding(tb)))
-            va = wf_embedding(ta, gen.provider, gen.canon, 4.0, rep).vector
-            vb = wf_embedding(tb, gen.provider, gen.canon, 4.0, rep).vector
-            fused.append(cosine(va, vb))
+            base.append(naive_cosine(list(baseline_embedding(ta)), list(baseline_embedding(tb))))
+            va = wf_embedding(ta, gen.provider, gen.canon, 4.0, rep)
+            vb = wf_embedding(tb, gen.provider, gen.canon, 4.0, rep)
+            fused.append(naive_cosine(list(va), list(vb)))
         base_means.append(sum(base) / len(base))
         wf_means.append(sum(fused) / len(fused))
     assert sum(wf_means) / 30 > sum(base_means) / 30
@@ -154,9 +155,9 @@ def test_planted_provider_is_ideal_and_deterministic():
 
 def test_planted_provider_rejects_unknown_keys():
     gen = generate(GenSpec(**SMALL, seed=6))
-    with pytest.raises(KeyError):
+    with pytest.raises(MissingSyntheticError):
         gen.provider.query("nope", 0, 1)
-    with pytest.raises(IndexError):
+    with pytest.raises(MissingSyntheticError):
         gen.provider.query(gen.dataset.tracklets[0].tracklet_id, 0, 99)
     with pytest.raises(ValueError):
         PlantedProvider(gen.truth, noise_sigma=-0.5)
@@ -164,7 +165,7 @@ def test_planted_provider_rejects_unknown_keys():
 
 def test_corrupted_provider_adds_seeded_noise():
     gen = generate(GenSpec(**SMALL, seed=8))
-    noisy = corrupted_provider(gen, noise_sigma=0.5, seed=1)
+    noisy = PlantedProvider(gen.truth, noise_sigma=0.5, seed=1)
     tid = gen.dataset.tracklets[0].tracklet_id
     clean = gen.provider.query(tid, 0, 1)
     a, b = noisy.query(tid, 0, 1), noisy.query(tid, 0, 1)

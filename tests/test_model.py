@@ -6,11 +6,10 @@ import pytest
 from pdsr import (
     CanonicalPoseSet,
     FrameRecord,
-    Origin,
-    PoseEntry,
-    PoseNormalizedEmbedding,
     PoseVector,
+    RepresentativeChoice,
     Tracklet,
+    pose_normalize,
     validate_dataset,
 )
 
@@ -66,22 +65,17 @@ def test_canonical_pose_indexing_is_one_based():
 
 
 def test_embedding_entries_iterate_in_increasing_pose_order():
-    entry = PoseEntry(vector=np.ones(3), frequency=0.5, origin=Origin.REAL)
-    emb = PoseNormalizedEmbedding(
-        tracklet_id="t", representative_frame_id=0,
-        entries={3: entry, 1: entry}, observed_set={1, 3},
+    # Frames stored at poses 3 then 1 land on rows 2 and 0: rows follow the
+    # canonical pose index, not frame order.
+    canon = CanonicalPoseSet(poses=tuple(grid_pose(6, x) for x in (0.0, 0.2, 0.4)))
+    frames = (
+        FrameRecord(0, np.array([1.0, 0.0]), grid_pose(6, 0.4)),
+        FrameRecord(1, np.array([0.0, 1.0]), grid_pose(6, 0.0)),
     )
-    assert emb.poses() == (1, 3)
-    assert [j for j, _ in emb] == [1, 3]
-
-
-def test_embedding_observed_backfilled_must_be_disjoint():
-    entry = PoseEntry(vector=np.ones(3), frequency=0.0, origin=Origin.SYNTHETIC)
-    with pytest.raises(ValueError):
-        PoseNormalizedEmbedding(
-            tracklet_id="t", representative_frame_id=0,
-            entries={1: entry}, observed_set={1}, backfilled_set={1},
-        )
+    emb = pose_normalize(Tracklet("t", "a", 0, frames), canon, RepresentativeChoice())
+    assert emb.observed.tolist() == [True, False, True]
+    assert emb.vectors.tolist() == [[0.0, 1.0], [0.0, 0.0], [1.0, 0.0]]
+    assert emb.frequencies.tolist() == [0.5, 0.0, 0.5]
 
 
 def clean_setup():

@@ -12,15 +12,14 @@ from pdsr import (
     AllFramesUnassignableError,
     CanonicalPoseSet,
     FrameRecord,
-    NoCommonJointsError,
     PoseVector,
     Tracklet,
-    assign_pose,
     assignment_distances,
     group_by_pose,
-    keypoint_distance,
+    nearest_poses,
     rng_for,
 )
+from pdsr.quantizer import _BLOCK_FRAMES
 
 
 def random_pose(rng, k=8, visible_prob=1.0):
@@ -34,19 +33,30 @@ def random_canon(rng, m=4, k=8):
     return CanonicalPoseSet(poses=tuple(random_pose(rng, k) for _ in range(m)))
 
 
+def distance(a, b, **kwargs):
+    """Distance between two poses through the batched quantizer."""
+    return assignment_distances([a], CanonicalPoseSet(poses=(b,)), **kwargs)[0, 0]
+
+
+def assign(frame, canon):
+    """(pose, distance) of one frame through the batched quantizer."""
+    poses, distances = nearest_poses(assignment_distances([frame], canon))
+    return poses[0], distances[0]
+
+
 def test_unit_x_offset_gives_distance_one():
     # every joint shifted by (+1, 0): mean squared per-joint distance is 1.
     k = 7
     a = PoseVector(joints=np.random.default_rng(0).uniform(0, 1, (k, 2)),
                    visibility=np.ones(k, dtype=bool))
     b = PoseVector(joints=a.joints + np.array([1.0, 0.0]), visibility=a.visibility)
-    assert keypoint_distance(a, b) == 1.0
+    assert distance(a, b) == 1.0
 
 
 def test_distance_zero_on_identical_pose():
     rng = rng_for(1, "dist")
     a = random_pose(rng)
-    assert keypoint_distance(a, a) == 0.0
+    assert distance(a, a) == 0.0
 
 
 @settings(max_examples=50)
@@ -54,13 +64,8 @@ def test_distance_zero_on_identical_pose():
 def test_distance_symmetry(seed):
     rng = rng_for(seed, "sym")
     a, b = random_pose(rng, visible_prob=0.8), random_pose(rng, visible_prob=0.8)
-    try:
-        d_ab = keypoint_distance(a, b)
-    except NoCommonJointsError:
-        with pytest.raises(NoCommonJointsError):
-            keypoint_distance(b, a)
-        return
-    assert d_ab == keypoint_distance(b, a)
+    d_ab = distance(a, b)
+    assert d_ab == distance(b, a) or (math.isinf(d_ab) and math.isinf(distance(b, a)))
 
 
 @settings(max_examples=50)
@@ -70,34 +75,32 @@ def test_distance_matches_naive(seed):
     a, b = random_pose(rng, visible_prob=0.7), random_pose(rng, visible_prob=0.7)
     naive = naive_keypoint_distance(a, b)
     if naive is None:
-        with pytest.raises(NoCommonJointsError):
-            keypoint_distance(a, b)
+        assert math.isinf(distance(a, b))
     else:
-        assert keypoint_distance(a, b) == pytest.approx(naive, abs=1e-12)
+        assert distance(a, b) == pytest.approx(naive, abs=1e-12)
 
 
-def test_too_few_common_joints_raises():
+def test_too_few_common_joints_gives_infinite_distance():
     a = PoseVector(joints=np.zeros((6, 2)),
                    visibility=np.array([1, 1, 1, 0, 0, 0], dtype=bool))
     b = PoseVector(joints=np.zeros((6, 2)),
                    visibility=np.array([0, 0, 1, 1, 1, 1], dtype=bool))
-    with pytest.raises(NoCommonJointsError):
-        keypoint_distance(a, b)  # one common joint, default minimum is 4
-    assert keypoint_distance(a, b, min_common_joints=1) == 0.0
+    assert math.isinf(distance(a, b))  # one common joint, default minimum is 4
+    assert distance(a, b, min_common_joints=1) == 0.0
 
 
 def test_joint_count_mismatch_raises():
     a = PoseVector(joints=np.zeros((6, 2)), visibility=np.ones(6, dtype=bool))
     b = PoseVector(joints=np.zeros((5, 2)), visibility=np.ones(5, dtype=bool))
     with pytest.raises(ValueError):
-        keypoint_distance(a, b)
+        distance(a, b)
 
 
 def test_exact_tie_breaks_to_lowest_index():
     rng = rng_for(2, "tie")
     shared = random_pose(rng)
     canon = CanonicalPoseSet(poses=(random_pose(rng), shared, shared))
-    assert assign_pose(shared, canon).pose == 2  # distance 0 to both 2 and 3
+    assert assign(shared, canon) == (2, 0.0)  # distance 0 to both 2 and 3
 
 
 @settings(max_examples=30)
@@ -107,8 +110,7 @@ def test_assignment_matches_exhaustive_scan(seed):
     canon = random_canon(rng, m=8)
     for _ in range(6):
         frame = random_pose(rng, visible_prob=0.8)
-        got = assign_pose(frame, canon)
-        assert got.pose == naive_assign(frame, canon)
+        assert assign(frame, canon)[0] == naive_assign(frame, canon)
 
 
 def test_unassignable_frame_has_none_pose_and_inf_distance():
@@ -116,10 +118,9 @@ def test_unassignable_frame_has_none_pose_and_inf_distance():
     canon = CanonicalPoseSet(
         poses=(PoseVector(joints=np.zeros((6, 2)), visibility=np.ones(6, dtype=bool)),)
     )
-    got = assign_pose(blind, canon, frame_id=9)
-    assert got.pose is None
-    assert math.isinf(got.distance)
-    assert got.frame_id == 9
+    pose, dist = assign(blind, canon)
+    assert pose is None
+    assert math.isinf(dist)
 
 
 def test_assignment_permutation_invariance():
@@ -130,25 +131,20 @@ def test_assignment_permutation_invariance():
     permuted = CanonicalPoseSet(poses=tuple(poses[i] for i in perm))
     for _ in range(10):
         frame = random_pose(rng)
-        original = assign_pose(frame, canon).pose
-        mapped = assign_pose(frame, permuted).pose
+        original = assign(frame, canon)[0]
+        mapped = assign(frame, permuted)[0]
         assert perm[mapped - 1] + 1 == original
 
 
 def test_vectorized_distances_match_scalar_bitwise():
+    # A frame gets the same distances whether it is scored alone or inside
+    # a batch spanning several blocks, so quantize and group_by_pose agree.
     rng = rng_for(4, "vec")
     canon = random_canon(rng, m=5)
-    frames = [random_pose(rng, visible_prob=0.6) for _ in range(20)]
+    frames = [random_pose(rng, visible_prob=0.6) for _ in range(_BLOCK_FRAMES + 20)]
     matrix = assignment_distances(frames, canon)
     for i, f in enumerate(frames):
-        for j in canon.indices:
-            try:
-                expected = keypoint_distance(f, canon.pose(j))
-            except NoCommonJointsError:
-                expected = math.inf
-            assert matrix[i, j - 1] == expected or (
-                math.isinf(expected) and math.isinf(matrix[i, j - 1])
-            )
+        assert np.array_equal(matrix[i], assignment_distances([f], canon)[0])
 
 
 def make_tracklet(rng, n_frames, k=8, d=4, visible_prob=1.0):
@@ -187,7 +183,7 @@ def test_group_membership_and_unassignable_bookkeeping():
     assert groups.unassignable == (99,)
     for j, members in groups.groups.items():
         for f in members:
-            assert assign_pose(f.pose, canon).pose == j
+            assert naive_assign(f.pose, canon) == j
 
 
 def test_all_frames_unassignable_raises():

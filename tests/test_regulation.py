@@ -1,4 +1,4 @@
-"""Pose-normalized embeddings, pair alignment, and the pose-weighted score."""
+"""Pose-normalized embeddings and the pose-weighted score."""
 
 import itertools
 
@@ -10,18 +10,14 @@ from pdsr import (
     CanonicalPoseSet,
     EmptyUnionError,
     MissingSyntheticError,
-    Origin,
-    PoseEntry,
     PoseNormalizedEmbedding,
     PoseVector,
     RepresentativeChoice,
     SyntheticFeatureProvider,
     Tracklet,
     ZeroVectorError,
-    align_pair,
     pose_normalize,
     rng_for,
-    wpr_score,
     wpr_score_matrix,
 )
 from pdsr.generator import GenSpec, generate
@@ -43,13 +39,19 @@ class DictProvider(SyntheticFeatureProvider):
             raise MissingSyntheticError(f"no vector for {(tracklet_id, pose)}") from None
 
 
-def make_emb(tid, spec, rep=0):
-    """spec: {pose: (vector, frequency)} of observed entries."""
-    entries = {
-        j: PoseEntry(np.asarray(v, dtype=np.float64), f, Origin.REAL)
-        for j, (v, f) in spec.items()
-    }
-    return PoseNormalizedEmbedding(tid, rep, entries, frozenset(entries))
+def make_emb(tid, spec, rep=0, m=3, d=3):
+    """spec: {pose: (vector, frequency)} of observed poses, on an m-pose axis."""
+    vectors = np.zeros((m, d))
+    frequencies = np.zeros(m)
+    for j, (v, f) in spec.items():
+        vectors[j - 1] = v
+        frequencies[j - 1] = f
+    return PoseNormalizedEmbedding(tid, rep, vectors, frequencies, frequencies > 0.0)
+
+
+def wpr(a, b, provider, canon, **kwargs):
+    """Score of one pair through the batched scorer."""
+    return wpr_score_matrix([a], [b], provider, canon, **kwargs)[0, 0]
 
 
 def make_canon(m=3, k=5, seed=0):
@@ -73,40 +75,39 @@ def test_pose_normalize_matches_group_oracle(noisy_gen):
     for t in noisy_gen.dataset.tracklets:
         emb = pose_normalize(t, noisy_gen.canon, REP)
         groups, freqs = naive_groups(t, noisy_gen.canon)
-        assert set(emb.entries) == set(groups)
-        assert emb.observed_set == frozenset(groups)
-        assert emb.backfilled_set == frozenset()
         assert emb.representative_frame_id == naive_representative(t, "seeded-random", 0)
-        for j, entry in emb:
-            assert entry.origin is Origin.REAL
-            assert entry.frequency == freqs[j]
-            assert np.allclose(entry.vector, naive_mean(groups[j]), atol=1e-15)
+        for j in noisy_gen.canon.indices:
+            assert emb.observed[j - 1] == (j in groups)
+            if j in groups:
+                assert emb.frequencies[j - 1] == freqs[j]
+                assert np.allclose(emb.vectors[j - 1], naive_mean(groups[j]), atol=1e-15)
+            else:
+                assert emb.frequencies[j - 1] == 0.0
+                assert not emb.vectors[j - 1].any()
 
 
 def test_pose_normalize_orders_entries(noisy_gen):
+    # Row j - 1 belongs to canonical pose j, so the rows run in pose order.
+    m = len(noisy_gen.canon)
     for t in noisy_gen.dataset.tracklets:
-        poses = pose_normalize(t, noisy_gen.canon, REP).poses()
-        assert list(poses) == sorted(poses)
-        assert len(set(poses)) == len(poses)
+        emb = pose_normalize(t, noisy_gen.canon, REP)
+        assert emb.vectors.shape == (m, t.frames[0].feature.shape[0])
+        assert emb.frequencies.shape == emb.observed.shape == (m,)
+        assert abs(emb.frequencies.sum() - 1.0) <= 1e-12
 
 
-# ----------------------------------------------------------- align_pair
+# ------------------------------------------------ union completion
 
 
 def test_align_pair_completes_union_and_weights():
     canon = make_canon()
     a = make_emb("a", {1: ([1.0, 0.0, 0.0], 0.6), 2: ([0.0, 1.0, 0.0], 0.4)})
-    b = make_emb("b", {2: ([0.0, 1.0, 1.0], 1.0)})
+    b = make_emb("b", {2: ([0.0, 1.0, 0.0], 1.0)})
+    # pose 1 of b is backfilled at frequency 0; raw weights (0.6+0)/2 and
+    # (0.4+1.0)/2 already sum to 1
     provider = DictProvider({("b", 1): [1.0, 1.0, 0.0]})
-    pair = align_pair(a, b, provider, canon)
-    assert pair.poses == (1, 2)
-    assert pair.left[1].origin is Origin.REAL
-    assert pair.right[1].origin is Origin.SYNTHETIC
-    assert pair.right[1].frequency == 0.0
-    assert np.array_equal(pair.right[1].vector, [1.0, 1.0, 0.0])
-    # raw weights (0.6+0)/2 and (0.4+1.0)/2 already sum to 1
-    assert pair.nu[1] == pytest.approx(0.3, abs=1e-15)
-    assert pair.nu[2] == pytest.approx(0.7, abs=1e-15)
+    expected = 0.3 * (1.0 / np.sqrt(2.0)) + 0.7 * 1.0
+    assert wpr(a, b, provider, canon) == pytest.approx(expected, abs=1e-15)
 
 
 def test_align_pair_strict_raises_lenient_drops():
@@ -116,29 +117,33 @@ def test_align_pair_strict_raises_lenient_drops():
     # (b, 1) can be filled, (a, 2) cannot
     provider = DictProvider({("b", 1): [1.0, 1.0, 0.0]})
     with pytest.raises(MissingSyntheticError):
-        align_pair(a, b, provider, canon, strict=True)
-    pair = align_pair(a, b, provider, canon, strict=False)
-    assert pair.poses == (1,)
-    assert pair.nu[1] == 1.0
+        wpr(a, b, provider, canon, strict=True)
+    # only pose 1 survives, at nu = 1
+    assert wpr(a, b, provider, canon, strict=False) == pytest.approx(
+        1.0 / np.sqrt(2.0), abs=1e-15
+    )
 
 
 def test_align_pair_lenient_with_nothing_left_raises():
+    # One pair of the batch keeps no pose; the whole batch fails even
+    # though the other pair is scorable.
     canon = make_canon()
     a = make_emb("a", {1: ([1.0, 0.0, 0.0], 1.0)})
+    a2 = make_emb("a2", {2: ([0.0, 0.0, 1.0], 1.0)})
     b = make_emb("b", {2: ([0.0, 1.0, 0.0], 1.0)})
     with pytest.raises(EmptyUnionError):
-        align_pair(a, b, DictProvider({}), canon, strict=False)
+        wpr_score_matrix([a, a2], [b], DictProvider({}), canon, strict=False)
 
 
 def test_align_pair_empty_union_raises():
     canon = make_canon()
-    a = PoseNormalizedEmbedding("a", 0, {}, frozenset())
-    b = PoseNormalizedEmbedding("b", 0, {}, frozenset())
+    a = make_emb("a", {})
+    b = make_emb("b", {})
     with pytest.raises(EmptyUnionError):
-        align_pair(a, b, DictProvider({}), canon)
+        wpr(a, b, DictProvider({}), canon)
 
 
-# ------------------------------------------------------------ wpr_score
+# ---------------------------------------------------- pose-weighted score
 
 
 @pytest.fixture(scope="module")
@@ -163,28 +168,26 @@ def test_wpr_score_matches_naive_oracle(eight_pose_gen):
     embs = all_embeddings(gen)
     tracklets = gen.dataset.tracklets
     for (ea, ta), (eb, tb) in itertools.combinations(zip(embs, tracklets), 2):
-        pair = align_pair(ea, eb, gen.provider, gen.canon)
-        assert list(pair.poses) == sorted(pair.poses)
         expected = naive_wpr_score(
             ta, tb, gen.provider, gen.canon,
             ea.representative_frame_id, eb.representative_frame_id,
         )
-        assert wpr_score(pair) == pytest.approx(expected, abs=1e-12)
+        assert wpr(ea, eb, gen.provider, gen.canon) == pytest.approx(expected, abs=1e-12)
 
 
 def test_wpr_score_symmetry(noisy_gen):
     embs = all_embeddings(noisy_gen)
     for ea, eb in itertools.combinations(embs, 2):
-        ab = wpr_score(align_pair(ea, eb, noisy_gen.provider, noisy_gen.canon))
-        ba = wpr_score(align_pair(eb, ea, noisy_gen.provider, noisy_gen.canon))
+        ab = wpr(ea, eb, noisy_gen.provider, noisy_gen.canon)
+        ba = wpr(eb, ea, noisy_gen.provider, noisy_gen.canon)
         assert abs(ab - ba) <= 1e-12
 
 
 def test_nu_sums_to_one(noisy_gen):
-    embs = all_embeddings(noisy_gen)
-    for ea, eb in itertools.combinations(embs, 2):
-        pair = align_pair(ea, eb, noisy_gen.provider, noisy_gen.canon)
-        assert abs(sum(pair.nu.values()) - 1.0) <= 1e-12
+    # Every per-pose cosine of a tracklet with itself is 1, so its
+    # self-score is sum(nu), which must be 1.
+    for emb in all_embeddings(noisy_gen):
+        assert abs(wpr(emb, emb, noisy_gen.provider, noisy_gen.canon) - 1.0) <= 1e-12
 
 
 def permuted(tracklet, rng):
@@ -218,31 +221,31 @@ def test_frame_permutation_leaves_score_unchanged(noisy_gen):
     gen = noisy_gen
     rng = rng_for(0, "perm")
     a, b = gen.dataset.tracklets[0], gen.dataset.tracklets[5]
-    base = wpr_score(align_pair(
+    base = wpr(
         pose_normalize(a, gen.canon, REP), pose_normalize(b, gen.canon, REP),
         gen.provider, gen.canon,
-    ))
+    )
     for _ in range(5):
-        score = wpr_score(align_pair(
+        score = wpr(
             pose_normalize(permuted(a, rng), gen.canon, REP),
             pose_normalize(permuted(b, rng), gen.canon, REP),
             gen.provider, gen.canon,
-        ))
+        )
         assert abs(score - base) <= 1e-12
 
 
 def test_whole_tracklet_duplication_leaves_score_unchanged(noisy_gen):
     gen = noisy_gen
     for a, b in itertools.combinations(gen.dataset.tracklets[:5], 2):
-        base = wpr_score(align_pair(
+        base = wpr(
             pose_normalize(a, gen.canon, REP), pose_normalize(b, gen.canon, REP),
             gen.provider, gen.canon,
-        ))
-        doubled = wpr_score(align_pair(
+        )
+        doubled = wpr(
             pose_normalize(duplicated(a), gen.canon, REP),
             pose_normalize(duplicated(b), gen.canon, REP),
             gen.provider, gen.canon,
-        ))
+        )
         assert abs(doubled - base) <= 1e-12
 
 
@@ -252,25 +255,31 @@ def test_whole_tracklet_duplication_leaves_score_unchanged(noisy_gen):
 def test_matrix_equals_per_pair_path(noisy_gen):
     gen = noisy_gen
     embs = all_embeddings(gen)
+    tracklets = gen.dataset.tracklets
     probes, gallery = embs[:4], embs  # overlap on purpose
     matrix = wpr_score_matrix(probes, gallery, gen.provider, gen.canon)
     assert matrix.shape == (4, len(embs))
-    for i, ea in enumerate(probes):
-        for k, eb in enumerate(gallery):
+    for i, (ea, ta) in enumerate(zip(probes, tracklets)):
+        for k, (eb, tb) in enumerate(zip(gallery, tracklets)):
             if ea.tracklet_id == eb.tracklet_id:
                 assert abs(matrix[i, k] - 1.0) <= 1e-12
                 continue
-            expected = wpr_score(align_pair(ea, eb, gen.provider, gen.canon))
+            expected = naive_wpr_score(
+                ta, tb, gen.provider, gen.canon,
+                ea.representative_frame_id, eb.representative_frame_id,
+            )
             assert abs(matrix[i, k] - expected) <= 1e-12
 
 
 def test_matrix_single_pair_equals_direct_score(eight_pose_gen):
+    # A pair scores the same alone as inside a batch whose pose axis also
+    # carries poses neither side of the pair observes.
     gen = eight_pose_gen
     embs = all_embeddings(gen)
-    matrix = wpr_score_matrix(embs[:1], embs[1:2], gen.provider, gen.canon)
-    direct = wpr_score(align_pair(embs[0], embs[1], gen.provider, gen.canon))
-    assert matrix.shape == (1, 1)
-    assert abs(matrix[0, 0] - direct) <= 1e-12
+    single = wpr_score_matrix(embs[:1], embs[1:2], gen.provider, gen.canon)
+    batch = wpr_score_matrix(embs[:1], embs, gen.provider, gen.canon)
+    assert single.shape == (1, 1)
+    assert abs(single[0, 0] - batch[0, 1]) <= 1e-12
 
 
 def test_matrix_empty_inputs_give_empty_scores():
@@ -290,15 +299,14 @@ def test_matrix_only_queries_poses_a_pair_can_need():
     g = make_emb("g", {1: ([1.0, 1.0, 0.0], 1.0)})
     provider = DictProvider({("b", 1): [0.5, 0.5, 0.0], ("g", 2): [0.0, 1.0, 1.0]})
     matrix = wpr_score_matrix([a, b], [g], provider, canon, strict=True)
-    for row, emb in enumerate((a, b)):
-        expected = wpr_score(align_pair(emb, g, provider, canon))
-        assert abs(matrix[row, 0] - expected) <= 1e-12
+    # (a, g) meet on pose 1 only; (b, g) weigh poses 1 and 2 by 1/2 each
+    expected = (1.0 / np.sqrt(2.0), 0.5 * 1.0 + 0.5 / np.sqrt(2.0))
+    for row in range(2):
+        assert abs(matrix[row, 0] - expected[row]) <= 1e-12
     # ... but a gap at a pose some pair does need fails loudly in strict mode
     short = DictProvider({("b", 1): [0.5, 0.5, 0.0]})
     with pytest.raises(MissingSyntheticError):
         wpr_score_matrix([a, b], [g], short, canon, strict=True)
-    with pytest.raises(MissingSyntheticError):
-        align_pair(b, g, short, canon, strict=True)
 
 
 def test_matrix_lenient_pair_with_no_shared_pose_raises():
@@ -311,7 +319,7 @@ def test_matrix_lenient_pair_with_no_shared_pose_raises():
 
 def test_matrix_rejects_pose_outside_canonical_set():
     canon = make_canon(m=3)
-    a = make_emb("a", {7: ([1.0, 0.0, 0.0], 1.0)})
+    a = make_emb("a", {7: ([1.0, 0.0, 0.0], 1.0)}, m=7)
     g = make_emb("g", {1: ([0.0, 1.0, 0.0], 1.0)})
     with pytest.raises(ValueError):
         wpr_score_matrix([a], [g], DictProvider({}), canon)

@@ -1,0 +1,39 @@
+"""The experiment scripts run end to end on a small seed count."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name, tmp_path):
+    out = tmp_path / "out.json"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), "--seeds", "2", "--json", str(out)],
+        env=env, check=True, capture_output=True, timeout=120,
+    )
+    return json.loads(out.read_text())
+
+
+def test_ablation_script_writes_results(tmp_path):
+    result = run_script("run_ablation.py", tmp_path)
+    assert set(result) == {"seeds", "rank1", "mean_ap", "fused_vs_baseline_pvalue"}
+    assert result["seeds"] == 2
+    for key in ("rank1", "mean_ap"):
+        assert set(result[key]) == {"baseline", "wf", "wpr", "wf+wpr"}
+        assert all(len(values) == 2 for values in result[key].values())
+
+
+def test_weight_sweep_script_writes_results(tmp_path):
+    result = run_script("run_weight_sweep.py", tmp_path)
+    assert set(result) == {"weights", "mean_rank1", "per_seed_rank1", "interior_max_seeds"}
+    assert len(result["mean_rank1"]) == len(result["weights"])
+    assert len(result["per_seed_rank1"]) == 2
+    assert 0 <= result["interior_max_seeds"] <= 2
