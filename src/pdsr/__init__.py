@@ -34,8 +34,6 @@ from .evaluation import (
     ProbeCase,
     ProbeResult,
     ProtocolConfig,
-    Ranking,
-    average_precision,
     build_protocol,
     camera_confusion,
     cmc_curve,
@@ -118,7 +116,6 @@ __all__ = [
     "ProbeCase",
     "ProbeResult",
     "ProtocolConfig",
-    "Ranking",
     "RepresentativeChoice",
     "Strategy",
     "StubProvider",
@@ -127,7 +124,6 @@ __all__ = [
     "ValidationIssue",
     "ZeroVectorError",
     "assignment_distances",
-    "average_precision",
     "baseline_embedding",
     "build_protocol",
     "camera_confusion",

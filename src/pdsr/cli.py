@@ -83,7 +83,9 @@ class _ConfigGroup(click.Group):
 @click.option("--canon", type=click.Path(path_type=Path), default=None, help="Canonical pose set JSON.")
 @click.option("--synth-index", type=click.Path(path_type=Path), default=None, help="Synthetic feature index TSV.")
 @click.option("--synth-features", type=click.Path(path_type=Path), default=None, help="Synthetic feature matrix.")
-@click.option("--seed", type=int, default=None, help="Seed for probe draw and representative choice [default: 0].")
+@click.option("--seed", type=int, default=None,
+              help="Seed for the probe draw, and synthgen's spec seed [default: 0]. "
+                   "The file-backed synthetic features ignore the representative frame.")
 @click.option("--strict/--lenient", "strict", default=True, help="Fail on missing synthetic vectors vs skip them.")
 @click.pass_context
 def main(ctx, manifest, features, canon, synth_index, synth_features, seed, strict):
@@ -263,38 +265,32 @@ def match(obj: CliContext, probe_id: str, mode: str, weight: float, top: int,
     if probe_id not in by_id:
         raise click.ClickException(f"unknown tracklet {probe_id!r}")
     probe = by_id[probe_id]
-    gallery_ids = tuple(
-        sorted(t.tracklet_id for t in dataset.tracklets if t.camera != probe.camera)
-    )
-    if not gallery_ids:
+    tracklets = sorted(dataset.tracklets, key=lambda t: t.tracklet_id)
+    gallery = np.array([t.camera != probe.camera for t in tracklets])
+    if not gallery.any():
         raise click.ClickException("no tracklet from another camera to rank")
 
     eval_mode = EvalMode(mode)
     provider = None if eval_mode is EvalMode.BASELINE else _provider(obj)
     case = ProbeCase(
         probe_id=probe_id, identity=probe.identity, camera=probe.camera,
-        gallery_ids=gallery_ids,
+        gallery_ids=tuple(t.tracklet_id for t, g in zip(tracklets, gallery) if g),
     )
     scores = score_matrix(dataset, canon, provider, [case], _config(obj, weight), eval_mode)
-    all_ids = sorted(by_id)
-    col = {tid: i for i, tid in enumerate(all_ids)}
-    ranking = rank_gallery(gallery_ids, [float(scores[0, col[g]]) for g in gallery_ids])
+    order = rank_gallery(scores, gallery[None, :])[0, : len(case.gallery_ids)]
+    ranked = [(tracklets[i], scores[0, i].item()) for i in order]
 
     if out_path is not None:
         out_path.write_text(
             "".join(
-                f"{rank}\t{tid}\t{score!r}\t{by_id[tid].identity}\t{by_id[tid].camera}\n"
-                for rank, (tid, score) in enumerate(
-                    zip(ranking.gallery_ids, ranking.scores), start=1
-                )
+                f"{rank}\t{t.tracklet_id}\t{score!r}\t{t.identity}\t{t.camera}\n"
+                for rank, (t, score) in enumerate(ranked, start=1)
             )
         )
     click.echo(f"probe {probe_id} ({probe.identity}, camera {probe.camera}), mode {mode}:")
-    for rank, (tid, score) in enumerate(zip(ranking.gallery_ids, ranking.scores), start=1):
-        if rank > top:
-            break
-        hit = "*" if by_id[tid].identity == probe.identity else " "
-        click.echo(f"{rank:4d} {hit} {tid}  {score: .6f}  {by_id[tid].identity}")
+    for rank, (t, score) in enumerate(ranked[: max(top, 0)], start=1):
+        hit = "*" if t.identity == probe.identity else " "
+        click.echo(f"{rank:4d} {hit} {t.tracklet_id}  {score: .6f}  {t.identity}")
 
 
 @main.command("eval")

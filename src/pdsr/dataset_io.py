@@ -63,6 +63,20 @@ def read_feature_matrix(path: str | Path) -> np.ndarray:
     return data.reshape(rows, dim).astype(np.float64)
 
 
+def _read_text(path: str | Path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"{path}: not UTF-8 at byte {exc.start}") from exc
+
+
+def _read_json(path: str | Path):
+    try:
+        return json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise FileFormatError(f"{path}: invalid JSON") from exc
+
+
 def _pose_to_triples(pose: PoseVector) -> list[list[float]]:
     return [
         [float(x), float(y), 1 if v else 0]
@@ -74,9 +88,9 @@ def _pose_from_triples(triples: list, where: str) -> PoseVector:
     try:
         joints = np.array([[t[0], t[1]] for t in triples], dtype=np.float64)
         visibility = np.array([bool(t[2]) for t in triples])
-    except (TypeError, IndexError) as exc:
-        raise FileFormatError(f"{where}: malformed keypoint triples") from exc
-    return PoseVector(joints=joints, visibility=visibility)
+        return PoseVector(joints=joints, visibility=visibility)
+    except (TypeError, IndexError, ValueError) as exc:
+        raise FileFormatError(f"{where}: malformed keypoint triples: {exc}") from exc
 
 
 def save_dataset(
@@ -126,11 +140,7 @@ def save_dataset(
 
 
 def load_dataset(manifest_path: str | Path, features_path: str | Path) -> Dataset:
-    with open(manifest_path) as fh:
-        try:
-            manifest = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FileFormatError(f"{manifest_path}: invalid JSON") from exc
+    manifest = _read_json(manifest_path)
     matrix = read_feature_matrix(features_path)
     try:
         if manifest["feature_dim"] != matrix.shape[1]:
@@ -143,9 +153,9 @@ def load_dataset(manifest_path: str | Path, features_path: str | Path) -> Datase
             frames = []
             for f in t["frames"]:
                 row = f["row"]
-                if not 0 <= row < matrix.shape[0]:
+                if not isinstance(row, int) or not 0 <= row < matrix.shape[0]:
                     raise FileFormatError(
-                        f"{manifest_path}: row {row} outside feature matrix"
+                        f"{manifest_path}: row {row!r} is not a row of the feature matrix"
                     )
                 frames.append(
                     FrameRecord(
@@ -188,30 +198,28 @@ def save_canon(canon: CanonicalPoseSet, path: str | Path) -> None:
 
 
 def load_canon(path: str | Path) -> CanonicalPoseSet:
-    with open(path) as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FileFormatError(f"{path}: invalid JSON") from exc
+    payload = _read_json(path)
     try:
-        poses = tuple(
-            _pose_from_triples(p, f"{path}:pose[{i}]")
-            for i, p in enumerate(payload["poses"])
+        joint_count = payload["joint_count"]
+        canon = CanonicalPoseSet(
+            poses=[
+                _pose_from_triples(p, f"{path}:pose[{i}]")
+                for i, p in enumerate(payload["poses"])
+            ]
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"{path}: missing or malformed field: {exc}") from exc
-    for i, p in enumerate(poses):
-        if p.joints.shape[0] != payload["joint_count"]:
+    for i, p in enumerate(canon.poses):
+        if p.joints.shape[0] != joint_count:
             raise FileFormatError(
-                f"{path}: pose[{i}] has {p.joints.shape[0]} joints, "
-                f"expected {payload['joint_count']}"
+                f"{path}: pose[{i}] has {p.joints.shape[0]} joints, expected {joint_count}"
             )
-    return CanonicalPoseSet(poses=poses)
+    return canon
 
 
 def write_synth_index(index: Mapping[tuple[str, int], int], path: str | Path) -> None:
     """Tab-separated (tracklet_id, pose, row), sorted for determinism."""
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         for (tid, pose), row in sorted(index.items()):
             if "\t" in tid or "\n" in tid:
                 raise ValueError(f"tracklet id {tid!r} cannot contain tab or newline")
@@ -220,24 +228,22 @@ def write_synth_index(index: Mapping[tuple[str, int], int], path: str | Path) ->
 
 def read_synth_index(path: str | Path) -> dict[tuple[str, int], int]:
     index: dict[tuple[str, int], int] = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise FileFormatError(f"{path}:{lineno}: expected 3 tab-separated fields")
-            tid, pose_s, row_s = parts
-            try:
-                pose, row = int(pose_s), int(row_s)
-            except ValueError as exc:
-                raise FileFormatError(f"{path}:{lineno}: non-integer pose or row") from exc
-            if pose < 1 or row < 0:
-                raise FileFormatError(f"{path}:{lineno}: pose or row out of range")
-            if (tid, pose) in index:
-                raise FileFormatError(f"{path}:{lineno}: duplicate entry ({tid}, {pose})")
-            index[(tid, pose)] = row
+    for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise FileFormatError(f"{path}:{lineno}: expected 3 tab-separated fields")
+        tid, pose_s, row_s = parts
+        try:
+            pose, row = int(pose_s), int(row_s)
+        except ValueError as exc:
+            raise FileFormatError(f"{path}:{lineno}: non-integer pose or row") from exc
+        if pose < 1 or row < 0:
+            raise FileFormatError(f"{path}:{lineno}: pose or row out of range")
+        if (tid, pose) in index:
+            raise FileFormatError(f"{path}:{lineno}: duplicate entry ({tid}, {pose})")
+        index[(tid, pose)] = row
     return index
 
 
@@ -255,7 +261,7 @@ def write_pose_embeddings(
     export; scoring works from the in-memory embeddings.
     """
     rows = []
-    with open(index_path, "w") as fh:
+    with open(index_path, "w", encoding="utf-8") as fh:
         for emb in sorted(embeddings, key=lambda e: e.tracklet_id):
             if "\t" in emb.tracklet_id or "\n" in emb.tracklet_id:
                 raise ValueError(
@@ -275,19 +281,17 @@ def write_pose_embeddings(
 def read_pose_embedding_index(path: str | Path) -> list[tuple[str, int, str, float, int]]:
     """Rows of a keyed pose-embedding index, as written."""
     out = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 5:
-                raise FileFormatError(f"{path}:{lineno}: expected 5 tab-separated fields")
-            tid, pose_s, origin, freq_s, row_s = parts
-            try:
-                out.append((tid, int(pose_s), origin, float(freq_s), int(row_s)))
-            except ValueError as exc:
-                raise FileFormatError(f"{path}:{lineno}: malformed numeric field") from exc
+    for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 5:
+            raise FileFormatError(f"{path}:{lineno}: expected 5 tab-separated fields")
+        tid, pose_s, origin, freq_s, row_s = parts
+        try:
+            out.append((tid, int(pose_s), origin, float(freq_s), int(row_s)))
+        except ValueError as exc:
+            raise FileFormatError(f"{path}:{lineno}: malformed numeric field") from exc
     return out
 
 
@@ -322,11 +326,7 @@ def save_report_json(report: EvalReport, path: str | Path) -> None:
 
 
 def load_report_json(path: str | Path) -> EvalReport:
-    with open(path) as fh:
-        try:
-            d = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FileFormatError(f"{path}: invalid JSON") from exc
+    d = _read_json(path)
     try:
         return EvalReport(
             mode=d["mode"],

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -55,14 +55,6 @@ class ProbeCase:
     identity: str
     camera: int
     gallery_ids: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class Ranking:
-    """Gallery ids in rank order (best first) with their scores."""
-
-    gallery_ids: tuple[str, ...]
-    scores: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -138,32 +130,15 @@ def fuse_scores(wf_scores: np.ndarray, wpr_scores: np.ndarray) -> np.ndarray:
     return a + b
 
 
-def rank_gallery(gallery_ids: Sequence[str], scores: Sequence[float]) -> Ranking:
-    """Order by descending score; equal scores break by ascending id."""
-    if len(gallery_ids) != len(scores):
-        raise ValueError("one score per gallery id required")
-    order = sorted(range(len(gallery_ids)), key=lambda i: (-scores[i], gallery_ids[i]))
-    return Ranking(
-        gallery_ids=tuple(gallery_ids[i] for i in order),
-        scores=tuple(float(scores[i]) for i in order),
-    )
+def rank_gallery(scores: np.ndarray, gallery: np.ndarray) -> np.ndarray:
+    """Column order of each row of a (probes, tracklets) score matrix.
 
-
-def average_precision(relevant: Sequence[bool]) -> float:
-    """Mean of precision at each relevant rank.
-
-    Example: relevant items at ranks 2 and 4 of 5 give
-    (1/2 + 2/4) / 2 = 0.5.
+    Gallery columns come first, by descending score; equal scores keep
+    column order, which on the ascending-id axis is ascending tracklet id.
+    Columns outside the gallery sort last, even after a -inf score.
     """
-    hits = 0
-    total = 0.0
-    for rank, rel in enumerate(relevant, start=1):
-        if rel:
-            hits += 1
-            total += hits / rank
-    if hits == 0:
-        raise ValueError("ranking contains no relevant item")
-    return total / hits
+    scores = np.asarray(scores, dtype=np.float64)
+    return np.lexsort((-scores, ~np.asarray(gallery, dtype=bool)), axis=-1)
 
 
 def cmc_curve(first_correct_ranks: Sequence[int], length: int) -> np.ndarray:
@@ -180,18 +155,38 @@ def cmc_curve(first_correct_ranks: Sequence[int], length: int) -> np.ndarray:
     return (ranks[None, :] <= ks[:, None]).mean(axis=1)
 
 
-def _rank_and_ap(
-    probe_identity: str,
-    gallery_ids: Sequence[str],
-    scores: Sequence[float],
-    identities: Mapping[str, str],
-) -> tuple[int | None, float | None]:
-    """First-correct rank and AP for one ranking, or (None, None) if no positive."""
-    ranking = rank_gallery(gallery_ids, scores)
-    relevant = [identities[g] == probe_identity for g in ranking.gallery_ids]
-    if not any(relevant):
-        return None, None
-    return relevant.index(True) + 1, average_precision(relevant)
+def _first_rank_and_ap(
+    scores: np.ndarray, gallery: np.ndarray, positive: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row: positives in the gallery, 1-based first-positive rank, AP.
+
+    AP is the mean of precision at each positive rank: positives at ranks
+    2 and 4 of 5 give (1/2 + 2/4) / 2 = 0.5.  Precision accumulates with
+    a cumulative sum in rank order, which adds the same terms in the same
+    order as a sequential loop.  Rows without a positive have rank 0 and
+    AP NaN.
+    """
+    order = rank_gallery(scores, gallery)
+    relevant = np.take_along_axis(positive & gallery, order, axis=1)
+    hits = np.cumsum(relevant, axis=1)
+    precision = np.where(relevant, hits / np.arange(1, relevant.shape[1] + 1), 0.0)
+    count = hits[:, -1]
+    with np.errstate(invalid="ignore"):
+        ap = np.cumsum(precision, axis=1)[:, -1] / count
+    first = np.where(count > 0, relevant.argmax(axis=1) + 1, 0)
+    return count, first, ap
+
+
+def _columns(
+    dataset: Dataset, cases: Sequence[ProbeCase]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ids and cameras on the ascending-id axis, and each case's positives on it."""
+    tracklets = sorted(dataset.tracklets, key=lambda t: t.tracklet_id)
+    ids = np.array([t.tracklet_id for t in tracklets], dtype=str)
+    cameras = np.array([t.camera for t in tracklets], dtype=int)
+    identities = np.array([t.identity for t in tracklets], dtype=str)
+    positive = identities[None, :] == np.array([c.identity for c in cases], dtype=str)[:, None]
+    return ids, cameras, positive
 
 
 def camera_confusion(
@@ -206,34 +201,22 @@ def camera_confusion(
     is cases x all-tracklets (ascending tracklet id).  Cells where no probe
     has a positive are None.
     """
-    by_id = dataset.by_id()
-    all_ids = sorted(by_id)
-    col = {tid: i for i, tid in enumerate(all_ids)}
-    identities = {tid: t.identity for tid, t in by_id.items()}
+    ids, col_cameras, positive = _columns(dataset, cases)
+    not_probe = ids[None, :] != np.array([c.probe_id for c in cases], dtype=str)[:, None]
+    case_cameras = [c.camera for c in cases]
     cameras = dataset.cameras()
-    per_camera_ids = {
-        cam: [tid for tid in all_ids if by_id[tid].camera == cam] for cam in cameras
-    }
 
-    matrix: list[tuple[float | None, ...]] = []
+    columns = []
+    for cam_b in cameras:
+        count, _, ap = _first_rank_and_ap(
+            scores, not_probe & (col_cameras == cam_b)[None, :], positive
+        )
+        columns.append([(case_cameras[i], float(ap[i])) for i in np.flatnonzero(count)])
+    matrix = []
     for cam_a in cameras:
         row: list[float | None] = []
-        for cam_b in cameras:
-            aps = []
-            for i, case in enumerate(cases):
-                if case.camera != cam_a:
-                    continue
-                gallery = [tid for tid in per_camera_ids[cam_b] if tid != case.probe_id]
-                if not gallery:
-                    continue
-                _, ap = _rank_and_ap(
-                    case.identity,
-                    gallery,
-                    [float(scores[i, col[g]]) for g in gallery],
-                    identities,
-                )
-                if ap is not None:
-                    aps.append(ap)
+        for cell in columns:
+            aps = [ap for cam, ap in cell if cam == cam_a]
             row.append(sum(aps) / len(aps) if aps else None)
         matrix.append(tuple(row))
     return cameras, tuple(matrix)
@@ -254,8 +237,10 @@ def score_matrix(
     if provider is None and mode is not EvalMode.BASELINE:
         raise ValueError(f"mode {mode.value!r} needs a synthetic feature provider")
     by_id = dataset.by_id()
-    all_tracklets = [by_id[tid] for tid in sorted(by_id)]
-    probe_tracklets = [by_id[c.probe_id] for c in cases]
+    all_ids = sorted(by_id)
+    all_tracklets = [by_id[tid] for tid in all_ids]
+    col = {tid: i for i, tid in enumerate(all_ids)}
+    probe_rows = [col[c.probe_id] for c in cases]
 
     if mode in (EvalMode.BASELINE, EvalMode.WF, EvalMode.FUSED):
         if mode is EvalMode.BASELINE:
@@ -270,10 +255,9 @@ def score_matrix(
                     config.representative,
                     strict=config.strict,
                 )
-        cos = cosine_matrix(
-            np.stack([vec(t) for t in probe_tracklets]),
-            np.stack([vec(t) for t in all_tracklets]),
-        )
+        emb = np.stack([vec(t) for t in all_tracklets])
+        cos = cosine_matrix(emb[probe_rows], emb)
+        del emb  # WPR below is the memory peak of a fused run; keep only the scores
         if mode is not EvalMode.FUSED:
             return cos
 
@@ -307,9 +291,6 @@ def evaluate(
     cases = build_protocol(dataset, config.seed)
     if not cases:
         raise ValueError("dataset has no non-distractor identity to probe")
-    all_ids = sorted(t.tracklet_id for t in dataset.tracklets)
-    col = {tid: i for i, tid in enumerate(all_ids)}
-    identities = {t.tracklet_id: t.identity for t in dataset.tracklets}
 
     scores = score_matrix(dataset, canon, provider, cases, config, mode)
     nonfinite = [c.probe_id for c, ok in zip(cases, np.isfinite(scores).all(axis=1)) if not ok]
@@ -319,28 +300,21 @@ def evaluate(
             "validate_dataset names the offending inputs"
         )
 
-    results = []
-    for i, case in enumerate(cases):
-        rank, ap = _rank_and_ap(
-            case.identity,
-            case.gallery_ids,
-            [float(scores[i, col[g]]) for g in case.gallery_ids],
-            identities,
+    _, col_cameras, positive = _columns(dataset, cases)
+    gallery = col_cameras[None, :] != np.array([c.camera for c in cases])[:, None]
+    count, first, ap = _first_rank_and_ap(scores, gallery, positive)
+    results = [
+        ProbeResult(
+            probe_id=case.probe_id,
+            identity=case.identity,
+            camera=case.camera,
+            gallery_size=len(case.gallery_ids),
+            num_positives=int(count[i]),
+            first_correct_rank=int(first[i]) if count[i] else None,
+            ap=float(ap[i]) if count[i] else None,
         )
-        positives = sum(
-            1 for g in case.gallery_ids if identities[g] == case.identity
-        )
-        results.append(
-            ProbeResult(
-                probe_id=case.probe_id,
-                identity=case.identity,
-                camera=case.camera,
-                gallery_size=len(case.gallery_ids),
-                num_positives=positives,
-                first_correct_rank=rank,
-                ap=ap,
-            )
-        )
+        for i, case in enumerate(cases)
+    ]
 
     scored = [r for r in results if r.ap is not None]
     if scored:

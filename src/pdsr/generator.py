@@ -296,7 +296,7 @@ def load_gen_spec(path: str | Path) -> GenSpec:
     with open(path) as fh:
         try:
             payload = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise FileFormatError(f"{path}: invalid JSON") from exc
     try:
         return GenSpec(
@@ -319,5 +319,5 @@ def load_gen_spec(path: str | Path) -> GenSpec:
             seed=payload.get("seed", 0),
             name=payload.get("name", "planted"),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"{path}: missing or malformed field: {exc}") from exc

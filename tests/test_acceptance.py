@@ -13,7 +13,7 @@ import pytest
 from click.testing import CliRunner
 from scipy import stats
 
-from naive_reference import naive_evaluate
+from naive_reference import naive_evaluate, naive_rank
 from pdsr import (
     EvalMode,
     ProtocolConfig,
@@ -22,7 +22,6 @@ from pdsr import (
     build_protocol,
     evaluate,
     pose_normalize,
-    rank_gallery,
     rng_for,
     score_matrix,
     synthetic_mean,
@@ -119,9 +118,7 @@ def test_criterion_3_wf_limit_consistency():
 
         def rankings(scores):
             return [
-                rank_gallery(
-                    c.gallery_ids, [float(scores[j, col[g]]) for g in c.gallery_ids]
-                ).gallery_ids
+                [g for g, _ in naive_rank([(g, float(scores[j, col[g]])) for g in c.gallery_ids])]
                 for j, c in enumerate(cases)
             ]
 

@@ -1,6 +1,10 @@
 """End-to-end CLI behavior through click's test runner."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -250,6 +254,25 @@ def test_validation_failure_lists_issues(workspace, tmp_path):
     assert result.exit_code != 0
     assert "empty_tracklet" in result.output
     assert "failed validation" in result.output
+
+
+def test_malformed_canon_is_an_error_not_a_traceback(workspace, tmp_path):
+    root, _ = workspace
+    data = root / "data"
+    canon = tmp_path / "canon.json"
+    canon.write_text(json.dumps({"joint_count": 18, "poses": []}))
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys; from pdsr.cli import main; sys.exit(main())",
+         "--manifest", str(data / "manifest.json"), "--features", str(data / "features.bin"),
+         "--canon", str(canon), "quantize"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 1
+    assert "Error:" in result.stderr and str(canon) in result.stderr
+    assert "Traceback" not in result.stderr
 
 
 def test_match_modes_all_run(workspace, tmp_path):

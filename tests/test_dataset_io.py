@@ -19,6 +19,7 @@ from pdsr import (
     Tracklet,
     evaluate,
     load_canon,
+    load_gen_spec,
     load_dataset,
     pose_normalize,
     read_feature_matrix,
@@ -28,6 +29,7 @@ from pdsr import (
     rng_for,
     save_canon,
     save_dataset,
+    save_gen_spec,
     write_feature_matrix,
     write_pose_embeddings,
     write_synth_index,
@@ -362,3 +364,69 @@ def test_report_csv_writes_null_markers_and_exact_floats(tmp_path):
     assert "probe,t1.first_correct_rank,null" in lines
     assert "probe,t1.ap,null" in lines
     assert "cmc,1,0.5" in lines
+
+
+# ------------------------------------------------------ malformed input
+
+
+def _manifest_with(tmp_path, edit):
+    save_dataset(single_tracklet_dataset(), tmp_path / "m.json", tmp_path / "f.bin")
+    manifest = json.loads((tmp_path / "m.json").read_text())
+    edit(manifest["tracklets"][0]["frames"][0])
+    (tmp_path / "m.json").write_text(json.dumps(manifest))
+    return tmp_path / "m.json", lambda: load_dataset(tmp_path / "m.json", tmp_path / "f.bin")
+
+
+def _set_keypoint(frame, value):
+    frame["keypoints"][0][0] = value
+
+
+def _canon_with(tmp_path, payload):
+    (tmp_path / "c.json").write_text(json.dumps(payload))
+    return tmp_path / "c.json", lambda: load_canon(tmp_path / "c.json")
+
+
+def _bytes_file(tmp_path, name, data, reader):
+    (tmp_path / name).write_bytes(data)
+    return tmp_path / name, lambda: reader(tmp_path / name)
+
+
+def _gen_spec_with(tmp_path, **fields):
+    save_gen_spec(GenSpec(), tmp_path / "spec.json")
+    payload = json.loads((tmp_path / "spec.json").read_text())
+    payload.update(fields)
+    (tmp_path / "spec.json").write_text(json.dumps(payload))
+    return tmp_path / "spec.json", lambda: load_gen_spec(tmp_path / "spec.json")
+
+
+NON_UTF8 = b'{"name": "\xff"}\n'
+
+MALFORMED_INPUTS = {
+    "keypoint-string": lambda tmp: _manifest_with(tmp, lambda f: _set_keypoint(f, "abc")),
+    "keypoint-list": lambda tmp: _manifest_with(tmp, lambda f: _set_keypoint(f, [1, 2])),
+    "fractional-row": lambda tmp: _manifest_with(tmp, lambda f: f.update(row=1.5)),
+    # the manifest is decoded before the feature file is opened
+    "manifest-not-utf8": lambda tmp: _bytes_file(
+        tmp, "m.json", NON_UTF8, lambda path: load_dataset(path, path)
+    ),
+    "canon-not-utf8": lambda tmp: _bytes_file(tmp, "c.json", NON_UTF8, load_canon),
+    "synth-index-not-utf8": lambda tmp: _bytes_file(
+        tmp, "i.tsv", b"a\t1\t0\n\xff\t2\t1\n", read_synth_index
+    ),
+    "pose-index-not-utf8": lambda tmp: _bytes_file(
+        tmp, "e.tsv", b"\xff\t1\treal\t1.0\t0\n", read_pose_embedding_index
+    ),
+    "report-not-utf8": lambda tmp: _bytes_file(tmp, "r.json", NON_UTF8, load_report_json),
+    "canon-without-joint-count": lambda tmp: _canon_with(tmp, {"poses": [[[0.1, 0.2, 1]]]}),
+    "canon-without-poses": lambda tmp: _canon_with(tmp, {"joint_count": 1, "poses": []}),
+    "canon-empty-pose": lambda tmp: _canon_with(tmp, {"joint_count": 1, "poses": [[]]}),
+    "gen-spec-one-identity": lambda tmp: _gen_spec_with(tmp, identities=1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_input_raises_file_format_error(tmp_path, case):
+    path, load = MALFORMED_INPUTS[case](tmp_path)
+    with pytest.raises(FileFormatError) as exc:
+        load()
+    assert str(path) in str(exc.value)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from naive_reference import naive_ap, naive_rank
@@ -15,7 +15,6 @@ from pdsr import (
     PoseVector,
     ProtocolConfig,
     Tracklet,
-    average_precision,
     build_protocol,
     camera_confusion,
     cmc_curve,
@@ -25,6 +24,7 @@ from pdsr import (
     rng_for,
     score_matrix,
 )
+from pdsr.evaluation import _first_rank_and_ap
 from pdsr.generator import GenSpec, generate
 
 
@@ -59,21 +59,75 @@ def make_canon(m=2, k=5, seed=1):
 # ------------------------------------------------------------- metrics
 
 
+def ranked_metrics(scores, gallery, positive):
+    """(order, first-correct ranks, APs) of the batched ranking; None without a positive."""
+    scores, gallery, positive = (np.atleast_2d(a) for a in (scores, gallery, positive))
+    order = rank_gallery(scores, gallery)
+    count, first, ap = _first_rank_and_ap(scores, gallery, positive)
+    firsts = [int(f) if n else None for n, f in zip(count, first)]
+    aps = [float(a) if n else None for n, a in zip(count, ap)]
+    return order, firsts, aps
+
+
 def test_average_precision_spec_example():
-    assert average_precision([False, True, False, True, False]) == 0.5
+    # positives at ranks 2 and 4 of 5: (1/2 + 2/4) / 2
+    _, firsts, aps = ranked_metrics(
+        [5.0, 4.0, 3.0, 2.0, 1.0], [True] * 5, [False, True, False, True, False]
+    )
+    assert firsts == [2] and aps == [0.5]
 
 
-def test_average_precision_without_positives_raises():
-    with pytest.raises(ValueError):
-        average_precision([False, False])
+def test_average_precision_without_positives_is_none():
+    _, firsts, aps = ranked_metrics([2.0, 1.0], [True, True], [False, False])
+    assert firsts == [None] and aps == [None]
 
 
 @given(st.lists(st.booleans(), min_size=1, max_size=30).filter(any))
 def test_average_precision_stays_in_unit_interval(flags):
-    ap = average_precision(flags)
+    n = len(flags)
+    _, _, (ap,) = ranked_metrics(np.arange(n, 0, -1.0), [True] * n, flags)
+    assert ap == naive_ap(flags)
     assert 0.0 <= ap <= 1.0
     if all(flags[: sum(flags)]):  # every positive ranked first
         assert ap == 1.0
+
+
+# scores from a few values, -0.0 and 0.0 among them, so most rows hold ties
+TIED_SCORES = st.sampled_from([-np.inf, -1.0, -0.0, 0.0, 0.5, 1.0])
+
+
+@st.composite
+def score_problems(draw):
+    rows = draw(st.integers(min_value=1, max_value=6))
+    cols = draw(st.integers(min_value=1, max_value=12))
+    cell = lambda strategy: st.lists(  # noqa: E731
+        st.lists(strategy, min_size=cols, max_size=cols), min_size=rows, max_size=rows
+    )
+    scores = np.array(draw(cell(TIED_SCORES)), dtype=np.float64)
+    gallery = np.array(draw(cell(st.booleans())), dtype=bool)
+    positive = np.array(draw(cell(st.booleans())), dtype=bool)
+    # force an empty gallery and a positive-free row now and then
+    if draw(st.booleans()):
+        gallery[draw(st.integers(0, rows - 1))] = False
+    if draw(st.booleans()):
+        positive[draw(st.integers(0, rows - 1))] = False
+    return scores, gallery, positive
+
+
+@settings(max_examples=300)
+@given(score_problems())
+def test_batched_ranking_equals_oracle_exactly(problem):
+    scores, gallery, positive = problem
+    ids = [f"t{j:03d}" for j in range(scores.shape[1])]  # ascending id = column order
+    order, firsts, aps = ranked_metrics(scores, gallery, positive)
+    for i in range(scores.shape[0]):
+        members = np.flatnonzero(gallery[i]).tolist()
+        expected = naive_rank([(ids[j], float(scores[i, j])) for j in members])
+        assert [ids[j] for j in order[i, : len(members)]] == [g for g, _ in expected]
+        assert sorted(order[i, len(members):].tolist()) == np.flatnonzero(~gallery[i]).tolist()
+        flags = [bool(positive[i, ids.index(g)]) for g, _ in expected]
+        assert aps[i] == naive_ap(flags)
+        assert firsts[i] == (flags.index(True) + 1 if any(flags) else None)
 
 
 def test_cmc_spec_example():
@@ -115,14 +169,14 @@ def test_cmc_matches_first_hit_oracle_over_random_matrices():
 
 
 def test_rank_gallery_breaks_ties_by_ascending_id():
-    ranking = rank_gallery(["c", "a", "b", "d"], [1.0, 1.0, 2.0, 1.0])
-    assert ranking.gallery_ids == ("b", "a", "c", "d")
-    assert ranking.scores == (2.0, 1.0, 1.0, 1.0)
+    # columns are ids a, b, c, d; d is outside the gallery
+    order = rank_gallery(np.array([[1.0, 2.0, 1.0, 5.0]]), np.array([[True, True, True, False]]))
+    assert order.tolist() == [[1, 0, 2, 3]]
 
 
-def test_rank_gallery_length_mismatch_raises():
-    with pytest.raises(ValueError):
-        rank_gallery(["a", "b"], [1.0])
+def test_rank_gallery_puts_non_gallery_after_minus_infinity():
+    order = rank_gallery(np.array([[-np.inf, 0.0, -np.inf]]), np.array([[True, False, True]]))
+    assert order.tolist() == [[0, 2, 1]]
 
 
 def test_fuse_scores_sums_fifty_entries_exactly():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from naive_reference import naive_cosine, naive_wf_vec
+from naive_reference import naive_cosine, naive_rank, naive_wf_vec
 from pdsr import (
     CanonicalPoseSet,
     Dataset,
@@ -20,7 +20,6 @@ from pdsr import (
     ZeroVectorError,
     baseline_embedding,
     cosine_matrix,
-    rank_gallery,
     rng_for,
     score_matrix,
     synthetic_mean,
@@ -179,7 +178,7 @@ def gallery_setup(seed, n=8):
 
 def ranking_ids(probe_vec, gallery_vecs, ids):
     scores = cosine_matrix(probe_vec[None, :], np.stack(gallery_vecs))[0]
-    return rank_gallery(ids, scores.tolist()).gallery_ids
+    return [g for g, _ in naive_rank(list(zip(ids, scores.tolist())))]
 
 
 def test_large_weight_ranking_equals_baseline_ranking():
