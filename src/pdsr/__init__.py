@@ -42,12 +42,7 @@ from .evaluation import (
     rank_gallery,
     score_matrix,
 )
-from .fusion import (
-    DEFAULT_FUSION_WEIGHT,
-    baseline_embedding,
-    synthetic_mean,
-    wf_embedding,
-)
+from .fusion import DEFAULT_FUSION_WEIGHT, wf_embeddings
 from .generator import (
     GeneratedData,
     GenSpec,
@@ -62,7 +57,7 @@ from .model import (
     CanonicalPoseSet,
     Dataset,
     FrameRecord,
-    PoseNormalizedEmbedding,
+    PoseRecord,
     PoseVector,
     Tracklet,
     ValidationIssue,
@@ -72,22 +67,13 @@ from .providers import (
     FileBackedProvider,
     RepresentativeChoice,
     Strategy,
-    StubProvider,
     SyntheticFeatureProvider,
     choose_representative,
+    fetch_synthetic,
     file_backed_provider,
 )
-from .quantizer import (
-    DEFAULT_MIN_COMMON_JOINTS,
-    PoseGroups,
-    assignment_distances,
-    group_by_pose,
-    nearest_poses,
-)
-from .regulation import (
-    pose_normalize,
-    wpr_score_matrix,
-)
+from .quantizer import DEFAULT_MIN_COMMON_JOINTS, assignment_distances, nearest_poses
+from .regulation import backfill_poses, pose_normalize, wpr_score_matrix
 from .seeding import rng_for, stable_key
 from .similarity import cosine_matrix, unit_rows
 
@@ -110,31 +96,29 @@ __all__ = [
     "PdsrError",
     "PlantedProvider",
     "PlantedTruth",
-    "PoseGroups",
-    "PoseNormalizedEmbedding",
+    "PoseRecord",
     "PoseVector",
     "ProbeCase",
     "ProbeResult",
     "ProtocolConfig",
     "RepresentativeChoice",
     "Strategy",
-    "StubProvider",
     "SyntheticFeatureProvider",
     "Tracklet",
     "ValidationIssue",
     "ZeroVectorError",
     "assignment_distances",
-    "baseline_embedding",
+    "backfill_poses",
     "build_protocol",
     "camera_confusion",
     "choose_representative",
     "cmc_curve",
     "cosine_matrix",
     "evaluate",
+    "fetch_synthetic",
     "file_backed_provider",
     "fuse_scores",
     "generate",
-    "group_by_pose",
     "load_canon",
     "load_dataset",
     "load_gen_spec",
@@ -154,9 +138,8 @@ __all__ = [
     "write_feature_matrix",
     "write_pose_embeddings",
     "write_synth_index",
-    "synthetic_mean",
     "unit_rows",
     "validate_dataset",
-    "wf_embedding",
+    "wf_embeddings",
     "wpr_score_matrix",
 ]

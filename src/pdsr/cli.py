@@ -33,10 +33,10 @@ from .evaluation import (
     rank_gallery,
     score_matrix,
 )
-from .fusion import DEFAULT_FUSION_WEIGHT, wf_embedding
+from .fusion import DEFAULT_FUSION_WEIGHT, wf_embeddings
 from .generator import generate, load_gen_spec
 from .model import CanonicalPoseSet, Dataset, validate_dataset
-from .providers import RepresentativeChoice, file_backed_provider
+from .providers import RepresentativeChoice, fetch_synthetic, file_backed_provider
 from .quantizer import assignment_distances, nearest_poses
 from .regulation import pose_normalize
 
@@ -73,7 +73,7 @@ class _ConfigGroup(click.Group):
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except PdsrError as exc:
+        except (PdsrError, OSError) as exc:  # an OSError's message names its path
             raise click.ClickException(str(exc)) from exc
 
 
@@ -156,13 +156,16 @@ def synthgen(obj: CliContext, spec_path: Path, out_dir: Path):
     dataset_io.save_dataset(gen.dataset, out_dir / "manifest.json", out_dir / "features.bin")
     dataset_io.save_canon(gen.canon, out_dir / "canon.json")
 
-    index: dict[tuple[str, int], int] = {}
-    rows = []
-    for t in gen.dataset.tracklets:
-        for j in gen.canon.indices:
-            index[(t.tracklet_id, j)] = len(rows)
-            rows.append(gen.provider.query(t.tracklet_id, -1, j))
-    dataset_io.write_feature_matrix(out_dir / "synth-features.bin", np.stack(rows))
+    # The planted provider ignores the representative frame, so any draw
+    # writes the same vectors; rows run in (tracklet, pose) order.
+    record = pose_normalize(gen.dataset.tracklets, gen.canon, RepresentativeChoice())
+    synthetic, _ = fetch_synthetic(record, gen.provider, np.ones(record.observed.shape, dtype=bool))
+    rows = synthetic.reshape(-1, synthetic.shape[2])
+    m = len(gen.canon)
+    index = {
+        (tid, j): t * m + j - 1 for t, tid in enumerate(record.tracklet_ids) for j in gen.canon.indices
+    }
+    dataset_io.write_feature_matrix(out_dir / "synth-features.bin", rows)
     dataset_io.write_synth_index(index, out_dir / "synth-index.tsv")
 
     frames = sum(len(t) for t in gen.dataset.tracklets)
@@ -215,21 +218,19 @@ def quantize(obj: CliContext, out_path: Path | None):
 def embed(obj: CliContext, mode: str, weight: float, out_path: Path,
           index_path: Path | None, ids_path: Path | None):
     """Write fused (wf) or pose-normalized (wpr) embeddings."""
+    if mode == "wpr" and index_path is None:
+        raise click.UsageError("--mode wpr needs --index for the keyed output")
     dataset, canon = _load_inputs(obj)
     config = _config(obj, weight)
     tracklets = sorted(dataset.tracklets, key=lambda t: t.tracklet_id)
+    record = pose_normalize(tracklets, canon, config.representative)
 
     if mode == "wf":
-        provider = _provider(obj)
-        rows = np.stack(
-            [
-                wf_embedding(
-                    t, provider, canon, config.fusion_weight,
-                    config.representative, strict=config.strict,
-                )
-                for t in tracklets
-            ]
+        synthetic, served = fetch_synthetic(
+            record, _provider(obj), np.ones(record.observed.shape, dtype=bool),
+            strict=config.strict,
         )
+        rows = wf_embeddings(record, synthetic, served, config.fusion_weight)
         dataset_io.write_feature_matrix(out_path, rows)
         if ids_path is not None:
             ids_path.write_text(
@@ -237,15 +238,11 @@ def embed(obj: CliContext, mode: str, weight: float, out_path: Path,
             )
         click.echo(f"{rows.shape[0]} wf embeddings (w={weight}) -> {out_path}")
     else:
-        if index_path is None:
-            raise click.UsageError("--mode wpr needs --index for the keyed output")
-        embeddings = [
-            pose_normalize(t, canon, config.representative, min_common_joints=config.min_common_joints)
-            for t in tracklets
-        ]
-        dataset_io.write_pose_embeddings(embeddings, index_path, out_path)
-        entries = sum(int(e.observed.sum()) for e in embeddings)
-        click.echo(f"{entries} pose entries over {len(embeddings)} tracklets -> {out_path}")
+        dataset_io.write_pose_embeddings(record, index_path, out_path)
+        click.echo(
+            f"{int(record.observed.sum())} pose entries over "
+            f"{len(tracklets)} tracklets -> {out_path}"
+        )
 
 
 @main.command()

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import FileFormatError
 from .evaluation import EvalReport, ProbeResult
-from .model import CanonicalPoseSet, Dataset, FrameRecord, PoseVector, Tracklet
+from .model import CanonicalPoseSet, Dataset, FrameRecord, PoseRecord, PoseVector, Tracklet
 
 MAGIC = b"PDSR"
 FORMAT_VERSION = 1
@@ -248,31 +248,29 @@ def read_synth_index(path: str | Path) -> dict[tuple[str, int], int]:
 
 
 def write_pose_embeddings(
-    embeddings,
+    record: PoseRecord,
     index_path: str | Path,
     matrix_path: str | Path,
 ) -> None:
-    """Export the observed poses of pose-normalized embeddings as a keyed feature file.
+    """Export the observed poses of a pose record as a keyed feature file.
 
     Index lines are `tracklet_id <tab> pose <tab> origin <tab> frequency
     <tab> row`, walking tracklets by ascending id and poses ascending, with
     the vectors in a companion feature matrix.  Only observed poses are
     exported, so `origin` is always `real`.  This is an inspection/join
-    export; scoring works from the in-memory embeddings.
+    export; scoring works from the in-memory record.
     """
     rows = []
     with open(index_path, "w", encoding="utf-8") as fh:
-        for emb in sorted(embeddings, key=lambda e: e.tracklet_id):
-            if "\t" in emb.tracklet_id or "\n" in emb.tracklet_id:
-                raise ValueError(
-                    f"tracklet id {emb.tracklet_id!r} cannot contain tab or newline"
-                )
-            for i in np.flatnonzero(emb.observed).tolist():
+        for tid, t in sorted((tid, t) for t, tid in enumerate(record.tracklet_ids)):
+            if "\t" in tid or "\n" in tid:
+                raise ValueError(f"tracklet id {tid!r} cannot contain tab or newline")
+            for j in np.flatnonzero(record.observed[t]).tolist():
                 fh.write(
-                    f"{emb.tracklet_id}\t{i + 1}\treal"
-                    f"\t{emb.frequencies[i].item()!r}\t{len(rows)}\n"
+                    f"{tid}\t{j + 1}\treal"
+                    f"\t{record.frequencies[t, j].item()!r}\t{len(rows)}\n"
                 )
-                rows.append(emb.vectors[i])
+                rows.append(record.vectors[t, j])
     if not rows:
         raise ValueError("no pose entries to export")
     write_feature_matrix(matrix_path, np.stack(rows))

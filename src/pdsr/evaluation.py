@@ -19,11 +19,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .fusion import DEFAULT_FUSION_WEIGHT, baseline_embedding, wf_embedding
+from .fusion import DEFAULT_FUSION_WEIGHT, wf_embeddings
 from .model import CanonicalPoseSet, Dataset, Tracklet
-from .providers import RepresentativeChoice, SyntheticFeatureProvider
-from .quantizer import DEFAULT_MIN_COMMON_JOINTS
-from .regulation import pose_normalize, wpr_score_matrix
+from .providers import RepresentativeChoice, SyntheticFeatureProvider, fetch_synthetic
+from .regulation import backfill_poses, pose_normalize, wpr_score_matrix
 from .seeding import rng_for
 from .similarity import cosine_matrix
 
@@ -42,7 +41,6 @@ class ProtocolConfig:
     seed: int = 0
     fusion_weight: float = DEFAULT_FUSION_WEIGHT
     representative: RepresentativeChoice = RepresentativeChoice()
-    min_common_joints: int = DEFAULT_MIN_COMMON_JOINTS
     cmc_depth: int = 50
     strict: bool = True
 
@@ -232,51 +230,35 @@ def score_matrix(
 ) -> np.ndarray:
     """Scores of every probe against every tracklet (ascending id axis).
 
-    `provider` may be None in BASELINE mode, which uses no synthetics.
+    Every mode reads one pose record of all tracklets; WF and WPR read one
+    synthetic fetch.  `provider` may be None in BASELINE mode, which uses
+    no synthetics.
     """
     if provider is None and mode is not EvalMode.BASELINE:
         raise ValueError(f"mode {mode.value!r} needs a synthetic feature provider")
-    by_id = dataset.by_id()
-    all_ids = sorted(by_id)
-    all_tracklets = [by_id[tid] for tid in all_ids]
-    col = {tid: i for i, tid in enumerate(all_ids)}
-    probe_rows = [col[c.probe_id] for c in cases]
+    record = pose_normalize(
+        sorted(dataset.tracklets, key=lambda t: t.tracklet_id), canon, config.representative
+    )
+    row = {tid: i for i, tid in enumerate(record.tracklet_ids)}
+    probe_rows = [row[c.probe_id] for c in cases]
+    if mode is EvalMode.BASELINE:
+        return cosine_matrix(record.real_means[probe_rows], record.real_means)
 
-    if mode in (EvalMode.BASELINE, EvalMode.WF, EvalMode.FUSED):
-        if mode is EvalMode.BASELINE:
-            vec = baseline_embedding
-        else:
-            def vec(t: Tracklet) -> np.ndarray:
-                return wf_embedding(
-                    t,
-                    provider,
-                    canon,
-                    config.fusion_weight,
-                    config.representative,
-                    strict=config.strict,
-                )
-        emb = np.stack([vec(t) for t in all_tracklets])
+    if mode is EvalMode.WPR:
+        wanted = backfill_poses(record, probe_rows)
+    else:  # WF averages every canonical pose; WPR backfills from the same cells
+        wanted = np.ones(record.observed.shape, dtype=bool)
+    synthetic, served = fetch_synthetic(record, provider, wanted, strict=config.strict)
+    if mode is not EvalMode.WPR:
+        emb = wf_embeddings(record, synthetic, served, config.fusion_weight)
         cos = cosine_matrix(emb[probe_rows], emb)
         del emb  # WPR below is the memory peak of a fused run; keep only the scores
-        if mode is not EvalMode.FUSED:
+        if mode is EvalMode.WF:
             return cos
 
-    if mode in (EvalMode.WPR, EvalMode.FUSED):
-        embed = {
-            t.tracklet_id: pose_normalize(
-                t, canon, config.representative, min_common_joints=config.min_common_joints
-            )
-            for t in all_tracklets
-        }
-        wpr = wpr_score_matrix(
-            [embed[c.probe_id] for c in cases],
-            [embed[t.tracklet_id] for t in all_tracklets],
-            provider,
-            canon,
-            strict=config.strict,
-        )
-        if mode is EvalMode.WPR:
-            return wpr
+    wpr = wpr_score_matrix(record, probe_rows, synthetic, served)
+    if mode is EvalMode.WPR:
+        return wpr
     return fuse_scores(cos, wpr)
 
 

@@ -1,4 +1,4 @@
-"""Domain types: frames, tracklets, canonical poses, pose-normalized embeddings.
+"""Domain types: frames, tracklets, canonical poses, pooled pose records.
 
 All types are immutable after construction and safe to share across
 concurrent readers.  Construction is permissive (so that arbitrary files
@@ -111,20 +111,22 @@ class CanonicalPoseSet:
 
 
 @dataclass(frozen=True, eq=False)
-class PoseNormalizedEmbedding:
-    """Per-pose pooled features of one tracklet on the canonical pose axis.
+class PoseRecord:
+    """Real means and per-canonical-pose pooled features of T tracklets.
 
-    Row j - 1 of each array belongs to canonical pose j.  A pose no frame
-    maps to has a zero vector, frequency 0 and `observed` False.  The
-    representative frame id is retained so providers can be queried for
-    missing poses at matching time.
+    Row t belongs to `tracklet_ids[t]`; along the pose axis, column j - 1
+    belongs to canonical pose j.  A pose no frame of a tracklet maps to has
+    a zero vector, frequency 0 and `observed` False.  Each tracklet's
+    representative frame is drawn once, here, so every synthetic query of
+    a run conditions on the same frame.
     """
 
-    tracklet_id: str
-    representative_frame_id: int
-    vectors: np.ndarray  # (M, d) mean feature of the frames assigned to each pose
-    frequencies: np.ndarray  # (M,) fraction of assignable frames per pose
-    observed: np.ndarray  # (M,) bool
+    tracklet_ids: tuple[str, ...]
+    representative_frame_ids: tuple[int, ...]
+    real_means: np.ndarray  # (T, d) mean feature of all frames
+    vectors: np.ndarray  # (T, M, d) mean feature of the frames assigned to each pose
+    frequencies: np.ndarray  # (T, M) fraction of assignable frames per pose
+    observed: np.ndarray  # (T, M) bool
 
 
 @dataclass(frozen=True, eq=False)

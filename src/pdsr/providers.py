@@ -5,6 +5,10 @@ the feature vector of the would-be generated image of that tracklet's person
 under the requested canonical pose.  Generation itself happens offline;
 providers only serve vectors, deterministically, and must tolerate
 concurrent read-only queries.
+
+`fetch_synthetic` is the one place the package queries a provider: a run
+asks for each (tracklet, pose) at most once, and weighted fusion and
+pose-regulated matching both read the tensor it returns.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FileFormatError, MissingSyntheticError
-from .model import Tracklet
+from .model import PoseRecord, Tracklet
 from .seeding import rng_for
 
 
@@ -58,6 +62,38 @@ def choose_representative(tracklet: Tracklet, choice: RepresentativeChoice) -> i
     return frames[int(rng.integers(len(frames)))].frame_id
 
 
+def fetch_synthetic(
+    record: PoseRecord,
+    provider: SyntheticFeatureProvider,
+    wanted: np.ndarray,
+    *,
+    strict: bool = True,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Synthetic (T, M, d) tensor and (T, M) served mask for a record's wanted cells.
+
+    Each wanted (tracklet, pose) cell is queried once, conditioned on the
+    tracklet's representative frame.  In strict mode a miss propagates; in
+    lenient mode it leaves the cell unserved.  Cells not served hold zeros.
+    """
+    synthetic = np.zeros(record.vectors.shape)
+    served = np.zeros(wanted.shape, dtype=bool)
+    dim = synthetic.shape[2]
+    for t, j in zip(*(axis.tolist() for axis in np.nonzero(wanted))):
+        try:
+            vector = provider.query(
+                record.tracklet_ids[t], record.representative_frame_ids[t], j + 1
+            )
+        except MissingSyntheticError:
+            if strict:
+                raise
+            continue
+        if vector.shape != (dim,):
+            raise ValueError(f"synthetic dimension {vector.shape[0]} != real dimension {dim}")
+        synthetic[t, j] = vector
+        served[t, j] = True
+    return synthetic, served
+
+
 class FileBackedProvider(SyntheticFeatureProvider):
     """Serves pre-computed synthetic features from an index + matrix file pair.
 
@@ -92,46 +128,3 @@ def file_backed_provider(index_path: str | Path, features_path: str | Path) -> F
     index = read_synth_index(index_path)
     matrix = read_feature_matrix(features_path)
     return FileBackedProvider(index, matrix)
-
-
-class StubProvider(SyntheticFeatureProvider):
-    """Test double blending the representative frame with per-pose prototypes.
-
-    query = alpha * feature(representative frame)
-          + (1 - alpha) * prototype[pose]
-          + gaussian noise (per-coordinate sigma, keyed by seed/tracklet/pose)
-    """
-
-    def __init__(
-        self,
-        tracklets: list[Tracklet] | tuple[Tracklet, ...],
-        canon_prototypes: np.ndarray,
-        alpha: float,
-        noise_sigma: float = 0.0,
-        seed: int = 0,
-    ):
-        if not 0.0 <= alpha <= 1.0:
-            raise ValueError("alpha must be in [0, 1]")
-        if noise_sigma < 0.0:
-            raise ValueError("noise_sigma must be non-negative")
-        self._features = {
-            (t.tracklet_id, f.frame_id): f.feature for t in tracklets for f in t.frames
-        }
-        self._prototypes = np.asarray(canon_prototypes, dtype=np.float64)
-        self._alpha = float(alpha)
-        self._sigma = float(noise_sigma)
-        self._seed = seed
-
-    def query(self, tracklet_id: str, representative_frame_id: int, pose: int) -> np.ndarray:
-        rep = self._features.get((tracklet_id, representative_frame_id))
-        if rep is None:
-            raise MissingSyntheticError(
-                f"unknown representative frame ({tracklet_id!r}, {representative_frame_id})"
-            )
-        if not 1 <= pose <= self._prototypes.shape[0]:
-            raise MissingSyntheticError(f"pose {pose} outside prototype range")
-        out = self._alpha * rep + (1.0 - self._alpha) * self._prototypes[pose - 1]
-        if self._sigma > 0.0:
-            rng = rng_for(self._seed, "stub-noise", tracklet_id, pose)
-            out = out + rng.normal(0.0, self._sigma, out.shape[0])
-        return out

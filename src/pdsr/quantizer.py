@@ -1,4 +1,4 @@
-"""Nearest-canonical-pose assignment and pose-wise grouping of tracklet frames.
+"""Nearest-canonical-pose assignment of frames.
 
 The distance between two keypoint vectors is the root of the mean squared
 per-joint coordinate difference, taken over joints visible in *both* poses.
@@ -9,24 +9,13 @@ masks; a comparison needs at least `min_common_joints` shared joints.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllFramesUnassignableError
-from .model import CanonicalPoseSet, FrameRecord, PoseVector, Tracklet
+from .model import CanonicalPoseSet, PoseVector
 
 DEFAULT_MIN_COMMON_JOINTS = 4
 _BLOCK_FRAMES = 256
-
-
-@dataclass(frozen=True, eq=False)
-class PoseGroups:
-    """Partition of a tracklet's assignable frames by canonical pose."""
-
-    groups: dict[int, tuple[FrameRecord, ...]]
-    frequencies: dict[int, float]
-    unassignable: tuple[int, ...]  # frame ids excluded from every group
 
 
 def assignment_distances(
@@ -77,40 +66,3 @@ def nearest_poses(dist: np.ndarray) -> tuple[list[int | None], list[float]]:
     nearest = dist[np.arange(dist.shape[0]), best].tolist()
     poses = [None if math.isinf(d) else j + 1 for j, d in zip(best.tolist(), nearest)]
     return poses, nearest
-
-
-def group_by_pose(
-    tracklet: Tracklet,
-    canon: CanonicalPoseSet,
-    *,
-    min_common_joints: int = DEFAULT_MIN_COMMON_JOINTS,
-) -> PoseGroups:
-    """Partition assignable frames by canonical pose, with frame fractions.
-
-    Frequencies are |group| / (number of assignable frames) and sum to 1
-    whenever at least one frame is assignable.  Frames are grouped in
-    frame-id order so downstream pooling is order-independent.
-    """
-    frames = tracklet.frames_by_id()
-    if not frames:
-        raise AllFramesUnassignableError(f"tracklet {tracklet.tracklet_id!r} has no frames")
-
-    poses, _ = nearest_poses(
-        assignment_distances([f.pose for f in frames], canon, min_common_joints=min_common_joints)
-    )
-    groups: dict[int, list[FrameRecord]] = {}
-    unassignable: list[int] = []
-    for f, j in zip(frames, poses):
-        if j is None:
-            unassignable.append(f.frame_id)
-        else:
-            groups.setdefault(j, []).append(f)
-
-    assignable = sum(len(g) for g in groups.values())
-    if assignable == 0:
-        raise AllFramesUnassignableError(
-            f"no frame of tracklet {tracklet.tracklet_id!r} maps to any canonical pose"
-        )
-    ordered = {j: tuple(groups[j]) for j in sorted(groups)}
-    frequencies = {j: len(ordered[j]) / assignable for j in ordered}
-    return PoseGroups(groups=ordered, frequencies=frequencies, unassignable=tuple(unassignable))

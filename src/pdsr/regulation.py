@@ -1,9 +1,12 @@
 """Pose-regulated, frequency-weighted pose-wise matching.
 
-A tracklet is first reduced to per-canonical-pose pooled vectors with their
-frame fractions.  To match two tracklets, both sides are completed over the
-union of their observed poses (missing poses filled from the synthetic
-provider at frequency zero), and the pair score is the per-pose cosine
+`pose_normalize` reduces a set of tracklets to one PoseRecord in a single
+batched pass: one quantizer call assigns every frame its canonical pose,
+and segment sums over rows in frame-id order give each tracklet's real
+mean and, per (tracklet, pose), the pooled feature and the fraction of
+assignable frames.  To match two tracklets, both sides are completed over
+the union of their observed poses (missing poses filled from the synthetic
+tensor at frequency zero), and the pair score is the per-pose cosine
 weighted by the averaged pose frequencies, normalized to sum 1:
 
     score = sum_j nu_j * cosine(left_j, right_j),   sum_j nu_j = 1
@@ -21,129 +24,131 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptyUnionError, MissingSyntheticError, ZeroVectorError
-from .model import CanonicalPoseSet, PoseNormalizedEmbedding, Tracklet
-from .providers import RepresentativeChoice, SyntheticFeatureProvider, choose_representative
-from .quantizer import DEFAULT_MIN_COMMON_JOINTS, group_by_pose
-from .similarity import unit_rows
+from .errors import AllFramesUnassignableError, EmptyUnionError, ZeroVectorError
+from .model import CanonicalPoseSet, PoseRecord, Tracklet
+from .providers import RepresentativeChoice, choose_representative
+from .quantizer import assignment_distances, nearest_poses
+
+
+def _segment_means(
+    rows: np.ndarray, keys: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Keys, lengths and row means of the runs of equal keys in sorted `keys`.
+
+    `np.add.reduceat` adds each run's rows in order, so a mean is bitwise
+    the `np.mean` of that run's rows stacked alone.
+    """
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    sizes = np.diff(np.r_[starts, len(keys)])
+    sums = np.add.reduceat(rows, starts)
+    sums /= sizes[:, None]
+    return keys[starts], sizes, sums
+
+
+def _fail_first(bad: np.ndarray, ids: Sequence[str], message: str) -> None:
+    """Raise AllFramesUnassignableError naming the first tracklet flagged `bad`."""
+    if bad.any():
+        tid = ids[int(np.argmax(bad))]
+        raise AllFramesUnassignableError(message.format(tid=tid))
 
 
 def pose_normalize(
-    tracklet: Tracklet,
+    tracklets: Sequence[Tracklet],
     canon: CanonicalPoseSet,
     rep: RepresentativeChoice,
-    *,
-    min_common_joints: int = DEFAULT_MIN_COMMON_JOINTS,
-) -> PoseNormalizedEmbedding:
-    """Pool a tracklet's frames per observed canonical pose.
+) -> PoseRecord:
+    """Pool every tracklet's frames, in one pass, into a record with one row each.
 
     Missing poses are not filled here; which ones are needed depends on the
-    matching partner, so backfill happens at scoring time.  The
-    representative frame id is fixed now so later provider queries are
-    consistent across pairs.
+    matching partners, so backfill happens at scoring time.  Each
+    representative frame is drawn now so all provider queries agree.
     """
-    groups = group_by_pose(tracklet, canon, min_common_joints=min_common_joints)
-    vectors = np.zeros((len(canon), tracklet.frames[0].feature.shape[0]))
-    frequencies = np.zeros(len(canon))
-    for j, frames in groups.groups.items():
-        vectors[j - 1] = np.mean(np.stack([f.feature for f in frames]), axis=0)
-        frequencies[j - 1] = groups.frequencies[j]
-    return PoseNormalizedEmbedding(
-        tracklet_id=tracklet.tracklet_id,
-        representative_frame_id=choose_representative(tracklet, rep),
+    ids = tuple(t.tracklet_id for t in tracklets)
+    frames = [t.frames_by_id() for t in tracklets]
+    counts = np.array([len(f) for f in frames], dtype=np.int64)
+    _fail_first(counts == 0, ids, "tracklet {tid!r} has no frames")
+    flat = [f for fs in frames for f in fs]  # tracklet, then frame-id order
+    row = np.repeat(np.arange(len(ids)), counts)
+    _, _, real_means = _segment_means(np.stack([f.feature for f in flat]), row)
+
+    nearest, _ = nearest_poses(assignment_distances([f.pose for f in flat], canon))
+    pose = np.array([0 if j is None else j for j in nearest])  # 0: unassignable
+    assigned = np.flatnonzero(pose)
+    assignable = np.bincount(row[assigned], minlength=len(ids))
+    _fail_first(assignable == 0, ids, "no frame of tracklet {tid!r} maps to any canonical pose")
+    m = len(canon)
+    cell = row * m + pose - 1
+    # A stable sort keeps frame-id order inside each (tracklet, pose) run.
+    order = assigned[np.argsort(cell[assigned], kind="stable")]
+    # Stacked afresh, not gathered from the matrix above: the pass then
+    # never holds two (N, d) arrays at once.
+    cells, sizes, means = _segment_means(
+        np.stack([flat[i].feature for i in order.tolist()]), cell[order]
+    )
+
+    vectors = np.zeros((len(ids), m, means.shape[1]))
+    vectors.reshape(-1, means.shape[1])[cells] = means
+    members = np.zeros(len(ids) * m, dtype=np.int64)
+    members[cells] = sizes
+    members = members.reshape(len(ids), m)
+    return PoseRecord(
+        tracklet_ids=ids,
+        representative_frame_ids=tuple(choose_representative(t, rep) for t in tracklets),
+        real_means=real_means,
         vectors=vectors,
-        frequencies=frequencies,
-        observed=frequencies > 0.0,
+        frequencies=members / assignable[:, None],
+        observed=members > 0,
     )
 
 
-def _dense_rep(
-    emb: PoseNormalizedEmbedding,
-    pose_axis: np.ndarray,
-    needed: np.ndarray,
-    provider: SyntheticFeatureProvider,
-    strict: bool,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Unit per-pose vectors, frequencies and availability on the shared pose axis.
+def backfill_poses(record: PoseRecord, probe_rows: Sequence[int]) -> np.ndarray:
+    """(T, M) cells to fill from the synthetic tensor to score the probe rows against all rows.
 
-    Only poses in `needed` (those that can appear in some pair union
-    involving this tracklet) are backfilled, so a provider gap at a pose no
-    pair uses fails nothing, even in strict mode.  Unavailable poses get
-    zero vectors.
+    A tracklet only ever meets the poses its partners observe: a probe row
+    every pose observed anywhere, any other row the poses the probes
+    observe.  Querying beyond that would surface provider gaps no pair
+    union contains.
     """
-    vectors = emb.vectors[pose_axis]
-    avail = emb.observed[pose_axis]
-    for row, j in enumerate(pose_axis.tolist()):
-        if avail[row] or not needed[j]:
-            continue
-        try:
-            vectors[row] = provider.query(emb.tracklet_id, emb.representative_frame_id, j + 1)
-            avail[row] = True
-        except MissingSyntheticError:
-            if strict:
-                raise
-    if (np.linalg.norm(vectors[avail], axis=1) == 0.0).any():
-        raise ZeroVectorError(
-            f"tracklet {emb.tracklet_id!r} has an all-zero per-pose vector"
-        )
-    return unit_rows(vectors), emb.frequencies[pose_axis], avail
+    observed = record.observed
+    needed = np.broadcast_to(observed[list(probe_rows)].any(axis=0), observed.shape).copy()
+    needed[list(probe_rows)] = observed.any(axis=0)
+    return needed & ~observed
 
 
 def wpr_score_matrix(
-    probes: Sequence[PoseNormalizedEmbedding],
-    gallery: Sequence[PoseNormalizedEmbedding],
-    provider: SyntheticFeatureProvider,
-    canon: CanonicalPoseSet,
-    *,
-    strict: bool = True,
+    record: PoseRecord,
+    probe_rows: Sequence[int],
+    synthetic: np.ndarray,
+    served: np.ndarray,
 ) -> np.ndarray:
-    """Score every probe against every gallery tracklet.
+    """Score the probe rows of a record against all of its rows.
 
-    One synthetic vector is generated (and reused) per (tracklet, pose);
-    only poses observed somewhere in the batch ever need filling.  The
-    per-pose accumulation runs in increasing pose index, so repeated
-    evaluations are bitwise reproducible.  In lenient mode a pose that
-    either side of a pair cannot fill is dropped from that pair's union
-    (nu renormalized over what remains).
+    `synthetic` and `served` are `fetch_synthetic`'s tensor and mask, taken
+    where `backfill_poses` asks for them; a cell it asked for but that was
+    not served (lenient mode) is dropped from every pair union it is in (nu
+    renormalized over what remains).  The per-pose accumulation runs in
+    increasing pose index, so repeated evaluations are bitwise reproducible.
     """
-    if not probes or not gallery:
-        return np.zeros((len(probes), len(gallery)))
-    if any(e.observed.shape != (len(canon),) for e in (*probes, *gallery)):
-        raise ValueError("embedding pose axis does not match the canonical set")
-    probe_union = np.logical_or.reduce([e.observed for e in probes])
-    gallery_union = np.logical_or.reduce([e.observed for e in gallery])
-    pose_axis = np.flatnonzero(probe_union | gallery_union)
-
-    # A probe can only ever be asked for poses some gallery tracklet
-    # observes, and vice versa; querying beyond that would surface provider
-    # gaps no pair union contains.
-    needed = {emb.tracklet_id: gallery_union for emb in probes}
-    for emb in gallery:
-        needed[emb.tracklet_id] = needed.get(emb.tracklet_id, False) | probe_union
-
-    # One row per distinct tracklet, shared by the probe and gallery sides.
-    distinct: dict[str, PoseNormalizedEmbedding] = {}
-    for emb in (*probes, *gallery):
-        distinct.setdefault(emb.tracklet_id, emb)
-    shape = (len(distinct), len(pose_axis))
-    unit = np.empty(shape + (probes[0].vectors.shape[1],))  # (T, M', d)
-    freq = np.empty(shape)
-    avail = np.empty(shape, dtype=bool)
-    for i, emb in enumerate(distinct.values()):
-        unit[i], freq[i], avail[i] = _dense_rep(
-            emb, pose_axis, needed[emb.tracklet_id], provider, strict
-        )
-    row = {tid: i for i, tid in enumerate(distinct)}
-    p = [row[e.tracklet_id] for e in probes]
-    g = [row[e.tracklet_id] for e in gallery]
-
-    numer = np.zeros((len(probes), len(gallery)))
+    p = list(probe_rows)
+    observed = record.observed
+    avail = observed | (backfill_poses(record, p) & served)
+    numer = np.zeros((len(p), len(record.tracklet_ids)))
     denom = np.zeros_like(numer)
-    for m in range(len(pose_axis)):
-        weight = (freq[p, m][:, None] + freq[g, m][None, :]) / 2.0
-        weight = weight * (avail[p, m][:, None] & avail[g, m][None, :])
-        cos = unit[p, m] @ unit[g, m].T
-        numer += weight * cos
+    for m in np.flatnonzero(observed.any(axis=0)).tolist():
+        unit = np.where(observed[:, m, None], record.vectors[:, m], synthetic[:, m])
+        unit[~avail[:, m]] = 0.0
+        norms = np.linalg.norm(unit, axis=1)
+        empty = avail[:, m] & (norms == 0.0)
+        if empty.any():
+            raise ZeroVectorError(
+                f"tracklet {record.tracklet_ids[int(np.argmax(empty))]!r} "
+                "has an all-zero per-pose vector"
+            )
+        unit /= np.where(norms == 0.0, 1.0, norms)[:, None]
+        freq = record.frequencies[:, m]
+        weight = (freq[p][:, None] + freq[None, :]) / 2.0
+        weight *= avail[p, m][:, None] & avail[:, m][None, :]
+        numer += weight * (unit[p] @ unit.T)
         denom += weight
     if (denom == 0.0).any():
         raise EmptyUnionError("a probe/gallery pair shares no fillable pose")

@@ -19,12 +19,13 @@ from pdsr import (
     ProtocolConfig,
     RepresentativeChoice,
     Tracklet,
+    backfill_poses,
     build_protocol,
     evaluate,
+    fetch_synthetic,
     pose_normalize,
     rng_for,
     score_matrix,
-    synthetic_mean,
     wpr_score_matrix,
 )
 from pdsr.cli import main
@@ -133,12 +134,12 @@ def test_criterion_3_wf_limit_consistency():
             gen.dataset, gen.canon, gen.provider, cases,
             ProtocolConfig(seed=config.seed, fusion_weight=0.0), EvalMode.WF,
         )
-        rep = config.representative
         by_id = gen.dataset.by_id()
-        synth = np.stack([
-            synthetic_mean(by_id[tid], gen.provider, gen.canon, rep)[0]
-            for tid in all_ids
-        ])
+        record = pose_normalize([by_id[tid] for tid in all_ids], gen.canon, config.representative)
+        synthetic, served = fetch_synthetic(
+            record, gen.provider, np.ones(record.observed.shape, dtype=bool)
+        )
+        synth = synthetic.sum(axis=1) / served.sum(axis=1)[:, None]
         probe_rows = np.stack([synth[col[c.probe_id]] for c in cases])
         synth_only = cosine_matrix(probe_rows, synth)
         assert rankings(zero) == rankings(synth_only)
@@ -189,10 +190,9 @@ def test_criterion_4_wpr_invariances():
     shuffle_rng = rng_for(0, "criterion4-shuffle")
 
     def score(gen, a, b):
-        return wpr_score_matrix(
-            [pose_normalize(a, gen.canon, rep)], [pose_normalize(b, gen.canon, rep)],
-            gen.provider, gen.canon,
-        )[0, 0]
+        record = pose_normalize([a] if a is b else [a, b], gen.canon, rep)
+        synthetic, served = fetch_synthetic(record, gen.provider, backfill_poses(record, [0]))
+        return wpr_score_matrix(record, [0], synthetic, served)[0, -1]
 
     for gen, a, b in _random_pair_pool(100):
         base = score(gen, a, b)

@@ -1,9 +1,11 @@
 """End-to-end CLI behavior through click's test runner."""
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,10 +13,20 @@ import pytest
 from click.testing import CliRunner
 
 from naive_reference import naive_assign, naive_keypoint_distance
-from pdsr import load_canon, load_dataset, read_feature_matrix, read_synth_index
+from pdsr import (
+    PoseVector,
+    load_canon,
+    load_dataset,
+    read_feature_matrix,
+    read_synth_index,
+    save_canon,
+    save_dataset,
+    write_feature_matrix,
+    write_synth_index,
+)
 from pdsr.cli import main
 from pdsr.dataset_io import load_report_json
-from pdsr.generator import GenSpec, save_gen_spec
+from pdsr.generator import GenSpec, generate, save_gen_spec
 
 
 @pytest.fixture(scope="module")
@@ -256,23 +268,41 @@ def test_validation_failure_lists_issues(workspace, tmp_path):
     assert "failed validation" in result.output
 
 
+def run_process(args):
+    """Run the CLI in a fresh interpreter, as a user would."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run(
+        [sys.executable, "-c", "import sys; from pdsr.cli import main; sys.exit(main())", *args],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
 def test_malformed_canon_is_an_error_not_a_traceback(workspace, tmp_path):
     root, _ = workspace
     data = root / "data"
     canon = tmp_path / "canon.json"
     canon.write_text(json.dumps({"joint_count": 18, "poses": []}))
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    result = subprocess.run(
-        [sys.executable, "-c", "import sys; from pdsr.cli import main; sys.exit(main())",
-         "--manifest", str(data / "manifest.json"), "--features", str(data / "features.bin"),
-         "--canon", str(canon), "quantize"],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+    result = run_process(["--manifest", str(data / "manifest.json"),
+                          "--features", str(data / "features.bin"),
+                          "--canon", str(canon), "quantize"])
     assert result.returncode == 1
     assert "Error:" in result.stderr and str(canon) in result.stderr
     assert "Traceback" not in result.stderr
+
+
+def test_missing_input_file_is_an_error_not_a_traceback(tmp_path):
+    missing = tmp_path / "missing.json"
+    for args in (
+        ["--manifest", str(missing), "--features", "x", "--canon", "y", "quantize"],
+        ["synthgen", "--spec", str(missing), "--out", str(tmp_path / "out")],
+    ):
+        result = run_process(args)
+        assert result.returncode == 1, result.stderr
+        error = [line for line in result.stderr.splitlines() if line.startswith("Error:")]
+        assert len(error) == 1 and str(missing) in error[0], result.stderr
+        assert "Traceback" not in result.stderr
 
 
 def test_match_modes_all_run(workspace, tmp_path):
@@ -281,3 +311,69 @@ def test_match_modes_all_run(workspace, tmp_path):
         result = run(flags + ["match", "--probe", "id0001-c1-0",
                               "--mode", mode, "--top", "3"])
         assert f"mode {mode}" in result.output
+
+
+# blake2s digests of CLI outputs on the dataset `_digest_inputs` writes.
+# They pin the exact bytes: a refactor of pooling, fusion or the synthetic
+# fetch must leave every output file unchanged.
+OUTPUT_DIGESTS = {
+    "assign.tsv": "6cd87a81180ac4df5ee74c9194842ef84b50eefde135d6f7f3b324fb8a251ff5",
+    "wf.bin": "763aadaef53ea1a67cc49e1a72d848e635aea905164cede897508c6321654a22",
+    "wf-ids.tsv": "37e3c8df1afdd8fcb78367a94918349665eeb6544e2155bca89297ec4fd11b3b",
+    "wpr.bin": "08d30cef6ab847c3dd8ee009a4f5ec4448912e65e7243a05ed7effa5f98aad92",
+    "wpr.tsv": "b3ba4c7fdf069cf640c216445ff5dcaceec5ef67fba7a4f93c8e294b272698e8",
+    "wf-lenient.bin": "5d4f34b0cd32c3e8641d916985dadd47586e9964ee8336e4c6492ca9832dc200",
+}
+
+
+def _digest_inputs(root: Path) -> list[str]:
+    """Write a small planted dataset and return the global flags naming it.
+
+    Cameras record different pose subsets, every third frame shows only 3
+    joints (unassignable), and a second synthetic index lacks some keys.
+    """
+    gen = generate(GenSpec(identities=5, cameras=3, frames_per_tracklet=(3, 7),
+                           feature_dim=12, num_poses=4, pose_effect_scale=0.4,
+                           noise_sigma=0.1, pose_jitter=0.02,
+                           pose_visibility=((1, 2), (2, 3, 4), (1, 4)),
+                           distractors=2, seed=23))
+    k = gen.dataset.joint_count
+    three_joints = np.arange(k) < 3
+    tracklets = [
+        replace(t, frames=tuple(
+            replace(f, pose=PoseVector(f.pose.joints, three_joints)) if f.frame_id % 3 == 1 else f
+            for f in t.frames
+        ))
+        for t in gen.dataset.tracklets
+    ]
+    save_dataset(replace(gen.dataset, tracklets=tracklets),
+                 root / "manifest.json", root / "features.bin")
+    save_canon(gen.canon, root / "canon.json")
+    index, rows = {}, []
+    for t in tracklets:
+        for j in gen.canon.indices:
+            index[(t.tracklet_id, j)] = len(rows)
+            rows.append(gen.provider.query(t.tracklet_id, -1, j))
+    write_feature_matrix(root / "synth-features.bin", np.stack(rows))
+    write_synth_index(index, root / "synth-index.tsv")
+    partial = {key: row for key, row in index.items() if row % 5 != 2}
+    write_synth_index(partial, root / "synth-partial.tsv")
+    return ["--manifest", str(root / "manifest.json"), "--features", str(root / "features.bin"),
+            "--canon", str(root / "canon.json"),
+            "--synth-features", str(root / "synth-features.bin")]
+
+
+def test_cli_outputs_are_byte_identical_to_recorded_digests(tmp_path):
+    flags = _digest_inputs(tmp_path)
+    full = flags + ["--synth-index", str(tmp_path / "synth-index.tsv")]
+    out = {name: tmp_path / name for name in OUTPUT_DIGESTS}
+    run(flags + ["quantize", "--out", str(out["assign.tsv"])])
+    run(full + ["embed", "--mode", "wf", "--out", str(out["wf.bin"]),
+                "--ids", str(out["wf-ids.tsv"])])
+    run(full + ["embed", "--mode", "wpr", "--out", str(out["wpr.bin"]),
+                "--index", str(out["wpr.tsv"])])
+    run(flags + ["--synth-index", str(tmp_path / "synth-partial.tsv"), "--lenient",
+                 "embed", "--mode", "wf", "--out", str(out["wf-lenient.bin"])])
+    assert "\t-\tinf\n" in out["assign.tsv"].read_text()
+    digests = {name: hashlib.blake2s(path.read_bytes()).hexdigest() for name, path in out.items()}
+    assert digests == OUTPUT_DIGESTS

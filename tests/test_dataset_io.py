@@ -12,6 +12,7 @@ from pdsr import (
     EvalReport,
     FileFormatError,
     FrameRecord,
+    PoseRecord,
     PoseVector,
     ProbeResult,
     ProtocolConfig,
@@ -261,20 +262,19 @@ def test_synth_index_rejects_tab_in_id(tmp_path):
 
 def test_pose_embedding_export_round_trip(tmp_path, small_gen):
     rep = RepresentativeChoice()
-    embs = [
-        pose_normalize(t, small_gen.canon, rep)
-        for t in small_gen.dataset.tracklets[:3]
-    ]
-    write_pose_embeddings(embs, tmp_path / "e.tsv", tmp_path / "e.bin")
+    tracklets = small_gen.dataset.tracklets[:3]
+    record = pose_normalize(tracklets[::-1], small_gen.canon, rep)  # rows out of id order
+    write_pose_embeddings(record, tmp_path / "e.tsv", tmp_path / "e.bin")
     rows = read_pose_embedding_index(tmp_path / "e.tsv")
     matrix = read_feature_matrix(tmp_path / "e.bin")
 
     expected = []
-    for emb in sorted(embs, key=lambda e: e.tracklet_id):
+    for tid in sorted(record.tracklet_ids):
+        row = record.tracklet_ids.index(tid)
         for pose in small_gen.canon.indices:
-            if emb.observed[pose - 1]:
-                expected.append((emb.tracklet_id, pose, "real",
-                                 emb.frequencies[pose - 1], emb.vectors[pose - 1]))
+            if record.observed[row, pose - 1]:
+                expected.append((tid, pose, "real", record.frequencies[row, pose - 1],
+                                 record.vectors[row, pose - 1]))
     assert len(rows) == len(expected) == matrix.shape[0]
     for got, (tid, pose, origin, freq, vec) in zip(rows, expected):
         assert got[:4] == (tid, pose, origin, freq)
@@ -282,8 +282,10 @@ def test_pose_embedding_export_round_trip(tmp_path, small_gen):
 
 
 def test_pose_embedding_export_requires_entries(tmp_path):
+    empty = PoseRecord((), (), np.zeros((0, 2)), np.zeros((0, 3, 2)), np.zeros((0, 3)),
+                       np.zeros((0, 3), dtype=bool))
     with pytest.raises(ValueError):
-        write_pose_embeddings([], tmp_path / "e.tsv", tmp_path / "e.bin")
+        write_pose_embeddings(empty, tmp_path / "e.tsv", tmp_path / "e.bin")
 
 
 # -------------------------------------------------------------- report

@@ -12,8 +12,10 @@ from pdsr import (
     Dataset,
     EvalMode,
     FrameRecord,
+    MissingSyntheticError,
     PoseVector,
     ProtocolConfig,
+    SyntheticFeatureProvider,
     Tracklet,
     build_protocol,
     camera_confusion,
@@ -314,6 +316,32 @@ def test_synthetic_modes_without_provider_raise(small_gen, mode):
     with pytest.raises(ValueError) as exc:
         evaluate(small_gen.dataset, small_gen.canon, None, config, mode)
     assert repr(mode.value) in str(exc.value)
+
+
+class CountingProvider(SyntheticFeatureProvider):
+    """Records every (tracklet, pose) asked of an inner provider; misses `missing`."""
+
+    def __init__(self, inner, missing=()):
+        self.inner = inner
+        self.missing = set(missing)
+        self.keys = []
+
+    def query(self, tracklet_id, representative_frame_id, pose):
+        self.keys.append((tracklet_id, pose))
+        if (tracklet_id, pose) in self.missing:
+            raise MissingSyntheticError(f"no vector for {(tracklet_id, pose)}")
+        return self.inner.query(tracklet_id, representative_frame_id, pose)
+
+
+@pytest.mark.parametrize("strict", [True, False])
+def test_fused_evaluation_queries_each_key_at_most_once(noisy_gen, strict):
+    # WF and WPR read one synthetic fetch, so no key is asked twice.
+    missing = () if strict else {(t.tracklet_id, 4) for t in noisy_gen.dataset.tracklets[::3]}
+    provider = CountingProvider(noisy_gen.provider, missing)
+    config = ProtocolConfig(seed=0, strict=strict)
+    evaluate(noisy_gen.dataset, noisy_gen.canon, provider, config, EvalMode.FUSED)
+    assert len(provider.keys) == len(set(provider.keys))
+    assert len(provider.keys) == len(noisy_gen.dataset.tracklets) * len(noisy_gen.canon)
 
 
 def test_evaluate_rejects_non_finite_scores():

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from naive_reference import naive_cosine, naive_rank, naive_wf_vec
+from naive_reference import naive_cosine, naive_rank, naive_synth_mean, naive_wf_vec
 from pdsr import (
+    AllFramesUnassignableError,
     CanonicalPoseSet,
     Dataset,
     EvalMode,
@@ -18,12 +19,12 @@ from pdsr import (
     SyntheticFeatureProvider,
     Tracklet,
     ZeroVectorError,
-    baseline_embedding,
     cosine_matrix,
+    fetch_synthetic,
+    pose_normalize,
     rng_for,
     score_matrix,
-    synthetic_mean,
-    wf_embedding,
+    wf_embeddings,
 )
 
 REP = RepresentativeChoice(strategy=Strategy.MIDDLE_FRAME)
@@ -61,15 +62,29 @@ class PoseOnlyProvider(SyntheticFeatureProvider):
         return np.array(self._vectors[pose - 1], dtype=np.float64)
 
 
+def fetch_all(record, provider, strict=True):
+    """Synthetic tensor and served mask over every canonical pose, as WF asks."""
+    return fetch_synthetic(record, provider, np.ones(record.observed.shape, dtype=bool),
+                           strict=strict)
+
+
+def wf_vectors(tracklets, provider, canon, w):
+    """WF embeddings of the tracklets through the batched pass and one fetch."""
+    record = pose_normalize(tracklets, canon, REP)
+    return wf_embeddings(record, *fetch_all(record, provider), w)
+
+
 def test_baseline_is_frame_mean_and_order_invariant():
     rng = rng_for(0, "wf")
     t = make_tracklet(rng)
+    canon = make_canon(rng)
     expected = np.mean(np.stack([f.feature for f in t.frames]), axis=0)
-    assert np.allclose(baseline_embedding(t), expected, atol=1e-15)
+    real = pose_normalize([t], canon, REP).real_means[0]
+    assert np.allclose(real, expected, atol=1e-15)
     shuffled = Tracklet("t0", "x", 0, tuple(reversed(t.frames)))
-    assert np.array_equal(baseline_embedding(t), baseline_embedding(shuffled))
-    with pytest.raises(ValueError):
-        baseline_embedding(Tracklet("t0", "x", 0, ()))
+    assert np.array_equal(real, pose_normalize([shuffled], canon, REP).real_means[0])
+    with pytest.raises(AllFramesUnassignableError):
+        pose_normalize([Tracklet("t0", "x", 0, ())], canon, REP)
 
 
 def test_synthetic_mean_over_all_canonical_poses():
@@ -77,8 +92,10 @@ def test_synthetic_mean_over_all_canonical_poses():
     t = make_tracklet(rng)
     canon = make_canon(rng)
     vectors = rng.normal(size=(3, 6))
-    mean, served = synthetic_mean(t, PoseOnlyProvider(vectors), canon, REP)
-    assert served == 3
+    record = pose_normalize([t], canon, REP)
+    synthetic, served = fetch_all(record, PoseOnlyProvider(vectors))
+    assert served.sum() == 3
+    mean = wf_embeddings(record, synthetic, served, 0.0)[0]
     assert np.allclose(mean, vectors.mean(axis=0), atol=1e-15)
 
 
@@ -87,15 +104,17 @@ def test_synthetic_mean_strict_vs_lenient():
     t = make_tracklet(rng)
     canon = make_canon(rng)
     vectors = rng.normal(size=(3, 6))
+    record = pose_normalize([t], canon, REP)
     partial = PoseOnlyProvider(vectors, missing={2})
     with pytest.raises(MissingSyntheticError):
-        synthetic_mean(t, partial, canon, REP, strict=True)
-    mean, served = synthetic_mean(t, partial, canon, REP, strict=False)
-    assert served == 2
+        fetch_all(record, partial, strict=True)
+    synthetic, served = fetch_all(record, partial, strict=False)
+    assert served.sum() == 2
+    mean = wf_embeddings(record, synthetic, served, 0.0)[0]
     assert np.allclose(mean, vectors[[0, 2]].mean(axis=0), atol=1e-15)
     empty = PoseOnlyProvider(vectors, missing={1, 2, 3})
     with pytest.raises(MissingSyntheticError):
-        synthetic_mean(t, empty, canon, REP, strict=False)
+        wf_embeddings(record, *fetch_all(record, empty, strict=False), 0.0)
 
 
 def test_weight_zero_is_bitwise_synthetic_only():
@@ -103,8 +122,8 @@ def test_weight_zero_is_bitwise_synthetic_only():
     t = make_tracklet(rng)
     canon = make_canon(rng)
     provider = PoseOnlyProvider(rng.normal(size=(3, 6)))
-    fused = wf_embedding(t, provider, canon, 0.0, REP)
-    synth, _ = synthetic_mean(t, provider, canon, REP)
+    fused = wf_vectors([t], provider, canon, 0.0)[0]
+    synth = np.mean(np.stack([provider.query("t0", 0, j) for j in canon.indices]), axis=0)
     assert np.array_equal(fused, synth)
 
 
@@ -114,7 +133,7 @@ def test_wf_formula_matches_naive():
     canon = make_canon(rng)
     provider = PoseOnlyProvider(rng.normal(size=(3, 6)))
     for w in (0.5, 1.0, 4.0):
-        got = wf_embedding(t, provider, canon, w, REP)
+        got = wf_vectors([t], provider, canon, w)[0]
         rep_frame = t.frames_by_id()[len(t.frames) // 2].frame_id
         expected = naive_wf_vec(t, provider, 3, w, rep_frame)
         assert np.allclose(got, expected, atol=1e-12)
@@ -126,10 +145,10 @@ def test_wf_rejects_negative_weight_and_dim_mismatch():
     canon = make_canon(rng)
     provider = PoseOnlyProvider(rng.normal(size=(3, 6)))
     with pytest.raises(ValueError):
-        wf_embedding(t, provider, canon, -1.0, REP)
+        wf_vectors([t], provider, canon, -1.0)
     bad = PoseOnlyProvider(rng.normal(size=(3, 9)))
     with pytest.raises(ValueError):
-        wf_embedding(t, bad, canon, 1.0, REP)
+        wf_vectors([t], bad, canon, 1.0)
 
 
 def test_wf_invariant_to_frame_storage_order():
@@ -138,8 +157,8 @@ def test_wf_invariant_to_frame_storage_order():
     canon = make_canon(rng)
     provider = PoseOnlyProvider(rng.normal(size=(3, 6)))
     shuffled = Tracklet("t0", "x", 0, tuple(reversed(t.frames)))
-    a = wf_embedding(t, provider, canon, 4.0, REP)
-    b = wf_embedding(shuffled, provider, canon, 4.0, REP)
+    a = wf_vectors([t], provider, canon, 4.0)
+    b = wf_vectors([shuffled], provider, canon, 4.0)
     assert np.array_equal(a, b)
 
 
@@ -151,9 +170,9 @@ def test_wf_score_is_per_gallery_cosine():
     case = ProbeCase("g00", "x", 0, tuple(t.tracklet_id for t in tracklets[1:]))
     config = ProtocolConfig(representative=REP)
     scores = score_matrix(dataset, canon, provider, [case], config, EvalMode.WF)
-    probe = list(wf_embedding(tracklets[0], provider, canon, 4.0, REP))
-    for score, t in zip(scores[0], tracklets):
-        expected = naive_cosine(probe, list(wf_embedding(t, provider, canon, 4.0, REP)))
+    vectors = wf_vectors(tracklets, provider, canon, 4.0)
+    for score, vec in zip(scores[0], vectors):
+        expected = naive_cosine(list(vectors[0]), list(vec))
         assert score == pytest.approx(expected, abs=1e-12)
 
 
@@ -184,40 +203,28 @@ def ranking_ids(probe_vec, gallery_vecs, ids):
 def test_large_weight_ranking_equals_baseline_ranking():
     canon, tracklets, provider = gallery_setup(9)
     ids = [t.tracklet_id for t in tracklets[1:]]
-    probe, gallery = tracklets[0], tracklets[1:]
+    real = pose_normalize(tracklets, canon, REP).real_means
     for w in (1e6, 1e9):
-        wf_rank = ranking_ids(
-            wf_embedding(probe, provider, canon, w, REP),
-            [wf_embedding(g, provider, canon, w, REP) for g in gallery],
-            ids,
-        )
-        base_rank = ranking_ids(
-            baseline_embedding(probe), [baseline_embedding(g) for g in gallery], ids
-        )
+        vectors = wf_vectors(tracklets, provider, canon, w)
+        wf_rank = ranking_ids(vectors[0], list(vectors[1:]), ids)
+        base_rank = ranking_ids(real[0], list(real[1:]), ids)
         assert wf_rank == base_rank
 
 
 def test_zero_weight_ranking_equals_synthetic_only_ranking():
     canon, tracklets, provider = gallery_setup(10)
     ids = [t.tracklet_id for t in tracklets[1:]]
-    probe, gallery = tracklets[0], tracklets[1:]
-    wf_rank = ranking_ids(
-        wf_embedding(probe, provider, canon, 0.0, REP),
-        [wf_embedding(g, provider, canon, 0.0, REP) for g in gallery],
-        ids,
-    )
-    synth_rank = ranking_ids(
-        synthetic_mean(probe, provider, canon, REP)[0],
-        [synthetic_mean(g, provider, canon, REP)[0] for g in gallery],
-        ids,
-    )
+    vectors = wf_vectors(tracklets, provider, canon, 0.0)
+    wf_rank = ranking_ids(vectors[0], list(vectors[1:]), ids)
+    synth = [np.array(naive_synth_mean(t, provider, 3, 0)) for t in tracklets]
+    synth_rank = ranking_ids(synth[0], synth[1:], ids)
     assert wf_rank == synth_rank
 
 
 def test_global_scaling_leaves_ranking_identical():
     canon, tracklets, provider = gallery_setup(11)
     ids = [t.tracklet_id for t in tracklets[1:]]
-    vecs = [wf_embedding(t, provider, canon, 4.0, REP) for t in tracklets]
+    vecs = list(wf_vectors(tracklets, provider, canon, 4.0))
     plain = ranking_ids(vecs[0], vecs[1:], ids)
     scaled = ranking_ids(7.5 * vecs[0], [7.5 * v for v in vecs[1:]], ids)
     assert plain == scaled

@@ -9,11 +9,12 @@ from pdsr import (
     MissingSyntheticError,
     RepresentativeChoice,
     assignment_distances,
-    baseline_embedding,
+    fetch_synthetic,
     nearest_poses,
+    pose_normalize,
     rng_for,
     validate_dataset,
-    wf_embedding,
+    wf_embeddings,
 )
 from pdsr.generator import (
     GenSpec,
@@ -111,15 +112,16 @@ def test_disjoint_visibility_hurts_baseline_more_than_wf():
             pose_effect_scale=1.0, noise_sigma=0.1,
             pose_visibility=((1, 2), (3, 4)), seed=seed,
         ))
+        record = pose_normalize(gen.dataset.tracklets, gen.canon, rep)
+        everything = np.ones(record.observed.shape, dtype=bool)
+        wf = wf_embeddings(record, *fetch_synthetic(record, gen.provider, everything), 4.0)
         pairs = {}
-        for t in gen.dataset.tracklets:
-            pairs.setdefault(t.identity, []).append(t)
+        for row, t in enumerate(gen.dataset.tracklets):
+            pairs.setdefault(t.identity, []).append(row)
         base, fused = [], []
-        for ta, tb in pairs.values():
-            base.append(naive_cosine(list(baseline_embedding(ta)), list(baseline_embedding(tb))))
-            va = wf_embedding(ta, gen.provider, gen.canon, 4.0, rep)
-            vb = wf_embedding(tb, gen.provider, gen.canon, 4.0, rep)
-            fused.append(naive_cosine(list(va), list(vb)))
+        for a, b in pairs.values():
+            base.append(naive_cosine(list(record.real_means[a]), list(record.real_means[b])))
+            fused.append(naive_cosine(list(wf[a]), list(wf[b])))
         base_means.append(sum(base) / len(base))
         wf_means.append(sum(fused) / len(fused))
     assert sum(wf_means) / 30 > sum(base_means) / 30

@@ -72,10 +72,10 @@ def test_embedding_entries_iterate_in_increasing_pose_order():
         FrameRecord(0, np.array([1.0, 0.0]), grid_pose(6, 0.4)),
         FrameRecord(1, np.array([0.0, 1.0]), grid_pose(6, 0.0)),
     )
-    emb = pose_normalize(Tracklet("t", "a", 0, frames), canon, RepresentativeChoice())
-    assert emb.observed.tolist() == [True, False, True]
-    assert emb.vectors.tolist() == [[0.0, 1.0], [0.0, 0.0], [1.0, 0.0]]
-    assert emb.frequencies.tolist() == [0.5, 0.0, 0.5]
+    record = pose_normalize([Tracklet("t", "a", 0, frames)], canon, RepresentativeChoice())
+    assert record.observed.tolist() == [[True, False, True]]
+    assert record.vectors.tolist() == [[[0.0, 1.0], [0.0, 0.0], [1.0, 0.0]]]
+    assert record.frequencies.tolist() == [[0.5, 0.0, 0.5]]
 
 
 def clean_setup():

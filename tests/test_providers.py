@@ -1,20 +1,22 @@
-"""Synthetic feature providers and representative-frame choice."""
+"""Synthetic feature providers, representative-frame choice and the single fetch."""
 
 import numpy as np
 import pytest
 
-from naive_reference import naive_cosine, naive_representative
+from naive_reference import naive_representative
 from pdsr import (
     FileBackedProvider,
     FileFormatError,
     FrameRecord,
     MissingSyntheticError,
     PoseVector,
+    PoseRecord,
     RepresentativeChoice,
     Strategy,
-    StubProvider,
+    SyntheticFeatureProvider,
     Tracklet,
     choose_representative,
+    fetch_synthetic,
     rng_for,
 )
 
@@ -60,65 +62,39 @@ def test_empty_tracklet_has_no_representative():
         choose_representative(t, RepresentativeChoice())
 
 
-def prototypes(m=3, d=4, seed=1):
-    return rng_for(seed, "prototypes").normal(size=(m, d))
+class RecordingProvider(SyntheticFeatureProvider):
+    """Serves pose * ones(d), records every query, misses the listed keys."""
+
+    def __init__(self, d, missing=()):
+        self.d = d
+        self.missing = set(missing)
+        self.calls = []
+
+    def query(self, tracklet_id, representative_frame_id, pose):
+        self.calls.append((tracklet_id, representative_frame_id, pose))
+        if (tracklet_id, pose) in self.missing:
+            raise MissingSyntheticError(f"{tracklet_id} {pose}")
+        return np.full(self.d, float(pose))
 
 
-def test_provider_determinism_over_repeated_queries():
-    t = tracklet_with_ids(range(4))
-    provider = StubProvider([t], prototypes(), alpha=0.5, noise_sigma=0.3, seed=5)
-    first = provider.query("t0", 2, 1)
-    for _ in range(999):
-        assert np.array_equal(provider.query("t0", 2, 1), first)
+def test_fetch_queries_each_wanted_cell_once_with_its_representative():
+    record = PoseRecord(("a", "b"), (7, 3), np.zeros((2, 2)), np.zeros((2, 3, 2)),
+                        np.zeros((2, 3)), np.zeros((2, 3), dtype=bool))
+    wanted = np.array([[True, False, True], [False, True, False]])
+    provider = RecordingProvider(2)
+    synthetic, served = fetch_synthetic(record, provider, wanted)
+    assert provider.calls == [("a", 7, 1), ("a", 7, 3), ("b", 3, 2)]
+    assert served.tolist() == wanted.tolist()
+    assert synthetic[:, :, 0].tolist() == [[1.0, 0.0, 3.0], [0.0, 2.0, 0.0]]
 
-
-def test_stub_parameter_validation():
-    t = tracklet_with_ids(range(2))
+    gappy = RecordingProvider(2, missing={("a", 3)})
+    with pytest.raises(MissingSyntheticError):
+        fetch_synthetic(record, gappy, wanted, strict=True)
+    synthetic, served = fetch_synthetic(record, gappy, wanted, strict=False)
+    assert served.tolist() == [[True, False, False], [False, True, False]]
+    assert not synthetic[0, 2].any()
     with pytest.raises(ValueError):
-        StubProvider([t], prototypes(), alpha=1.5)
-    with pytest.raises(ValueError):
-        StubProvider([t], prototypes(), alpha=0.5, noise_sigma=-1.0)
-
-
-def test_stub_unknown_keys_raise_missing():
-    t = tracklet_with_ids(range(2))
-    provider = StubProvider([t], prototypes(m=3), alpha=0.5)
-    with pytest.raises(MissingSyntheticError):
-        provider.query("t0", 77, 1)  # no such frame
-    with pytest.raises(MissingSyntheticError):
-        provider.query("nope", 0, 1)
-    with pytest.raises(MissingSyntheticError):
-        provider.query("t0", 0, 4)  # pose outside prototypes
-
-
-def test_stub_blend_formula_at_zero_noise():
-    t = tracklet_with_ids(range(3))
-    proto = prototypes(m=2)
-    provider = StubProvider([t], proto, alpha=0.25)
-    rep = t.frames_by_id()[1]
-    expected = 0.25 * rep.feature + 0.75 * proto[0]
-    assert np.array_equal(provider.query("t0", rep.frame_id, 1), expected)
-
-
-def test_stub_identity_preservation_on_planted_data(small_gen):
-    # With alpha > 0 and zero noise the stub output stays strictly closer to
-    # its own representative than to any other identity's. Prototypes are
-    # unit-normalized so the shared pose term cannot drown the identity term.
-    dataset, canon = small_gen.dataset, small_gen.canon
-    proto = rng_for(0, "proto").normal(size=(len(canon.poses), dataset.feature_dim))
-    proto /= np.linalg.norm(proto, axis=1, keepdims=True)
-    provider = StubProvider(dataset.tracklets, proto, alpha=0.6, noise_sigma=0.0)
-    for a in dataset.tracklets:
-        rep_a = a.frames_by_id()[0]
-        for b in dataset.tracklets:
-            if b.identity == a.identity:
-                continue
-            rep_b = b.frames_by_id()[0]
-            for pose in canon.indices:
-                out = provider.query(a.tracklet_id, rep_a.frame_id, pose)
-                assert naive_cosine(list(out), list(rep_a.feature)) > naive_cosine(
-                    list(out), list(rep_b.feature)
-                )
+        fetch_synthetic(record, RecordingProvider(5), wanted)
 
 
 def test_file_backed_provider_serves_rows_and_misses():

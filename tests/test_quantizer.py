@@ -1,4 +1,4 @@
-"""Keypoint distance, nearest-pose assignment, and pose grouping."""
+"""Keypoint distance, nearest-pose assignment, and pose pooling bookkeeping."""
 
 import math
 
@@ -7,16 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from naive_reference import naive_assign, naive_keypoint_distance
+from naive_reference import naive_assign, naive_groups, naive_keypoint_distance
 from pdsr import (
     AllFramesUnassignableError,
     CanonicalPoseSet,
     FrameRecord,
     PoseVector,
+    RepresentativeChoice,
     Tracklet,
     assignment_distances,
-    group_by_pose,
     nearest_poses,
+    pose_normalize,
     rng_for,
 )
 from pdsr.quantizer import _BLOCK_FRAMES
@@ -138,7 +139,7 @@ def test_assignment_permutation_invariance():
 
 def test_vectorized_distances_match_scalar_bitwise():
     # A frame gets the same distances whether it is scored alone or inside
-    # a batch spanning several blocks, so quantize and group_by_pose agree.
+    # a batch spanning several blocks, so quantize and the pooling pass agree.
     rng = rng_for(4, "vec")
     canon = random_canon(rng, m=5)
     frames = [random_pose(rng, visible_prob=0.6) for _ in range(_BLOCK_FRAMES + 20)]
@@ -163,13 +164,13 @@ def test_group_frequencies_sum_to_one(seed, n_frames):
     canon = random_canon(rng)
     tracklet = make_tracklet(rng, n_frames, visible_prob=0.8)
     try:
-        groups = group_by_pose(tracklet, canon)
+        record = pose_normalize([tracklet], canon, RepresentativeChoice())
     except AllFramesUnassignableError:
         return
-    assert abs(sum(groups.frequencies.values()) - 1.0) < 1e-12
-    assert list(groups.groups) == sorted(groups.groups)
-    total = sum(len(g) for g in groups.groups.values()) + len(groups.unassignable)
-    assert total == n_frames
+    assert abs(record.frequencies.sum() - 1.0) < 1e-12
+    _, freqs = naive_groups(tracklet, canon)
+    assert record.frequencies[0].tolist() == [freqs.get(j, 0.0) for j in canon.indices]
+    assert record.observed[0].tolist() == [j in freqs for j in canon.indices]
 
 
 def test_group_membership_and_unassignable_bookkeeping():
@@ -179,11 +180,14 @@ def test_group_membership_and_unassignable_bookkeeping():
     blind_pose = PoseVector(joints=np.zeros((8, 2)), visibility=np.zeros(8, dtype=bool))
     blind = FrameRecord(99, rng.normal(size=4), blind_pose)
     tracklet = Tracklet("t", "x", 0, tuple(good) + (blind,))
-    groups = group_by_pose(tracklet, canon)
-    assert groups.unassignable == (99,)
-    for j, members in groups.groups.items():
-        for f in members:
-            assert naive_assign(f.pose, canon) == j
+    record = pose_normalize([tracklet], canon, RepresentativeChoice())
+    # the blind frame counts toward the real mean but toward no pose
+    assert np.allclose(record.real_means[0], np.mean([f.feature for f in good + [blind]], axis=0))
+    for j in canon.indices:
+        members = [f.feature for f in good if naive_assign(f.pose, canon) == j]
+        assert record.frequencies[0, j - 1] == len(members) / len(good)
+        if members:
+            assert np.allclose(record.vectors[0, j - 1], np.mean(members, axis=0))
 
 
 def test_all_frames_unassignable_raises():
@@ -191,6 +195,6 @@ def test_all_frames_unassignable_raises():
     tracklet = Tracklet("t", "x", 0, (FrameRecord(0, np.ones(4), blind_pose),))
     rng = rng_for(6, "blind")
     with pytest.raises(AllFramesUnassignableError):
-        group_by_pose(tracklet, random_canon(rng))
+        pose_normalize([tracklet], random_canon(rng), RepresentativeChoice())
     with pytest.raises(AllFramesUnassignableError):
-        group_by_pose(Tracklet("t", "x", 0, ()), random_canon(rng))
+        pose_normalize([Tracklet("t", "x", 0, ())], random_canon(rng), RepresentativeChoice())

@@ -1,4 +1,4 @@
-"""Pose-normalized embeddings and the pose-weighted score."""
+"""The batched pose pass, the shared synthetic fetch, and the pose-weighted score."""
 
 import itertools
 
@@ -7,15 +7,17 @@ import pytest
 
 from naive_reference import naive_groups, naive_mean, naive_representative, naive_wpr_score
 from pdsr import (
-    CanonicalPoseSet,
+    AllFramesUnassignableError,
     EmptyUnionError,
     MissingSyntheticError,
-    PoseNormalizedEmbedding,
+    PoseRecord,
     PoseVector,
     RepresentativeChoice,
     SyntheticFeatureProvider,
     Tracklet,
     ZeroVectorError,
+    backfill_poses,
+    fetch_synthetic,
     pose_normalize,
     rng_for,
     wpr_score_matrix,
@@ -39,108 +41,154 @@ class DictProvider(SyntheticFeatureProvider):
             raise MissingSyntheticError(f"no vector for {(tracklet_id, pose)}") from None
 
 
-def make_emb(tid, spec, rep=0, m=3, d=3):
-    """spec: {pose: (vector, frequency)} of observed poses, on an m-pose axis."""
-    vectors = np.zeros((m, d))
-    frequencies = np.zeros(m)
-    for j, (v, f) in spec.items():
-        vectors[j - 1] = v
-        frequencies[j - 1] = f
-    return PoseNormalizedEmbedding(tid, rep, vectors, frequencies, frequencies > 0.0)
+def make_record(specs, m=3, d=3):
+    """specs: {tid: {pose: (vector, frequency)}} of observed poses, on an m-pose axis."""
+    vectors = np.zeros((len(specs), m, d))
+    frequencies = np.zeros((len(specs), m))
+    for t, spec in enumerate(specs.values()):
+        for j, (v, f) in spec.items():
+            vectors[t, j - 1] = v
+            frequencies[t, j - 1] = f
+    return PoseRecord(tuple(specs), (0,) * len(specs), np.zeros((len(specs), d)),
+                      vectors, frequencies, frequencies > 0.0)
 
 
-def wpr(a, b, provider, canon, **kwargs):
-    """Score of one pair through the batched scorer."""
-    return wpr_score_matrix([a], [b], provider, canon, **kwargs)[0, 0]
+def scores(record, probe_rows, provider, strict=True):
+    """WPR scores of the probe rows against all rows, backfilled by one fetch."""
+    wanted = backfill_poses(record, probe_rows)
+    synthetic, served = fetch_synthetic(record, provider, wanted, strict=strict)
+    return wpr_score_matrix(record, probe_rows, synthetic, served)
 
 
-def make_canon(m=3, k=5, seed=0):
-    rng = rng_for(seed, "reg-canon")
-    return CanonicalPoseSet(
-        poses=tuple(
-            PoseVector(joints=rng.uniform(0, 1, (k, 2)), visibility=np.ones(k, dtype=bool))
-            for _ in range(m)
-        )
+def wpr(a, b, gen):
+    """Score of one tracklet pair through a two-row record."""
+    return scores(pose_normalize([a, b], gen.canon, REP), [0], gen.provider)[0, 1]
+
+
+def all_pairs(gen):
+    """The record of every tracklet and the all-against-all score matrix."""
+    record = pose_normalize(gen.dataset.tracklets, gen.canon, REP)
+    return record, scores(record, range(len(record.tracklet_ids)), gen.provider)
+
+
+def shuffled(tracklet, rng):
+    order = rng.permutation(len(tracklet.frames))
+    return Tracklet(
+        tracklet.tracklet_id,
+        tracklet.identity,
+        tracklet.camera,
+        tuple(tracklet.frames[i] for i in order),
+        tracklet.probe,
     )
-
-
-def all_embeddings(gen):
-    return [pose_normalize(t, gen.canon, REP) for t in gen.dataset.tracklets]
 
 
 # ------------------------------------------------------- pose_normalize
 
 
 def test_pose_normalize_matches_group_oracle(noisy_gen):
-    for t in noisy_gen.dataset.tracklets:
-        emb = pose_normalize(t, noisy_gen.canon, REP)
+    record = pose_normalize(noisy_gen.dataset.tracklets, noisy_gen.canon, REP)
+    for row, t in enumerate(noisy_gen.dataset.tracklets):
         groups, freqs = naive_groups(t, noisy_gen.canon)
-        assert emb.representative_frame_id == naive_representative(t, "seeded-random", 0)
+        assert record.tracklet_ids[row] == t.tracklet_id
+        assert record.representative_frame_ids[row] == naive_representative(t, "seeded-random", 0)
         for j in noisy_gen.canon.indices:
-            assert emb.observed[j - 1] == (j in groups)
+            assert record.observed[row, j - 1] == (j in groups)
             if j in groups:
-                assert emb.frequencies[j - 1] == freqs[j]
-                assert np.allclose(emb.vectors[j - 1], naive_mean(groups[j]), atol=1e-15)
+                assert record.frequencies[row, j - 1] == freqs[j]
+                assert np.allclose(record.vectors[row, j - 1], naive_mean(groups[j]), atol=1e-15)
             else:
-                assert emb.frequencies[j - 1] == 0.0
-                assert not emb.vectors[j - 1].any()
+                assert record.frequencies[row, j - 1] == 0.0
+                assert not record.vectors[row, j - 1].any()
 
 
 def test_pose_normalize_orders_entries(noisy_gen):
-    # Row j - 1 belongs to canonical pose j, so the rows run in pose order.
-    m = len(noisy_gen.canon)
-    for t in noisy_gen.dataset.tracklets:
-        emb = pose_normalize(t, noisy_gen.canon, REP)
-        assert emb.vectors.shape == (m, t.frames[0].feature.shape[0])
-        assert emb.frequencies.shape == emb.observed.shape == (m,)
-        assert abs(emb.frequencies.sum() - 1.0) <= 1e-12
+    # Column j - 1 of the pose axis belongs to canonical pose j, so each
+    # row runs in pose order.
+    tracklets = noisy_gen.dataset.tracklets
+    record = pose_normalize(tracklets, noisy_gen.canon, REP)
+    t, m, d = len(tracklets), len(noisy_gen.canon), noisy_gen.dataset.feature_dim
+    assert record.vectors.shape == (t, m, d)
+    assert record.real_means.shape == (t, d)
+    assert record.frequencies.shape == record.observed.shape == (t, m)
+    assert (abs(record.frequencies.sum(axis=1) - 1.0) <= 1e-12).all()
+
+
+def test_batched_pass_equals_single_tracklet_pass_and_oracle(noisy_gen):
+    # Frames are stored shuffled; each row must come out as it does from a
+    # one-tracklet call, and match the per-frame oracle.
+    rng = rng_for(1, "batched-pass")
+    tracklets = [shuffled(t, rng) for t in noisy_gen.dataset.tracklets]
+    canon = noisy_gen.canon
+    record = pose_normalize(tracklets, canon, REP)
+    for row, t in enumerate(tracklets):
+        alone = pose_normalize([t], canon, REP)
+        assert alone.representative_frame_ids[0] == record.representative_frame_ids[row]
+        for field in ("real_means", "vectors", "frequencies", "observed"):
+            assert np.array_equal(getattr(alone, field)[0], getattr(record, field)[row]), field
+        groups, freqs = naive_groups(t, canon)
+        frames = [[float(x) for x in f.feature] for f in t.frames]
+        assert np.abs(record.real_means[row] - naive_mean(frames)).max() <= 1e-12
+        for j in canon.indices:
+            assert record.observed[row, j - 1] == (j in groups)
+            assert record.frequencies[row, j - 1] == freqs.get(j, 0.0)
+            expected = naive_mean(groups[j]) if j in groups else [0.0] * len(frames[0])
+            assert np.abs(record.vectors[row, j - 1] - expected).max() <= 1e-12
+
+
+def test_tracklet_without_assignable_frame_is_named(noisy_gen):
+    blind = PoseVector(joints=np.zeros((18, 2)), visibility=np.arange(18) < 3)
+    victim = noisy_gen.dataset.tracklets[2]
+    hidden = Tracklet(victim.tracklet_id, victim.identity, victim.camera,
+                      tuple(FrameRecord(f.frame_id, f.feature, blind) for f in victim.frames))
+    tracklets = list(noisy_gen.dataset.tracklets)
+    tracklets[2] = hidden
+    with pytest.raises(AllFramesUnassignableError, match=victim.tracklet_id):
+        pose_normalize(tracklets, noisy_gen.canon, REP)
 
 
 # ------------------------------------------------ union completion
 
 
 def test_align_pair_completes_union_and_weights():
-    canon = make_canon()
-    a = make_emb("a", {1: ([1.0, 0.0, 0.0], 0.6), 2: ([0.0, 1.0, 0.0], 0.4)})
-    b = make_emb("b", {2: ([0.0, 1.0, 0.0], 1.0)})
+    record = make_record({
+        "a": {1: ([1.0, 0.0, 0.0], 0.6), 2: ([0.0, 1.0, 0.0], 0.4)},
+        "b": {2: ([0.0, 1.0, 0.0], 1.0)},
+    })
     # pose 1 of b is backfilled at frequency 0; raw weights (0.6+0)/2 and
     # (0.4+1.0)/2 already sum to 1
     provider = DictProvider({("b", 1): [1.0, 1.0, 0.0]})
     expected = 0.3 * (1.0 / np.sqrt(2.0)) + 0.7 * 1.0
-    assert wpr(a, b, provider, canon) == pytest.approx(expected, abs=1e-15)
+    assert scores(record, [0], provider)[0, 1] == pytest.approx(expected, abs=1e-15)
 
 
 def test_align_pair_strict_raises_lenient_drops():
-    canon = make_canon()
-    a = make_emb("a", {1: ([1.0, 0.0, 0.0], 1.0)})
-    b = make_emb("b", {2: ([0.0, 1.0, 0.0], 1.0)})
+    record = make_record({"a": {1: ([1.0, 0.0, 0.0], 1.0)}, "b": {2: ([0.0, 1.0, 0.0], 1.0)}})
     # (b, 1) can be filled, (a, 2) cannot
     provider = DictProvider({("b", 1): [1.0, 1.0, 0.0]})
     with pytest.raises(MissingSyntheticError):
-        wpr(a, b, provider, canon, strict=True)
+        scores(record, [0], provider, strict=True)
     # only pose 1 survives, at nu = 1
-    assert wpr(a, b, provider, canon, strict=False) == pytest.approx(
+    assert scores(record, [0], provider, strict=False)[0, 1] == pytest.approx(
         1.0 / np.sqrt(2.0), abs=1e-15
     )
 
 
 def test_align_pair_lenient_with_nothing_left_raises():
     # One pair of the batch keeps no pose; the whole batch fails even
-    # though the other pair is scorable.
-    canon = make_canon()
-    a = make_emb("a", {1: ([1.0, 0.0, 0.0], 1.0)})
-    a2 = make_emb("a2", {2: ([0.0, 0.0, 1.0], 1.0)})
-    b = make_emb("b", {2: ([0.0, 1.0, 0.0], 1.0)})
+    # though the other pairs are scorable.
+    record = make_record({
+        "a": {1: ([1.0, 0.0, 0.0], 1.0)},
+        "a2": {2: ([0.0, 0.0, 1.0], 1.0)},
+        "b": {2: ([0.0, 1.0, 0.0], 1.0)},
+    })
     with pytest.raises(EmptyUnionError):
-        wpr_score_matrix([a, a2], [b], DictProvider({}), canon, strict=False)
+        scores(record, [0, 1], DictProvider({}), strict=False)
 
 
 def test_align_pair_empty_union_raises():
-    canon = make_canon()
-    a = make_emb("a", {})
-    b = make_emb("b", {})
+    record = make_record({"a": {}, "b": {}})
     with pytest.raises(EmptyUnionError):
-        wpr(a, b, DictProvider({}), canon)
+        scores(record, [0], DictProvider({}))
 
 
 # ---------------------------------------------------- pose-weighted score
@@ -165,40 +213,27 @@ def eight_pose_gen():
 
 def test_wpr_score_matches_naive_oracle(eight_pose_gen):
     gen = eight_pose_gen
-    embs = all_embeddings(gen)
+    record, matrix = all_pairs(gen)
     tracklets = gen.dataset.tracklets
-    for (ea, ta), (eb, tb) in itertools.combinations(zip(embs, tracklets), 2):
+    for a, b in itertools.combinations(range(len(tracklets)), 2):
         expected = naive_wpr_score(
-            ta, tb, gen.provider, gen.canon,
-            ea.representative_frame_id, eb.representative_frame_id,
+            tracklets[a], tracklets[b], gen.provider, gen.canon,
+            record.representative_frame_ids[a], record.representative_frame_ids[b],
         )
-        assert wpr(ea, eb, gen.provider, gen.canon) == pytest.approx(expected, abs=1e-12)
+        assert matrix[a, b] == pytest.approx(expected, abs=1e-12)
 
 
 def test_wpr_score_symmetry(noisy_gen):
-    embs = all_embeddings(noisy_gen)
-    for ea, eb in itertools.combinations(embs, 2):
-        ab = wpr(ea, eb, noisy_gen.provider, noisy_gen.canon)
-        ba = wpr(eb, ea, noisy_gen.provider, noisy_gen.canon)
-        assert abs(ab - ba) <= 1e-12
+    _, matrix = all_pairs(noisy_gen)
+    for a, b in itertools.combinations(range(matrix.shape[0]), 2):
+        assert abs(matrix[a, b] - matrix[b, a]) <= 1e-12
 
 
 def test_nu_sums_to_one(noisy_gen):
     # Every per-pose cosine of a tracklet with itself is 1, so its
     # self-score is sum(nu), which must be 1.
-    for emb in all_embeddings(noisy_gen):
-        assert abs(wpr(emb, emb, noisy_gen.provider, noisy_gen.canon) - 1.0) <= 1e-12
-
-
-def permuted(tracklet, rng):
-    order = rng.permutation(len(tracklet.frames))
-    return Tracklet(
-        tracklet.tracklet_id,
-        tracklet.identity,
-        tracklet.camera,
-        tuple(tracklet.frames[i] for i in order),
-        tracklet.probe,
-    )
+    _, matrix = all_pairs(noisy_gen)
+    assert (abs(np.diag(matrix) - 1.0) <= 1e-12).all()
 
 
 def duplicated(tracklet):
@@ -221,32 +256,15 @@ def test_frame_permutation_leaves_score_unchanged(noisy_gen):
     gen = noisy_gen
     rng = rng_for(0, "perm")
     a, b = gen.dataset.tracklets[0], gen.dataset.tracklets[5]
-    base = wpr(
-        pose_normalize(a, gen.canon, REP), pose_normalize(b, gen.canon, REP),
-        gen.provider, gen.canon,
-    )
+    base = wpr(a, b, gen)
     for _ in range(5):
-        score = wpr(
-            pose_normalize(permuted(a, rng), gen.canon, REP),
-            pose_normalize(permuted(b, rng), gen.canon, REP),
-            gen.provider, gen.canon,
-        )
-        assert abs(score - base) <= 1e-12
+        assert abs(wpr(shuffled(a, rng), shuffled(b, rng), gen) - base) <= 1e-12
 
 
 def test_whole_tracklet_duplication_leaves_score_unchanged(noisy_gen):
     gen = noisy_gen
     for a, b in itertools.combinations(gen.dataset.tracklets[:5], 2):
-        base = wpr(
-            pose_normalize(a, gen.canon, REP), pose_normalize(b, gen.canon, REP),
-            gen.provider, gen.canon,
-        )
-        doubled = wpr(
-            pose_normalize(duplicated(a), gen.canon, REP),
-            pose_normalize(duplicated(b), gen.canon, REP),
-            gen.provider, gen.canon,
-        )
-        assert abs(doubled - base) <= 1e-12
+        assert abs(wpr(duplicated(a), duplicated(b), gen) - wpr(a, b, gen)) <= 1e-12
 
 
 # ----------------------------------------------------- wpr_score_matrix
@@ -254,19 +272,18 @@ def test_whole_tracklet_duplication_leaves_score_unchanged(noisy_gen):
 
 def test_matrix_equals_per_pair_path(noisy_gen):
     gen = noisy_gen
-    embs = all_embeddings(gen)
     tracklets = gen.dataset.tracklets
-    probes, gallery = embs[:4], embs  # overlap on purpose
-    matrix = wpr_score_matrix(probes, gallery, gen.provider, gen.canon)
-    assert matrix.shape == (4, len(embs))
-    for i, (ea, ta) in enumerate(zip(probes, tracklets)):
-        for k, (eb, tb) in enumerate(zip(gallery, tracklets)):
-            if ea.tracklet_id == eb.tracklet_id:
+    record = pose_normalize(tracklets, gen.canon, REP)
+    matrix = scores(record, [0, 1, 2, 3], gen.provider)  # probes are rows too
+    assert matrix.shape == (4, len(tracklets))
+    reps = record.representative_frame_ids
+    for i in range(4):
+        for k in range(len(tracklets)):
+            if i == k:
                 assert abs(matrix[i, k] - 1.0) <= 1e-12
                 continue
             expected = naive_wpr_score(
-                ta, tb, gen.provider, gen.canon,
-                ea.representative_frame_id, eb.representative_frame_id,
+                tracklets[i], tracklets[k], gen.provider, gen.canon, reps[i], reps[k]
             )
             assert abs(matrix[i, k] - expected) <= 1e-12
 
@@ -275,60 +292,52 @@ def test_matrix_single_pair_equals_direct_score(eight_pose_gen):
     # A pair scores the same alone as inside a batch whose pose axis also
     # carries poses neither side of the pair observes.
     gen = eight_pose_gen
-    embs = all_embeddings(gen)
-    single = wpr_score_matrix(embs[:1], embs[1:2], gen.provider, gen.canon)
-    batch = wpr_score_matrix(embs[:1], embs, gen.provider, gen.canon)
-    assert single.shape == (1, 1)
-    assert abs(single[0, 0] - batch[0, 1]) <= 1e-12
+    a, b = gen.dataset.tracklets[:2]
+    record = pose_normalize(gen.dataset.tracklets, gen.canon, REP)
+    batch = scores(record, [0], gen.provider)
+    assert batch.shape == (1, len(gen.dataset.tracklets))
+    assert abs(wpr(a, b, gen) - batch[0, 1]) <= 1e-12
 
 
 def test_matrix_empty_inputs_give_empty_scores():
-    canon = make_canon()
-    some = make_emb("a", {1: ([1.0, 0.0, 0.0], 1.0)})
-    assert wpr_score_matrix([], [some], DictProvider({}), canon).shape == (0, 1)
-    assert wpr_score_matrix([some], [], DictProvider({}), canon).shape == (1, 0)
+    record = make_record({"a": {1: ([1.0, 0.0, 0.0], 1.0)}})
+    assert scores(record, [], DictProvider({})).shape == (0, 1)
+    assert scores(make_record({}), [], DictProvider({})).shape == (0, 0)
 
 
 def test_matrix_only_queries_poses_a_pair_can_need():
-    # Probe "a" never meets pose 2 in any union it belongs to (the gallery
-    # observes only pose 1), so a provider gap at ("a", 2) must not matter
-    # even though pose 2 is on the batch axis via probe "b".
-    canon = make_canon()
-    a = make_emb("a", {1: ([1.0, 0.0, 0.0], 1.0)})
-    b = make_emb("b", {2: ([0.0, 1.0, 0.0], 1.0)})
-    g = make_emb("g", {1: ([1.0, 1.0, 0.0], 1.0)})
-    provider = DictProvider({("b", 1): [0.5, 0.5, 0.0], ("g", 2): [0.0, 1.0, 1.0]})
-    matrix = wpr_score_matrix([a, b], [g], provider, canon, strict=True)
-    # (a, g) meet on pose 1 only; (b, g) weigh poses 1 and 2 by 1/2 each
-    expected = (1.0 / np.sqrt(2.0), 0.5 * 1.0 + 0.5 / np.sqrt(2.0))
-    for row in range(2):
-        assert abs(matrix[row, 0] - expected[row]) <= 1e-12
+    # Probe "a" meets every pose some row observes, but "g" and "h" only
+    # ever meet pose 1, the probe's; provider gaps at (g, 3) and (h, 2)
+    # must not matter even in strict mode.
+    record = make_record({
+        "a": {1: ([1.0, 0.0, 0.0], 1.0)},
+        "g": {2: ([0.0, 1.0, 0.0], 1.0)},
+        "h": {3: ([0.0, 0.0, 1.0], 1.0)},
+    })
+    table = {("a", 2): [0.0, 1.0, 1.0], ("a", 3): [0.0, 0.0, 1.0],
+             ("g", 1): [1.0, 1.0, 0.0], ("h", 1): [1.0, 0.0, 1.0]}
+    assert backfill_poses(record, [0]).tolist() == [
+        [False, True, True], [True, False, False], [True, False, False]
+    ]
+    matrix = scores(record, [0], DictProvider(table), strict=True)
+    # (a, g) weigh poses 1 and 2 by 1/2 each, (a, h) poses 1 and 3
+    expected = (1.0, 1.0 / np.sqrt(2.0), 0.5 / np.sqrt(2.0) + 0.5)
+    for col in range(3):
+        assert abs(matrix[0, col] - expected[col]) <= 1e-12
     # ... but a gap at a pose some pair does need fails loudly in strict mode
-    short = DictProvider({("b", 1): [0.5, 0.5, 0.0]})
+    del table[("g", 1)]
     with pytest.raises(MissingSyntheticError):
-        wpr_score_matrix([a, b], [g], short, canon, strict=True)
+        scores(record, [0], DictProvider(table), strict=True)
 
 
 def test_matrix_lenient_pair_with_no_shared_pose_raises():
-    canon = make_canon()
-    a = make_emb("a", {1: ([1.0, 0.0, 0.0], 1.0)})
-    g = make_emb("g", {2: ([0.0, 1.0, 0.0], 1.0)})
+    record = make_record({"a": {1: ([1.0, 0.0, 0.0], 1.0)}, "g": {2: ([0.0, 1.0, 0.0], 1.0)}})
     with pytest.raises(EmptyUnionError):
-        wpr_score_matrix([a], [g], DictProvider({}), canon, strict=False)
-
-
-def test_matrix_rejects_pose_outside_canonical_set():
-    canon = make_canon(m=3)
-    a = make_emb("a", {7: ([1.0, 0.0, 0.0], 1.0)}, m=7)
-    g = make_emb("g", {1: ([0.0, 1.0, 0.0], 1.0)})
-    with pytest.raises(ValueError):
-        wpr_score_matrix([a], [g], DictProvider({}), canon)
+        scores(record, [0], DictProvider({}), strict=False)
 
 
 def test_matrix_rejects_zero_synthetic_vector():
-    canon = make_canon()
-    a = make_emb("a", {1: ([1.0, 0.0, 0.0], 1.0)})
-    g = make_emb("g", {2: ([0.0, 1.0, 0.0], 1.0)})
+    record = make_record({"a": {1: ([1.0, 0.0, 0.0], 1.0)}, "g": {2: ([0.0, 1.0, 0.0], 1.0)}})
     provider = DictProvider({("a", 2): [0.0, 0.0, 0.0], ("g", 1): [1.0, 1.0, 0.0]})
     with pytest.raises(ZeroVectorError):
-        wpr_score_matrix([a], [g], provider, canon)
+        scores(record, [0], provider)
