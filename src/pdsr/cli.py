@@ -38,7 +38,7 @@ from .generator import generate, load_gen_spec
 from .model import CanonicalPoseSet, Dataset, validate_dataset
 from .providers import RepresentativeChoice, fetch_synthetic, file_backed_provider
 from .quantizer import assignment_distances, nearest_poses
-from .regulation import pose_normalize
+from .regulation import pose_normalize, tracklet_means
 
 ENV_CONFIG = "PDSR_CONFIG"
 _MODE_NAMES = [m.value for m in EvalMode]
@@ -158,10 +158,12 @@ def synthgen(obj: CliContext, spec_path: Path, out_dir: Path):
 
     # The planted provider ignores the representative frame, so any draw
     # writes the same vectors; rows run in (tracklet, pose) order.
-    record = pose_normalize(gen.dataset.tracklets, gen.canon, RepresentativeChoice())
-    synthetic, _ = fetch_synthetic(record, gen.provider, np.ones(record.observed.shape, dtype=bool))
-    rows = synthetic.reshape(-1, synthetic.shape[2])
+    record = tracklet_means(gen.dataset.tracklets, RepresentativeChoice())
     m = len(gen.canon)
+    synthetic, _ = fetch_synthetic(
+        record, gen.provider, np.ones((len(record.tracklet_ids), m), dtype=bool)
+    )
+    rows = synthetic.reshape(-1, synthetic.shape[2])
     index = {
         (tid, j): t * m + j - 1 for t, tid in enumerate(record.tracklet_ids) for j in gen.canon.indices
     }
@@ -223,11 +225,11 @@ def embed(obj: CliContext, mode: str, weight: float, out_path: Path,
     dataset, canon = _load_inputs(obj)
     config = _config(obj, weight)
     tracklets = sorted(dataset.tracklets, key=lambda t: t.tracklet_id)
-    record = pose_normalize(tracklets, canon, config.representative)
 
     if mode == "wf":
+        record = tracklet_means(tracklets, config.representative)
         synthetic, served = fetch_synthetic(
-            record, _provider(obj), np.ones(record.observed.shape, dtype=bool),
+            record, _provider(obj), np.ones((len(tracklets), len(canon)), dtype=bool),
             strict=config.strict,
         )
         rows = wf_embeddings(record, synthetic, served, config.fusion_weight)
@@ -238,6 +240,7 @@ def embed(obj: CliContext, mode: str, weight: float, out_path: Path,
             )
         click.echo(f"{rows.shape[0]} wf embeddings (w={weight}) -> {out_path}")
     else:
+        record = pose_normalize(tracklets, canon, config.representative)
         dataset_io.write_pose_embeddings(record, index_path, out_path)
         click.echo(
             f"{int(record.observed.sum())} pose entries over "

@@ -22,7 +22,13 @@ import numpy as np
 from .fusion import DEFAULT_FUSION_WEIGHT, wf_embeddings
 from .model import CanonicalPoseSet, Dataset, Tracklet
 from .providers import RepresentativeChoice, SyntheticFeatureProvider, fetch_synthetic
-from .regulation import backfill_poses, pose_normalize, wpr_score_matrix
+from .regulation import (
+    backfill_poses,
+    pose_normalize,
+    real_means,
+    tracklet_means,
+    wpr_score_matrix,
+)
 from .seeding import rng_for
 from .similarity import cosine_matrix
 
@@ -230,24 +236,29 @@ def score_matrix(
 ) -> np.ndarray:
     """Scores of every probe against every tracklet (ascending id axis).
 
-    Every mode reads one pose record of all tracklets; WF and WPR read one
-    synthetic fetch.  `provider` may be None in BASELINE mode, which uses
-    no synthetics.
+    Each mode pools all tracklets in one pass: BASELINE and WF read real
+    means only, WPR and fused a pose record.  WF and WPR read one synthetic
+    fetch.  `provider` may be None in BASELINE mode, which uses no
+    synthetics.
     """
     if provider is None and mode is not EvalMode.BASELINE:
         raise ValueError(f"mode {mode.value!r} needs a synthetic feature provider")
-    record = pose_normalize(
-        sorted(dataset.tracklets, key=lambda t: t.tracklet_id), canon, config.representative
-    )
-    row = {tid: i for i, tid in enumerate(record.tracklet_ids)}
+    tracklets = sorted(dataset.tracklets, key=lambda t: t.tracklet_id)
+    row = {t.tracklet_id: i for i, t in enumerate(tracklets)}
     probe_rows = [row[c.probe_id] for c in cases]
     if mode is EvalMode.BASELINE:
-        return cosine_matrix(record.real_means[probe_rows], record.real_means)
+        means = real_means(tracklets)
+        return cosine_matrix(means[probe_rows], means)
 
-    if mode is EvalMode.WPR:
-        wanted = backfill_poses(record, probe_rows)
-    else:  # WF averages every canonical pose; WPR backfills from the same cells
-        wanted = np.ones(record.observed.shape, dtype=bool)
+    # WF averages every canonical pose; WPR backfills only what a pair can need.
+    wanted = np.ones((len(tracklets), len(canon)), dtype=bool)
+    if mode is EvalMode.WF:
+        record = tracklet_means(tracklets, config.representative)
+    else:
+        record = pose_normalize(tracklets, canon, config.representative)
+        backfill = backfill_poses(record, probe_rows)
+        if mode is EvalMode.WPR:
+            wanted = backfill
     synthetic, served = fetch_synthetic(record, provider, wanted, strict=config.strict)
     if mode is not EvalMode.WPR:
         emb = wf_embeddings(record, synthetic, served, config.fusion_weight)
@@ -256,7 +267,7 @@ def score_matrix(
         if mode is EvalMode.WF:
             return cos
 
-    wpr = wpr_score_matrix(record, probe_rows, synthetic, served)
+    wpr = wpr_score_matrix(record, probe_rows, synthetic, backfill & served)
     if mode is EvalMode.WPR:
         return wpr
     return fuse_scores(cos, wpr)

@@ -5,10 +5,11 @@ The fused embedding of a tracklet is
     w * mean(real frame features)  +  mean(synthetic per-pose features)
 
 with the synthetic mean taken over the canonical poses the provider can
-serve.  Both means come batched: the real means from a PoseRecord (segment
-sums in frame-id order), the synthetic ones from the tensor
+serve.  Both means come batched: the real means from a TrackletMeans
+record (segment sums in frame-id order), the synthetic ones from the tensor
 `fetch_synthetic` returns, summed over the pose axis in pose order and
-divided by the number of served poses.  No re-normalization happens after
+divided by the number of served poses.  WF assigns no frame a pose, so a
+tracklet whose frames all miss the quantizer still fuses.  No re-normalization happens after
 fusion: downstream cosine scoring absorbs global scale, so `w` is the
 single knob balancing the two branches.
 """
@@ -18,14 +19,14 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import MissingSyntheticError
-from .model import PoseRecord
+from .model import TrackletMeans
 
 #: Default fusion weight; the empirically best-performing setting.
 DEFAULT_FUSION_WEIGHT = 4.0
 
 
 def wf_embeddings(
-    record: PoseRecord, synthetic: np.ndarray, served: np.ndarray, w: float
+    record: TrackletMeans, synthetic: np.ndarray, served: np.ndarray, w: float
 ) -> np.ndarray:
     """Fused (T, d) embeddings of a record under weight w.
 

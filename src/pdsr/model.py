@@ -111,19 +111,28 @@ class CanonicalPoseSet:
 
 
 @dataclass(frozen=True, eq=False)
-class PoseRecord:
-    """Real means and per-canonical-pose pooled features of T tracklets.
+class TrackletMeans:
+    """Real-frame means of T tracklets and the frames their synthetics condition on.
 
-    Row t belongs to `tracklet_ids[t]`; along the pose axis, column j - 1
-    belongs to canonical pose j.  A pose no frame of a tracklet maps to has
-    a zero vector, frequency 0 and `observed` False.  Each tracklet's
-    representative frame is drawn once, here, so every synthetic query of
-    a run conditions on the same frame.
+    Row t belongs to `tracklet_ids[t]`.  Each tracklet's representative
+    frame is drawn once, here, so every synthetic query of a run
+    conditions on the same frame.
     """
 
     tracklet_ids: tuple[str, ...]
     representative_frame_ids: tuple[int, ...]
     real_means: np.ndarray  # (T, d) mean feature of all frames
+
+
+@dataclass(frozen=True, eq=False)
+class PoseRecord(TrackletMeans):
+    """TrackletMeans plus per-canonical-pose pooled features.
+
+    Along the pose axis, column j - 1 belongs to canonical pose j.  A pose
+    no frame of a tracklet maps to has a zero vector, frequency 0 and
+    `observed` False.
+    """
+
     vectors: np.ndarray  # (T, M, d) mean feature of the frames assigned to each pose
     frequencies: np.ndarray  # (T, M) fraction of assignable frames per pose
     observed: np.ndarray  # (T, M) bool

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FileFormatError, MissingSyntheticError
-from .model import PoseRecord, Tracklet
+from .model import Tracklet, TrackletMeans
 from .seeding import rng_for
 
 
@@ -63,21 +63,21 @@ def choose_representative(tracklet: Tracklet, choice: RepresentativeChoice) -> i
 
 
 def fetch_synthetic(
-    record: PoseRecord,
+    record: TrackletMeans,
     provider: SyntheticFeatureProvider,
     wanted: np.ndarray,
     *,
     strict: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Synthetic (T, M, d) tensor and (T, M) served mask for a record's wanted cells.
+    """Synthetic (T, M, d) tensor and (T, M) served mask for the wanted (T, M) cells.
 
     Each wanted (tracklet, pose) cell is queried once, conditioned on the
     tracklet's representative frame.  In strict mode a miss propagates; in
     lenient mode it leaves the cell unserved.  Cells not served hold zeros.
     """
-    synthetic = np.zeros(record.vectors.shape)
+    dim = record.real_means.shape[1]
+    synthetic = np.zeros(wanted.shape + (dim,))
     served = np.zeros(wanted.shape, dtype=bool)
-    dim = synthetic.shape[2]
     for t, j in zip(*(axis.tolist() for axis in np.nonzero(wanted))):
         try:
             vector = provider.query(

@@ -1,13 +1,15 @@
-"""Pose-regulated, frequency-weighted pose-wise matching.
+"""Batched pooling of tracklets, and pose-regulated, frequency-weighted matching.
 
-`pose_normalize` reduces a set of tracklets to one PoseRecord in a single
-batched pass: one quantizer call assigns every frame its canonical pose,
-and segment sums over rows in frame-id order give each tracklet's real
-mean and, per (tracklet, pose), the pooled feature and the fraction of
-assignable frames.  To match two tracklets, both sides are completed over
-the union of their observed poses (missing poses filled from the synthetic
-tensor at frequency zero), and the pair score is the per-pose cosine
-weighted by the averaged pose frequencies, normalized to sum 1:
+Every pooling here is one pass over a whole set of tracklets: segment sums
+over rows in frame-id order give each tracklet's real mean (`real_means`,
+`tracklet_means`), and `pose_normalize` adds one quantizer call that
+assigns every frame its canonical pose and, per (tracklet, pose), the
+pooled feature and the fraction of assignable frames.  Only WPR needs
+poses, so only it pays for the quantizer.  To match two tracklets, both
+sides are completed over the union of their observed poses (missing poses
+filled from the synthetic tensor at frequency zero), and the pair score is
+the per-pose cosine weighted by the averaged pose frequencies, normalized
+to sum 1:
 
     score = sum_j nu_j * cosine(left_j, right_j),   sum_j nu_j = 1
 
@@ -25,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AllFramesUnassignableError, EmptyUnionError, ZeroVectorError
-from .model import CanonicalPoseSet, PoseRecord, Tracklet
+from .model import CanonicalPoseSet, FrameRecord, PoseRecord, Tracklet, TrackletMeans
 from .providers import RepresentativeChoice, choose_representative
 from .quantizer import assignment_distances, nearest_poses
 
@@ -45,11 +47,41 @@ def _segment_means(
     return keys[starts], sizes, sums
 
 
+def _flatten(tracklets: Sequence[Tracklet]) -> tuple[list[FrameRecord], np.ndarray]:
+    """Every frame, tracklet by tracklet in frame-id order, and its tracklet's row."""
+    frames = [t.frames_by_id() for t in tracklets]
+    row = np.repeat(np.arange(len(frames)), [len(f) for f in frames])
+    return [f for fs in frames for f in fs], row
+
+
+def _pooled(flat: list[FrameRecord], row: np.ndarray) -> np.ndarray:
+    """(T, d) mean of each row's frames; every row must have a frame."""
+    return _segment_means(np.stack([f.feature for f in flat]), row)[2]
+
+
 def _fail_first(bad: np.ndarray, ids: Sequence[str], message: str) -> None:
     """Raise AllFramesUnassignableError naming the first tracklet flagged `bad`."""
     if bad.any():
         tid = ids[int(np.argmax(bad))]
         raise AllFramesUnassignableError(message.format(tid=tid))
+
+
+def real_means(tracklets: Sequence[Tracklet]) -> np.ndarray:
+    """(T, d) mean feature of each tracklet's frames, pooled in one pass."""
+    flat, row = _flatten(tracklets)
+    empty = np.bincount(row, minlength=len(tracklets)) == 0
+    if empty.any():
+        raise ValueError(f"tracklet {tracklets[int(np.argmax(empty))].tracklet_id!r} has no frames")
+    return _pooled(flat, row)
+
+
+def tracklet_means(tracklets: Sequence[Tracklet], rep: RepresentativeChoice) -> TrackletMeans:
+    """Real means of the tracklets and each one's representative frame, drawn once."""
+    return TrackletMeans(
+        tracklet_ids=tuple(t.tracklet_id for t in tracklets),
+        representative_frame_ids=tuple(choose_representative(t, rep) for t in tracklets),
+        real_means=real_means(tracklets),
+    )
 
 
 def pose_normalize(
@@ -59,28 +91,23 @@ def pose_normalize(
 ) -> PoseRecord:
     """Pool every tracklet's frames, in one pass, into a record with one row each.
 
+    A tracklet no frame of which maps to a canonical pose is an error.
     Missing poses are not filled here; which ones are needed depends on the
-    matching partners, so backfill happens at scoring time.  Each
-    representative frame is drawn now so all provider queries agree.
+    matching partners, so backfill happens at scoring time.
     """
     ids = tuple(t.tracklet_id for t in tracklets)
-    frames = [t.frames_by_id() for t in tracklets]
-    counts = np.array([len(f) for f in frames], dtype=np.int64)
-    _fail_first(counts == 0, ids, "tracklet {tid!r} has no frames")
-    flat = [f for fs in frames for f in fs]  # tracklet, then frame-id order
-    row = np.repeat(np.arange(len(ids)), counts)
-    _, _, real_means = _segment_means(np.stack([f.feature for f in flat]), row)
-
+    flat, row = _flatten(tracklets)
     nearest, _ = nearest_poses(assignment_distances([f.pose for f in flat], canon))
-    pose = np.array([0 if j is None else j for j in nearest])  # 0: unassignable
+    pose = np.array([0 if j is None else j for j in nearest], dtype=np.int64)  # 0: unassignable
     assigned = np.flatnonzero(pose)
     assignable = np.bincount(row[assigned], minlength=len(ids))
     _fail_first(assignable == 0, ids, "no frame of tracklet {tid!r} maps to any canonical pose")
+    real = _pooled(flat, row)
     m = len(canon)
     cell = row * m + pose - 1
     # A stable sort keeps frame-id order inside each (tracklet, pose) run.
     order = assigned[np.argsort(cell[assigned], kind="stable")]
-    # Stacked afresh, not gathered from the matrix above: the pass then
+    # Stacked afresh, not gathered from a stacked matrix: the pass then
     # never holds two (N, d) arrays at once.
     cells, sizes, means = _segment_means(
         np.stack([flat[i].feature for i in order.tolist()]), cell[order]
@@ -94,7 +121,7 @@ def pose_normalize(
     return PoseRecord(
         tracklet_ids=ids,
         representative_frame_ids=tuple(choose_representative(t, rep) for t in tracklets),
-        real_means=real_means,
+        real_means=real,
         vectors=vectors,
         frequencies=members / assignable[:, None],
         observed=members > 0,
@@ -119,19 +146,20 @@ def wpr_score_matrix(
     record: PoseRecord,
     probe_rows: Sequence[int],
     synthetic: np.ndarray,
-    served: np.ndarray,
+    backfilled: np.ndarray,
 ) -> np.ndarray:
     """Score the probe rows of a record against all of its rows.
 
-    `synthetic` and `served` are `fetch_synthetic`'s tensor and mask, taken
-    where `backfill_poses` asks for them; a cell it asked for but that was
-    not served (lenient mode) is dropped from every pair union it is in (nu
-    renormalized over what remains).  The per-pose accumulation runs in
-    increasing pose index, so repeated evaluations are bitwise reproducible.
+    `synthetic` is `fetch_synthetic`'s tensor and `backfilled` the (T, M)
+    cells of it that take part: those `backfill_poses` asks for that the
+    provider served.  A cell asked for but not served (lenient mode) is
+    dropped from every pair union it is in (nu renormalized over what
+    remains).  The per-pose accumulation runs in increasing pose index, so
+    repeated evaluations are bitwise reproducible.
     """
     p = list(probe_rows)
     observed = record.observed
-    avail = observed | (backfill_poses(record, p) & served)
+    avail = observed | backfilled
     numer = np.zeros((len(p), len(record.tracklet_ids)))
     denom = np.zeros_like(numer)
     for m in np.flatnonzero(observed.any(axis=0)).tolist():

@@ -26,6 +26,7 @@ from pdsr import (
     pose_normalize,
     rng_for,
     score_matrix,
+    tracklet_means,
     wpr_score_matrix,
 )
 from pdsr.cli import main
@@ -135,9 +136,9 @@ def test_criterion_3_wf_limit_consistency():
             ProtocolConfig(seed=config.seed, fusion_weight=0.0), EvalMode.WF,
         )
         by_id = gen.dataset.by_id()
-        record = pose_normalize([by_id[tid] for tid in all_ids], gen.canon, config.representative)
+        record = tracklet_means([by_id[tid] for tid in all_ids], config.representative)
         synthetic, served = fetch_synthetic(
-            record, gen.provider, np.ones(record.observed.shape, dtype=bool)
+            record, gen.provider, np.ones((len(all_ids), len(gen.canon)), dtype=bool)
         )
         synth = synthetic.sum(axis=1) / served.sum(axis=1)[:, None]
         probe_rows = np.stack([synth[col[c.probe_id]] for c in cases])

@@ -305,6 +305,29 @@ def test_missing_input_file_is_an_error_not_a_traceback(tmp_path):
         assert "Traceback" not in result.stderr
 
 
+def test_tracklet_without_assignable_frame_fails_only_wpr(workspace, tmp_path):
+    root, flags = workspace
+    data = root / "data"
+    manifest = json.loads((data / "manifest.json").read_text())
+    victim = manifest["tracklets"][0]
+    for f in victim["frames"]:  # every frame shows only 3 joints
+        for joint in f["keypoints"][3:]:
+            joint[2] = 0
+    blind = tmp_path / "blind.json"
+    blind.write_text(json.dumps(manifest))
+    flags = flags[:]
+    flags[flags.index("--manifest") + 1] = str(blind)
+    run(flags + ["embed", "--mode", "wf", "--out", str(tmp_path / "wf.bin")])
+    for mode in ("baseline", "wf"):
+        run(flags + ["match", "--probe", victim["tracklet_id"], "--mode", mode])
+    result = CliRunner().invoke(
+        main, flags + ["embed", "--mode", "wpr", "--out", str(tmp_path / "wpr.bin"),
+                       "--index", str(tmp_path / "wpr.tsv")]
+    )
+    assert result.exit_code == 1
+    assert victim["tracklet_id"] in result.output and "canonical pose" in result.output
+
+
 def test_match_modes_all_run(workspace, tmp_path):
     _, flags = workspace
     for mode in ("baseline", "wf", "wpr", "wf+wpr"):

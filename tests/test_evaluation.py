@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from naive_reference import naive_ap, naive_rank
+from naive_reference import naive_ap, naive_baseline_vec, naive_cosine, naive_rank, naive_wf_vec
 from pdsr import (
     DISTRACTOR,
+    AllFramesUnassignableError,
     CanonicalPoseSet,
     Dataset,
     EvalMode,
@@ -342,6 +343,43 @@ def test_fused_evaluation_queries_each_key_at_most_once(noisy_gen, strict):
     evaluate(noisy_gen.dataset, noisy_gen.canon, provider, config, EvalMode.FUSED)
     assert len(provider.keys) == len(set(provider.keys))
     assert len(provider.keys) == len(noisy_gen.dataset.tracklets) * len(noisy_gen.canon)
+
+
+def occluded(tracklet):
+    """The tracklet with every frame showing only 3 joints: no frame maps to a pose."""
+    frames = tuple(
+        FrameRecord(f.frame_id, f.feature,
+                    PoseVector(f.pose.joints, np.arange(len(f.pose.joints)) < 3))
+        for f in tracklet.frames
+    )
+    return Tracklet(tracklet.tracklet_id, tracklet.identity, tracklet.camera, frames, tracklet.probe)
+
+
+def test_pose_free_modes_score_a_tracklet_without_assignable_frame(small_gen):
+    # Baseline and WF read no pose; only WPR needs the frames to map to one.
+    ds = small_gen.dataset
+    victim = ds.tracklets[1]
+    tracklets = tuple(occluded(t) if t is victim else t for t in ds.tracklets)
+    dataset = Dataset(ds.name, ds.feature_dim, ds.joint_count, ds.num_poses,
+                      ds.camera_count, tracklets)
+    config = ProtocolConfig(seed=0)
+    cases = build_protocol(dataset, config.seed)
+    col = sorted(t.tracklet_id for t in tracklets).index(victim.tracklet_id)
+    by_id = dataset.by_id()
+    m = len(small_gen.canon)
+    naive = {
+        EvalMode.BASELINE: naive_baseline_vec,
+        EvalMode.WF: lambda t: naive_wf_vec(t, small_gen.provider, m, 4.0, 0),
+    }
+    for mode, vec in naive.items():
+        scores = score_matrix(dataset, small_gen.canon, small_gen.provider, cases, config, mode)
+        for case, row in zip(cases, scores):
+            expected = naive_cosine(vec(by_id[case.probe_id]), vec(by_id[victim.tracklet_id]))
+            assert row[col] == pytest.approx(expected, abs=1e-12)
+        assert evaluate(dataset, small_gen.canon, small_gen.provider, config, mode).num_scored
+    for mode in (EvalMode.WPR, EvalMode.FUSED):
+        with pytest.raises(AllFramesUnassignableError, match=victim.tracklet_id):
+            evaluate(dataset, small_gen.canon, small_gen.provider, config, mode)
 
 
 def test_evaluate_rejects_non_finite_scores():

@@ -5,7 +5,6 @@ import pytest
 
 from naive_reference import naive_cosine, naive_rank, naive_synth_mean, naive_wf_vec
 from pdsr import (
-    AllFramesUnassignableError,
     CanonicalPoseSet,
     Dataset,
     EvalMode,
@@ -21,9 +20,10 @@ from pdsr import (
     ZeroVectorError,
     cosine_matrix,
     fetch_synthetic,
-    pose_normalize,
+    real_means,
     rng_for,
     score_matrix,
+    tracklet_means,
     wf_embeddings,
 )
 
@@ -62,29 +62,28 @@ class PoseOnlyProvider(SyntheticFeatureProvider):
         return np.array(self._vectors[pose - 1], dtype=np.float64)
 
 
-def fetch_all(record, provider, strict=True):
+def fetch_all(record, provider, canon, strict=True):
     """Synthetic tensor and served mask over every canonical pose, as WF asks."""
-    return fetch_synthetic(record, provider, np.ones(record.observed.shape, dtype=bool),
-                           strict=strict)
+    wanted = np.ones((len(record.tracklet_ids), len(canon)), dtype=bool)
+    return fetch_synthetic(record, provider, wanted, strict=strict)
 
 
 def wf_vectors(tracklets, provider, canon, w):
     """WF embeddings of the tracklets through the batched pass and one fetch."""
-    record = pose_normalize(tracklets, canon, REP)
-    return wf_embeddings(record, *fetch_all(record, provider), w)
+    record = tracklet_means(tracklets, REP)
+    return wf_embeddings(record, *fetch_all(record, provider, canon), w)
 
 
 def test_baseline_is_frame_mean_and_order_invariant():
     rng = rng_for(0, "wf")
     t = make_tracklet(rng)
-    canon = make_canon(rng)
     expected = np.mean(np.stack([f.feature for f in t.frames]), axis=0)
-    real = pose_normalize([t], canon, REP).real_means[0]
+    real = real_means([t])[0]
     assert np.allclose(real, expected, atol=1e-15)
     shuffled = Tracklet("t0", "x", 0, tuple(reversed(t.frames)))
-    assert np.array_equal(real, pose_normalize([shuffled], canon, REP).real_means[0])
-    with pytest.raises(AllFramesUnassignableError):
-        pose_normalize([Tracklet("t0", "x", 0, ())], canon, REP)
+    assert np.array_equal(real, real_means([shuffled])[0])
+    with pytest.raises(ValueError):
+        real_means([Tracklet("t0", "x", 0, ())])
 
 
 def test_synthetic_mean_over_all_canonical_poses():
@@ -92,8 +91,8 @@ def test_synthetic_mean_over_all_canonical_poses():
     t = make_tracklet(rng)
     canon = make_canon(rng)
     vectors = rng.normal(size=(3, 6))
-    record = pose_normalize([t], canon, REP)
-    synthetic, served = fetch_all(record, PoseOnlyProvider(vectors))
+    record = tracklet_means([t], REP)
+    synthetic, served = fetch_all(record, PoseOnlyProvider(vectors), canon)
     assert served.sum() == 3
     mean = wf_embeddings(record, synthetic, served, 0.0)[0]
     assert np.allclose(mean, vectors.mean(axis=0), atol=1e-15)
@@ -104,17 +103,17 @@ def test_synthetic_mean_strict_vs_lenient():
     t = make_tracklet(rng)
     canon = make_canon(rng)
     vectors = rng.normal(size=(3, 6))
-    record = pose_normalize([t], canon, REP)
+    record = tracklet_means([t], REP)
     partial = PoseOnlyProvider(vectors, missing={2})
     with pytest.raises(MissingSyntheticError):
-        fetch_all(record, partial, strict=True)
-    synthetic, served = fetch_all(record, partial, strict=False)
+        fetch_all(record, partial, canon, strict=True)
+    synthetic, served = fetch_all(record, partial, canon, strict=False)
     assert served.sum() == 2
     mean = wf_embeddings(record, synthetic, served, 0.0)[0]
     assert np.allclose(mean, vectors[[0, 2]].mean(axis=0), atol=1e-15)
     empty = PoseOnlyProvider(vectors, missing={1, 2, 3})
     with pytest.raises(MissingSyntheticError):
-        wf_embeddings(record, *fetch_all(record, empty, strict=False), 0.0)
+        wf_embeddings(record, *fetch_all(record, empty, canon, strict=False), 0.0)
 
 
 def test_weight_zero_is_bitwise_synthetic_only():
@@ -203,7 +202,7 @@ def ranking_ids(probe_vec, gallery_vecs, ids):
 def test_large_weight_ranking_equals_baseline_ranking():
     canon, tracklets, provider = gallery_setup(9)
     ids = [t.tracklet_id for t in tracklets[1:]]
-    real = pose_normalize(tracklets, canon, REP).real_means
+    real = real_means(tracklets)
     for w in (1e6, 1e9):
         vectors = wf_vectors(tracklets, provider, canon, w)
         wf_rank = ranking_ids(vectors[0], list(vectors[1:]), ids)

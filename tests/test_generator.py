@@ -11,8 +11,8 @@ from pdsr import (
     assignment_distances,
     fetch_synthetic,
     nearest_poses,
-    pose_normalize,
     rng_for,
+    tracklet_means,
     validate_dataset,
     wf_embeddings,
 )
@@ -112,8 +112,8 @@ def test_disjoint_visibility_hurts_baseline_more_than_wf():
             pose_effect_scale=1.0, noise_sigma=0.1,
             pose_visibility=((1, 2), (3, 4)), seed=seed,
         ))
-        record = pose_normalize(gen.dataset.tracklets, gen.canon, rep)
-        everything = np.ones(record.observed.shape, dtype=bool)
+        record = tracklet_means(gen.dataset.tracklets, rep)
+        everything = np.ones((len(record.tracklet_ids), len(gen.canon)), dtype=bool)
         wf = wf_embeddings(record, *fetch_synthetic(record, gen.provider, everything), 4.0)
         pairs = {}
         for row, t in enumerate(gen.dataset.tracklets):
