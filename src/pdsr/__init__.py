@@ -5,21 +5,12 @@ of real and synthetic per-pose features into one embedding, and a
 pose-by-pose comparison of the two sequences aligned over the union of
 their observed canonical poses.  Deep models never run in-process; synthetic
 features arrive through the SyntheticFeatureProvider contract.
+
+This namespace exports the supported API; everything else is imported
+from its own module (e.g. `pdsr.dataset_io.save_dataset`).
 """
 
-from .dataset_io import (
-    load_canon,
-    load_dataset,
-    read_feature_matrix,
-    read_pose_embedding_index,
-    read_synth_index,
-    report_to_dict,
-    save_canon,
-    save_dataset,
-    write_feature_matrix,
-    write_pose_embeddings,
-    write_synth_index,
-)
+from .dataset_io import load_canon, load_dataset, report_to_dict
 from .errors import (
     AllFramesUnassignableError,
     EmptyUnionError,
@@ -28,68 +19,14 @@ from .errors import (
     PdsrError,
     ZeroVectorError,
 )
-from .evaluation import (
-    EvalMode,
-    EvalReport,
-    ProbeCase,
-    ProbeResult,
-    ProtocolConfig,
-    build_protocol,
-    camera_confusion,
-    cmc_curve,
-    evaluate,
-    fuse_scores,
-    rank_gallery,
-    score_matrix,
-)
-from .fusion import DEFAULT_FUSION_WEIGHT, wf_embeddings
-from .generator import (
-    GeneratedData,
-    GenSpec,
-    PlantedProvider,
-    PlantedTruth,
-    generate,
-    load_gen_spec,
-    save_gen_spec,
-)
-from .model import (
-    DISTRACTOR,
-    CanonicalPoseSet,
-    Dataset,
-    FrameRecord,
-    PoseRecord,
-    PoseVector,
-    Tracklet,
-    TrackletMeans,
-    ValidationIssue,
-    validate_dataset,
-)
-from .providers import (
-    FileBackedProvider,
-    RepresentativeChoice,
-    Strategy,
-    SyntheticFeatureProvider,
-    choose_representative,
-    fetch_synthetic,
-    file_backed_provider,
-)
-from .quantizer import DEFAULT_MIN_COMMON_JOINTS, assignment_distances, nearest_poses
-from .regulation import (
-    backfill_poses,
-    pose_normalize,
-    real_means,
-    tracklet_means,
-    wpr_score_matrix,
-)
-from .seeding import rng_for, stable_key
-from .similarity import cosine_matrix, unit_rows
+from .evaluation import EvalMode, EvalReport, ProtocolConfig, evaluate
+from .generator import GenSpec, PlantedProvider, generate
+from .model import CanonicalPoseSet, Dataset, FrameRecord, PoseVector, Tracklet, validate_dataset
+from .providers import FileBackedProvider, SyntheticFeatureProvider, file_backed_provider
 
 __all__ = [
     "AllFramesUnassignableError",
     "CanonicalPoseSet",
-    "DEFAULT_FUSION_WEIGHT",
-    "DEFAULT_MIN_COMMON_JOINTS",
-    "DISTRACTOR",
     "Dataset",
     "EmptyUnionError",
     "EvalMode",
@@ -98,58 +35,19 @@ __all__ = [
     "FileFormatError",
     "FrameRecord",
     "GenSpec",
-    "GeneratedData",
     "MissingSyntheticError",
     "PdsrError",
     "PlantedProvider",
-    "PlantedTruth",
-    "PoseRecord",
     "PoseVector",
-    "ProbeCase",
-    "ProbeResult",
     "ProtocolConfig",
-    "RepresentativeChoice",
-    "Strategy",
     "SyntheticFeatureProvider",
     "Tracklet",
-    "TrackletMeans",
-    "ValidationIssue",
     "ZeroVectorError",
-    "assignment_distances",
-    "backfill_poses",
-    "build_protocol",
-    "camera_confusion",
-    "choose_representative",
-    "cmc_curve",
-    "cosine_matrix",
     "evaluate",
-    "fetch_synthetic",
     "file_backed_provider",
-    "fuse_scores",
     "generate",
     "load_canon",
     "load_dataset",
-    "load_gen_spec",
-    "nearest_poses",
-    "pose_normalize",
-    "rank_gallery",
-    "read_feature_matrix",
-    "read_pose_embedding_index",
-    "read_synth_index",
-    "real_means",
     "report_to_dict",
-    "rng_for",
-    "save_canon",
-    "save_dataset",
-    "save_gen_spec",
-    "score_matrix",
-    "stable_key",
-    "tracklet_means",
-    "write_feature_matrix",
-    "write_pose_embeddings",
-    "write_synth_index",
-    "unit_rows",
     "validate_dataset",
-    "wf_embeddings",
-    "wpr_score_matrix",
 ]

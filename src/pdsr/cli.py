@@ -24,7 +24,7 @@ import click
 import numpy as np
 
 from . import dataset_io
-from .errors import PdsrError
+from .errors import FileFormatError, PdsrError
 from .evaluation import (
     EvalMode,
     ProbeCase,
@@ -125,11 +125,16 @@ def _load_inputs(obj: CliContext) -> tuple[Dataset, CanonicalPoseSet]:
     return dataset, canon
 
 
-def _provider(obj: CliContext):
-    return file_backed_provider(
-        _require(obj.synth_index, "--synth-index"),
-        _require(obj.synth_features, "--synth-features"),
-    )
+def _provider(obj: CliContext, dataset: Dataset):
+    index_path = _require(obj.synth_index, "--synth-index")
+    features_path = _require(obj.synth_features, "--synth-features")
+    provider = file_backed_provider(index_path, features_path)
+    if provider.feature_dim != dataset.feature_dim:
+        raise FileFormatError(
+            f"{features_path}: dimension {provider.feature_dim} does not match "
+            f"manifest feature_dim {dataset.feature_dim}"
+        )
+    return provider
 
 
 def _config(obj: CliContext, weight: float) -> ProtocolConfig:
@@ -184,11 +189,7 @@ def synthgen(obj: CliContext, spec_path: Path, out_dir: Path):
 def quantize(obj: CliContext, out_path: Path | None):
     """Assign every frame to its nearest canonical pose."""
     dataset, canon = _load_inputs(obj)
-    frames = [
-        (t.tracklet_id, f)
-        for t in sorted(dataset.tracklets, key=lambda t: t.tracklet_id)
-        for f in t.frames_by_id()
-    ]
+    frames = [(t.tracklet_id, f) for t in dataset.tracklets for f in t.frames]
     poses, distances = nearest_poses(assignment_distances([f.pose for _, f in frames], canon))
     if out_path is not None:
         out_path.write_text(
@@ -208,8 +209,8 @@ def quantize(obj: CliContext, out_path: Path | None):
 
 @main.command()
 @click.option("--mode", type=click.Choice(["wf", "wpr"]), required=True)
-@click.option("--weight", type=float, default=DEFAULT_FUSION_WEIGHT, show_default=True,
-              help="Real-branch weight w for WF.")
+@click.option("--weight", type=click.FloatRange(min=0.0), default=DEFAULT_FUSION_WEIGHT,
+              show_default=True, help="Real-branch weight w for WF.")
 @click.option("--out", "out_path", required=True, type=click.Path(path_type=Path),
               help="Output feature matrix.")
 @click.option("--index", "index_path", type=click.Path(path_type=Path), default=None,
@@ -224,12 +225,12 @@ def embed(obj: CliContext, mode: str, weight: float, out_path: Path,
         raise click.UsageError("--mode wpr needs --index for the keyed output")
     dataset, canon = _load_inputs(obj)
     config = _config(obj, weight)
-    tracklets = sorted(dataset.tracklets, key=lambda t: t.tracklet_id)
+    tracklets = dataset.tracklets
 
     if mode == "wf":
         record = tracklet_means(tracklets, config.representative)
         synthetic, served = fetch_synthetic(
-            record, _provider(obj), np.ones((len(tracklets), len(canon)), dtype=bool),
+            record, _provider(obj, dataset), np.ones((len(tracklets), len(canon)), dtype=bool),
             strict=config.strict,
         )
         rows = wf_embeddings(record, synthetic, served, config.fusion_weight)
@@ -252,7 +253,8 @@ def embed(obj: CliContext, mode: str, weight: float, out_path: Path,
 @click.option("--probe", "probe_id", required=True, help="Tracklet id to query.")
 @click.option("--mode", type=click.Choice(_MODE_NAMES), default=EvalMode.FUSED.value,
               show_default=True)
-@click.option("--weight", type=float, default=DEFAULT_FUSION_WEIGHT, show_default=True)
+@click.option("--weight", type=click.FloatRange(min=0.0), default=DEFAULT_FUSION_WEIGHT,
+              show_default=True)
 @click.option("--top", type=int, default=10, show_default=True, help="Rows to print.")
 @click.option("--out", "out_path", type=click.Path(path_type=Path), default=None,
               help="Write the full ranking as TSV.")
@@ -265,13 +267,13 @@ def match(obj: CliContext, probe_id: str, mode: str, weight: float, top: int,
     if probe_id not in by_id:
         raise click.ClickException(f"unknown tracklet {probe_id!r}")
     probe = by_id[probe_id]
-    tracklets = sorted(dataset.tracklets, key=lambda t: t.tracklet_id)
+    tracklets = dataset.tracklets
     gallery = np.array([t.camera != probe.camera for t in tracklets])
     if not gallery.any():
         raise click.ClickException("no tracklet from another camera to rank")
 
     eval_mode = EvalMode(mode)
-    provider = None if eval_mode is EvalMode.BASELINE else _provider(obj)
+    provider = None if eval_mode is EvalMode.BASELINE else _provider(obj, dataset)
     case = ProbeCase(
         probe_id=probe_id, identity=probe.identity, camera=probe.camera,
         gallery_ids=tuple(t.tracklet_id for t, g in zip(tracklets, gallery) if g),
@@ -296,7 +298,8 @@ def match(obj: CliContext, probe_id: str, mode: str, weight: float, top: int,
 @main.command("eval")
 @click.option("--mode", type=click.Choice(_MODE_NAMES), default=EvalMode.FUSED.value,
               show_default=True)
-@click.option("--weight", type=float, default=DEFAULT_FUSION_WEIGHT, show_default=True)
+@click.option("--weight", type=click.FloatRange(min=0.0), default=DEFAULT_FUSION_WEIGHT,
+              show_default=True)
 @click.option("--report", "report_path", required=True, type=click.Path(path_type=Path),
               help="Report JSON output.")
 @click.option("--csv", "csv_path", type=click.Path(path_type=Path), default=None,
@@ -307,7 +310,7 @@ def eval_cmd(obj: CliContext, mode: str, weight: float, report_path: Path,
     """Run the cross-camera retrieval protocol and write the report."""
     dataset, canon = _load_inputs(obj)
     eval_mode = EvalMode(mode)
-    provider = None if eval_mode is EvalMode.BASELINE else _provider(obj)
+    provider = None if eval_mode is EvalMode.BASELINE else _provider(obj, dataset)
     report = evaluate(dataset, canon, provider, _config(obj, weight), eval_mode)
     dataset_io.save_report_json(report, report_path)
     if csv_path is not None:

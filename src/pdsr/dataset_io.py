@@ -93,19 +93,23 @@ def _pose_from_triples(triples: list, where: str) -> PoseVector:
         raise FileFormatError(f"{where}: malformed keypoint triples: {exc}") from exc
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def save_dataset(
     dataset: Dataset, manifest_path: str | Path, features_path: str | Path
 ) -> None:
     """Write the manifest JSON and its companion feature matrix.
 
-    Rows are assigned walking tracklets by ascending id and frames by
-    ascending frame id, so equal datasets serialize byte-identically.
+    Rows are assigned walking tracklets and frames in their canonical
+    order, so equal datasets serialize byte-identically.
     """
     rows = []
     tracklets = []
-    for t in sorted(dataset.tracklets, key=lambda t: t.tracklet_id):
+    for t in dataset.tracklets:
         frames = []
-        for f in t.frames_by_id():
+        for f in t.frames:
             frames.append(
                 {
                     "frame_id": f.frame_id,
@@ -150,13 +154,20 @@ def load_dataset(manifest_path: str | Path, features_path: str | Path) -> Datase
             )
         tracklets = []
         for t in manifest["tracklets"]:
+            where = f"{manifest_path}: tracklet {t['tracklet_id']!r}"
+            if not (isinstance(t["tracklet_id"], str) and isinstance(t["identity"], str)):
+                raise FileFormatError(f"{where}: tracklet_id and identity must be strings")
+            if not _is_int(t["camera"]):
+                raise FileFormatError(f"{where}: camera {t['camera']!r} is not an integer")
             frames = []
             for f in t["frames"]:
                 row = f["row"]
-                if not isinstance(row, int) or not 0 <= row < matrix.shape[0]:
+                if not _is_int(row) or not 0 <= row < matrix.shape[0]:
                     raise FileFormatError(
                         f"{manifest_path}: row {row!r} is not a row of the feature matrix"
                     )
+                if not _is_int(f["frame_id"]):
+                    raise FileFormatError(f"{where}: frame_id {f['frame_id']!r} is not an integer")
                 frames.append(
                     FrameRecord(
                         frame_id=f["frame_id"],

@@ -100,20 +100,11 @@ def build_protocol(dataset: Dataset, seed: int) -> tuple[ProbeCase, ...]:
 
     cases = []
     for identity in sorted(by_identity):
-        candidates = sorted(by_identity[identity], key=lambda t: t.tracklet_id)
-        flagged = [t for t in candidates if t.probe]
-        if flagged:
-            candidates = flagged
+        candidates = [t for t in by_identity[identity] if t.probe] or by_identity[identity]
         pick = candidates[
             int(rng_for(seed, "probe-draw", identity).integers(len(candidates)))
         ]
-        gallery = tuple(
-            sorted(
-                t.tracklet_id
-                for t in dataset.tracklets
-                if t.camera != pick.camera
-            )
-        )
+        gallery = tuple(t.tracklet_id for t in dataset.tracklets if t.camera != pick.camera)
         cases.append(
             ProbeCase(
                 probe_id=pick.tracklet_id,
@@ -123,15 +114,6 @@ def build_protocol(dataset: Dataset, seed: int) -> tuple[ProbeCase, ...]:
             )
         )
     return tuple(cases)
-
-
-def fuse_scores(wf_scores: np.ndarray, wpr_scores: np.ndarray) -> np.ndarray:
-    """Element-wise sum of the two score arrays."""
-    a = np.asarray(wf_scores, dtype=np.float64)
-    b = np.asarray(wpr_scores, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"score shapes differ: {a.shape} vs {b.shape}")
-    return a + b
 
 
 def rank_gallery(scores: np.ndarray, gallery: np.ndarray) -> np.ndarray:
@@ -185,7 +167,7 @@ def _columns(
     dataset: Dataset, cases: Sequence[ProbeCase]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Ids and cameras on the ascending-id axis, and each case's positives on it."""
-    tracklets = sorted(dataset.tracklets, key=lambda t: t.tracklet_id)
+    tracklets = dataset.tracklets
     ids = np.array([t.tracklet_id for t in tracklets], dtype=str)
     cameras = np.array([t.camera for t in tracklets], dtype=int)
     identities = np.array([t.identity for t in tracklets], dtype=str)
@@ -243,7 +225,7 @@ def score_matrix(
     """
     if provider is None and mode is not EvalMode.BASELINE:
         raise ValueError(f"mode {mode.value!r} needs a synthetic feature provider")
-    tracklets = sorted(dataset.tracklets, key=lambda t: t.tracklet_id)
+    tracklets = dataset.tracklets
     row = {t.tracklet_id: i for i, t in enumerate(tracklets)}
     probe_rows = [row[c.probe_id] for c in cases]
     if mode is EvalMode.BASELINE:
@@ -270,7 +252,7 @@ def score_matrix(
     wpr = wpr_score_matrix(record, probe_rows, synthetic, backfill & served)
     if mode is EvalMode.WPR:
         return wpr
-    return fuse_scores(cos, wpr)
+    return cos + wpr
 
 
 def evaluate(

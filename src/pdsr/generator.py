@@ -16,7 +16,7 @@ provider serves is bit-identical to what a feature file round-trip yields.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping
 
@@ -256,7 +256,7 @@ def generate(spec: GenSpec) -> GeneratedData:
         joint_count=spec.joint_count,
         num_poses=spec.num_poses,
         camera_count=spec.cameras,
-        tracklets=tuple(sorted(tracklets, key=lambda t: t.tracklet_id)),
+        tracklets=tuple(tracklets),
     )
     return GeneratedData(
         dataset=dataset,
@@ -267,28 +267,8 @@ def generate(spec: GenSpec) -> GeneratedData:
 
 
 def save_gen_spec(spec: GenSpec, path: str | Path) -> None:
-    payload = {
-        "identities": spec.identities,
-        "cameras": spec.cameras,
-        "tracklets_per_identity_per_camera": spec.tracklets_per_identity_per_camera,
-        "frames_per_tracklet": list(spec.frames_per_tracklet),
-        "feature_dim": spec.feature_dim,
-        "joint_count": spec.joint_count,
-        "num_poses": spec.num_poses,
-        "pose_effect_scale": spec.pose_effect_scale,
-        "noise_sigma": spec.noise_sigma,
-        "pose_jitter": spec.pose_jitter,
-        "pose_visibility": (
-            None
-            if spec.pose_visibility is None
-            else [list(subset) for subset in spec.pose_visibility]
-        ),
-        "distractors": spec.distractors,
-        "seed": spec.seed,
-        "name": spec.name,
-    }
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(asdict(spec), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 

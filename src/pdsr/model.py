@@ -1,9 +1,12 @@
 """Domain types: frames, tracklets, canonical poses, pooled pose records.
 
 All types are immutable after construction and safe to share across
-concurrent readers.  Construction is permissive (so that arbitrary files
-can be represented in memory); `validate_dataset` reports invariant
-violations instead of raising.
+concurrent readers.  Construction fixes the one canonical order every
+score and report uses: a Dataset holds its tracklets by ascending id and
+a Tracklet its frames by ascending frame id (stable sorts, so duplicates
+keep their storage order).  Otherwise construction is permissive (so that
+arbitrary files can be represented in memory); `validate_dataset` reports
+invariant violations instead of raising.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ class FrameRecord:
 
 @dataclass(frozen=True, eq=False)
 class Tracklet:
-    """An ordered frame sequence for one observed person from one camera."""
+    """The frames of one observed person from one camera, by ascending frame id."""
 
     tracklet_id: str
     identity: str
@@ -69,7 +72,7 @@ class Tracklet:
     probe: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "frames", tuple(self.frames))
+        object.__setattr__(self, "frames", tuple(sorted(self.frames, key=lambda f: f.frame_id)))
 
     def __len__(self) -> int:
         return len(self.frames)
@@ -77,10 +80,6 @@ class Tracklet:
     @property
     def is_distractor(self) -> bool:
         return self.identity == DISTRACTOR
-
-    def frames_by_id(self) -> tuple[FrameRecord, ...]:
-        """Frames sorted by frame_id; the canonical order for pooling."""
-        return tuple(sorted(self.frames, key=lambda f: f.frame_id))
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,7 +139,7 @@ class PoseRecord(TrackletMeans):
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """A loaded or generated dataset plus its manifest-level metadata."""
+    """A loaded or generated dataset: tracklets by ascending id, plus manifest metadata."""
 
     name: str
     feature_dim: int
@@ -150,13 +149,12 @@ class Dataset:
     tracklets: tuple[Tracklet, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "tracklets", tuple(self.tracklets))
+        object.__setattr__(
+            self, "tracklets", tuple(sorted(self.tracklets, key=lambda t: t.tracklet_id))
+        )
 
     def cameras(self) -> tuple[int, ...]:
         return tuple(sorted({t.camera for t in self.tracklets}))
-
-    def identities(self) -> tuple[str, ...]:
-        return tuple(sorted({t.identity for t in self.tracklets if not t.is_distractor}))
 
     def by_id(self) -> dict[str, Tracklet]:
         return {t.tracklet_id: t for t in self.tracklets}

@@ -49,11 +49,11 @@ class RepresentativeChoice:
 def choose_representative(tracklet: Tracklet, choice: RepresentativeChoice) -> int:
     """Pick the representative frame id of a tracklet.
 
-    Both strategies operate on the frame list sorted by frame id, so the
-    choice is invariant to storage order.  SEEDED_RANDOM draws uniformly
-    from a generator keyed by (seed, tracklet_id).
+    Both strategies operate on the frames in frame-id order, so the choice
+    is invariant to storage order.  SEEDED_RANDOM draws uniformly from a
+    generator keyed by (seed, tracklet_id).
     """
-    frames = tracklet.frames_by_id()
+    frames = tracklet.frames
     if not frames:
         raise ValueError(f"tracklet {tracklet.tracklet_id!r} has no frames")
     if choice.strategy is Strategy.MIDDLE_FRAME:
@@ -98,27 +98,30 @@ class FileBackedProvider(SyntheticFeatureProvider):
     """Serves pre-computed synthetic features from an index + matrix file pair.
 
     The index is a text file of `tracklet_id <TAB> pose_index <TAB> row`
-    lines; rows refer into a feature matrix file (see dataset_io).
+    lines; rows refer into a feature matrix file (see dataset_io) of
+    `feature_dim` columns.  Every row must be finite.
     """
 
     def __init__(self, index: dict[tuple[str, int], int], matrix: np.ndarray):
+        matrix = np.asarray(matrix, dtype=np.float64)
         for (tid, pose), row in index.items():
             if not 0 <= row < matrix.shape[0]:
                 raise FileFormatError(
                     f"synthetic index entry ({tid!r}, {pose}) points at row {row}, "
                     f"matrix has {matrix.shape[0]} rows"
                 )
+        finite = np.isfinite(matrix).all(axis=1)
+        if not finite.all():
+            raise FileFormatError(f"synthetic matrix row {int(np.argmin(finite))} is not finite")
         self._index = dict(index)
-        self._matrix = np.asarray(matrix, dtype=np.float64)
+        self._matrix = matrix
+        self.feature_dim = matrix.shape[1]
 
     def query(self, tracklet_id: str, representative_frame_id: int, pose: int) -> np.ndarray:
         row = self._index.get((tracklet_id, pose))
         if row is None:
             raise MissingSyntheticError(f"no synthetic feature for ({tracklet_id!r}, pose {pose})")
         return self._matrix[row].copy()
-
-    def keys(self) -> set[tuple[str, int]]:
-        return set(self._index)
 
 
 def file_backed_provider(index_path: str | Path, features_path: str | Path) -> FileBackedProvider:
@@ -127,4 +130,7 @@ def file_backed_provider(index_path: str | Path, features_path: str | Path) -> F
 
     index = read_synth_index(index_path)
     matrix = read_feature_matrix(features_path)
-    return FileBackedProvider(index, matrix)
+    try:
+        return FileBackedProvider(index, matrix)
+    except FileFormatError as exc:
+        raise FileFormatError(f"{features_path}: {exc}") from exc

@@ -49,7 +49,7 @@ def _segment_means(
 
 def _flatten(tracklets: Sequence[Tracklet]) -> tuple[list[FrameRecord], np.ndarray]:
     """Every frame, tracklet by tracklet in frame-id order, and its tracklet's row."""
-    frames = [t.frames_by_id() for t in tracklets]
+    frames = [t.frames for t in tracklets]
     row = np.repeat(np.arange(len(frames)), [len(f) for f in frames])
     return [f for fs in frames for f in fs], row
 

@@ -7,14 +7,6 @@ import numpy as np
 from .errors import ZeroVectorError
 
 
-def unit_rows(matrix: np.ndarray) -> np.ndarray:
-    """Row-normalize a matrix; all-zero rows are left as zeros."""
-    matrix = np.asarray(matrix, dtype=np.float64)
-    norms = np.linalg.norm(matrix, axis=1, keepdims=True)
-    safe = np.where(norms == 0.0, 1.0, norms)
-    return matrix / safe
-
-
 def cosine_matrix(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """Pairwise cosine similarities between the rows of two matrices."""
     left = np.asarray(left, dtype=np.float64)

@@ -14,24 +14,14 @@ from click.testing import CliRunner
 from scipy import stats
 
 from naive_reference import naive_evaluate, naive_rank
-from pdsr import (
-    EvalMode,
-    ProtocolConfig,
-    RepresentativeChoice,
-    Tracklet,
-    backfill_poses,
-    build_protocol,
-    evaluate,
-    fetch_synthetic,
-    pose_normalize,
-    rng_for,
-    score_matrix,
-    tracklet_means,
-    wpr_score_matrix,
-)
+from pdsr import EvalMode, ProtocolConfig, Tracklet, evaluate
 from pdsr.cli import main
+from pdsr.evaluation import build_protocol, score_matrix
 from pdsr.generator import GenSpec, PlantedProvider, generate
 from pdsr.model import FrameRecord
+from pdsr.providers import RepresentativeChoice, fetch_synthetic
+from pdsr.regulation import backfill_poses, pose_normalize, tracklet_means, wpr_score_matrix
+from pdsr.seeding import rng_for
 from pdsr.similarity import cosine_matrix
 
 ALL_MODES = (EvalMode.BASELINE, EvalMode.WF, EvalMode.WPR, EvalMode.FUSED)
@@ -181,7 +171,7 @@ def _permuted(t, rng):
 
 def _duplicated(t):
     n = len(t.frames)
-    dup = tuple(FrameRecord(f.frame_id + n, f.feature, f.pose) for f in t.frames_by_id())
+    dup = tuple(FrameRecord(f.frame_id + n, f.feature, f.pose) for f in t.frames)
     return Tracklet(t.tracklet_id, t.identity, t.camera, t.frames + dup, t.probe)
 
 

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import struct
 import subprocess
 import sys
 from dataclasses import replace
@@ -13,10 +14,11 @@ import pytest
 from click.testing import CliRunner
 
 from naive_reference import naive_assign, naive_keypoint_distance
-from pdsr import (
-    PoseVector,
-    load_canon,
-    load_dataset,
+from pdsr import PoseVector, load_canon, load_dataset
+from pdsr.cli import main
+from pdsr.dataset_io import (
+    _HEADER,
+    load_report_json,
     read_feature_matrix,
     read_synth_index,
     save_canon,
@@ -24,8 +26,6 @@ from pdsr import (
     write_feature_matrix,
     write_synth_index,
 )
-from pdsr.cli import main
-from pdsr.dataset_io import load_report_json
 from pdsr.generator import GenSpec, generate, save_gen_spec
 
 
@@ -303,6 +303,49 @@ def test_missing_input_file_is_an_error_not_a_traceback(tmp_path):
         error = [line for line in result.stderr.splitlines() if line.startswith("Error:")]
         assert len(error) == 1 and str(missing) in error[0], result.stderr
         assert "Traceback" not in result.stderr
+
+
+def test_negative_weight_is_a_usage_error(workspace, tmp_path):
+    _, flags = workspace
+    for command in (
+        ["eval", "--report", str(tmp_path / "r.json")],
+        ["match", "--probe", "id0001-c1-0"],
+        ["embed", "--mode", "wf", "--out", str(tmp_path / "wf.bin")],
+    ):
+        result = run_process(flags + command + ["--weight", "-1"])
+        assert result.returncode != 0, command
+        assert "--weight" in result.stderr and "Traceback" not in result.stderr, result.stderr
+
+
+def _malformed_synth_features(source: Path, out: Path, case: str) -> None:
+    if case == "dimension":  # 8 columns against the manifest's 16
+        write_feature_matrix(out, read_feature_matrix(source)[:, :8])
+    else:  # the writer refuses NaN, so patch row 0, column 0 of the stored bytes
+        raw = bytearray(source.read_bytes())
+        raw[_HEADER.size : _HEADER.size + 4] = struct.pack("<f", float("nan"))
+        out.write_bytes(bytes(raw))
+
+
+@pytest.mark.parametrize(
+    "case, command",
+    [
+        ("dimension", ["eval", "--report", "{tmp}/r.json"]),
+        ("nan", ["eval", "--mode", "wf", "--report", "{tmp}/r.json"]),
+        ("nan", ["embed", "--mode", "wf", "--out", "{tmp}/wf.bin"]),
+        ("nan", ["match", "--probe", "id0001-c1-0", "--mode", "wf"]),
+    ],
+    ids=["dimension-eval", "nan-eval", "nan-embed", "nan-match"],
+)
+def test_malformed_synthetic_matrix_is_an_error_not_a_traceback(workspace, tmp_path, case, command):
+    root, flags = workspace
+    synth = tmp_path / "synth-features.bin"
+    _malformed_synth_features(root / "data" / "synth-features.bin", synth, case)
+    flags = flags[:]
+    flags[flags.index("--synth-features") + 1] = str(synth)
+    result = run_process(flags + [arg.format(tmp=tmp_path) for arg in command])
+    assert result.returncode == 1, result.stdout
+    assert "Error:" in result.stderr and str(synth) in result.stderr, result.stderr
+    assert "Traceback" not in result.stderr
 
 
 def test_tracklet_without_assignable_frame_fails_only_wpr(workspace, tmp_path):

@@ -12,38 +12,36 @@ from pdsr import (
     EvalReport,
     FileFormatError,
     FrameRecord,
-    PoseRecord,
     PoseVector,
-    ProbeResult,
     ProtocolConfig,
-    RepresentativeChoice,
     Tracklet,
     evaluate,
     load_canon,
-    load_gen_spec,
     load_dataset,
-    pose_normalize,
-    read_feature_matrix,
-    read_pose_embedding_index,
-    read_synth_index,
     report_to_dict,
-    rng_for,
-    save_canon,
-    save_dataset,
-    save_gen_spec,
-    write_feature_matrix,
-    write_pose_embeddings,
-    write_synth_index,
 )
 from pdsr.dataset_io import (
     _HEADER,
     FORMAT_VERSION,
     MAGIC,
     load_report_json,
+    read_feature_matrix,
+    read_pose_embedding_index,
+    read_synth_index,
+    save_canon,
+    save_dataset,
     save_report_csv,
     save_report_json,
+    write_feature_matrix,
+    write_pose_embeddings,
+    write_synth_index,
 )
-from pdsr.generator import GenSpec, generate
+from pdsr.evaluation import ProbeResult
+from pdsr.generator import GenSpec, generate, load_gen_spec, save_gen_spec
+from pdsr.model import PoseRecord
+from pdsr.providers import RepresentativeChoice
+from pdsr.regulation import pose_normalize
+from pdsr.seeding import rng_for
 
 
 def f32(arr):
@@ -125,7 +123,7 @@ def assert_datasets_equal(a: Dataset, b: Dataset):
         assert (ta.tracklet_id, ta.identity, ta.camera, ta.probe) == (
             tb.tracklet_id, tb.identity, tb.camera, tb.probe,
         )
-        fa, fb = ta.frames_by_id(), tb.frames_by_id()
+        fa, fb = ta.frames, tb.frames
         assert [f.frame_id for f in fa] == [f.frame_id for f in fb]
         for x, y in zip(fa, fb):
             assert np.array_equal(x.feature, y.feature)
@@ -374,13 +372,13 @@ def test_report_csv_writes_null_markers_and_exact_floats(tmp_path):
 def _manifest_with(tmp_path, edit):
     save_dataset(single_tracklet_dataset(), tmp_path / "m.json", tmp_path / "f.bin")
     manifest = json.loads((tmp_path / "m.json").read_text())
-    edit(manifest["tracklets"][0]["frames"][0])
+    edit(manifest["tracklets"][0])
     (tmp_path / "m.json").write_text(json.dumps(manifest))
     return tmp_path / "m.json", lambda: load_dataset(tmp_path / "m.json", tmp_path / "f.bin")
 
 
-def _set_keypoint(frame, value):
-    frame["keypoints"][0][0] = value
+def _set_keypoint(tracklet, value):
+    tracklet["frames"][0]["keypoints"][0][0] = value
 
 
 def _canon_with(tmp_path, payload):
@@ -404,9 +402,14 @@ def _gen_spec_with(tmp_path, **fields):
 NON_UTF8 = b'{"name": "\xff"}\n'
 
 MALFORMED_INPUTS = {
-    "keypoint-string": lambda tmp: _manifest_with(tmp, lambda f: _set_keypoint(f, "abc")),
-    "keypoint-list": lambda tmp: _manifest_with(tmp, lambda f: _set_keypoint(f, [1, 2])),
-    "fractional-row": lambda tmp: _manifest_with(tmp, lambda f: f.update(row=1.5)),
+    "keypoint-string": lambda tmp: _manifest_with(tmp, lambda t: _set_keypoint(t, "abc")),
+    "keypoint-list": lambda tmp: _manifest_with(tmp, lambda t: _set_keypoint(t, [1, 2])),
+    "fractional-row": lambda tmp: _manifest_with(tmp, lambda t: t["frames"][0].update(row=1.5)),
+    "string-frame-id": lambda tmp: _manifest_with(
+        tmp, lambda t: t["frames"][0].update(frame_id="x")
+    ),
+    "integer-tracklet-id": lambda tmp: _manifest_with(tmp, lambda t: t.update(tracklet_id=5)),
+    "string-camera": lambda tmp: _manifest_with(tmp, lambda t: t.update(camera="0")),
     # the manifest is decoded before the feature file is opened
     "manifest-not-utf8": lambda tmp: _bytes_file(
         tmp, "m.json", NON_UTF8, lambda path: load_dataset(path, path)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from naive_reference import naive_ap, naive_baseline_vec, naive_cosine, naive_rank, naive_wf_vec
 from pdsr import (
-    DISTRACTOR,
     AllFramesUnassignableError,
     CanonicalPoseSet,
     Dataset,
@@ -18,17 +17,19 @@ from pdsr import (
     ProtocolConfig,
     SyntheticFeatureProvider,
     Tracklet,
+    evaluate,
+)
+from pdsr.evaluation import (
+    _first_rank_and_ap,
     build_protocol,
     camera_confusion,
     cmc_curve,
-    evaluate,
-    fuse_scores,
     rank_gallery,
-    rng_for,
     score_matrix,
 )
-from pdsr.evaluation import _first_rank_and_ap
 from pdsr.generator import GenSpec, generate
+from pdsr.model import DISTRACTOR
+from pdsr.seeding import rng_for
 
 
 def make_tracklet(rng, tid, identity, camera, probe=False, n=3, d=8, k=5):
@@ -182,36 +183,14 @@ def test_rank_gallery_puts_non_gallery_after_minus_infinity():
     assert order.tolist() == [[0, 2, 1]]
 
 
-def test_fuse_scores_sums_fifty_entries_exactly():
-    rng = rng_for(1, "fuse")
-    a, b = rng.normal(size=50), rng.normal(size=50)
-    fused = fuse_scores(a, b)
-    assert np.array_equal(fused, a + b)
-
-
-def test_fuse_scores_shape_mismatch_raises():
-    with pytest.raises(ValueError):
-        fuse_scores(np.zeros(3), np.zeros(4))
-
-
-@given(st.integers(min_value=0, max_value=9), st.integers(min_value=0, max_value=2**31))
-def test_fused_argmax_follows_joint_winner(winner, seed):
-    # if one gallery entry holds the strict max of both score arrays it also
-    # holds the strict max of their sum
-    rng = rng_for(seed, "argmax")
-    a, b = rng.uniform(-1, 1, 10), rng.uniform(-1, 1, 10)
-    a[winner] = a.max() + 0.1
-    b[winner] = b.max() + 0.1
-    assert int(np.argmax(fuse_scores(a, b))) == winner
-
-
 # ------------------------------------------------------------ protocol
 
 
 def test_build_protocol_draws_one_probe_per_identity(small_gen):
     dataset = small_gen.dataset
     cases = build_protocol(dataset, seed=0)
-    assert [c.identity for c in cases] == sorted(dataset.identities())
+    identities = {t.identity for t in dataset.tracklets if not t.is_distractor}
+    assert [c.identity for c in cases] == sorted(identities)
     by_id = dataset.by_id()
     for case in cases:
         probe = by_id[case.probe_id]

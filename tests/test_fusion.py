@@ -11,21 +11,17 @@ from pdsr import (
     FrameRecord,
     MissingSyntheticError,
     PoseVector,
-    ProbeCase,
     ProtocolConfig,
-    RepresentativeChoice,
-    Strategy,
     SyntheticFeatureProvider,
     Tracklet,
     ZeroVectorError,
-    cosine_matrix,
-    fetch_synthetic,
-    real_means,
-    rng_for,
-    score_matrix,
-    tracklet_means,
-    wf_embeddings,
 )
+from pdsr.evaluation import ProbeCase, score_matrix
+from pdsr.fusion import wf_embeddings
+from pdsr.providers import RepresentativeChoice, Strategy, fetch_synthetic
+from pdsr.regulation import real_means, tracklet_means
+from pdsr.seeding import rng_for
+from pdsr.similarity import cosine_matrix
 
 REP = RepresentativeChoice(strategy=Strategy.MIDDLE_FRAME)
 
@@ -133,7 +129,7 @@ def test_wf_formula_matches_naive():
     provider = PoseOnlyProvider(rng.normal(size=(3, 6)))
     for w in (0.5, 1.0, 4.0):
         got = wf_vectors([t], provider, canon, w)[0]
-        rep_frame = t.frames_by_id()[len(t.frames) // 2].frame_id
+        rep_frame = t.frames[len(t.frames) // 2].frame_id
         expected = naive_wf_vec(t, provider, 3, w, rep_frame)
         assert np.allclose(got, expected, atol=1e-12)
 

@@ -4,25 +4,13 @@ import numpy as np
 import pytest
 
 from naive_reference import naive_cosine
-from pdsr import (
-    DISTRACTOR,
-    MissingSyntheticError,
-    RepresentativeChoice,
-    assignment_distances,
-    fetch_synthetic,
-    nearest_poses,
-    rng_for,
-    tracklet_means,
-    validate_dataset,
-    wf_embeddings,
-)
-from pdsr.generator import (
-    GenSpec,
-    PlantedProvider,
-    generate,
-    load_gen_spec,
-    save_gen_spec,
-)
+from pdsr import MissingSyntheticError, validate_dataset
+from pdsr.fusion import wf_embeddings
+from pdsr.generator import GenSpec, PlantedProvider, generate, load_gen_spec, save_gen_spec
+from pdsr.model import DISTRACTOR
+from pdsr.providers import RepresentativeChoice, fetch_synthetic
+from pdsr.quantizer import assignment_distances, nearest_poses
+from pdsr.regulation import tracklet_means
 
 SMALL = dict(identities=2, cameras=2, frames_per_tracklet=(4, 6), feature_dim=8, num_poses=4)
 
@@ -138,7 +126,8 @@ def test_distractor_structure():
         assert t.identity == DISTRACTOR
         assert gen.truth.latent_key[t.tracklet_id] == t.tracklet_id
     # distractors never enter the identity listing
-    assert all(not i.startswith("dx") for i in gen.dataset.identities())
+    identities = {t.identity for t in gen.dataset.tracklets if not t.is_distractor}
+    assert all(not i.startswith("dx") for i in identities)
 
 
 def test_planted_provider_is_ideal_and_deterministic():

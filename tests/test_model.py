@@ -3,15 +3,9 @@
 import numpy as np
 import pytest
 
-from pdsr import (
-    CanonicalPoseSet,
-    FrameRecord,
-    PoseVector,
-    RepresentativeChoice,
-    Tracklet,
-    pose_normalize,
-    validate_dataset,
-)
+from pdsr import CanonicalPoseSet, Dataset, FrameRecord, PoseVector, Tracklet, validate_dataset
+from pdsr.providers import RepresentativeChoice
+from pdsr.regulation import pose_normalize
 
 
 def pose(k=6, fill=0.5, visible=True):
@@ -43,12 +37,19 @@ def test_frame_feature_must_be_1d():
         FrameRecord(frame_id=0, feature=np.zeros((2, 2)), pose=pose())
 
 
-def test_frames_by_id_sorts_storage_order():
-    t = Tracklet(
-        tracklet_id="t", identity="a", camera=0,
-        frames=(frame(2, [1.0, 0.0]), frame(0, [0.0, 1.0]), frame(1, [1.0, 1.0])),
-    )
-    assert [f.frame_id for f in t.frames_by_id()] == [0, 1, 2]
+def test_tracklet_holds_frames_by_ascending_id_with_duplicates_in_storage_order():
+    stored = (frame(2, [1.0, 0.0]), frame(0, [0.0, 1.0]), frame(2, [0.0, 2.0]), frame(1, [1.0, 1.0]))
+    t = Tracklet(tracklet_id="t", identity="a", camera=0, frames=stored)
+    assert [f.frame_id for f in t.frames] == [0, 1, 2, 2]
+    assert t.frames[2] is stored[0] and t.frames[3] is stored[2]
+
+
+def test_dataset_holds_tracklets_by_ascending_id():
+    ids = ["c", "a", "d", "b"]
+    tracklets = [Tracklet(tid, "x", 0, (frame(0, [1.0, 0.0]),)) for tid in ids]
+    dataset = Dataset("d", 2, 6, 1, 1, tracklets)
+    assert [t.tracklet_id for t in dataset.tracklets] == ["a", "b", "c", "d"]
+    assert isinstance(dataset.tracklets, tuple)
 
 
 def test_canonical_pose_indexing_is_one_based():

@@ -8,19 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from naive_reference import naive_assign, naive_groups, naive_keypoint_distance
-from pdsr import (
-    AllFramesUnassignableError,
-    CanonicalPoseSet,
-    FrameRecord,
-    PoseVector,
-    RepresentativeChoice,
-    Tracklet,
-    assignment_distances,
-    nearest_poses,
-    pose_normalize,
-    rng_for,
-)
-from pdsr.quantizer import _BLOCK_FRAMES
+from pdsr import AllFramesUnassignableError, CanonicalPoseSet, FrameRecord, PoseVector, Tracklet
+from pdsr.providers import RepresentativeChoice
+from pdsr.quantizer import _BLOCK_FRAMES, assignment_distances, nearest_poses
+from pdsr.regulation import pose_normalize
+from pdsr.seeding import rng_for
 
 
 def random_pose(rng, k=8, visible_prob=1.0):

@@ -10,20 +10,16 @@ from pdsr import (
     AllFramesUnassignableError,
     EmptyUnionError,
     MissingSyntheticError,
-    PoseRecord,
     PoseVector,
-    RepresentativeChoice,
     SyntheticFeatureProvider,
     Tracklet,
     ZeroVectorError,
-    backfill_poses,
-    fetch_synthetic,
-    pose_normalize,
-    rng_for,
-    wpr_score_matrix,
 )
 from pdsr.generator import GenSpec, generate
-from pdsr.model import FrameRecord
+from pdsr.model import FrameRecord, PoseRecord
+from pdsr.providers import RepresentativeChoice, fetch_synthetic
+from pdsr.regulation import backfill_poses, pose_normalize, wpr_score_matrix
+from pdsr.seeding import rng_for
 
 REP = RepresentativeChoice()
 
@@ -239,7 +235,7 @@ def test_nu_sums_to_one(noisy_gen):
 def duplicated(tracklet):
     n = len(tracklet.frames)
     dup = tuple(
-        FrameRecord(f.frame_id + n, f.feature, f.pose) for f in tracklet.frames_by_id()
+        FrameRecord(f.frame_id + n, f.feature, f.pose) for f in tracklet.frames
     )
     return Tracklet(
         tracklet.tracklet_id,

@@ -5,7 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from pdsr import rng_for, stable_key
+from pdsr.seeding import rng_for, stable_key
 
 
 def test_int_parts_are_masked_to_64_bits():
