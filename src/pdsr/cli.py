@@ -35,7 +35,7 @@ from .evaluation import (
 )
 from .fusion import DEFAULT_FUSION_WEIGHT, wf_embeddings
 from .generator import generate, load_gen_spec
-from .model import CanonicalPoseSet, Dataset, validate_dataset
+from .model import CanonicalPoseSet, Dataset, pack, validate_dataset
 from .providers import RepresentativeChoice, fetch_synthetic, file_backed_provider
 from .quantizer import assignment_distances, nearest_poses
 from .regulation import pose_normalize, tracklet_means
@@ -189,13 +189,14 @@ def synthgen(obj: CliContext, spec_path: Path, out_dir: Path):
 def quantize(obj: CliContext, out_path: Path | None):
     """Assign every frame to its nearest canonical pose."""
     dataset, canon = _load_inputs(obj)
-    frames = [(t.tracklet_id, f) for t in dataset.tracklets for f in t.frames]
-    poses, distances = nearest_poses(assignment_distances([f.pose for _, f in frames], canon))
+    frames, _ = pack(dataset.tracklets)
+    poses, distances = nearest_poses(assignment_distances(frames.joints, frames.visibility, canon))
     if out_path is not None:
+        tids = [t.tracklet_id for t in dataset.tracklets for _ in range(len(t))]
         out_path.write_text(
             "".join(
-                f"{tid}\t{f.frame_id}\t{'-' if j is None else j}\t{d!r}\n"
-                for (tid, f), j, d in zip(frames, poses, distances)
+                f"{tid}\t{frame_id}\t{'-' if j is None else j}\t{d!r}\n"
+                for tid, frame_id, j, d in zip(tids, frames.frame_ids.tolist(), poses, distances)
             )
         )
     unassignable = poses.count(None)

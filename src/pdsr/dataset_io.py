@@ -15,6 +15,9 @@ from __future__ import annotations
 import csv
 import json
 import struct
+from bisect import bisect_right
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 from typing import Mapping
 
@@ -22,7 +25,7 @@ import numpy as np
 
 from .errors import FileFormatError
 from .evaluation import EvalReport, ProbeResult
-from .model import CanonicalPoseSet, Dataset, FrameRecord, PoseRecord, PoseVector, Tracklet
+from .model import CanonicalPoseSet, Dataset, PackedFrames, PoseRecord, PoseVector, Tracklet
 
 MAGIC = b"PDSR"
 FORMAT_VERSION = 1
@@ -84,13 +87,28 @@ def _pose_to_triples(pose: PoseVector) -> list[list[float]]:
     ]
 
 
-def _pose_from_triples(triples: list, where: str) -> PoseVector:
+def _keypoints(entries: list, k: int) -> np.ndarray | None:
+    """(n, k, 3) array of n keypoint lists, or None unless each is exactly k triples [x, y, v].
+
+    x, y and v must be JSON numbers (not booleans), v 0 or 1, as the writers
+    emit.  Each check runs over all triples at once.
+    """
     try:
-        joints = np.array([[t[0], t[1]] for t in triples], dtype=np.float64)
-        visibility = np.array([bool(t[2]) for t in triples])
-        return PoseVector(joints=joints, visibility=visibility)
-    except (TypeError, IndexError, ValueError) as exc:
-        raise FileFormatError(f"{where}: malformed keypoint triples: {exc}") from exc
+        if set(map(len, entries)) - {k}:
+            return None
+        triples = list(chain.from_iterable(entries))
+        if set(map(len, triples)) - {3}:
+            return None
+        values = list(chain.from_iterable(triples))
+        if set(map(type, values)) - {int, float}:
+            return None
+        array = np.fromiter(values, dtype=np.float64, count=len(values)).reshape(len(entries), k, 3)
+    except (TypeError, OverflowError):  # an entry without a length, an integer beyond float
+        return None
+    return array if np.isin(array[:, :, 2], (0.0, 1.0)).all() else None
+
+
+_KEYPOINT_CONTRACT = "must list {k} joints as [x, y, v]: numbers x and y, v 0 or 1"
 
 
 def _is_int(value: object) -> bool:
@@ -144,57 +162,68 @@ def save_dataset(
 
 
 def load_dataset(manifest_path: str | Path, features_path: str | Path) -> Dataset:
+    """Read a manifest and its feature matrix into one packed block, in canonical order.
+
+    The features are the matrix as read when the manifest lists its rows in
+    canonical order, as `save_dataset` writes them.
+    """
     manifest = _read_json(manifest_path)
     matrix = read_feature_matrix(features_path)
     try:
         if manifest["feature_dim"] != matrix.shape[1]:
             raise FileFormatError(
-                f"{features_path}: dimension {matrix.shape[1]} does not match "
-                f"manifest feature_dim {manifest['feature_dim']}"
+                f"{manifest_path}: feature_dim {manifest['feature_dim']!r} does not match "
+                f"dimension {matrix.shape[1]} of {features_path}"
             )
-        tracklets = []
+        k = manifest["joint_count"]
+        if not (_is_int(k) and k >= 0):
+            raise FileFormatError(f"{manifest_path}: joint_count {k!r} is not a count")
+
+        def fail(t: dict, problem: str) -> FileFormatError:
+            return FileFormatError(f"{manifest_path}: tracklet {t['tracklet_id']!r}: {problem}")
+
         for t in manifest["tracklets"]:
-            where = f"{manifest_path}: tracklet {t['tracklet_id']!r}"
             if not (isinstance(t["tracklet_id"], str) and isinstance(t["identity"], str)):
-                raise FileFormatError(f"{where}: tracklet_id and identity must be strings")
+                raise fail(t, "tracklet_id and identity must be strings")
             if not _is_int(t["camera"]):
-                raise FileFormatError(f"{where}: camera {t['camera']!r} is not an integer")
-            frames = []
-            for f in t["frames"]:
-                row = f["row"]
-                if not _is_int(row) or not 0 <= row < matrix.shape[0]:
-                    raise FileFormatError(
-                        f"{manifest_path}: row {row!r} is not a row of the feature matrix"
-                    )
-                if not _is_int(f["frame_id"]):
-                    raise FileFormatError(f"{where}: frame_id {f['frame_id']!r} is not an integer")
-                frames.append(
-                    FrameRecord(
-                        frame_id=f["frame_id"],
-                        feature=matrix[row],
-                        pose=_pose_from_triples(
-                            f["keypoints"], f"{manifest_path}:{t['tracklet_id']}"
-                        ),
-                    )
-                )
-            tracklets.append(
-                Tracklet(
-                    tracklet_id=t["tracklet_id"],
-                    identity=t["identity"],
-                    camera=t["camera"],
-                    frames=tuple(frames),
-                    probe=bool(t.get("probe", False)),
-                )
-            )
-        return Dataset(
-            name=manifest["name"],
-            feature_dim=manifest["feature_dim"],
-            joint_count=manifest["joint_count"],
-            num_poses=manifest["num_poses"],
-            camera_count=manifest["camera_count"],
-            tracklets=tuple(tracklets),
+                raise fail(t, f"camera {t['camera']!r} is not an integer")
+            if not isinstance(t.get("probe", False), bool):
+                raise fail(t, f"probe {t['probe']!r} is not true or false")
+        # Stable sorts: duplicate tracklet and frame ids keep their file order.
+        entries = sorted(manifest["tracklets"], key=itemgetter("tracklet_id"))
+        offsets = np.cumsum([0] + [len(t["frames"]) for t in entries]).tolist()
+        frames = [f for t in entries for f in t["frames"]]
+        fields = ("frame_id", "row", "keypoints")
+        frame_ids, rows, keypoints = (list(map(itemgetter(key), frames)) for key in fields)
+        keypoints = _keypoints(keypoints, k)
+
+        def tracklet_of(i: int) -> dict:  # the entry frame i belongs to
+            return entries[bisect_right(offsets, i) - 1]
+
+        if set(map(type, frame_ids)) - {int}:
+            i = next(i for i, x in enumerate(frame_ids) if not _is_int(x))
+            raise fail(tracklet_of(i), f"frame_id {frame_ids[i]!r} is not an integer")
+        if set(map(type, rows)) - {int} or rows and not 0 <= min(rows) <= max(rows) < len(matrix):
+            i = next(i for i, x in enumerate(rows) if not (_is_int(x) and 0 <= x < len(matrix)))
+            raise fail(tracklet_of(i), f"row {rows[i]!r} is not a row of the feature matrix")
+        if keypoints is None:
+            i = next(i for i, f in enumerate(frames) if _keypoints([f["keypoints"]], k) is None)
+            raise fail(tracklet_of(i), f"frame {frame_ids[i]} {_KEYPOINT_CONTRACT.format(k=k)}")
+
+        ids, rows = np.array(frame_ids, dtype=np.int64), np.array(rows, dtype=np.int64)
+        order = np.lexsort((ids, np.repeat(np.arange(len(entries)), np.diff(offsets))))
+        if not np.array_equal(order, np.arange(len(order))):  # frames listed out of order
+            ids, rows, keypoints = ids[order], rows[order], keypoints[order]
+        features = matrix if np.array_equal(rows, np.arange(len(matrix))) else matrix[rows]
+        # Copied, so that the (N, k, 3) triples are freed and the joints are contiguous.
+        packed = PackedFrames(ids, features, keypoints[:, :, :2].copy(), keypoints[:, :, 2] == 1.0)
+        tracklets = tuple(
+            Tracklet(t["tracklet_id"], t["identity"], t["camera"], packed.rows(a, b), t.get("probe", False))
+            for t, a, b in zip(entries, offsets, offsets[1:])
         )
-    except (KeyError, TypeError) as exc:
+        return Dataset(manifest["name"], manifest["feature_dim"], k, manifest["num_poses"],
+                       manifest["camera_count"], tracklets)
+    except (KeyError, TypeError, OverflowError) as exc:
         raise FileFormatError(f"{manifest_path}: missing or malformed field: {exc}") from exc
 
 
@@ -211,21 +240,14 @@ def save_canon(canon: CanonicalPoseSet, path: str | Path) -> None:
 def load_canon(path: str | Path) -> CanonicalPoseSet:
     payload = _read_json(path)
     try:
-        joint_count = payload["joint_count"]
-        canon = CanonicalPoseSet(
-            poses=[
-                _pose_from_triples(p, f"{path}:pose[{i}]")
-                for i, p in enumerate(payload["poses"])
-            ]
-        )
+        k, poses = payload["joint_count"], payload["poses"]
+        keypoints = _keypoints(poses, k)
+        if keypoints is None:
+            i = next(i for i, p in enumerate(poses) if _keypoints([p], k) is None)
+            raise FileFormatError(f"{path}: pose[{i}] {_KEYPOINT_CONTRACT.format(k=k)}")
+        return CanonicalPoseSet(poses=[PoseVector(p[:, :2], p[:, 2] == 1.0) for p in keypoints])
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"{path}: missing or malformed field: {exc}") from exc
-    for i, p in enumerate(canon.poses):
-        if p.joints.shape[0] != joint_count:
-            raise FileFormatError(
-                f"{path}: pose[{i}] has {p.joints.shape[0]} joints, expected {joint_count}"
-            )
-    return canon
 
 
 def write_synth_index(index: Mapping[tuple[str, int], int], path: str | Path) -> None:

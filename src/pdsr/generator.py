@@ -142,9 +142,11 @@ class PlantedProvider(SyntheticFeatureProvider):
         if not 1 <= pose <= truth.pose_offsets.shape[0]:
             raise MissingSyntheticError(f"pose {pose} outside planted pose range")
         vec = truth.latents[truth.latent_key[tracklet_id]] + truth.pose_offsets[pose - 1]
-        noise = rng_for(self._seed, "provider-noise", tracklet_id, pose).normal(
-            0.0, self._sigma, vec.shape[0]
-        )
+        # Zero-sigma noise is +0.0 everywhere, so skip its Generator; adding
+        # the +0.0 still turns a -0.0 into +0.0, as the draw would.
+        noise = 0.0 if self._sigma == 0.0 else rng_for(
+            self._seed, "provider-noise", tracklet_id, pose
+        ).normal(0.0, self._sigma, vec.shape[0])
         return _quantize(_unit(vec + noise))
 
 

@@ -7,17 +7,26 @@ a Tracklet its frames by ascending frame id (stable sorts, so duplicates
 keep their storage order).  Otherwise construction is permissive (so that
 arbitrary files can be represented in memory); `validate_dataset` reports
 invariant violations instead of raising.
+
+Passes over frames read them packed (`pack`): frame ids (N,), features
+(N, d), joints (N, k, 2) and visibility (N, k) in canonical order, tracklet
+t on rows offsets[t]:offsets[t + 1].  A loaded dataset's tracklets are
+views of one such block, which packs without a copy; FrameRecords given to
+a Tracklet are stacked when read, so they must share one feature dimension
+and one joint count.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 #: Reserved identity label for tracklets that never count as positives.
 DISTRACTOR = "DISTRACTOR"
+_BLOCK_FRAMES = 4096  # rows validate_dataset checks per array operation
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,20 +71,68 @@ class FrameRecord:
 
 
 @dataclass(frozen=True, eq=False)
+class PackedFrames:
+    """Frames as arrays, one row each, read back as FrameRecord views.
+
+    A cut (`rows`) remembers its `base` block and `start` row there.
+    """
+
+    frame_ids: np.ndarray  # (n,) int64
+    features: np.ndarray  # (n, d)
+    joints: np.ndarray  # (n, k, 2)
+    visibility: np.ndarray  # (n, k) bool
+    base: PackedFrames | None = field(default=None, repr=False)
+    start: int = 0
+
+    @classmethod
+    def stack(cls, frames: Sequence[FrameRecord]) -> PackedFrames:
+        if not frames:  # no frame to take a dimension or joint count from
+            return cls(np.zeros(0, np.int64), np.zeros((0, 0)), np.zeros((0, 0, 2)), np.zeros((0, 0), bool))
+        return cls(np.array([f.frame_id for f in frames], np.int64), np.stack([f.feature for f in frames]),
+                   np.stack([f.pose.joints for f in frames]), np.stack([f.pose.visibility for f in frames]))
+
+    def rows(self, start: int, stop: int) -> PackedFrames:
+        cut, base = slice(start, stop), self if self.base is None else self.base
+        return PackedFrames(self.frame_ids[cut], self.features[cut], self.joints[cut],
+                            self.visibility[cut], base, self.start + start)
+
+    def __len__(self) -> int:
+        return self.frame_ids.shape[0]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self)[i]
+        pose = PoseVector(self.joints[i], self.visibility[i])
+        return FrameRecord(int(self.frame_ids[i]), self.features[i], pose)
+
+
+@dataclass(frozen=True, eq=False)
 class Tracklet:
-    """The frames of one observed person from one camera, by ascending frame id."""
+    """The frames of one observed person from one camera, by ascending frame id.
+
+    `frames` are FrameRecords, sorted here, or PackedFrames already in order.
+    """
 
     tracklet_id: str
     identity: str
     camera: int
-    frames: tuple[FrameRecord, ...]
+    frames: Sequence[FrameRecord]
     probe: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "frames", tuple(sorted(self.frames, key=lambda f: f.frame_id)))
+        if not isinstance(self.frames, PackedFrames):
+            frames = tuple(sorted(self.frames, key=lambda f: f.frame_id))
+            if len({(f.feature.shape, f.pose.joints.shape) for f in frames}) > 1:
+                raise ValueError(f"frames of tracklet {self.tracklet_id!r} differ in shape")
+            object.__setattr__(self, "frames", frames)
 
     def __len__(self) -> int:
         return len(self.frames)
+
+    @property
+    def packed(self) -> PackedFrames:
+        """The frames as arrays: the given PackedFrames, or FrameRecords stacked afresh."""
+        return self.frames if isinstance(self.frames, PackedFrames) else PackedFrames.stack(self.frames)
 
     @property
     def is_distractor(self) -> bool:
@@ -160,6 +217,23 @@ class Dataset:
         return {t.tracklet_id: t for t in self.tracklets}
 
 
+def pack(tracklets: Sequence[Tracklet]) -> tuple[PackedFrames, np.ndarray]:
+    """The tracklets' frames, one tracklet after another, and the (T+1,) offsets of their rows.
+
+    Consecutive cuts of one block, as a loaded dataset's tracklets are,
+    pack into views of it; anything else is stacked frame by frame.
+    """
+    parts = [t.frames for t in tracklets]
+    offsets = np.cumsum([0] + [len(p) for p in parts])
+    base = getattr(parts[0], "base", None) if parts else None
+    if base is not None and all(
+        getattr(p, "base", None) is base and p.start == parts[0].start + o
+        for p, o in zip(parts, offsets.tolist())
+    ):
+        return base.rows(parts[0].start, parts[0].start + int(offsets[-1])), offsets
+    return PackedFrames.stack([f for p in parts for f in p]), offsets
+
+
 @dataclass(frozen=True)
 class ValidationIssue:
     """One invariant violation found by validate_dataset."""
@@ -169,6 +243,24 @@ class ValidationIssue:
 
     def __str__(self) -> str:
         return f"[{self.code}] {self.message}"
+
+
+def _frame_defects(frames: PackedFrames) -> tuple[np.ndarray, list[int]]:
+    """Per-row flags of a block, a bounded run of rows at a time, and the flagged rows.
+
+    Flags: non-finite feature, all-zero feature, a visible joint outside
+    [0, 1] x [0, 1], a frame id equal to the previous row's.
+    """
+    defects = np.empty((len(frames), 4), dtype=bool)
+    defects[:, 3] = np.r_[False, frames.frame_ids[1:] == frames.frame_ids[:-1]]
+    for start in range(0, len(frames), _BLOCK_FRAMES):
+        rows = slice(start, start + _BLOCK_FRAMES)
+        features, joints = frames.features[rows], frames.joints[rows]
+        defects[rows, 0] = ~np.isfinite(features).all(axis=1)
+        defects[rows, 1] = ~features.any(axis=1)
+        inside = ((joints >= 0.0) & (joints <= 1.0)).all(axis=2)  # False for NaN
+        defects[rows, 2] = (frames.visibility[rows] & ~inside).any(axis=1)
+    return defects, np.flatnonzero(defects.any(axis=1)).tolist()
 
 
 def validate_dataset(
@@ -182,7 +274,8 @@ def validate_dataset(
 
     Reports (not raises) dimension mismatches, empty tracklets, non-finite or
     all-zero features, out-of-range visible coordinates, duplicate ids, and
-    canonical-set defects.
+    canonical-set defects.  The per-frame checks are array operations over
+    each packed block; Python walks only the tracklets and flagged frames.
     """
     issues: list[ValidationIssue] = []
 
@@ -205,38 +298,44 @@ def validate_dataset(
     if expected_joints is not None and canon_k != expected_joints:
         add("canon_joint_mismatch", f"canonical set has k={canon_k}, manifest says {expected_joints}")
 
-    dims = [t.frames[0].feature.shape[0] for t in tracklets if t.frames]
-    ref_dim = expected_dim if expected_dim is not None else (dims[0] if dims else None)
+    first = next((t.frames[0] for t in tracklets if len(t)), None)
+    ref_dim = expected_dim if expected_dim is not None or first is None else first.feature.shape[0]
     ref_k = expected_joints if expected_joints is not None else canon_k
 
+    flagged: dict[PackedFrames, tuple[np.ndarray, list[int]]] = {}
     seen_ids: set[str] = set()
     for t in tracklets:
         if t.tracklet_id in seen_ids:
             add("duplicate_tracklet_id", f"tracklet id {t.tracklet_id!r} appears more than once")
         seen_ids.add(t.tracklet_id)
 
-        if not t.frames:
+        if not len(t):
             add("empty_tracklet", f"tracklet {t.tracklet_id!r} has no frames")
             continue
 
-        frame_ids = [f.frame_id for f in t.frames]
-        if len(set(frame_ids)) != len(frame_ids):
+        packed = t.packed
+        block = packed if packed.base is None else packed.base
+        if block not in flagged:
+            flagged[block] = _frame_defects(block)
+        defects, bad_rows = flagged[block]
+        start, stop = packed.start, packed.start + len(t)
+        rows = bad_rows[bisect_left(bad_rows, start) : bisect_left(bad_rows, stop)]
+        if any(defects[r, 3] for r in rows if r > start):
             add("duplicate_frame_id", f"tracklet {t.tracklet_id!r} has duplicate frame ids")
 
-        for f in t.frames:
-            where = f"tracklet {t.tracklet_id!r} frame {f.frame_id}"
-            if ref_dim is not None and f.feature.shape[0] != ref_dim:
-                add("dimension_mismatch", f"{where}: feature dim {f.feature.shape[0]} != {ref_dim}")
-            if not np.isfinite(f.feature).all():
+        dim, k = packed.features.shape[1], packed.joints.shape[1]
+        wrong_dim = ref_dim is not None and dim != ref_dim
+        for r in range(start, stop) if wrong_dim or k != ref_k else rows:
+            where = f"tracklet {t.tracklet_id!r} frame {block.frame_ids[r]}"
+            if wrong_dim:
+                add("dimension_mismatch", f"{where}: feature dim {dim} != {ref_dim}")
+            if defects[r, 0]:
                 add("nonfinite_feature", f"{where}: feature contains NaN or Inf")
-            elif not f.feature.any():
+            elif defects[r, 1]:
                 add("zero_feature", f"{where}: all-zero feature vector")
-            if f.pose.joint_count != ref_k:
-                add("joint_count_mismatch", f"{where}: k={f.pose.joint_count} != {ref_k}")
-            vis = f.pose.visibility
-            if vis.any():
-                coords = f.pose.joints[vis]
-                if not np.isfinite(coords).all() or (coords < 0.0).any() or (coords > 1.0).any():
-                    add("coordinate_out_of_range", f"{where}: visible joint outside [0, 1] x [0, 1]")
+            if k != ref_k:
+                add("joint_count_mismatch", f"{where}: k={k} != {ref_k}")
+            if defects[r, 2]:
+                add("coordinate_out_of_range", f"{where}: visible joint outside [0, 1] x [0, 1]")
 
     return issues

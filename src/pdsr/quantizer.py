@@ -12,41 +12,37 @@ import math
 
 import numpy as np
 
-from .model import CanonicalPoseSet, PoseVector
+from .model import CanonicalPoseSet
 
 DEFAULT_MIN_COMMON_JOINTS = 4
 _BLOCK_FRAMES = 256
 
 
 def assignment_distances(
-    poses: list[PoseVector],
+    joints: np.ndarray,
+    visibility: np.ndarray,
     canon: CanonicalPoseSet,
     *,
     min_common_joints: int = DEFAULT_MIN_COMMON_JOINTS,
 ) -> np.ndarray:
-    """Distance matrix (len(poses), M); inf where too few common joints.
+    """Distance matrix (L, M) of L packed poses to the canon; inf where too few common joints.
 
-    Each row depends only on its own pose, so any batch gives a frame the
-    same distances bit for bit.
+    `joints` is (L, k, 2) and `visibility` (L, k).  Each row depends only
+    on its own pose, so any batch gives a frame the same distances bit for
+    bit.
     """
-    if not poses:
-        return np.empty((0, len(canon.poses)))
-    frame_joints = np.stack([p.joints for p in poses])  # (L, k, 2)
-    frame_vis = np.stack([p.visibility for p in poses])  # (L, k)
     canon_joints = np.stack([p.joints for p in canon.poses])  # (M, k, 2)
     canon_vis = np.stack([p.visibility for p in canon.poses])  # (M, k)
-    if frame_joints.shape[1] != canon_joints.shape[1]:
-        raise ValueError(
-            f"joint counts differ: {frame_joints.shape[1]} vs {canon_joints.shape[1]}"
-        )
+    if len(joints) and joints.shape[1] != canon_joints.shape[1]:
+        raise ValueError(f"joint counts differ: {joints.shape[1]} vs {canon_joints.shape[1]}")
 
-    dist = np.empty((len(poses), len(canon.poses)))
+    dist = np.empty((len(joints), len(canon.poses)))
     # Blocks bound the (block, M, k, 2) temporaries; a whole dataset at
     # once would hold several of them, each far larger than the result.
-    for start in range(0, len(poses), _BLOCK_FRAMES):
+    for start in range(0, len(joints), _BLOCK_FRAMES):
         rows = slice(start, start + _BLOCK_FRAMES)
-        common = frame_vis[rows, None, :] & canon_vis[None, :, :]  # (B, M, k)
-        diff = frame_joints[rows, None, :, :] - canon_joints[None, :, :, :]  # (B, M, k, 2)
+        common = visibility[rows, None, :] & canon_vis[None, :, :]  # (B, M, k)
+        diff = joints[rows, None, :, :] - canon_joints[None, :, :, :]  # (B, M, k, 2)
         sq = np.where(common, np.sum(diff * diff, axis=-1), 0.0)  # (B, M, k)
         counts = common.sum(axis=-1)  # (B, M)
         with np.errstate(invalid="ignore", divide="ignore"):

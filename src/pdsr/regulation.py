@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AllFramesUnassignableError, EmptyUnionError, ZeroVectorError
-from .model import CanonicalPoseSet, FrameRecord, PoseRecord, Tracklet, TrackletMeans
+from .model import CanonicalPoseSet, PoseRecord, Tracklet, TrackletMeans, pack
 from .providers import RepresentativeChoice, choose_representative
 from .quantizer import assignment_distances, nearest_poses
 
@@ -47,32 +47,13 @@ def _segment_means(
     return keys[starts], sizes, sums
 
 
-def _flatten(tracklets: Sequence[Tracklet]) -> tuple[list[FrameRecord], np.ndarray]:
-    """Every frame, tracklet by tracklet in frame-id order, and its tracklet's row."""
-    frames = [t.frames for t in tracklets]
-    row = np.repeat(np.arange(len(frames)), [len(f) for f in frames])
-    return [f for fs in frames for f in fs], row
-
-
-def _pooled(flat: list[FrameRecord], row: np.ndarray) -> np.ndarray:
-    """(T, d) mean of each row's frames; every row must have a frame."""
-    return _segment_means(np.stack([f.feature for f in flat]), row)[2]
-
-
-def _fail_first(bad: np.ndarray, ids: Sequence[str], message: str) -> None:
-    """Raise AllFramesUnassignableError naming the first tracklet flagged `bad`."""
-    if bad.any():
-        tid = ids[int(np.argmax(bad))]
-        raise AllFramesUnassignableError(message.format(tid=tid))
-
-
 def real_means(tracklets: Sequence[Tracklet]) -> np.ndarray:
     """(T, d) mean feature of each tracklet's frames, pooled in one pass."""
-    flat, row = _flatten(tracklets)
-    empty = np.bincount(row, minlength=len(tracklets)) == 0
-    if empty.any():
-        raise ValueError(f"tracklet {tracklets[int(np.argmax(empty))].tracklet_id!r} has no frames")
-    return _pooled(flat, row)
+    frames, offsets = pack(tracklets)
+    sizes = np.diff(offsets)
+    if not sizes.all():
+        raise ValueError(f"tracklet {tracklets[int(np.argmin(sizes))].tracklet_id!r} has no frames")
+    return _segment_means(frames.features, np.repeat(np.arange(len(sizes)), sizes))[2]
 
 
 def tracklet_means(tracklets: Sequence[Tracklet], rep: RepresentativeChoice) -> TrackletMeans:
@@ -96,22 +77,23 @@ def pose_normalize(
     matching partners, so backfill happens at scoring time.
     """
     ids = tuple(t.tracklet_id for t in tracklets)
-    flat, row = _flatten(tracklets)
-    nearest, _ = nearest_poses(assignment_distances([f.pose for f in flat], canon))
+    frames, offsets = pack(tracklets)
+    row = np.repeat(np.arange(len(ids)), np.diff(offsets))
+    nearest, _ = nearest_poses(assignment_distances(frames.joints, frames.visibility, canon))
     pose = np.array([0 if j is None else j for j in nearest], dtype=np.int64)  # 0: unassignable
     assigned = np.flatnonzero(pose)
     assignable = np.bincount(row[assigned], minlength=len(ids))
-    _fail_first(assignable == 0, ids, "no frame of tracklet {tid!r} maps to any canonical pose")
-    real = _pooled(flat, row)
+    if not assignable.all():
+        tid = ids[int(np.argmin(assignable))]
+        raise AllFramesUnassignableError(f"no frame of tracklet {tid!r} maps to any canonical pose")
+    real = _segment_means(frames.features, row)[2]
     m = len(canon)
     cell = row * m + pose - 1
     # A stable sort keeps frame-id order inside each (tracklet, pose) run.
+    # The gathered rows are the pass's only (N, d) temporary: a loaded
+    # dataset's features are views of the matrix that was read.
     order = assigned[np.argsort(cell[assigned], kind="stable")]
-    # Stacked afresh, not gathered from a stacked matrix: the pass then
-    # never holds two (N, d) arrays at once.
-    cells, sizes, means = _segment_means(
-        np.stack([flat[i].feature for i in order.tolist()]), cell[order]
-    )
+    cells, sizes, means = _segment_means(frames.features[order], cell[order])
 
     vectors = np.zeros((len(ids), m, means.shape[1]))
     vectors.reshape(-1, means.shape[1])[cells] = means

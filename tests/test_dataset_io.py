@@ -1,9 +1,13 @@
 """File formats: feature container, manifests, canon, indices, reports."""
 
+import dataclasses
+import inspect
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from pdsr import (
     CanonicalPoseSet,
@@ -19,6 +23,7 @@ from pdsr import (
     load_canon,
     load_dataset,
     report_to_dict,
+    validate_dataset,
 )
 from pdsr.dataset_io import (
     _HEADER,
@@ -377,8 +382,8 @@ def _manifest_with(tmp_path, edit):
     return tmp_path / "m.json", lambda: load_dataset(tmp_path / "m.json", tmp_path / "f.bin")
 
 
-def _set_keypoint(tracklet, value):
-    tracklet["frames"][0]["keypoints"][0][0] = value
+def _set_keypoint(tracklet, value, field=0):
+    tracklet["frames"][0]["keypoints"][0][field] = value
 
 
 def _canon_with(tmp_path, payload):
@@ -404,6 +409,17 @@ NON_UTF8 = b'{"name": "\xff"}\n'
 MALFORMED_INPUTS = {
     "keypoint-string": lambda tmp: _manifest_with(tmp, lambda t: _set_keypoint(t, "abc")),
     "keypoint-list": lambda tmp: _manifest_with(tmp, lambda t: _set_keypoint(t, [1, 2])),
+    "keypoint-numeric-string": lambda tmp: _manifest_with(tmp, lambda t: _set_keypoint(t, "0.5")),
+    "keypoint-bool": lambda tmp: _manifest_with(tmp, lambda t: _set_keypoint(t, True)),
+    "keypoint-four-fields": lambda tmp: _manifest_with(
+        tmp, lambda t: t["frames"][0]["keypoints"][0].append(0.0)
+    ),
+    "visibility-string": lambda tmp: _manifest_with(tmp, lambda t: _set_keypoint(t, "no", 2)),
+    "visibility-two": lambda tmp: _manifest_with(tmp, lambda t: _set_keypoint(t, 2, 2)),
+    "keypoint-missing": lambda tmp: _manifest_with(
+        tmp, lambda t: t["frames"][1]["keypoints"].pop()
+    ),
+    "probe-string": lambda tmp: _manifest_with(tmp, lambda t: t.update(probe="false")),
     "fractional-row": lambda tmp: _manifest_with(tmp, lambda t: t["frames"][0].update(row=1.5)),
     "string-frame-id": lambda tmp: _manifest_with(
         tmp, lambda t: t["frames"][0].update(frame_id="x")
@@ -425,6 +441,9 @@ MALFORMED_INPUTS = {
     "canon-without-joint-count": lambda tmp: _canon_with(tmp, {"poses": [[[0.1, 0.2, 1]]]}),
     "canon-without-poses": lambda tmp: _canon_with(tmp, {"joint_count": 1, "poses": []}),
     "canon-empty-pose": lambda tmp: _canon_with(tmp, {"joint_count": 1, "poses": [[]]}),
+    "canon-visibility-string": lambda tmp: _canon_with(
+        tmp, {"joint_count": 1, "poses": [[[0.1, 0.2, "no"]]]}
+    ),
     "gen-spec-one-identity": lambda tmp: _gen_spec_with(tmp, identities=1),
 }
 
@@ -435,3 +454,97 @@ def test_malformed_input_raises_file_format_error(tmp_path, case):
     with pytest.raises(FileFormatError) as exc:
         load()
     assert str(path) in str(exc.value)
+
+
+# ------------------------------------------------------- manifest fuzzer
+
+#: One value of each JSON type; a swap replaces a value by one of another type.
+JSON_VALUES = (None, True, 0, 1.5, "x", [], {})
+
+
+def _json_paths(node, path=()):
+    """Every (container path, key) pair of a decoded JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield path, key
+        if isinstance(value, (dict, list)):
+            yield from _json_paths(value, path + (key,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _mutate(doc, data, rows):
+    """Apply one drawn mutation to a decoded manifest, in place."""
+    frames = [f for t in doc["tracklets"] for f in t["frames"]]
+    kind = data.draw(st.sampled_from(["delete", "swap", "triple", "keypoint", "row"]))
+    if kind in ("delete", "swap"):
+        keyed = [(p, k) for p, k in _json_paths(doc) if kind == "swap" or isinstance(k, str)]
+        path, key = data.draw(st.sampled_from(keyed))
+        parent = _at(doc, path)
+        if kind == "delete":
+            del parent[key]
+        else:
+            old = type(parent[key])
+            parent[key] = data.draw(st.sampled_from([v for v in JSON_VALUES if type(v) is not old]))
+        return
+    frame = data.draw(st.sampled_from(frames))
+    if kind == "row":
+        frame["row"] = data.draw(st.sampled_from([-1, rows, rows + 7, 2**70]))
+        return
+    keypoints = frame["keypoints"]
+    target = data.draw(st.sampled_from(keypoints)) if kind == "triple" else keypoints
+    if data.draw(st.booleans()):
+        target.pop()
+    else:
+        target.append(list(keypoints[0]) if kind == "keypoint" else 0.5)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_manifest_loads_or_names_the_manifest(tmp_path, data):
+    ds = single_tracklet_dataset()
+    save_dataset(ds, tmp_path / "m.json", tmp_path / "f.bin")
+    doc = json.loads((tmp_path / "m.json").read_text())
+    _mutate(doc, data, rows=3)
+    (tmp_path / "bad.json").write_text(json.dumps(doc))
+    try:
+        load_dataset(tmp_path / "bad.json", tmp_path / "f.bin")
+    except FileFormatError as exc:
+        assert str(tmp_path / "bad.json") in str(exc)
+
+
+# -------------------------------------------- the benchmark's use of pdsr
+
+
+def test_dataset_rebuilt_from_frame_objects_saves_loads_and_validates(tmp_path, small_gen):
+    # Built the way the benchmark hides joints: new FrameRecord, PoseVector
+    # and Tracklet objects, swapped into the dataset with dataclasses.replace.
+    k = small_gen.dataset.joint_count
+    vis = np.zeros(k, dtype=bool)
+    vis[:3] = True
+    tracklets = tuple(
+        Tracklet(t.tracklet_id, t.identity, t.camera, tuple(
+            FrameRecord(f.frame_id, f.feature, PoseVector(f.pose.joints, vis)) if i % 2 else f
+            for i, f in enumerate(t.frames)
+        ), t.probe)
+        for t in small_gen.dataset.tracklets
+    )
+    dataset = dataclasses.replace(small_gen.dataset, tracklets=tracklets)
+    save_dataset(dataset, tmp_path / "m.json", tmp_path / "f.bin")
+    loaded = load_dataset(tmp_path / "m.json", tmp_path / "f.bin")
+    assert_datasets_equal(loaded, dataset)
+
+    # validate_dataset takes the tracklets first, and their frames count
+    # every frame of the dataset once.
+    first = next(iter(inspect.signature(validate_dataset).parameters.values()))
+    assert first.name == "tracklets" and first.kind is first.POSITIONAL_OR_KEYWORD
+    assert validate_dataset(loaded.tracklets, small_gen.canon, expected_dim=loaded.feature_dim,
+                            expected_joints=loaded.joint_count) == []
+    assert sum(len(t.frames) for t in loaded.tracklets) == sum(
+        len(t.frames) for t in dataset.tracklets
+    ) == read_feature_matrix(tmp_path / "f.bin").shape[0]

@@ -6,21 +6,31 @@ import pytest
 from naive_reference import naive_cosine
 from pdsr import MissingSyntheticError, validate_dataset
 from pdsr.fusion import wf_embeddings
-from pdsr.generator import GenSpec, PlantedProvider, generate, load_gen_spec, save_gen_spec
-from pdsr.model import DISTRACTOR
+from pdsr.generator import (
+    GenSpec,
+    PlantedProvider,
+    _quantize,
+    _unit,
+    generate,
+    load_gen_spec,
+    save_gen_spec,
+)
+from pdsr.model import DISTRACTOR, pack
 from pdsr.providers import RepresentativeChoice, fetch_synthetic
 from pdsr.quantizer import assignment_distances, nearest_poses
 from pdsr.regulation import tracklet_means
+from pdsr.seeding import rng_for
 
 SMALL = dict(identities=2, cameras=2, frames_per_tracklet=(4, 6), feature_dim=8, num_poses=4)
 
 
 def recovery_rate(gen):
-    frames = [(t.tracklet_id, f) for t in gen.dataset.tracklets for f in t.frames]
-    poses, _ = nearest_poses(assignment_distances([f.pose for _, f in frames], gen.canon))
+    frames, _ = pack(gen.dataset.tracklets)
+    tids = [t.tracklet_id for t in gen.dataset.tracklets for _ in range(len(t))]
+    poses, _ = nearest_poses(assignment_distances(frames.joints, frames.visibility, gen.canon))
     hits = [
-        pose == gen.truth.frame_poses[(tid, f.frame_id)]
-        for (tid, f), pose in zip(frames, poses)
+        pose == gen.truth.frame_poses[(tid, frame_id)]
+        for tid, frame_id, pose in zip(tids, frames.frame_ids.tolist(), poses)
     ]
     return sum(hits) / len(hits)
 
@@ -142,6 +152,27 @@ def test_planted_provider_is_ideal_and_deterministic():
         assert abs(np.linalg.norm(vec) - 1.0) < 1e-6  # unit up to f32 rounding
         # representative frame id is irrelevant by construction
         assert np.array_equal(vec, gen.provider.query(t.tracklet_id, 999, pose))
+
+
+def test_zero_sigma_provider_draws_no_noise_and_keeps_every_byte(monkeypatch):
+    gen = generate(GenSpec(**SMALL, distractors=2, seed=9))
+    truth = gen.truth
+
+    def drawn(tid, pose):  # the draw a zero sigma used to make
+        vec = truth.latents[truth.latent_key[tid]] + truth.pose_offsets[pose - 1]
+        noise = rng_for(9, "provider-noise", tid, pose).normal(
+            0.0, 0.0, vec.shape[0]
+        )
+        return _quantize(_unit(vec + noise))
+
+    keys = [(t.tracklet_id, j) for t in gen.dataset.tracklets for j in gen.canon.indices]
+    expected = [drawn(tid, j).tobytes() for tid, j in keys]
+
+    def no_generator(*args):
+        raise AssertionError(f"rng_for{args} called at sigma 0")
+
+    monkeypatch.setattr("pdsr.generator.rng_for", no_generator)
+    assert [gen.provider.query(tid, 0, j).tobytes() for tid, j in keys] == expected
 
 
 def test_planted_provider_rejects_unknown_keys():

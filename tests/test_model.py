@@ -175,3 +175,39 @@ def test_canon_joint_mismatch_detected():
     assert "canon_joint_mismatch" in codes(
         validate_dataset(tracklets, canon, expected_joints=5)
     )
+
+
+def test_every_defect_is_reported_once_in_order():
+    # One dataset with every defect at once: the exact report pins which
+    # findings validate_dataset emits and in what order.
+    hidden = PoseVector(joints=np.full((6, 2), 9.0), visibility=np.zeros(6, dtype=bool))
+    stray = PoseVector(joints=np.full((6, 2), 0.5), visibility=np.ones(6, dtype=bool))
+    stray.joints[2] = (0.5, 1.25)
+    tracklets = [
+        Tracklet("a", "id1", 0, (frame(0, [1.0, 0.0, 0.0]), frame(1, [0.0, 1.0, 0.0]))),
+        Tracklet("a", "id1", 1, (frame(0, [0.0, 0.0, 1.0]),)),
+        Tracklet("b", "id2", 0, ()),
+        Tracklet("c", "id2", 1, (frame(3, [1.0, 1.0, 0.0]), frame(3, [1.0, 0.0, 1.0]),
+                                 frame(4, [np.nan, 0.0, 0.0]), frame(5, [0.0, 0.0, 0.0]))),
+        Tracklet("d", "id3", 0, (frame(0, [1.0, 2.0, 3.0, 4.0]), frame(1, [np.inf, 0.0, 0.0, 0.0]))),
+        Tracklet("e", "id3", 1, (frame(7, [1.0, 0.0, 0.0], k=4, fill=-0.5),)),
+        Tracklet("f", "id4", 0, (FrameRecord(0, np.array([1.0, 0.0, 0.0]), hidden),
+                                 FrameRecord(1, np.array([0.0, 1.0, 0.0]), stray))),
+    ]
+    canon = CanonicalPoseSet(poses=(grid_pose(6, 0.0), grid_pose(6, 0.0), grid_pose(5, 0.1)))
+    issues = validate_dataset(tracklets, canon, expected_dim=3, expected_joints=6)
+    assert [str(i) for i in issues] == [
+        "[canon_joint_mismatch] canonical pose 3 has k=5, expected 6",
+        "[canon_duplicate] canonical poses 1 and 2 coincide on their common joints",
+        "[duplicate_tracklet_id] tracklet id 'a' appears more than once",
+        "[empty_tracklet] tracklet 'b' has no frames",
+        "[duplicate_frame_id] tracklet 'c' has duplicate frame ids",
+        "[nonfinite_feature] tracklet 'c' frame 4: feature contains NaN or Inf",
+        "[zero_feature] tracklet 'c' frame 5: all-zero feature vector",
+        "[dimension_mismatch] tracklet 'd' frame 0: feature dim 4 != 3",
+        "[dimension_mismatch] tracklet 'd' frame 1: feature dim 4 != 3",
+        "[nonfinite_feature] tracklet 'd' frame 1: feature contains NaN or Inf",
+        "[joint_count_mismatch] tracklet 'e' frame 7: k=4 != 6",
+        "[coordinate_out_of_range] tracklet 'e' frame 7: visible joint outside [0, 1] x [0, 1]",
+        "[coordinate_out_of_range] tracklet 'f' frame 1: visible joint outside [0, 1] x [0, 1]",
+    ]

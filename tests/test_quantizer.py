@@ -26,14 +26,20 @@ def random_canon(rng, m=4, k=8):
     return CanonicalPoseSet(poses=tuple(random_pose(rng, k) for _ in range(m)))
 
 
+def pose_distances(poses, canon, **kwargs):
+    """The batched quantizer's distances for a list of PoseVectors, packed."""
+    return assignment_distances(np.stack([p.joints for p in poses]),
+                                np.stack([p.visibility for p in poses]), canon, **kwargs)
+
+
 def distance(a, b, **kwargs):
     """Distance between two poses through the batched quantizer."""
-    return assignment_distances([a], CanonicalPoseSet(poses=(b,)), **kwargs)[0, 0]
+    return pose_distances([a], CanonicalPoseSet(poses=(b,)), **kwargs)[0, 0]
 
 
 def assign(frame, canon):
     """(pose, distance) of one frame through the batched quantizer."""
-    poses, distances = nearest_poses(assignment_distances([frame], canon))
+    poses, distances = nearest_poses(pose_distances([frame], canon))
     return poses[0], distances[0]
 
 
@@ -135,9 +141,9 @@ def test_vectorized_distances_match_scalar_bitwise():
     rng = rng_for(4, "vec")
     canon = random_canon(rng, m=5)
     frames = [random_pose(rng, visible_prob=0.6) for _ in range(_BLOCK_FRAMES + 20)]
-    matrix = assignment_distances(frames, canon)
+    matrix = pose_distances(frames, canon)
     for i, f in enumerate(frames):
-        assert np.array_equal(matrix[i], assignment_distances([f], canon)[0])
+        assert np.array_equal(matrix[i], pose_distances([f], canon)[0])
 
 
 def make_tracklet(rng, n_frames, k=8, d=4, visible_prob=1.0):
