@@ -81,7 +81,7 @@ def main() -> None:
             "mean_ap": {m.value: mean_ap[m] for m in MODES},
             "fused_vs_baseline_pvalue": float(test.pvalue),
         }
-        with open(args.json, "w") as fh:
+        with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
         print(f"results -> {args.json}")

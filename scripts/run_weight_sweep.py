@@ -86,7 +86,7 @@ def main() -> None:
             "per_seed_rank1": curves,
             "interior_max_seeds": interior_max,
         }
-        with open(args.json, "w") as fh:
+        with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
         print(f"results -> {args.json}")

@@ -62,7 +62,7 @@ class _ConfigGroup(click.Group):
         path = os.environ.get(ENV_CONFIG)
         if path and "default_map" not in extra:
             try:
-                with open(path) as fh:
+                with open(path, encoding="utf-8") as fh:
                     extra["default_map"] = json.load(fh)
             except OSError as exc:
                 raise click.ClickException(f"cannot read {ENV_CONFIG}={path}: {exc}")
@@ -197,7 +197,8 @@ def quantize(obj: CliContext, out_path: Path | None):
             "".join(
                 f"{tid}\t{frame_id}\t{'-' if j is None else j}\t{d!r}\n"
                 for tid, frame_id, j, d in zip(tids, frames.frame_ids.tolist(), poses, distances)
-            )
+            ),
+            encoding="utf-8",
         )
     unassignable = poses.count(None)
     click.echo(
@@ -238,7 +239,8 @@ def embed(obj: CliContext, mode: str, weight: float, out_path: Path,
         dataset_io.write_feature_matrix(out_path, rows)
         if ids_path is not None:
             ids_path.write_text(
-                "".join(f"{i}\t{t.tracklet_id}\n" for i, t in enumerate(tracklets))
+                "".join(f"{i}\t{t.tracklet_id}\n" for i, t in enumerate(tracklets)),
+                encoding="utf-8",
             )
         click.echo(f"{rows.shape[0]} wf embeddings (w={weight}) -> {out_path}")
     else:
@@ -288,7 +290,8 @@ def match(obj: CliContext, probe_id: str, mode: str, weight: float, top: int,
             "".join(
                 f"{rank}\t{t.tracklet_id}\t{score!r}\t{t.identity}\t{t.camera}\n"
                 for rank, (t, score) in enumerate(ranked, start=1)
-            )
+            ),
+            encoding="utf-8",
         )
     click.echo(f"probe {probe_id} ({probe.identity}, camera {probe.camera}), mode {mode}:")
     for rank, (t, score) in enumerate(ranked[: max(top, 0)], start=1):

@@ -13,9 +13,12 @@ identical content.
 from __future__ import annotations
 
 import csv
+import gc
 import json
 import struct
+import threading
 from bisect import bisect_right
+from contextlib import contextmanager
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
@@ -63,12 +66,19 @@ def read_feature_matrix(path: str | Path) -> np.ndarray:
             f"{path}: size {len(raw)} does not match header ({expected} expected)"
         )
     data = np.frombuffer(raw, dtype="<f4", offset=_HEADER.size)
-    return data.reshape(rows, dim).astype(np.float64)
+    finite = np.isfinite(data)
+    if not finite.all():
+        raise FileFormatError(f"{path}: row {int(np.argmin(finite)) // dim} is not finite")
+    try:
+        return data.reshape(rows, dim).astype(np.float64)
+    except ValueError as exc:  # an empty matrix with more rows than NumPy can index
+        raise FileFormatError(f"{path}: cannot hold a {rows} x {dim} matrix") from exc
 
 
 def _read_text(path: str | Path) -> str:
+    """The file decoded as UTF-8, line ends as stored."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FileFormatError(f"{path}: not UTF-8 at byte {exc.start}") from exc
 
@@ -78,6 +88,36 @@ def _read_json(path: str | Path):
         return json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{path}: invalid JSON") from exc
+
+
+_pause_lock = threading.Lock()
+_pauses = 0  # pauses in progress, across threads
+_resume = False  # whether the collector was on when the first of them began
+
+
+@contextmanager
+def _collector_paused():
+    """Turn the cyclic garbage collector off, and back on at exit only if it was on.
+
+    A decoded manifest is about a million lists, dicts and floats that form
+    no cycle, yet the collector rescans them as they are allocated.  Used as
+    a decorator, the pause also covers freeing the function's locals, so the
+    decoded tree is gone before the collector runs again.  Overlapping pauses
+    from several threads restore the collector once, when the last one ends.
+    """
+    global _pauses, _resume
+    with _pause_lock:
+        if _pauses == 0:
+            _resume = gc.isenabled()
+            gc.disable()
+        _pauses += 1
+    try:
+        yield
+    finally:
+        with _pause_lock:
+            _pauses -= 1
+            if _pauses == 0 and _resume:
+                gc.enable()
 
 
 def _pose_to_triples(pose: PoseVector) -> list[list[float]]:
@@ -156,16 +196,18 @@ def save_dataset(
     write_feature_matrix(
         features_path, np.stack(rows) if rows else np.zeros((0, dataset.feature_dim))
     )
-    with open(manifest_path, "w") as fh:
+    with open(manifest_path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
+@_collector_paused()
 def load_dataset(manifest_path: str | Path, features_path: str | Path) -> Dataset:
     """Read a manifest and its feature matrix into one packed block, in canonical order.
 
     The features are the matrix as read when the manifest lists its rows in
-    canonical order, as `save_dataset` writes them.
+    canonical order, as `save_dataset` writes them.  The cyclic garbage
+    collector is paused while it runs, and the caller's setting restored.
     """
     manifest = _read_json(manifest_path)
     matrix = read_feature_matrix(features_path)
@@ -232,7 +274,7 @@ def save_canon(canon: CanonicalPoseSet, path: str | Path) -> None:
         "joint_count": int(canon.poses[0].joints.shape[0]),
         "poses": [_pose_to_triples(p) for p in canon.poses],
     }
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -250,28 +292,42 @@ def load_canon(path: str | Path) -> CanonicalPoseSet:
         raise FileFormatError(f"{path}: missing or malformed field: {exc}") from exc
 
 
+def _check_ids(ids) -> None:
+    for tid in ids:
+        if "\t" in tid or "\n" in tid or "\r" in tid:
+            raise ValueError(f"tracklet id {tid!r} cannot contain tab, newline or carriage return")
+
+
+def _tsv_lines(path: str | Path, fields: int):
+    """(line number, fields) of each non-empty line of a tab-separated file."""
+    for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
+        if not line:
+            continue
+        if "\r" in line:
+            raise FileFormatError(f"{path}:{lineno}: carriage return (lines end in a newline only)")
+        parts = line.split("\t")
+        if len(parts) != fields:
+            raise FileFormatError(f"{path}:{lineno}: expected {fields} tab-separated fields")
+        yield lineno, parts
+
+
 def write_synth_index(index: Mapping[tuple[str, int], int], path: str | Path) -> None:
     """Tab-separated (tracklet_id, pose, row), sorted for determinism."""
+    _check_ids(tid for tid, _ in index)
     with open(path, "w", encoding="utf-8") as fh:
         for (tid, pose), row in sorted(index.items()):
-            if "\t" in tid or "\n" in tid:
-                raise ValueError(f"tracklet id {tid!r} cannot contain tab or newline")
             fh.write(f"{tid}\t{pose}\t{row}\n")
 
 
 def read_synth_index(path: str | Path) -> dict[tuple[str, int], int]:
     index: dict[tuple[str, int], int] = {}
-    for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise FileFormatError(f"{path}:{lineno}: expected 3 tab-separated fields")
-        tid, pose_s, row_s = parts
+    for lineno, (tid, pose_s, row_s) in _tsv_lines(path, 3):
         try:
             pose, row = int(pose_s), int(row_s)
         except ValueError as exc:
             raise FileFormatError(f"{path}:{lineno}: non-integer pose or row") from exc
+        if f"{pose}\t{row}" != f"{pose_s}\t{row_s}":  # "+1", " 1", "01", "1_0"
+            raise FileFormatError(f"{path}:{lineno}: pose or row not written as a plain integer")
         if pose < 1 or row < 0:
             raise FileFormatError(f"{path}:{lineno}: pose or row out of range")
         if (tid, pose) in index:
@@ -293,11 +349,10 @@ def write_pose_embeddings(
     exported, so `origin` is always `real`.  This is an inspection/join
     export; scoring works from the in-memory record.
     """
+    _check_ids(record.tracklet_ids)
     rows = []
     with open(index_path, "w", encoding="utf-8") as fh:
         for tid, t in sorted((tid, t) for t, tid in enumerate(record.tracklet_ids)):
-            if "\t" in tid or "\n" in tid:
-                raise ValueError(f"tracklet id {tid!r} cannot contain tab or newline")
             for j in np.flatnonzero(record.observed[t]).tolist():
                 fh.write(
                     f"{tid}\t{j + 1}\treal"
@@ -312,13 +367,7 @@ def write_pose_embeddings(
 def read_pose_embedding_index(path: str | Path) -> list[tuple[str, int, str, float, int]]:
     """Rows of a keyed pose-embedding index, as written."""
     out = []
-    for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 5:
-            raise FileFormatError(f"{path}:{lineno}: expected 5 tab-separated fields")
-        tid, pose_s, origin, freq_s, row_s = parts
+    for lineno, (tid, pose_s, origin, freq_s, row_s) in _tsv_lines(path, 5):
         try:
             out.append((tid, int(pose_s), origin, float(freq_s), int(row_s)))
         except ValueError as exc:
@@ -351,7 +400,7 @@ def report_to_dict(report: EvalReport) -> dict:
 
 
 def save_report_json(report: EvalReport, path: str | Path) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(report_to_dict(report), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -394,7 +443,7 @@ def _csv_value(value: object) -> str:
 
 def save_report_csv(report: EvalReport, path: str | Path) -> None:
     """Flat (section, key, value) rows; missing values are written as null."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["section", "key", "value"])
         for key in ("mode", "num_probes", "num_scored", "mean_ap"):

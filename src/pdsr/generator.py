@@ -269,13 +269,13 @@ def generate(spec: GenSpec) -> GeneratedData:
 
 
 def save_gen_spec(spec: GenSpec, path: str | Path) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(asdict(spec), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def load_gen_spec(path: str | Path) -> GenSpec:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:

@@ -268,15 +268,48 @@ def test_validation_failure_lists_issues(workspace, tmp_path):
     assert "failed validation" in result.output
 
 
-def run_process(args):
-    """Run the CLI in a fresh interpreter, as a user would."""
-    env = dict(os.environ)
+def run_process(args, **env_vars):
+    """Run the CLI in a fresh interpreter, as a user would, with env_vars set."""
+    env = {**os.environ, **env_vars}
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     return subprocess.run(
         [sys.executable, "-c", "import sys; from pdsr.cli import main; sys.exit(main())", *args],
         env=env, capture_output=True, text=True, timeout=120,
     )
+
+
+def test_text_outputs_are_utf8_under_an_ascii_locale(workspace, tmp_path):
+    root, flags = workspace
+    data = root / "data"
+    manifest = json.loads((data / "manifest.json").read_text())
+    for t in manifest["tracklets"]:  # id0001-c1-0 -> ïd0001-c1-0; distractors keep theirs
+        t["tracklet_id"] = t["tracklet_id"].replace("id", "\u00efd", 1)
+    (tmp_path / "m.json").write_text(json.dumps(manifest))
+    index = read_synth_index(data / "synth-index.tsv")
+    write_synth_index({(tid.replace("id", "\u00efd", 1), pose): row
+                       for (tid, pose), row in index.items()}, tmp_path / "i.tsv")
+    flags = flags[:]
+    flags[flags.index("--manifest") + 1] = str(tmp_path / "m.json")
+    flags[flags.index("--synth-index") + 1] = str(tmp_path / "i.tsv")
+    spec = json.loads((root / "spec.json").read_text())
+    spec["name"] = "pl\u00e4nted"  # stored as UTF-8, not as a JSON escape
+    (tmp_path / "spec.json").write_text(json.dumps(spec, ensure_ascii=False), encoding="utf-8")
+    out = {name: tmp_path / name for name in ("q.tsv", "ids.tsv", "m.tsv", "r.csv")}
+    for command in (
+        ["synthgen", "--spec", tmp_path / "spec.json", "--out", tmp_path / "gen"],
+        ["quantize", "--out", out["q.tsv"]],
+        ["embed", "--mode", "wf", "--out", tmp_path / "wf.bin", "--ids", out["ids.tsv"]],
+        ["match", "--probe", "dx0001-c1", "--top", "0", "--out", out["m.tsv"]],
+        ["eval", "--report", tmp_path / "r.json", "--csv", out["r.csv"]],
+    ):
+        result = run_process(flags + [str(arg) for arg in command],
+                             LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+        assert result.returncode == 0, result.stderr
+    for path in out.values():
+        assert "\u00efd0001-c" in path.read_text(encoding="utf-8"), path.name
+    assert load_dataset(tmp_path / "gen" / "manifest.json",
+                        tmp_path / "gen" / "features.bin").name.startswith("pl\u00e4nted")
 
 
 def test_malformed_canon_is_an_error_not_a_traceback(workspace, tmp_path):

@@ -1,12 +1,15 @@
 """File formats: feature container, manifests, canon, indices, reports."""
 
 import dataclasses
+import gc
 import inspect
 import json
+import struct
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from pdsr import (
@@ -94,6 +97,15 @@ def test_matrix_rejects_bad_magic_version_and_size(tmp_path):
     (tmp_path / "extra.bin").write_bytes(good + b"\x00\x00\x00\x00")
     with pytest.raises(FileFormatError, match="size"):
         read_feature_matrix(tmp_path / "extra.bin")
+
+    nan = good[: _HEADER.size + 16] + struct.pack("<f", float("nan")) + good[_HEADER.size + 20:]
+    (tmp_path / "nan.bin").write_bytes(nan)
+    with pytest.raises(FileFormatError, match="row 1 is not finite"):
+        read_feature_matrix(tmp_path / "nan.bin")
+
+    (tmp_path / "rows.bin").write_bytes(_HEADER.pack(MAGIC, FORMAT_VERSION, 2**64 - 1, 0))
+    with pytest.raises(FileFormatError, match="cannot hold"):
+        read_feature_matrix(tmp_path / "rows.bin")
 
 
 def test_matrix_writer_rejects_nonfinite_and_wrong_rank(tmp_path):
@@ -247,6 +259,12 @@ def test_synth_index_round_trip(tmp_path):
         ("a\t0\t0", "out of range"),
         ("a\t1\t-1", "out of range"),
         ("a\t1\t0\na\t1\t1", "duplicate"),
+        ("a\t01\t0", "plain integer"),
+        ("a\t+1\t0", "plain integer"),
+        ("a\t1\t 0", "plain integer"),
+        ("a\t1\t1_0", "plain integer"),
+        ("a\t1\t0\r", "carriage return"),
+        ("a\rb\t1\t0", "carriage return"),
     ],
 )
 def test_synth_index_malformed_lines_raise(tmp_path, line, match):
@@ -258,6 +276,30 @@ def test_synth_index_malformed_lines_raise(tmp_path, line, match):
 def test_synth_index_rejects_tab_in_id(tmp_path):
     with pytest.raises(ValueError):
         write_synth_index({("a\tb", 1): 0}, tmp_path / "i.tsv")
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(tid=st.text(max_size=5))
+@example(tid="a\rb")
+@example(tid="a\r")
+@example(tid="a\tb")
+@example(tid="a\nb")
+@example(tid="")
+def test_indexes_round_trip_any_tracklet_id_or_refuse_it(tmp_path, tid):
+    index = {(tid, 1): 0, ("b", 2): 1}
+    record = PoseRecord((tid, "b"), (0, 0), np.zeros((2, 2)), np.ones((2, 1, 2)),
+                        np.ones((2, 1)), np.ones((2, 1), dtype=bool))
+    writable = not any(c in tid for c in "\t\n\r")
+    try:
+        write_synth_index(index, tmp_path / "i.tsv")
+        write_pose_embeddings(record, tmp_path / "e.tsv", tmp_path / "e.bin")
+    except ValueError:
+        assert not writable
+        return
+    assert writable
+    assert read_synth_index(tmp_path / "i.tsv") == index
+    assert [row[0] for row in read_pose_embedding_index(tmp_path / "e.tsv")] == sorted([tid, "b"])
 
 
 # ----------------------------------------------------- pose embeddings
@@ -548,3 +590,182 @@ def test_dataset_rebuilt_from_frame_objects_saves_loads_and_validates(tmp_path, 
     assert sum(len(t.frames) for t in loaded.tracklets) == sum(
         len(t.frames) for t in dataset.tracklets
     ) == read_feature_matrix(tmp_path / "f.bin").shape[0]
+
+
+# ------------------------------------------------ the paused collector
+
+
+def _collections_during(call) -> list[int]:
+    """Generations of the cyclic collections that run inside call()."""
+    generations = []
+
+    def count(phase, info):
+        if phase == "start":
+            generations.append(info["generation"])
+
+    gc.collect()  # start from empty young generations
+    gc.callbacks.append(count)
+    try:
+        call()
+    finally:
+        gc.callbacks.remove(count)
+    return generations
+
+
+@pytest.fixture
+def saved(tmp_path, small_gen):
+    """(manifest, features) of a dataset that decodes to 1,800 lists and dicts.
+
+    That is more than the collector's default gen-0 threshold of 700, so a
+    decode with the collector on runs it.
+    """
+    save_dataset(small_gen.dataset, tmp_path / "m.json", tmp_path / "f.bin")
+    return tmp_path / "m.json", tmp_path / "f.bin"
+
+
+def test_load_dataset_runs_no_collection(saved):
+    assert gc.isenabled()
+    assert _collections_during(lambda: load_dataset(*saved)) == []
+    # With the collector on, decoding the same manifest does collect.
+    assert _collections_during(lambda: json.loads(saved[0].read_text())) != []
+
+
+@pytest.mark.parametrize("case", ["on", "off", "malformed"])
+def test_load_dataset_restores_the_callers_collector_setting(saved, case):
+    if case == "malformed":
+        manifest = json.loads(saved[0].read_text())
+        manifest["tracklets"][0]["probe"] = "yes"
+        saved[0].write_text(json.dumps(manifest))
+    on = case != "off"
+    was = gc.isenabled()
+    (gc.enable if on else gc.disable)()
+    try:
+        if case == "malformed":
+            with pytest.raises(FileFormatError):
+                load_dataset(*saved)
+        else:
+            load_dataset(*saved)
+        assert gc.isenabled() is on
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_concurrent_loads_leave_the_collector_on(saved):
+    assert gc.isenabled()
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        loaded = list(pool.map(lambda _: load_dataset(*saved), range(8)))
+    assert gc.isenabled()
+    assert all(len(d.tracklets) == len(loaded[0].tracklets) for d in loaded)
+
+
+# ------------------------------------------------- reader fuzzers
+#
+# Each mutated file either reads as a value its writer writes back (and that
+# reads back equal), or ends in a FileFormatError that names the file.
+
+
+def _loads_or_names_the_file(path, read, accepted):
+    try:
+        value = read(path)
+    except FileFormatError as exc:
+        assert str(path) in str(exc)
+    else:
+        accepted(value)
+
+
+def _truncate(data, raw):
+    return raw[: data.draw(st.integers(0, len(raw) - 1))]
+
+
+def _flip(data, raw):
+    i = data.draw(st.integers(0, len(raw) - 1))
+    byte = data.draw(st.integers(0, 255).filter(lambda b: b != raw[i]))
+    return raw[:i] + bytes([byte]) + raw[i + 1:]
+
+
+def _insert(data, raw, text):
+    i = data.draw(st.integers(0, len(raw)))
+    return raw[:i] + text + raw[i:]
+
+
+SYNTH_INDEX = {("a", 1): 0, ("a", 2): 10, ("b", 1): 2, ("é-c1", 3): 11}
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_synth_index_loads_or_names_the_file(tmp_path, data):
+    write_synth_index(SYNTH_INDEX, tmp_path / "i.tsv")
+    raw = (tmp_path / "i.tsv").read_bytes()
+    key = data.draw(st.sampled_from(raw.split(b"\n")[:-1])).rsplit(b"\t", 1)[0]
+    row = data.draw(st.sampled_from([b"2", b"99"]))
+    raw = data.draw(st.sampled_from([
+        lambda: _truncate(data, raw),
+        lambda: _flip(data, raw),
+        lambda: raw + key + b"\t" + row + b"\n",  # a duplicate key
+        lambda: _insert(data, raw, b"\t"),  # a tab in an id, or anywhere
+    ]))()
+    (tmp_path / "bad.tsv").write_bytes(raw)
+
+    def accepted(index):
+        # The file's lines are the writer's lines for what was read.
+        write_synth_index(index, tmp_path / "again.tsv")
+        again = (tmp_path / "again.tsv").read_bytes()
+        assert set(raw.split(b"\n")) - {b""} == set(again.split(b"\n")) - {b""}
+        assert read_synth_index(tmp_path / "again.tsv") == index
+
+    _loads_or_names_the_file(tmp_path / "bad.tsv", read_synth_index, accepted)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), shape=st.tuples(st.integers(0, 3), st.integers(0, 3)))
+def test_mutated_feature_matrix_loads_or_names_the_file(tmp_path, data, shape):
+    matrix = rng_for(5, "fuzz").normal(size=shape)
+    write_feature_matrix(tmp_path / "f.bin", matrix)
+    raw = (tmp_path / "f.bin").read_bytes()
+    rows = data.draw(st.sampled_from([shape[0] + 1, 2**31, 2**63, 2**64 - 1]))
+    raw = data.draw(st.sampled_from([
+        lambda: _truncate(data, raw),
+        lambda: _flip(data, raw),
+        lambda: raw[:8] + struct.pack("<Q", rows) + raw[16:],  # an oversized row count
+    ]))()
+    (tmp_path / "bad.bin").write_bytes(raw)
+
+    def accepted(loaded):
+        # One file per matrix: writing what was read gives the same bytes.
+        write_feature_matrix(tmp_path / "again.bin", loaded)
+        assert (tmp_path / "again.bin").read_bytes() == raw
+
+    _loads_or_names_the_file(tmp_path / "bad.bin", read_feature_matrix, accepted)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_canon_loads_or_names_the_file(tmp_path, data):
+    rng = rng_for(6, "fuzz")
+    save_canon(CanonicalPoseSet(poses=tuple(grid_pose(2, rng) for _ in range(2))),
+               tmp_path / "c.json")
+    raw = (tmp_path / "c.json").read_bytes()
+    duplicate = data.draw(st.sampled_from(
+        [b'"joint_count": 1', b'"joint_count": 2', b'"poses": []', b'"poses": [[[0, 0, 1]]]']
+    ))
+    raw = data.draw(st.sampled_from([
+        lambda: _truncate(data, raw),
+        lambda: _flip(data, raw),
+        lambda: raw.replace(b"{", b"{" + duplicate + b", ", 1),  # a key given twice
+        lambda: raw[: raw.rindex(b"}")] + b", " + duplicate + b"}\n",
+        lambda: _insert(data, raw, b"\t"),
+    ]))()
+    (tmp_path / "bad.json").write_bytes(raw)
+
+    def accepted(canon):
+        save_canon(canon, tmp_path / "again.json")
+        again = load_canon(tmp_path / "again.json")
+        assert len(again.poses) == len(canon.poses)
+        for a, b in zip(again.poses, canon.poses):
+            assert np.array_equal(a.joints, b.joints)
+            assert np.array_equal(a.visibility, b.visibility)
+
+    _loads_or_names_the_file(tmp_path / "bad.json", load_canon, accepted)
