@@ -16,7 +16,6 @@ import csv
 import gc
 import json
 import struct
-import threading
 from bisect import bisect_right
 from contextlib import contextmanager
 from itertools import chain
@@ -90,11 +89,6 @@ def _read_json(path: str | Path):
         raise FileFormatError(f"{path}: invalid JSON") from exc
 
 
-_pause_lock = threading.Lock()
-_pauses = 0  # pauses in progress, across threads
-_resume = False  # whether the collector was on when the first of them began
-
-
 @contextmanager
 def _collector_paused():
     """Turn the cyclic garbage collector off, and back on at exit only if it was on.
@@ -102,22 +96,15 @@ def _collector_paused():
     A decoded manifest is about a million lists, dicts and floats that form
     no cycle, yet the collector rescans them as they are allocated.  Used as
     a decorator, the pause also covers freeing the function's locals, so the
-    decoded tree is gone before the collector runs again.  Overlapping pauses
-    from several threads restore the collector once, when the last one ends.
+    decoded tree is gone before the collector runs again.
     """
-    global _pauses, _resume
-    with _pause_lock:
-        if _pauses == 0:
-            _resume = gc.isenabled()
-            gc.disable()
-        _pauses += 1
+    was_enabled = gc.isenabled()
+    gc.disable()
     try:
         yield
     finally:
-        with _pause_lock:
-            _pauses -= 1
-            if _pauses == 0 and _resume:
-                gc.enable()
+        if was_enabled:
+            gc.enable()
 
 
 def _pose_to_triples(pose: PoseVector) -> list[list[float]]:
@@ -265,7 +252,7 @@ def load_dataset(manifest_path: str | Path, features_path: str | Path) -> Datase
         )
         return Dataset(manifest["name"], manifest["feature_dim"], k, manifest["num_poses"],
                        manifest["camera_count"], tracklets)
-    except (KeyError, TypeError, OverflowError) as exc:
+    except (KeyError, TypeError, OverflowError, ValueError) as exc:
         raise FileFormatError(f"{manifest_path}: missing or malformed field: {exc}") from exc
 
 
@@ -299,12 +286,16 @@ def _check_ids(ids) -> None:
 
 
 def _tsv_lines(path: str | Path, fields: int):
-    """(line number, fields) of each non-empty line of a tab-separated file."""
+    """(line number, fields) of each non-empty line of a tab-separated file.
+
+    A line may end in CR LF; a carriage return anywhere else is an error.
+    """
     for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
+        line = line.removesuffix("\r")
         if not line:
             continue
         if "\r" in line:
-            raise FileFormatError(f"{path}:{lineno}: carriage return (lines end in a newline only)")
+            raise FileFormatError(f"{path}:{lineno}: carriage return inside a line")
         parts = line.split("\t")
         if len(parts) != fields:
             raise FileFormatError(f"{path}:{lineno}: expected {fields} tab-separated fields")

@@ -249,6 +249,9 @@ def test_synth_index_round_trip(tmp_path):
     assert read_synth_index(tmp_path / "i.tsv") == index
     lines = (tmp_path / "i.tsv").read_text().splitlines()
     assert lines == ["a\t1\t0", "a\t3\t2", "b\t2\t1"]
+    crlf = (tmp_path / "i.tsv").read_bytes().replace(b"\n", b"\r\n")
+    (tmp_path / "crlf.tsv").write_bytes(crlf)
+    assert read_synth_index(tmp_path / "crlf.tsv") == index
 
 
 @pytest.mark.parametrize(
@@ -263,7 +266,7 @@ def test_synth_index_round_trip(tmp_path):
         ("a\t+1\t0", "plain integer"),
         ("a\t1\t 0", "plain integer"),
         ("a\t1\t1_0", "plain integer"),
-        ("a\t1\t0\r", "carriage return"),
+        ("a\t1\t0\r\r", "carriage return"),
         ("a\rb\t1\t0", "carriage return"),
     ],
 )
@@ -324,6 +327,9 @@ def test_pose_embedding_export_round_trip(tmp_path, small_gen):
     for got, (tid, pose, origin, freq, vec) in zip(rows, expected):
         assert got[:4] == (tid, pose, origin, freq)
         assert np.array_equal(matrix[got[4]], f32(vec))
+    crlf = (tmp_path / "e.tsv").read_bytes().replace(b"\n", b"\r\n")
+    (tmp_path / "crlf.tsv").write_bytes(crlf)
+    assert read_pose_embedding_index(tmp_path / "crlf.tsv") == rows
 
 
 def test_pose_embedding_export_requires_entries(tmp_path):
@@ -416,10 +422,11 @@ def test_report_csv_writes_null_markers_and_exact_floats(tmp_path):
 # ------------------------------------------------------ malformed input
 
 
-def _manifest_with(tmp_path, edit):
+def _manifest_with(tmp_path, edit, **fields):
     save_dataset(single_tracklet_dataset(), tmp_path / "m.json", tmp_path / "f.bin")
     manifest = json.loads((tmp_path / "m.json").read_text())
     edit(manifest["tracklets"][0])
+    manifest.update(fields)
     (tmp_path / "m.json").write_text(json.dumps(manifest))
     return tmp_path / "m.json", lambda: load_dataset(tmp_path / "m.json", tmp_path / "f.bin")
 
@@ -483,6 +490,9 @@ MALFORMED_INPUTS = {
     "canon-without-joint-count": lambda tmp: _canon_with(tmp, {"poses": [[[0.1, 0.2, 1]]]}),
     "canon-without-poses": lambda tmp: _canon_with(tmp, {"joint_count": 1, "poses": []}),
     "canon-empty-pose": lambda tmp: _canon_with(tmp, {"joint_count": 1, "poses": [[]]}),
+    "joint-count-beyond-numpy": lambda tmp: _manifest_with(
+        tmp, lambda t: t.update(frames=[]), joint_count=10**30
+    ),
     "canon-visibility-string": lambda tmp: _canon_with(
         tmp, {"joint_count": 1, "poses": [[[0.1, 0.2, "no"]]]}
     ),
@@ -708,10 +718,12 @@ def test_mutated_synth_index_loads_or_names_the_file(tmp_path, data):
     (tmp_path / "bad.tsv").write_bytes(raw)
 
     def accepted(index):
-        # The file's lines are the writer's lines for what was read.
+        # The file's lines, less a "\r" before the newline, are the writer's
+        # lines for what was read.
         write_synth_index(index, tmp_path / "again.tsv")
         again = (tmp_path / "again.tsv").read_bytes()
-        assert set(raw.split(b"\n")) - {b""} == set(again.split(b"\n")) - {b""}
+        lines = {line.removesuffix(b"\r") for line in raw.split(b"\n")}
+        assert lines - {b""} == set(again.split(b"\n")) - {b""}
         assert read_synth_index(tmp_path / "again.tsv") == index
 
     _loads_or_names_the_file(tmp_path / "bad.tsv", read_synth_index, accepted)
