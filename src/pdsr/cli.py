@@ -36,7 +36,7 @@ from .evaluation import (
 from .fusion import DEFAULT_FUSION_WEIGHT, wf_embeddings
 from .generator import generate, load_gen_spec
 from .model import CanonicalPoseSet, Dataset, pack, validate_dataset
-from .providers import RepresentativeChoice, fetch_synthetic, file_backed_provider
+from .providers import fetch_synthetic, file_backed_provider
 from .quantizer import assignment_distances, nearest_poses
 from .regulation import pose_normalize, tracklet_means
 
@@ -84,8 +84,9 @@ class _ConfigGroup(click.Group):
 @click.option("--synth-index", type=click.Path(path_type=Path), default=None, help="Synthetic feature index TSV.")
 @click.option("--synth-features", type=click.Path(path_type=Path), default=None, help="Synthetic feature matrix.")
 @click.option("--seed", type=int, default=None,
-              help="Seed for the probe draw, and synthgen's spec seed [default: 0]. "
-                   "The file-backed synthetic features ignore the representative frame.")
+              help="Seed for the probe draw and the representative-frame draw, and synthgen's "
+                   "spec seed [default: 0]. The file-backed synthetic features ignore the "
+                   "representative frame.")
 @click.option("--strict/--lenient", "strict", default=True, help="Fail on missing synthetic vectors vs skip them.")
 @click.pass_context
 def main(ctx, manifest, features, canon, synth_index, synth_features, seed, strict):
@@ -139,12 +140,7 @@ def _provider(obj: CliContext, dataset: Dataset):
 
 def _config(obj: CliContext, weight: float) -> ProtocolConfig:
     seed = obj.seed if obj.seed is not None else 0
-    return ProtocolConfig(
-        seed=seed,
-        fusion_weight=weight,
-        representative=RepresentativeChoice(seed=seed),
-        strict=obj.strict,
-    )
+    return ProtocolConfig(seed=seed, fusion_weight=weight, strict=obj.strict)
 
 
 @main.command()
@@ -163,7 +159,7 @@ def synthgen(obj: CliContext, spec_path: Path, out_dir: Path):
 
     # The planted provider ignores the representative frame, so any draw
     # writes the same vectors; rows run in (tracklet, pose) order.
-    record = tracklet_means(gen.dataset.tracklets, RepresentativeChoice())
+    record = tracklet_means(gen.dataset.tracklets, 0)
     m = len(gen.canon)
     synthetic, _ = fetch_synthetic(
         record, gen.provider, np.ones((len(record.tracklet_ids), m), dtype=bool)
@@ -230,7 +226,7 @@ def embed(obj: CliContext, mode: str, weight: float, out_path: Path,
     tracklets = dataset.tracklets
 
     if mode == "wf":
-        record = tracklet_means(tracklets, config.representative)
+        record = tracklet_means(tracklets, config.seed)
         synthetic, served = fetch_synthetic(
             record, _provider(obj, dataset), np.ones((len(tracklets), len(canon)), dtype=bool),
             strict=config.strict,
@@ -244,7 +240,7 @@ def embed(obj: CliContext, mode: str, weight: float, out_path: Path,
             )
         click.echo(f"{rows.shape[0]} wf embeddings (w={weight}) -> {out_path}")
     else:
-        record = pose_normalize(tracklets, canon, config.representative)
+        record = pose_normalize(tracklets, canon, config.seed)
         dataset_io.write_pose_embeddings(record, index_path, out_path)
         click.echo(
             f"{int(record.observed.sum())} pose entries over "

@@ -199,14 +199,17 @@ def load_dataset(manifest_path: str | Path, features_path: str | Path) -> Datase
     manifest = _read_json(manifest_path)
     matrix = read_feature_matrix(features_path)
     try:
+        if not isinstance(manifest["name"], str):
+            raise FileFormatError(f"{manifest_path}: name {manifest['name']!r} is not a string")
+        for key in ("feature_dim", "joint_count", "num_poses", "camera_count"):
+            if not (_is_int(manifest[key]) and manifest[key] >= 0):
+                raise FileFormatError(f"{manifest_path}: {key} {manifest[key]!r} is not a count")
         if manifest["feature_dim"] != matrix.shape[1]:
             raise FileFormatError(
                 f"{manifest_path}: feature_dim {manifest['feature_dim']!r} does not match "
                 f"dimension {matrix.shape[1]} of {features_path}"
             )
         k = manifest["joint_count"]
-        if not (_is_int(k) and k >= 0):
-            raise FileFormatError(f"{manifest_path}: joint_count {k!r} is not a count")
 
         def fail(t: dict, problem: str) -> FileFormatError:
             return FileFormatError(f"{manifest_path}: tracklet {t['tracklet_id']!r}: {problem}")
@@ -310,17 +313,23 @@ def write_synth_index(index: Mapping[tuple[str, int], int], path: str | Path) ->
             fh.write(f"{tid}\t{pose}\t{row}\n")
 
 
+def _pose_and_row(path: str | Path, lineno: int, pose_s: str, row_s: str) -> tuple[int, int]:
+    """An index line's pose (>= 1) and row (>= 0), each written as a plain integer."""
+    try:
+        pose, row = int(pose_s), int(row_s)
+    except ValueError as exc:
+        raise FileFormatError(f"{path}:{lineno}: non-integer pose or row") from exc
+    if f"{pose}\t{row}" != f"{pose_s}\t{row_s}":  # "+1", " 1", "01", "1_0"
+        raise FileFormatError(f"{path}:{lineno}: pose or row not written as a plain integer")
+    if pose < 1 or row < 0:
+        raise FileFormatError(f"{path}:{lineno}: pose or row out of range")
+    return pose, row
+
+
 def read_synth_index(path: str | Path) -> dict[tuple[str, int], int]:
     index: dict[tuple[str, int], int] = {}
     for lineno, (tid, pose_s, row_s) in _tsv_lines(path, 3):
-        try:
-            pose, row = int(pose_s), int(row_s)
-        except ValueError as exc:
-            raise FileFormatError(f"{path}:{lineno}: non-integer pose or row") from exc
-        if f"{pose}\t{row}" != f"{pose_s}\t{row_s}":  # "+1", " 1", "01", "1_0"
-            raise FileFormatError(f"{path}:{lineno}: pose or row not written as a plain integer")
-        if pose < 1 or row < 0:
-            raise FileFormatError(f"{path}:{lineno}: pose or row out of range")
+        pose, row = _pose_and_row(path, lineno, pose_s, row_s)
         if (tid, pose) in index:
             raise FileFormatError(f"{path}:{lineno}: duplicate entry ({tid}, {pose})")
         index[(tid, pose)] = row
@@ -356,13 +365,28 @@ def write_pose_embeddings(
 
 
 def read_pose_embedding_index(path: str | Path) -> list[tuple[str, int, str, float, int]]:
-    """Rows of a keyed pose-embedding index, as written."""
+    """Rows of a keyed pose-embedding index, each line as `write_pose_embeddings` writes it.
+
+    Pose and row are plain integers, origin is `real`, and the frequency is
+    the `repr` of a float in (0, 1]; a (tracklet, pose) pair appears once.
+    """
     out = []
+    seen = set()
     for lineno, (tid, pose_s, origin, freq_s, row_s) in _tsv_lines(path, 5):
+        pose, row = _pose_and_row(path, lineno, pose_s, row_s)
+        if origin != "real":
+            raise FileFormatError(f"{path}:{lineno}: origin {origin!r} is not 'real'")
         try:
-            out.append((tid, int(pose_s), origin, float(freq_s), int(row_s)))
-        except ValueError as exc:
-            raise FileFormatError(f"{path}:{lineno}: malformed numeric field") from exc
+            freq = float(freq_s)
+            written = repr(freq) == freq_s and 0.0 < freq <= 1.0
+        except ValueError:
+            written = False
+        if not written:
+            raise FileFormatError(f"{path}:{lineno}: frequency {freq_s!r} is not a float in (0, 1]")
+        if (tid, pose) in seen:
+            raise FileFormatError(f"{path}:{lineno}: duplicate entry ({tid}, {pose})")
+        seen.add((tid, pose))
+        out.append((tid, pose, origin, freq, row))
     return out
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .fusion import DEFAULT_FUSION_WEIGHT, wf_embeddings
 from .model import CanonicalPoseSet, Dataset, Tracklet
-from .providers import RepresentativeChoice, SyntheticFeatureProvider, fetch_synthetic
+from .providers import SyntheticFeatureProvider, fetch_synthetic
 from .regulation import (
     backfill_poses,
     pose_normalize,
@@ -31,6 +31,9 @@ from .regulation import (
 )
 from .seeding import rng_for
 from .similarity import cosine_matrix
+
+#: CMC entries reported, unless the widest scored gallery is smaller.
+CMC_DEPTH = 50
 
 
 class EvalMode(Enum):
@@ -44,10 +47,10 @@ class EvalMode(Enum):
 
 @dataclass(frozen=True)
 class ProtocolConfig:
+    """The seed keys both the probe draw and each tracklet's representative frame."""
+
     seed: int = 0
     fusion_weight: float = DEFAULT_FUSION_WEIGHT
-    representative: RepresentativeChoice = RepresentativeChoice()
-    cmc_depth: int = 50
     strict: bool = True
 
 
@@ -235,9 +238,9 @@ def score_matrix(
     # WF averages every canonical pose; WPR backfills only what a pair can need.
     wanted = np.ones((len(tracklets), len(canon)), dtype=bool)
     if mode is EvalMode.WF:
-        record = tracklet_means(tracklets, config.representative)
+        record = tracklet_means(tracklets, config.seed)
     else:
-        record = pose_normalize(tracklets, canon, config.representative)
+        record = pose_normalize(tracklets, canon, config.seed)
         backfill = backfill_poses(record, probe_rows)
         if mode is EvalMode.WPR:
             wanted = backfill
@@ -294,7 +297,7 @@ def evaluate(
     scored = [r for r in results if r.ap is not None]
     if scored:
         mean_ap = sum(r.ap for r in scored) / len(scored)
-        length = min(config.cmc_depth, max(r.gallery_size for r in scored))
+        length = min(CMC_DEPTH, max(r.gallery_size for r in scored))
         cmc = tuple(
             float(v)
             for v in cmc_curve([r.first_correct_rank for r in scored], length)

@@ -16,7 +16,9 @@ provider serves is bit-identical to what a feature file round-trip yields.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+import math
+from dataclasses import asdict, dataclass, fields
+from numbers import Integral, Real
 from pathlib import Path
 from typing import Mapping
 
@@ -33,6 +35,15 @@ from .model import (
 )
 from .providers import SyntheticFeatureProvider
 from .seeding import rng_for
+
+
+_COUNTS = ("identities", "cameras", "tracklets_per_identity_per_camera", "feature_dim",
+           "joint_count", "num_poses", "distractors", "seed")
+_SCALES = ("pose_effect_scale", "noise_sigma", "pose_jitter")
+
+
+def _is_a(value: object, kind: type) -> bool:
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -55,19 +66,31 @@ class GenSpec:
     name: str = "planted"
 
     def __post_init__(self) -> None:
+        lo, hi = self.frames_per_tracklet
+        for name in _COUNTS:
+            if not _is_a(getattr(self, name), Integral):
+                raise TypeError(f"{name} {getattr(self, name)!r} is not an integer")
+        if not (_is_a(lo, Integral) and _is_a(hi, Integral)):
+            raise TypeError(f"frames_per_tracklet {self.frames_per_tracklet!r} is not two integers")
+        if not all(_is_a(p, Integral) for subset in self.pose_visibility or () for p in subset):
+            raise TypeError(f"pose_visibility {self.pose_visibility!r} has a non-integer pose")
+        for name in _SCALES:
+            if not _is_a(getattr(self, name), Real):
+                raise TypeError(f"{name} {getattr(self, name)!r} is not a number")
+        if not isinstance(self.name, str):
+            raise TypeError(f"name {self.name!r} is not a string")
         if self.identities < 2:
             raise ValueError("need at least 2 identities")
         if self.cameras < 2:
             raise ValueError("cross-camera protocols need at least 2 cameras")
         if self.tracklets_per_identity_per_camera < 1:
             raise ValueError("need at least 1 tracklet per identity per camera")
-        lo, hi = self.frames_per_tracklet
         if not 1 <= lo <= hi:
             raise ValueError(f"bad frames_per_tracklet range ({lo}, {hi})")
         if min(self.feature_dim, self.joint_count, self.num_poses) < 1:
             raise ValueError("feature_dim, joint_count and num_poses must be positive")
-        if self.pose_effect_scale < 0 or self.noise_sigma < 0 or self.pose_jitter < 0:
-            raise ValueError("scales and sigmas must be non-negative")
+        if not all(0 <= getattr(self, name) < math.inf for name in _SCALES):
+            raise ValueError("scales and sigmas must be finite and non-negative")
         if self.distractors < 0:
             raise ValueError("distractor count must be non-negative")
         if self.pose_visibility is not None:
@@ -84,9 +107,7 @@ class GenSpec:
                     )
                 cleaned.append(tuple(poses))
             object.__setattr__(self, "pose_visibility", tuple(cleaned))
-        object.__setattr__(
-            self, "frames_per_tracklet", (int(lo), int(hi))
-        )
+        object.__setattr__(self, "frames_per_tracklet", (lo, hi))
 
     def camera_poses(self, camera: int) -> tuple[int, ...]:
         """The canonical poses camera `camera` is able to record."""
@@ -281,6 +302,9 @@ def load_gen_spec(path: str | Path) -> GenSpec:
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise FileFormatError(f"{path}: invalid JSON") from exc
     try:
+        unknown = sorted(set(payload) - {f.name for f in fields(GenSpec)})
+        if unknown:
+            raise FileFormatError(f"{path}: unknown field {unknown[0]!r}")
         return GenSpec(
             identities=payload["identities"],
             cameras=payload["cameras"],

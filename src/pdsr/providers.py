@@ -14,8 +14,6 @@ pose-regulated matching both read the tensor it returns.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -33,32 +31,16 @@ class SyntheticFeatureProvider(ABC):
         """Feature vector for (tracklet, pose); raises MissingSyntheticError if unserved."""
 
 
-class Strategy(Enum):
-    SEEDED_RANDOM = "seeded-random"
-    MIDDLE_FRAME = "middle-frame"
-
-
-@dataclass(frozen=True)
-class RepresentativeChoice:
-    """How the single conditioning frame of each tracklet is picked."""
-
-    strategy: Strategy = Strategy.SEEDED_RANDOM
-    seed: int = 0
-
-
-def choose_representative(tracklet: Tracklet, choice: RepresentativeChoice) -> int:
+def choose_representative(tracklet: Tracklet, seed: int) -> int:
     """Pick the representative frame id of a tracklet.
 
-    Both strategies operate on the frames in frame-id order, so the choice
-    is invariant to storage order.  SEEDED_RANDOM draws uniformly from a
-    generator keyed by (seed, tracklet_id).
+    The draw is uniform over the frames in frame-id order, from a generator
+    keyed by (seed, tracklet_id), so it is invariant to storage order.
     """
     frames = tracklet.frames
     if not frames:
         raise ValueError(f"tracklet {tracklet.tracklet_id!r} has no frames")
-    if choice.strategy is Strategy.MIDDLE_FRAME:
-        return frames[len(frames) // 2].frame_id
-    rng = rng_for(choice.seed, "representative", tracklet.tracklet_id)
+    rng = rng_for(seed, "representative", tracklet.tracklet_id)
     return frames[int(rng.integers(len(frames)))].frame_id
 
 

@@ -3,7 +3,7 @@
 The distance between two keypoint vectors is the root of the mean squared
 per-joint coordinate difference, taken over joints visible in *both* poses.
 The mean (rather than a sum) keeps distances comparable across visibility
-masks; a comparison needs at least `min_common_joints` shared joints.
+masks; a comparison needs at least `MIN_COMMON_JOINTS` shared joints.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import numpy as np
 
 from .model import CanonicalPoseSet
 
-DEFAULT_MIN_COMMON_JOINTS = 4
+MIN_COMMON_JOINTS = 4
 _BLOCK_FRAMES = 256
 
 
@@ -22,8 +22,6 @@ def assignment_distances(
     joints: np.ndarray,
     visibility: np.ndarray,
     canon: CanonicalPoseSet,
-    *,
-    min_common_joints: int = DEFAULT_MIN_COMMON_JOINTS,
 ) -> np.ndarray:
     """Distance matrix (L, M) of L packed poses to the canon; inf where too few common joints.
 
@@ -47,7 +45,7 @@ def assignment_distances(
         counts = common.sum(axis=-1)  # (B, M)
         with np.errstate(invalid="ignore", divide="ignore"):
             block = np.sqrt(sq.sum(axis=-1) / counts)
-        block[counts < min_common_joints] = np.inf
+        block[counts < MIN_COMMON_JOINTS] = np.inf
         dist[rows] = block
     return dist
 

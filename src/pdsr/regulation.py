@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import AllFramesUnassignableError, EmptyUnionError, ZeroVectorError
 from .model import CanonicalPoseSet, PoseRecord, Tracklet, TrackletMeans, pack
-from .providers import RepresentativeChoice, choose_representative
+from .providers import choose_representative
 from .quantizer import assignment_distances, nearest_poses
 
 
@@ -56,20 +56,16 @@ def real_means(tracklets: Sequence[Tracklet]) -> np.ndarray:
     return _segment_means(frames.features, np.repeat(np.arange(len(sizes)), sizes))[2]
 
 
-def tracklet_means(tracklets: Sequence[Tracklet], rep: RepresentativeChoice) -> TrackletMeans:
+def tracklet_means(tracklets: Sequence[Tracklet], seed: int) -> TrackletMeans:
     """Real means of the tracklets and each one's representative frame, drawn once."""
     return TrackletMeans(
         tracklet_ids=tuple(t.tracklet_id for t in tracklets),
-        representative_frame_ids=tuple(choose_representative(t, rep) for t in tracklets),
+        representative_frame_ids=tuple(choose_representative(t, seed) for t in tracklets),
         real_means=real_means(tracklets),
     )
 
 
-def pose_normalize(
-    tracklets: Sequence[Tracklet],
-    canon: CanonicalPoseSet,
-    rep: RepresentativeChoice,
-) -> PoseRecord:
+def pose_normalize(tracklets: Sequence[Tracklet], canon: CanonicalPoseSet, seed: int) -> PoseRecord:
     """Pool every tracklet's frames, in one pass, into a record with one row each.
 
     A tracklet no frame of which maps to a canonical pose is an error.
@@ -102,7 +98,7 @@ def pose_normalize(
     members = members.reshape(len(ids), m)
     return PoseRecord(
         tracklet_ids=ids,
-        representative_frame_ids=tuple(choose_representative(t, rep) for t in tracklets),
+        representative_frame_ids=tuple(choose_representative(t, seed) for t in tracklets),
         real_means=real,
         vectors=vectors,
         frequencies=members / assignable[:, None],

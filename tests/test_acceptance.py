@@ -19,7 +19,7 @@ from pdsr.cli import main
 from pdsr.evaluation import build_protocol, score_matrix
 from pdsr.generator import GenSpec, PlantedProvider, generate
 from pdsr.model import FrameRecord
-from pdsr.providers import RepresentativeChoice, fetch_synthetic
+from pdsr.providers import fetch_synthetic
 from pdsr.regulation import backfill_poses, pose_normalize, tracklet_means, wpr_score_matrix
 from pdsr.seeding import rng_for
 from pdsr.similarity import cosine_matrix
@@ -54,9 +54,7 @@ def test_criterion_1_oracle_equivalence():
         spec = small_random_spec(rng)
         protocol_seed = int(rng.integers(0, 100))
         gen = generate(spec)
-        config = ProtocolConfig(
-            seed=protocol_seed, representative=RepresentativeChoice(seed=protocol_seed)
-        )
+        config = ProtocolConfig(seed=protocol_seed)
         for mode in ALL_MODES:
             got = evaluate(gen.dataset, gen.canon, gen.provider, config, mode)
             want = naive_evaluate(
@@ -126,7 +124,7 @@ def test_criterion_3_wf_limit_consistency():
             ProtocolConfig(seed=config.seed, fusion_weight=0.0), EvalMode.WF,
         )
         by_id = gen.dataset.by_id()
-        record = tracklet_means([by_id[tid] for tid in all_ids], config.representative)
+        record = tracklet_means([by_id[tid] for tid in all_ids], config.seed)
         synthetic, served = fetch_synthetic(
             record, gen.provider, np.ones((len(all_ids), len(gen.canon)), dtype=bool)
         )
@@ -177,11 +175,10 @@ def _duplicated(t):
 
 @pytest.mark.criterion(4, "WPR invariances: permutation/duplication/symmetry/sum(nu)")
 def test_criterion_4_wpr_invariances():
-    rep = RepresentativeChoice()
     shuffle_rng = rng_for(0, "criterion4-shuffle")
 
     def score(gen, a, b):
-        record = pose_normalize([a] if a is b else [a, b], gen.canon, rep)
+        record = pose_normalize([a] if a is b else [a, b], gen.canon, 0)
         synthetic, served = fetch_synthetic(record, gen.provider, backfill_poses(record, [0]))
         return wpr_score_matrix(record, [0], synthetic, served)[0, -1]
 

@@ -1,6 +1,7 @@
 """The supported top-level API, and every pdsr import of the benchmark and scripts."""
 
 import ast
+import dataclasses
 import importlib
 from pathlib import Path
 
@@ -32,6 +33,11 @@ def test_star_import_binds_every_name():
     namespace: dict = {}
     exec("from pdsr import *", namespace)
     assert set(SUPPORTED) <= set(namespace)
+
+
+def test_protocol_config_has_three_settings():
+    fields = [f.name for f in dataclasses.fields(pdsr.ProtocolConfig)]
+    assert fields == ["seed", "fusion_weight", "strict"]
 
 
 def _pdsr_imports(path: Path):

@@ -325,6 +325,19 @@ def test_malformed_canon_is_an_error_not_a_traceback(workspace, tmp_path):
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize("field, value", [("identities", 2.5), ("feature_dim", 8.0)])
+def test_gen_spec_of_wrong_type_is_an_error_not_a_traceback(tmp_path, field, value):
+    save_gen_spec(GenSpec(), tmp_path / "spec.json")
+    payload = json.loads((tmp_path / "spec.json").read_text())
+    payload[field] = value
+    (tmp_path / "spec.json").write_text(json.dumps(payload))
+    result = run_process(["synthgen", "--spec", str(tmp_path / "spec.json"),
+                          "--out", str(tmp_path / "out")])
+    assert result.returncode == 1
+    assert "Error:" in result.stderr and str(tmp_path / "spec.json") in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_missing_input_file_is_an_error_not_a_traceback(tmp_path):
     missing = tmp_path / "missing.json"
     for args in (

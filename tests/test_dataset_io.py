@@ -47,7 +47,6 @@ from pdsr.dataset_io import (
 from pdsr.evaluation import ProbeResult
 from pdsr.generator import GenSpec, generate, load_gen_spec, save_gen_spec
 from pdsr.model import PoseRecord
-from pdsr.providers import RepresentativeChoice
 from pdsr.regulation import pose_normalize
 from pdsr.seeding import rng_for
 
@@ -309,9 +308,8 @@ def test_indexes_round_trip_any_tracklet_id_or_refuse_it(tmp_path, tid):
 
 
 def test_pose_embedding_export_round_trip(tmp_path, small_gen):
-    rep = RepresentativeChoice()
     tracklets = small_gen.dataset.tracklets[:3]
-    record = pose_normalize(tracklets[::-1], small_gen.canon, rep)  # rows out of id order
+    record = pose_normalize(tracklets[::-1], small_gen.canon, 0)  # rows out of id order
     write_pose_embeddings(record, tmp_path / "e.tsv", tmp_path / "e.bin")
     rows = read_pose_embedding_index(tmp_path / "e.tsv")
     matrix = read_feature_matrix(tmp_path / "e.bin")
@@ -486,6 +484,9 @@ MALFORMED_INPUTS = {
     "pose-index-not-utf8": lambda tmp: _bytes_file(
         tmp, "e.tsv", b"\xff\t1\treal\t1.0\t0\n", read_pose_embedding_index
     ),
+    "pose-index-not-as-written": lambda tmp: _bytes_file(
+        tmp, "e.tsv", b"a\t+1\treal\tnan\t 01\n", read_pose_embedding_index
+    ),
     "report-not-utf8": lambda tmp: _bytes_file(tmp, "r.json", NON_UTF8, load_report_json),
     "canon-without-joint-count": lambda tmp: _canon_with(tmp, {"poses": [[[0.1, 0.2, 1]]]}),
     "canon-without-poses": lambda tmp: _canon_with(tmp, {"joint_count": 1, "poses": []}),
@@ -493,6 +494,11 @@ MALFORMED_INPUTS = {
     "joint-count-beyond-numpy": lambda tmp: _manifest_with(
         tmp, lambda t: t.update(frames=[]), joint_count=10**30
     ),
+    "num-poses-string": lambda tmp: _manifest_with(tmp, lambda t: None, num_poses="eight"),
+    "num-poses-negative": lambda tmp: _manifest_with(tmp, lambda t: None, num_poses=-3),
+    "camera-count-null": lambda tmp: _manifest_with(tmp, lambda t: None, camera_count=None),
+    "name-integer": lambda tmp: _manifest_with(tmp, lambda t: None, name=7),
+    "feature-dim-float": lambda tmp: _manifest_with(tmp, lambda t: None, feature_dim=4.0),
     "canon-visibility-string": lambda tmp: _canon_with(
         tmp, {"joint_count": 1, "poses": [[[0.1, 0.2, "no"]]]}
     ),
@@ -727,6 +733,88 @@ def test_mutated_synth_index_loads_or_names_the_file(tmp_path, data):
         assert read_synth_index(tmp_path / "again.tsv") == index
 
     _loads_or_names_the_file(tmp_path / "bad.tsv", read_synth_index, accepted)
+
+
+@pytest.mark.parametrize("line, problem", [
+    ("a\t1\tsynthetic\t0.5\t0", "origin"),
+    ("a\t1\treal\tnan\t0", "frequency"),
+    ("a\t1\treal\tinf\t0", "frequency"),
+    ("a\t1\treal\t0.0\t0", "frequency"),
+    ("a\t1\treal\t1.5\t0", "frequency"),
+    ("a\t1\treal\t.5\t0", "frequency"),
+    ("a\t1\treal\t0.50\t0", "frequency"),
+    ("a\t1\treal\tx\t0", "frequency"),
+    ("a\t0\treal\t0.5\t0", "out of range"),
+    ("a\t1\treal\t0.5\t-1", "out of range"),
+    ("a\t01\treal\t0.5\t0", "plain integer"),
+    ("a\t1\treal\t0.5\t0\na\t1\treal\t1.0\t1", "duplicate"),
+])
+def test_pose_embedding_index_malformed_lines_raise(tmp_path, line, problem):
+    (tmp_path / "e.tsv").write_text(line + "\n", encoding="utf-8")
+    with pytest.raises(FileFormatError, match=problem) as exc:
+        read_pose_embedding_index(tmp_path / "e.tsv")
+    assert str(tmp_path / "e.tsv") in str(exc.value)
+
+
+POSE_RECORD = PoseRecord(
+    ("b", "a", "é-c1"), (0, 0, 0), np.zeros((3, 2)), np.ones((3, 3, 2)),
+    np.array([[0.25, 0.75, 0.0], [1 / 3, 0.0, 2 / 3], [0.0, 0.0, 1.0]]),
+    np.array([[True, True, False], [True, False, True], [False, False, True]]),
+)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_pose_embedding_index_loads_or_names_the_file(tmp_path, data):
+    write_pose_embeddings(POSE_RECORD, tmp_path / "e.tsv", tmp_path / "e.bin")
+    raw = (tmp_path / "e.tsv").read_bytes()
+    key = data.draw(st.sampled_from(raw.split(b"\n")[:-1])).split(b"\t")[:2]
+    rest = data.draw(st.sampled_from([b"real\t0.5\t1", b"real\t1.0\t99"]))
+    raw = data.draw(st.sampled_from([
+        lambda: _truncate(data, raw),
+        lambda: _flip(data, raw),
+        lambda: raw + b"\t".join(key + [rest]) + b"\n",  # a duplicate key
+        lambda: _insert(data, raw, b"\t"),  # a tab in an id, or anywhere
+    ]))()
+    (tmp_path / "bad.tsv").write_bytes(raw)
+
+    def accepted(rows):
+        # Each row, formatted as the writer formats it, is the file's line.
+        lines = [line.removesuffix(b"\r") for line in raw.split(b"\n")]
+        written = [f"{t}\t{j}\t{o}\t{f!r}\t{r}".encode() for t, j, o, f, r in rows]
+        assert [line for line in lines if line] == written
+
+    _loads_or_names_the_file(tmp_path / "bad.tsv", read_pose_embedding_index, accepted)
+
+
+GEN_SPEC = GenSpec(identities=3, cameras=2, frames_per_tracklet=(4, 6), num_poses=3,
+                   pose_effect_scale=0.5, pose_visibility=((1, 2), (2, 3)), seed=9, name="é")
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_gen_spec_loads_or_names_the_file(tmp_path, data):
+    save_gen_spec(GEN_SPEC, tmp_path / "spec.json")
+    raw = (tmp_path / "spec.json").read_bytes()
+    key = data.draw(st.sampled_from([f.name for f in dataclasses.fields(GenSpec)] + ["seeed"]))
+    value = data.draw(st.sampled_from(JSON_VALUES + (2, 2.5, -1, [4, 6], [[1], [3]], float("nan"))))
+    duplicate = f', "{key}": {json.dumps(value)}}}'.encode()  # the last value wins
+    raw = data.draw(st.sampled_from([
+        lambda: _truncate(data, raw),
+        lambda: _flip(data, raw),
+        lambda: raw.rstrip()[:-1] + duplicate,
+        lambda: _insert(data, raw, b"\t"),  # whitespace, or a tab inside a string
+    ]))()
+    (tmp_path / "bad.json").write_bytes(raw)
+
+    def accepted(spec):
+        assert set(json.loads(raw)) <= set(dataclasses.asdict(spec))
+        save_gen_spec(spec, tmp_path / "again.json")
+        assert load_gen_spec(tmp_path / "again.json") == spec
+
+    _loads_or_names_the_file(tmp_path / "bad.json", load_gen_spec, accepted)
 
 
 @settings(max_examples=300, deadline=None,

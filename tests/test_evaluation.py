@@ -20,6 +20,7 @@ from pdsr import (
     evaluate,
 )
 from pdsr.evaluation import (
+    CMC_DEPTH,
     _first_rank_and_ap,
     build_protocol,
     camera_confusion,
@@ -247,11 +248,15 @@ def test_report_mean_ap_is_mean_of_scored_probes(small_gen):
 
 def test_report_cmc_length_tracks_depth_and_gallery(small_gen):
     args = (small_gen.dataset, small_gen.canon, small_gen.provider)
-    shallow = evaluate(*args, ProtocolConfig(seed=0, cmc_depth=3), EvalMode.WF)
-    assert len(shallow.cmc) == 3
-    deep = evaluate(*args, ProtocolConfig(seed=0, cmc_depth=10_000), EvalMode.WF)
-    widest = max(r.gallery_size for r in deep.probe_results if r.ap is not None)
-    assert len(deep.cmc) == widest
+    narrow = evaluate(*args, ProtocolConfig(seed=0), EvalMode.WF)
+    widest = max(r.gallery_size for r in narrow.probe_results if r.ap is not None)
+    assert widest < CMC_DEPTH and len(narrow.cmc) == widest
+    # Camera 0's probes see 30 same-identity and 25 distractor tracklets.
+    rows = [(f"{i:02d}-{cam}", f"id{i:02d}", cam) for i in range(30) for cam in (0, 1)]
+    rows += [(f"x-{i:02d}", DISTRACTOR, 1) for i in range(25)]
+    wide = evaluate(make_dataset(rows), make_canon(), None, ProtocolConfig(), EvalMode.BASELINE)
+    assert max(r.gallery_size for r in wide.probe_results if r.ap is not None) > CMC_DEPTH
+    assert len(wide.cmc) == CMC_DEPTH == 50
 
 
 def test_probes_without_positives_are_reported_not_scored():

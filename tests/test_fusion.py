@@ -18,12 +18,12 @@ from pdsr import (
 )
 from pdsr.evaluation import ProbeCase, score_matrix
 from pdsr.fusion import wf_embeddings
-from pdsr.providers import RepresentativeChoice, Strategy, fetch_synthetic
+from pdsr.providers import choose_representative, fetch_synthetic
 from pdsr.regulation import real_means, tracklet_means
 from pdsr.seeding import rng_for
 from pdsr.similarity import cosine_matrix
 
-REP = RepresentativeChoice(strategy=Strategy.MIDDLE_FRAME)
+SEED = 0
 
 
 def make_canon(rng, m=3, k=5):
@@ -66,7 +66,7 @@ def fetch_all(record, provider, canon, strict=True):
 
 def wf_vectors(tracklets, provider, canon, w):
     """WF embeddings of the tracklets through the batched pass and one fetch."""
-    record = tracklet_means(tracklets, REP)
+    record = tracklet_means(tracklets, SEED)
     return wf_embeddings(record, *fetch_all(record, provider, canon), w)
 
 
@@ -87,7 +87,7 @@ def test_synthetic_mean_over_all_canonical_poses():
     t = make_tracklet(rng)
     canon = make_canon(rng)
     vectors = rng.normal(size=(3, 6))
-    record = tracklet_means([t], REP)
+    record = tracklet_means([t], SEED)
     synthetic, served = fetch_all(record, PoseOnlyProvider(vectors), canon)
     assert served.sum() == 3
     mean = wf_embeddings(record, synthetic, served, 0.0)[0]
@@ -99,7 +99,7 @@ def test_synthetic_mean_strict_vs_lenient():
     t = make_tracklet(rng)
     canon = make_canon(rng)
     vectors = rng.normal(size=(3, 6))
-    record = tracklet_means([t], REP)
+    record = tracklet_means([t], SEED)
     partial = PoseOnlyProvider(vectors, missing={2})
     with pytest.raises(MissingSyntheticError):
         fetch_all(record, partial, canon, strict=True)
@@ -129,7 +129,7 @@ def test_wf_formula_matches_naive():
     provider = PoseOnlyProvider(rng.normal(size=(3, 6)))
     for w in (0.5, 1.0, 4.0):
         got = wf_vectors([t], provider, canon, w)[0]
-        rep_frame = t.frames[len(t.frames) // 2].frame_id
+        rep_frame = choose_representative(t, SEED)
         expected = naive_wf_vec(t, provider, 3, w, rep_frame)
         assert np.allclose(got, expected, atol=1e-12)
 
@@ -163,7 +163,7 @@ def test_wf_score_is_per_gallery_cosine():
     canon, tracklets, provider = gallery_setup(7)
     dataset = Dataset("wf", 6, 5, 3, 1, tuple(tracklets))
     case = ProbeCase("g00", "x", 0, tuple(t.tracklet_id for t in tracklets[1:]))
-    config = ProtocolConfig(representative=REP)
+    config = ProtocolConfig(seed=SEED)
     scores = score_matrix(dataset, canon, provider, [case], config, EvalMode.WF)
     vectors = wf_vectors(tracklets, provider, canon, 4.0)
     for score, vec in zip(scores[0], vectors):

@@ -1,10 +1,12 @@
 """Planted-ground-truth generator: determinism, recoverability, difficulty knobs."""
 
+import json
+
 import numpy as np
 import pytest
 
 from naive_reference import naive_cosine
-from pdsr import MissingSyntheticError, validate_dataset
+from pdsr import FileFormatError, MissingSyntheticError, validate_dataset
 from pdsr.fusion import wf_embeddings
 from pdsr.generator import (
     GenSpec,
@@ -16,7 +18,7 @@ from pdsr.generator import (
     save_gen_spec,
 )
 from pdsr.model import DISTRACTOR, pack
-from pdsr.providers import RepresentativeChoice, fetch_synthetic
+from pdsr.providers import fetch_synthetic
 from pdsr.quantizer import assignment_distances, nearest_poses
 from pdsr.regulation import tracklet_means
 from pdsr.seeding import rng_for
@@ -102,7 +104,6 @@ def test_pose_visibility_restricts_planted_poses():
 def test_disjoint_visibility_hurts_baseline_more_than_wf():
     # Cameras observing disjoint pose subsets push same-identity means apart;
     # fusing in ideal synthetics restores most of the lost similarity.
-    rep = RepresentativeChoice()
     base_means, wf_means = [], []
     for seed in range(30):
         gen = generate(GenSpec(
@@ -110,7 +111,7 @@ def test_disjoint_visibility_hurts_baseline_more_than_wf():
             pose_effect_scale=1.0, noise_sigma=0.1,
             pose_visibility=((1, 2), (3, 4)), seed=seed,
         ))
-        record = tracklet_means(gen.dataset.tracklets, rep)
+        record = tracklet_means(gen.dataset.tracklets, 0)
         everything = np.ones((len(record.tracklet_ids), len(gen.canon)), dtype=bool)
         wf = wf_embeddings(record, *fetch_synthetic(record, gen.provider, everything), 4.0)
         pairs = {}
@@ -220,6 +221,36 @@ def test_gen_spec_rejects_bad_values(kwargs):
     base.update(kwargs)
     with pytest.raises(ValueError):
         GenSpec(**base)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("identities", 2.5),
+    ("cameras", True),
+    ("tracklets_per_identity_per_camera", "1"),
+    ("frames_per_tracklet", [4.7, 6]),
+    ("frames_per_tracklet", [4, 6.0]),
+    ("feature_dim", 8.0),
+    ("joint_count", None),
+    ("num_poses", 4.0),
+    ("pose_effect_scale", "0.25"),
+    ("noise_sigma", True),
+    ("pose_jitter", None),
+    ("pose_visibility", [[1, 2.0], [2, 3]]),
+    ("distractors", 1.5),
+    ("seed", 5.0),
+    ("name", 7),
+    ("seeed", 5),
+])
+def test_gen_spec_field_of_wrong_type_or_name_is_rejected(tmp_path, field, value):
+    with pytest.raises(TypeError):
+        GenSpec(**{field: value})
+    save_gen_spec(GenSpec(), tmp_path / "spec.json")
+    payload = json.loads((tmp_path / "spec.json").read_text())
+    payload[field] = value
+    (tmp_path / "spec.json").write_text(json.dumps(payload))
+    with pytest.raises(FileFormatError, match=field) as exc:
+        load_gen_spec(tmp_path / "spec.json")
+    assert str(tmp_path / "spec.json") in str(exc.value)
 
 
 def test_gen_spec_json_round_trip(tmp_path):

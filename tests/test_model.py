@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from pdsr import CanonicalPoseSet, Dataset, FrameRecord, PoseVector, Tracklet, validate_dataset
-from pdsr.providers import RepresentativeChoice
 from pdsr.regulation import pose_normalize
 
 
@@ -73,7 +72,7 @@ def test_embedding_entries_iterate_in_increasing_pose_order():
         FrameRecord(0, np.array([1.0, 0.0]), grid_pose(6, 0.4)),
         FrameRecord(1, np.array([0.0, 1.0]), grid_pose(6, 0.0)),
     )
-    record = pose_normalize([Tracklet("t", "a", 0, frames)], canon, RepresentativeChoice())
+    record = pose_normalize([Tracklet("t", "a", 0, frames)], canon, 0)
     assert record.observed.tolist() == [[True, False, True]]
     assert record.vectors.tolist() == [[[0.0, 1.0], [0.0, 0.0], [1.0, 0.0]]]
     assert record.frequencies.tolist() == [[0.5, 0.0, 0.5]]

@@ -5,16 +5,21 @@ import pytest
 
 from naive_reference import naive_representative
 from pdsr import (
+    EvalMode,
     FileBackedProvider,
     FileFormatError,
     FrameRecord,
+    GenSpec,
     MissingSyntheticError,
     PoseVector,
+    ProtocolConfig,
     SyntheticFeatureProvider,
     Tracklet,
+    evaluate,
+    generate,
 )
 from pdsr.model import PoseRecord
-from pdsr.providers import RepresentativeChoice, Strategy, choose_representative, fetch_synthetic
+from pdsr.providers import choose_representative, fetch_synthetic
 from pdsr.seeding import rng_for
 
 
@@ -32,31 +37,23 @@ def tracklet_with_ids(frame_ids, d=4, seed=0):
     return Tracklet(tracklet_id="t0", identity="x", camera=0, frames=frames)
 
 
-def test_middle_frame_uses_sorted_order():
-    t = tracklet_with_ids([4, 0, 2, 8, 6])  # sorted: 0 2 4 6 8, middle index 2
-    choice = RepresentativeChoice(strategy=Strategy.MIDDLE_FRAME)
-    assert choose_representative(t, choice) == 4
-
-
 def test_seeded_random_matches_documented_contract():
     t = tracklet_with_ids(range(7))
     for seed in range(5):
-        choice = RepresentativeChoice(strategy=Strategy.SEEDED_RANDOM, seed=seed)
-        assert choose_representative(t, choice) == naive_representative(t, "seeded-random", seed)
+        assert choose_representative(t, seed) == naive_representative(t, "seeded-random", seed)
 
 
 def test_representative_invariant_to_storage_order():
     t = tracklet_with_ids([3, 1, 0, 2])
     shuffled = Tracklet("t0", "x", 0, tuple(reversed(t.frames)))
-    for strategy in Strategy:
-        choice = RepresentativeChoice(strategy=strategy, seed=11)
-        assert choose_representative(t, choice) == choose_representative(shuffled, choice)
+    for seed in (0, 11):
+        assert choose_representative(t, seed) == choose_representative(shuffled, seed)
 
 
 def test_empty_tracklet_has_no_representative():
     t = Tracklet("t0", "x", 0, ())
     with pytest.raises(ValueError):
-        choose_representative(t, RepresentativeChoice())
+        choose_representative(t, 0)
 
 
 class RecordingProvider(SyntheticFeatureProvider):
@@ -92,6 +89,22 @@ def test_fetch_queries_each_wanted_cell_once_with_its_representative():
     assert not synthetic[0, 2].any()
     with pytest.raises(ValueError):
         fetch_synthetic(record, RecordingProvider(5), wanted)
+
+
+@pytest.mark.parametrize("mode", [EvalMode.WF, EvalMode.WPR])
+def test_evaluate_conditions_queries_on_frames_drawn_with_the_protocol_seed(mode):
+    # Cameras see different poses, so WPR backfills some cells too.
+    gen = generate(GenSpec(identities=4, cameras=2, num_poses=3, feature_dim=8,
+                           pose_visibility=((1, 2), (2, 3)), seed=5))
+    tracklets = gen.dataset.tracklets
+    assert any(choose_representative(t, 3) != choose_representative(t, 0) for t in tracklets)
+    provider = RecordingProvider(gen.dataset.feature_dim)
+    evaluate(gen.dataset, gen.canon, provider, ProtocolConfig(seed=3), mode)
+    by_id = gen.dataset.by_id()
+    assert provider.calls
+    assert len(provider.calls) == len({(tid, pose) for tid, _, pose in provider.calls})
+    for tid, frame_id, _ in provider.calls:
+        assert frame_id == choose_representative(by_id[tid], 3)
 
 
 def test_file_backed_provider_serves_rows_and_misses():

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from naive_reference import naive_assign, naive_groups, naive_keypoint_distance
 from pdsr import AllFramesUnassignableError, CanonicalPoseSet, FrameRecord, PoseVector, Tracklet
-from pdsr.providers import RepresentativeChoice
-from pdsr.quantizer import _BLOCK_FRAMES, assignment_distances, nearest_poses
+from pdsr.quantizer import _BLOCK_FRAMES, MIN_COMMON_JOINTS, assignment_distances, nearest_poses
 from pdsr.regulation import pose_normalize
 from pdsr.seeding import rng_for
 
@@ -26,15 +25,15 @@ def random_canon(rng, m=4, k=8):
     return CanonicalPoseSet(poses=tuple(random_pose(rng, k) for _ in range(m)))
 
 
-def pose_distances(poses, canon, **kwargs):
+def pose_distances(poses, canon):
     """The batched quantizer's distances for a list of PoseVectors, packed."""
     return assignment_distances(np.stack([p.joints for p in poses]),
-                                np.stack([p.visibility for p in poses]), canon, **kwargs)
+                                np.stack([p.visibility for p in poses]), canon)
 
 
-def distance(a, b, **kwargs):
+def distance(a, b):
     """Distance between two poses through the batched quantizer."""
-    return pose_distances([a], CanonicalPoseSet(poses=(b,)), **kwargs)[0, 0]
+    return pose_distances([a], CanonicalPoseSet(poses=(b,)))[0, 0]
 
 
 def assign(frame, canon):
@@ -84,8 +83,19 @@ def test_too_few_common_joints_gives_infinite_distance():
                    visibility=np.array([1, 1, 1, 0, 0, 0], dtype=bool))
     b = PoseVector(joints=np.zeros((6, 2)),
                    visibility=np.array([0, 0, 1, 1, 1, 1], dtype=bool))
-    assert math.isinf(distance(a, b))  # one common joint, default minimum is 4
-    assert distance(a, b, min_common_joints=1) == 0.0
+    assert math.isinf(distance(a, b))  # one common joint, the minimum is 4
+
+
+def test_four_common_joints_give_finite_distance():
+    a = PoseVector(joints=np.zeros((6, 2)),
+                   visibility=np.array([1, 1, 1, 1, 1, 0], dtype=bool))
+    b = PoseVector(joints=np.ones((6, 2)),
+                   visibility=np.array([0, 1, 1, 1, 1, 1], dtype=bool))
+    assert MIN_COMMON_JOINTS == 4
+    assert distance(a, b) == pytest.approx(math.sqrt(2.0), abs=1e-15)
+    one_fewer = PoseVector(joints=np.ones((6, 2)),
+                           visibility=np.array([0, 0, 1, 1, 1, 1], dtype=bool))
+    assert math.isinf(distance(a, one_fewer))
 
 
 def test_joint_count_mismatch_raises():
@@ -162,7 +172,7 @@ def test_group_frequencies_sum_to_one(seed, n_frames):
     canon = random_canon(rng)
     tracklet = make_tracklet(rng, n_frames, visible_prob=0.8)
     try:
-        record = pose_normalize([tracklet], canon, RepresentativeChoice())
+        record = pose_normalize([tracklet], canon, 0)
     except AllFramesUnassignableError:
         return
     assert abs(record.frequencies.sum() - 1.0) < 1e-12
@@ -178,7 +188,7 @@ def test_group_membership_and_unassignable_bookkeeping():
     blind_pose = PoseVector(joints=np.zeros((8, 2)), visibility=np.zeros(8, dtype=bool))
     blind = FrameRecord(99, rng.normal(size=4), blind_pose)
     tracklet = Tracklet("t", "x", 0, tuple(good) + (blind,))
-    record = pose_normalize([tracklet], canon, RepresentativeChoice())
+    record = pose_normalize([tracklet], canon, 0)
     # the blind frame counts toward the real mean but toward no pose
     assert np.allclose(record.real_means[0], np.mean([f.feature for f in good + [blind]], axis=0))
     for j in canon.indices:
@@ -193,6 +203,6 @@ def test_all_frames_unassignable_raises():
     tracklet = Tracklet("t", "x", 0, (FrameRecord(0, np.ones(4), blind_pose),))
     rng = rng_for(6, "blind")
     with pytest.raises(AllFramesUnassignableError):
-        pose_normalize([tracklet], random_canon(rng), RepresentativeChoice())
+        pose_normalize([tracklet], random_canon(rng), 0)
     with pytest.raises(AllFramesUnassignableError):
-        pose_normalize([Tracklet("t", "x", 0, ())], random_canon(rng), RepresentativeChoice())
+        pose_normalize([Tracklet("t", "x", 0, ())], random_canon(rng), 0)

@@ -17,11 +17,11 @@ from pdsr import (
 )
 from pdsr.generator import GenSpec, generate
 from pdsr.model import FrameRecord, PoseRecord
-from pdsr.providers import RepresentativeChoice, fetch_synthetic
+from pdsr.providers import fetch_synthetic
 from pdsr.regulation import backfill_poses, pose_normalize, wpr_score_matrix
 from pdsr.seeding import rng_for
 
-REP = RepresentativeChoice()
+SEED = 0
 
 
 class DictProvider(SyntheticFeatureProvider):
@@ -58,12 +58,12 @@ def scores(record, probe_rows, provider, strict=True):
 
 def wpr(a, b, gen):
     """Score of one tracklet pair through a two-row record."""
-    return scores(pose_normalize([a, b], gen.canon, REP), [0], gen.provider)[0, 1]
+    return scores(pose_normalize([a, b], gen.canon, SEED), [0], gen.provider)[0, 1]
 
 
 def all_pairs(gen):
     """The record of every tracklet and the all-against-all score matrix."""
-    record = pose_normalize(gen.dataset.tracklets, gen.canon, REP)
+    record = pose_normalize(gen.dataset.tracklets, gen.canon, SEED)
     return record, scores(record, range(len(record.tracklet_ids)), gen.provider)
 
 
@@ -82,7 +82,7 @@ def shuffled(tracklet, rng):
 
 
 def test_pose_normalize_matches_group_oracle(noisy_gen):
-    record = pose_normalize(noisy_gen.dataset.tracklets, noisy_gen.canon, REP)
+    record = pose_normalize(noisy_gen.dataset.tracklets, noisy_gen.canon, SEED)
     for row, t in enumerate(noisy_gen.dataset.tracklets):
         groups, freqs = naive_groups(t, noisy_gen.canon)
         assert record.tracklet_ids[row] == t.tracklet_id
@@ -101,7 +101,7 @@ def test_pose_normalize_orders_entries(noisy_gen):
     # Column j - 1 of the pose axis belongs to canonical pose j, so each
     # row runs in pose order.
     tracklets = noisy_gen.dataset.tracklets
-    record = pose_normalize(tracklets, noisy_gen.canon, REP)
+    record = pose_normalize(tracklets, noisy_gen.canon, SEED)
     t, m, d = len(tracklets), len(noisy_gen.canon), noisy_gen.dataset.feature_dim
     assert record.vectors.shape == (t, m, d)
     assert record.real_means.shape == (t, d)
@@ -115,9 +115,9 @@ def test_batched_pass_equals_single_tracklet_pass_and_oracle(noisy_gen):
     rng = rng_for(1, "batched-pass")
     tracklets = [shuffled(t, rng) for t in noisy_gen.dataset.tracklets]
     canon = noisy_gen.canon
-    record = pose_normalize(tracklets, canon, REP)
+    record = pose_normalize(tracklets, canon, SEED)
     for row, t in enumerate(tracklets):
-        alone = pose_normalize([t], canon, REP)
+        alone = pose_normalize([t], canon, SEED)
         assert alone.representative_frame_ids[0] == record.representative_frame_ids[row]
         for field in ("real_means", "vectors", "frequencies", "observed"):
             assert np.array_equal(getattr(alone, field)[0], getattr(record, field)[row]), field
@@ -139,7 +139,7 @@ def test_tracklet_without_assignable_frame_is_named(noisy_gen):
     tracklets = list(noisy_gen.dataset.tracklets)
     tracklets[2] = hidden
     with pytest.raises(AllFramesUnassignableError, match=victim.tracklet_id):
-        pose_normalize(tracklets, noisy_gen.canon, REP)
+        pose_normalize(tracklets, noisy_gen.canon, SEED)
 
 
 # ------------------------------------------------ union completion
@@ -269,7 +269,7 @@ def test_whole_tracklet_duplication_leaves_score_unchanged(noisy_gen):
 def test_matrix_equals_per_pair_path(noisy_gen):
     gen = noisy_gen
     tracklets = gen.dataset.tracklets
-    record = pose_normalize(tracklets, gen.canon, REP)
+    record = pose_normalize(tracklets, gen.canon, SEED)
     matrix = scores(record, [0, 1, 2, 3], gen.provider)  # probes are rows too
     assert matrix.shape == (4, len(tracklets))
     reps = record.representative_frame_ids
@@ -289,7 +289,7 @@ def test_matrix_single_pair_equals_direct_score(eight_pose_gen):
     # carries poses neither side of the pair observes.
     gen = eight_pose_gen
     a, b = gen.dataset.tracklets[:2]
-    record = pose_normalize(gen.dataset.tracklets, gen.canon, REP)
+    record = pose_normalize(gen.dataset.tracklets, gen.canon, SEED)
     batch = scores(record, [0], gen.provider)
     assert batch.shape == (1, len(gen.dataset.tracklets))
     assert abs(wpr(a, b, gen) - batch[0, 1]) <= 1e-12
