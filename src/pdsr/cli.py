@@ -15,7 +15,6 @@ subcommand (e.g. {"canon": "c.json", "eval": {"weight": 2.0}}).
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -62,12 +61,11 @@ class _ConfigGroup(click.Group):
         path = os.environ.get(ENV_CONFIG)
         if path and "default_map" not in extra:
             try:
-                with open(path, encoding="utf-8") as fh:
-                    extra["default_map"] = json.load(fh)
+                extra["default_map"] = dataset_io.read_json(path, unique_keys=True)
             except OSError as exc:
                 raise click.ClickException(f"cannot read {ENV_CONFIG}={path}: {exc}")
-            except json.JSONDecodeError as exc:
-                raise click.ClickException(f"{ENV_CONFIG}={path}: invalid JSON: {exc}")
+            except FileFormatError as exc:  # names the file
+                raise click.ClickException(f"{ENV_CONFIG}: {exc}")
         return super().make_context(info_name, args, parent, **extra)
 
     def invoke(self, ctx):

@@ -18,7 +18,7 @@ import json
 import struct
 from bisect import bisect_right
 from contextlib import contextmanager
-from itertools import chain
+from itertools import chain, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Mapping
@@ -82,11 +82,33 @@ def _read_text(path: str | Path) -> str:
         raise FileFormatError(f"{path}: not UTF-8 at byte {exc.start}") from exc
 
 
-def _read_json(path: str | Path):
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """The pairs of one JSON object as a dict; a key given twice is an error."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen: set[str] = set()
+        key = next(k for k, _ in pairs if k in seen or seen.add(k))
+        raise FileFormatError(f"key {key!r} appears twice in one object")
+    return obj
+
+
+def read_json(path: str | Path, *, unique_keys: bool = False):
+    """The decoded file; invalid JSON, or JSON nested too deeply to decode, names the file.
+
+    With `unique_keys` a key given twice in one object is an error too, as
+    the settings readers (gen spec, PDSR_CONFIG) ask.  The manifest, canon
+    and report readers keep the last value, as `json` does: the check slows
+    the decode of a large manifest by a sixth or more.
+    """
+    text = _read_text(path)
     try:
-        return json.loads(_read_text(path))
+        return json.loads(text, object_pairs_hook=_unique_keys if unique_keys else None)
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{path}: invalid JSON") from exc
+    except RecursionError as exc:
+        raise FileFormatError(f"{path}: JSON nested too deeply to decode") from exc
+    except FileFormatError as exc:
+        raise FileFormatError(f"{path}: {exc}") from exc
 
 
 @contextmanager
@@ -196,7 +218,7 @@ def load_dataset(manifest_path: str | Path, features_path: str | Path) -> Datase
     canonical order, as `save_dataset` writes them.  The cyclic garbage
     collector is paused while it runs, and the caller's setting restored.
     """
-    manifest = _read_json(manifest_path)
+    manifest = read_json(manifest_path)
     matrix = read_feature_matrix(features_path)
     try:
         if not isinstance(manifest["name"], str):
@@ -270,7 +292,7 @@ def save_canon(canon: CanonicalPoseSet, path: str | Path) -> None:
 
 
 def load_canon(path: str | Path) -> CanonicalPoseSet:
-    payload = _read_json(path)
+    payload = read_json(path)
     try:
         k, poses = payload["joint_count"], payload["poses"]
         keypoints = _keypoints(poses, k)
@@ -326,7 +348,35 @@ def _pose_and_row(path: str | Path, lineno: int, pose_s: str, row_s: str) -> tup
     return pose, row
 
 
-def read_synth_index(path: str | Path) -> dict[tuple[str, int], int]:
+def _synth_index_columns(text: str) -> dict[tuple[str, int], int] | None:
+    """The entries of a synthetic index, or None if any line breaks a rule.
+
+    Every rule is checked over whole columns: each line holds two tabs,
+    poses and rows convert with one `map(int, ...)` each and read back the
+    same through `map(str, ...)`, and no (tracklet, pose) repeats.
+    """
+    text = text.replace("\r\n", "\n")
+    if "\r" in text:
+        return None
+    lines = list(filter(None, text.split("\n")))
+    if set(map(str.count, lines, repeat("\t"))) - {2}:
+        return None
+    fields = "\t".join(lines).split("\t")
+    tids, poses_s, rows_s = fields[0::3], fields[1::3], fields[2::3]
+    try:
+        poses, rows = list(map(int, poses_s)), list(map(int, rows_s))
+    except ValueError:
+        return None
+    if list(map(str, poses)) != poses_s or list(map(str, rows)) != rows_s:  # "+1", " 1", "01"
+        return None
+    if poses and (min(poses) < 1 or min(rows) < 0):
+        return None
+    index = dict(zip(zip(tids, poses), rows))
+    return index if len(index) == len(lines) else None
+
+
+def _synth_index_lines(path: str | Path) -> dict[tuple[str, int], int]:
+    """The entries of a synthetic index, read line by line; the first bad line is named."""
     index: dict[tuple[str, int], int] = {}
     for lineno, (tid, pose_s, row_s) in _tsv_lines(path, 3):
         pose, row = _pose_and_row(path, lineno, pose_s, row_s)
@@ -334,6 +384,16 @@ def read_synth_index(path: str | Path) -> dict[tuple[str, int], int]:
             raise FileFormatError(f"{path}:{lineno}: duplicate entry ({tid}, {pose})")
         index[(tid, pose)] = row
     return index
+
+
+def read_synth_index(path: str | Path) -> dict[tuple[str, int], int]:
+    """The (tracklet_id, pose) -> row entries of an index as `write_synth_index` writes it.
+
+    Lines may end in CR LF.  A file that breaks a rule is read again line
+    by line, to name the first line that does.
+    """
+    index = _synth_index_columns(_read_text(path))
+    return _synth_index_lines(path) if index is None else index
 
 
 def write_pose_embeddings(
@@ -350,6 +410,8 @@ def write_pose_embeddings(
     export; scoring works from the in-memory record.
     """
     _check_ids(record.tracklet_ids)
+    if len(set(record.tracklet_ids)) < len(record.tracklet_ids):
+        raise ValueError("tracklet ids repeat: the index would list a (tracklet, pose) twice")
     rows = []
     with open(index_path, "w", encoding="utf-8") as fh:
         for tid, t in sorted((tid, t) for t, tid in enumerate(record.tracklet_ids)):
@@ -421,7 +483,7 @@ def save_report_json(report: EvalReport, path: str | Path) -> None:
 
 
 def load_report_json(path: str | Path) -> EvalReport:
-    d = _read_json(path)
+    d = read_json(path)
     try:
         return EvalReport(
             mode=d["mode"],

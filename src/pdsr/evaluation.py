@@ -101,33 +101,50 @@ def build_protocol(dataset: Dataset, seed: int) -> tuple[ProbeCase, ...]:
             continue
         by_identity.setdefault(t.identity, []).append(t)
 
+    galleries: dict[int, tuple[str, ...]] = {}  # one per probe camera
     cases = []
     for identity in sorted(by_identity):
         candidates = [t for t in by_identity[identity] if t.probe] or by_identity[identity]
         pick = candidates[
             int(rng_for(seed, "probe-draw", identity).integers(len(candidates)))
         ]
-        gallery = tuple(t.tracklet_id for t in dataset.tracklets if t.camera != pick.camera)
+        if pick.camera not in galleries:
+            galleries[pick.camera] = tuple(
+                t.tracklet_id for t in dataset.tracklets if t.camera != pick.camera
+            )
         cases.append(
             ProbeCase(
                 probe_id=pick.tracklet_id,
                 identity=identity,
                 camera=pick.camera,
-                gallery_ids=gallery,
+                gallery_ids=galleries[pick.camera],
             )
         )
     return tuple(cases)
 
 
-def rank_gallery(scores: np.ndarray, gallery: np.ndarray) -> np.ndarray:
+def rank_gallery(scores: np.ndarray, gallery: np.ndarray | None = None) -> np.ndarray:
     """Column order of each row of a (probes, tracklets) score matrix.
 
-    Gallery columns come first, by descending score; equal scores keep
-    column order, which on the ascending-id axis is ascending tracklet id.
-    Columns outside the gallery sort last, even after a -inf score.
+    Columns sort by descending score; equal scores keep column order, which
+    on the ascending-id axis is ascending tracklet id.  This is the one tie
+    rule: any gallery's ranking is this order with the other columns
+    dropped.  Given a `gallery` mask, its columns come first, in that
+    order, and the others follow, even after a -inf score.
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    return np.lexsort((-scores, ~np.asarray(gallery, dtype=bool)), axis=-1)
+    keys = -np.asarray(scores, dtype=np.float64)
+    # The default sort is several times faster than a stable one and orders
+    # distinct keys the same; only rows with equal keys need the stable sort.
+    order = np.argsort(keys, axis=-1)
+    ranked = np.take_along_axis(keys, order, axis=-1)
+    left, right = ranked[:, :-1], ranked[:, 1:]
+    tied = ((left == right) | (np.isnan(left) & np.isnan(right))).any(axis=-1)
+    if tied.any():
+        order[tied] = np.argsort(keys[tied], axis=-1, kind="stable")
+    if gallery is None:
+        return order
+    outside = ~np.take_along_axis(np.asarray(gallery, dtype=bool), order, axis=-1)
+    return np.take_along_axis(order, np.argsort(outside, axis=-1, kind="stable"), axis=-1)
 
 
 def cmc_curve(first_correct_ranks: Sequence[int], length: int) -> np.ndarray:
@@ -145,61 +162,75 @@ def cmc_curve(first_correct_ranks: Sequence[int], length: int) -> np.ndarray:
 
 
 def _first_rank_and_ap(
-    scores: np.ndarray, gallery: np.ndarray, positive: np.ndarray
+    inside: np.ndarray, positive: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per row: positives in the gallery, 1-based first-positive rank, AP.
 
-    AP is the mean of precision at each positive rank: positives at ranks
-    2 and 4 of 5 give (1/2 + 2/4) / 2 = 0.5.  Precision accumulates with
-    a cumulative sum in rank order, which adds the same terms in the same
-    order as a sequential loop.  Rows without a positive have rank 0 and
-    AP NaN.
+    Both masks are read along a row's `rank_gallery` order of all columns:
+    `inside` marks the gallery and `positive` the probe's identity.  A
+    column's rank is the number of gallery columns up to it.  AP is the
+    mean of precision at each positive rank: positives at ranks 2 and 4 of
+    5 give (1/2 + 2/4) / 2 = 0.5.  Precision accumulates with a cumulative
+    sum in rank order, which adds the same terms in the same order as a
+    sequential loop; columns outside the gallery add zeros.  Rows without a
+    positive have rank 0 and AP NaN.
     """
-    order = rank_gallery(scores, gallery)
-    relevant = np.take_along_axis(positive & gallery, order, axis=1)
+    relevant = inside & positive
     hits = np.cumsum(relevant, axis=1)
-    precision = np.where(relevant, hits / np.arange(1, relevant.shape[1] + 1), 0.0)
+    rank = np.cumsum(inside, axis=1)
     count = hits[:, -1]
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", divide="ignore"):
+        precision = np.where(relevant, hits / rank, 0.0)
         ap = np.cumsum(precision, axis=1)[:, -1] / count
-    first = np.where(count > 0, relevant.argmax(axis=1) + 1, 0)
-    return count, first, ap
+    first = np.take_along_axis(rank, relevant.argmax(axis=1)[:, None], axis=1)[:, 0]
+    return count, np.where(count > 0, first, 0), ap
 
 
 def _columns(
-    dataset: Dataset, cases: Sequence[ProbeCase]
+    dataset: Dataset, cases: Sequence[ProbeCase], order: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Ids and cameras on the ascending-id axis, and each case's positives on it."""
+    """Per case, read along its row of `order`: column cameras, positives and non-probe columns.
+
+    Identities and tracklet ids are compared as integer codes.
+    """
     tracklets = dataset.tracklets
-    ids = np.array([t.tracklet_id for t in tracklets], dtype=str)
+    identity_code: dict[str, int] = {}
+    tracklet_code: dict[str, int] = {}
+    identities = np.array(
+        [identity_code.setdefault(t.identity, len(identity_code)) for t in tracklets]
+    )
+    ids = np.array([tracklet_code.setdefault(t.tracklet_id, len(tracklet_code)) for t in tracklets])
     cameras = np.array([t.camera for t in tracklets], dtype=int)
-    identities = np.array([t.identity for t in tracklets], dtype=str)
-    positive = identities[None, :] == np.array([c.identity for c in cases], dtype=str)[:, None]
-    return ids, cameras, positive
+    case_identities = np.array([identity_code.get(c.identity, -1) for c in cases])
+    probes = np.array([tracklet_code.get(c.probe_id, -1) for c in cases])
+    positive = identities[order] == case_identities[:, None]
+    not_probe = ids[order] != probes[:, None]
+    return cameras[order], positive, not_probe
 
 
 def camera_confusion(
     cases: Sequence[ProbeCase],
     scores: np.ndarray,
     dataset: Dataset,
+    order: np.ndarray | None = None,
 ) -> tuple[tuple[int, ...], tuple[tuple[float | None, ...], ...]]:
     """Mean AP per (probe camera, gallery camera) cell.
 
     Column galleries hold exactly one camera's tracklets; on the diagonal
     the probe itself is removed, measuring intra-camera retrieval.  `scores`
-    is cases x all-tracklets (ascending tracklet id).  Cells where no probe
-    has a positive are None.
+    is cases x all-tracklets (ascending tracklet id), and `order` its
+    `rank_gallery` order if the caller has it.  Cells where no probe has a
+    positive are None.
     """
-    ids, col_cameras, positive = _columns(dataset, cases)
-    not_probe = ids[None, :] != np.array([c.probe_id for c in cases], dtype=str)[:, None]
+    if order is None:
+        order = rank_gallery(scores)
+    col_cameras, positive, not_probe = _columns(dataset, cases, order)
     case_cameras = [c.camera for c in cases]
     cameras = dataset.cameras()
 
     columns = []
     for cam_b in cameras:
-        count, _, ap = _first_rank_and_ap(
-            scores, not_probe & (col_cameras == cam_b)[None, :], positive
-        )
+        count, _, ap = _first_rank_and_ap(not_probe & (col_cameras == cam_b), positive)
         columns.append([(case_cameras[i], float(ap[i])) for i in np.flatnonzero(count)])
     matrix = []
     for cam_a in cameras:
@@ -278,9 +309,10 @@ def evaluate(
             "validate_dataset names the offending inputs"
         )
 
-    _, col_cameras, positive = _columns(dataset, cases)
-    gallery = col_cameras[None, :] != np.array([c.camera for c in cases])[:, None]
-    count, first, ap = _first_rank_and_ap(scores, gallery, positive)
+    order = rank_gallery(scores)
+    col_cameras, positive, _ = _columns(dataset, cases, order)
+    gallery = col_cameras != np.array([c.camera for c in cases])[:, None]
+    count, first, ap = _first_rank_and_ap(gallery, positive)
     results = [
         ProbeResult(
             probe_id=case.probe_id,
@@ -306,7 +338,7 @@ def evaluate(
         mean_ap = None
         cmc = ()
 
-    camera_ids, confusion = camera_confusion(cases, scores, dataset)
+    camera_ids, confusion = camera_confusion(cases, scores, dataset, order)
     return EvalReport(
         mode=mode.value,
         num_probes=len(cases),

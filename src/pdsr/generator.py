@@ -24,6 +24,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .dataset_io import read_json
 from .errors import FileFormatError, MissingSyntheticError
 from .model import (
     DISTRACTOR,
@@ -296,11 +297,8 @@ def save_gen_spec(spec: GenSpec, path: str | Path) -> None:
 
 
 def load_gen_spec(path: str | Path) -> GenSpec:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise FileFormatError(f"{path}: invalid JSON") from exc
+    """Read a spec `save_gen_spec` writes; an unknown or repeated key is an error."""
+    payload = read_json(path, unique_keys=True)
     try:
         unknown = sorted(set(payload) - {f.name for f in fields(GenSpec)})
         if unknown:

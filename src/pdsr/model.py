@@ -171,12 +171,13 @@ class TrackletMeans:
     """Real-frame means of T tracklets and the frames their synthetics condition on.
 
     Row t belongs to `tracklet_ids[t]`.  Each tracklet's representative
-    frame is drawn once, here, so every synthetic query of a run
-    conditions on the same frame.
+    frame is drawn at most once, on first read (see
+    `providers.RepresentativeFrames`; a tuple also serves), so every
+    synthetic query of a run conditions on the same frame.
     """
 
     tracklet_ids: tuple[str, ...]
-    representative_frame_ids: tuple[int, ...]
+    representative_frame_ids: Sequence[int]
     real_means: np.ndarray  # (T, d) mean feature of all frames
 
 

@@ -6,15 +6,19 @@ under the requested canonical pose.  Generation itself happens offline;
 providers only serve vectors, deterministically, and must tolerate
 concurrent read-only queries.
 
-`fetch_synthetic` is the one place the package queries a provider: a run
-asks for each (tracklet, pose) at most once, and weighted fusion and
-pose-regulated matching both read the tensor it returns.
+`fetch_synthetic` is the one place the package asks a provider for
+vectors: a run asks for each (tracklet, pose) at most once, through the
+provider's `fetch`, and weighted fusion and pose-regulated matching both read
+the tensor it returns.  The base `fetch` queries cell by cell; a provider
+that can serve a whole tensor at once overrides it with the same result.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from itertools import repeat
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -30,6 +34,34 @@ class SyntheticFeatureProvider(ABC):
     def query(self, tracklet_id: str, representative_frame_id: int, pose: int) -> np.ndarray:
         """Feature vector for (tracklet, pose); raises MissingSyntheticError if unserved."""
 
+    def fetch(
+        self, record: TrackletMeans, wanted: np.ndarray, *, strict: bool = True
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Synthetic (T, M, d) tensor and (T, M) served mask for the wanted (T, M) cells.
+
+        Each wanted (tracklet, pose) cell is queried once, in row-major
+        order, conditioned on the tracklet's representative frame.  In
+        strict mode a miss propagates; in lenient mode it leaves the cell
+        unserved.  Cells not served hold zeros.
+        """
+        dim = record.real_means.shape[1]
+        synthetic = np.zeros(wanted.shape + (dim,))
+        served = np.zeros(wanted.shape, dtype=bool)
+        for t, j in zip(*(axis.tolist() for axis in np.nonzero(wanted))):
+            try:
+                vector = self.query(
+                    record.tracklet_ids[t], record.representative_frame_ids[t], j + 1
+                )
+            except MissingSyntheticError:
+                if strict:
+                    raise
+                continue
+            if vector.shape != (dim,):
+                raise ValueError(f"synthetic dimension {vector.shape[0]} != real dimension {dim}")
+            synthetic[t, j] = vector
+            served[t, j] = True
+        return synthetic, served
+
 
 def choose_representative(tracklet: Tracklet, seed: int) -> int:
     """Pick the representative frame id of a tracklet.
@@ -44,6 +76,30 @@ def choose_representative(tracklet: Tracklet, seed: int) -> int:
     return frames[int(rng.integers(len(frames)))].frame_id
 
 
+class RepresentativeFrames(Sequence[int]):
+    """The tracklets' representative frame ids, each drawn on its first read and kept.
+
+    Item t is `choose_representative(tracklets[t], seed)`; a provider that
+    never reads the frame costs no draw.
+    """
+
+    def __init__(self, tracklets: Sequence[Tracklet], seed: int):
+        self._tracklets = tuple(tracklets)
+        self._seed = seed
+        self._drawn: list[int | None] = [None] * len(self._tracklets)
+
+    def __len__(self) -> int:
+        return len(self._tracklets)
+
+    def __getitem__(self, t):
+        if isinstance(t, slice):
+            return tuple(self[i] for i in range(len(self))[t])
+        frame_id = self._drawn[t]
+        if frame_id is None:
+            frame_id = self._drawn[t] = choose_representative(self._tracklets[t], self._seed)
+        return frame_id
+
+
 def fetch_synthetic(
     record: TrackletMeans,
     provider: SyntheticFeatureProvider,
@@ -51,29 +107,8 @@ def fetch_synthetic(
     *,
     strict: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Synthetic (T, M, d) tensor and (T, M) served mask for the wanted (T, M) cells.
-
-    Each wanted (tracklet, pose) cell is queried once, conditioned on the
-    tracklet's representative frame.  In strict mode a miss propagates; in
-    lenient mode it leaves the cell unserved.  Cells not served hold zeros.
-    """
-    dim = record.real_means.shape[1]
-    synthetic = np.zeros(wanted.shape + (dim,))
-    served = np.zeros(wanted.shape, dtype=bool)
-    for t, j in zip(*(axis.tolist() for axis in np.nonzero(wanted))):
-        try:
-            vector = provider.query(
-                record.tracklet_ids[t], record.representative_frame_ids[t], j + 1
-            )
-        except MissingSyntheticError:
-            if strict:
-                raise
-            continue
-        if vector.shape != (dim,):
-            raise ValueError(f"synthetic dimension {vector.shape[0]} != real dimension {dim}")
-        synthetic[t, j] = vector
-        served[t, j] = True
-    return synthetic, served
+    """`provider.fetch(record, wanted, strict=strict)`: the package's one request for synthetics."""
+    return provider.fetch(record, wanted, strict=strict)
 
 
 class FileBackedProvider(SyntheticFeatureProvider):
@@ -86,12 +121,15 @@ class FileBackedProvider(SyntheticFeatureProvider):
 
     def __init__(self, index: dict[tuple[str, int], int], matrix: np.ndarray):
         matrix = np.asarray(matrix, dtype=np.float64)
-        for (tid, pose), row in index.items():
-            if not 0 <= row < matrix.shape[0]:
-                raise FileFormatError(
-                    f"synthetic index entry ({tid!r}, {pose}) points at row {row}, "
-                    f"matrix has {matrix.shape[0]} rows"
-                )
+        rows = index.values()
+        if rows and not 0 <= min(rows) <= max(rows) < matrix.shape[0]:
+            (tid, pose), row = next(
+                (key, row) for key, row in index.items() if not 0 <= row < matrix.shape[0]
+            )
+            raise FileFormatError(
+                f"synthetic index entry ({tid!r}, {pose}) points at row {row}, "
+                f"matrix has {matrix.shape[0]} rows"
+            )
         finite = np.isfinite(matrix).all(axis=1)
         if not finite.all():
             raise FileFormatError(f"synthetic matrix row {int(np.argmin(finite))} is not finite")
@@ -104,6 +142,38 @@ class FileBackedProvider(SyntheticFeatureProvider):
         if row is None:
             raise MissingSyntheticError(f"no synthetic feature for ({tracklet_id!r}, pose {pose})")
         return self._matrix[row].copy()
+
+    def fetch(
+        self, record: TrackletMeans, wanted: np.ndarray, *, strict: bool = True
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The base class's tensor and mask, from one index lookup over the wanted cells.
+
+        The rows are gathered straight into the tensor, so no (cells, d)
+        copy is made beside it.  Errors are the ones the per-cell queries
+        would raise first.
+        """
+        dim = record.real_means.shape[1]
+        ts, js = np.nonzero(wanted)
+        ids = record.tracklet_ids
+        keys = zip(map(ids.__getitem__, ts.tolist()), (js + 1).tolist())
+        rows = np.fromiter(map(self._index.get, keys, repeat(-1)), dtype=np.int64, count=len(ts))
+        hit = rows >= 0
+        first_miss = int(np.argmin(hit)) if strict and not hit.all() else len(rows)
+        if self.feature_dim != dim and hit[:first_miss].any():
+            raise ValueError(f"synthetic dimension {self.feature_dim} != real dimension {dim}")
+        if first_miss < len(rows):
+            raise MissingSyntheticError(
+                f"no synthetic feature for ({ids[ts[first_miss]]!r}, pose {js[first_miss] + 1})"
+            )
+        served = np.zeros(wanted.shape, dtype=bool)
+        served[ts[hit], js[hit]] = True
+        if not hit.any():
+            return np.zeros(wanted.shape + (dim,)), served
+        cell_rows = np.zeros(wanted.shape, dtype=np.int64)  # unserved: row 0, zeroed below
+        cell_rows[ts[hit], js[hit]] = rows[hit]
+        synthetic = self._matrix.take(cell_rows, axis=0)
+        synthetic[~served] = 0.0
+        return synthetic, served
 
 
 def file_backed_provider(index_path: str | Path, features_path: str | Path) -> FileBackedProvider:

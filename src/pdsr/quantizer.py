@@ -40,9 +40,14 @@ def assignment_distances(
     for start in range(0, len(joints), _BLOCK_FRAMES):
         rows = slice(start, start + _BLOCK_FRAMES)
         common = visibility[rows, None, :] & canon_vis[None, :, :]  # (B, M, k)
-        diff = joints[rows, None, :, :] - canon_joints[None, :, :, :]  # (B, M, k, 2)
-        sq = np.where(common, np.sum(diff * diff, axis=-1), 0.0)  # (B, M, k)
-        counts = common.sum(axis=-1)  # (B, M)
+        dx = joints[rows, None, :, 0] - canon_joints[None, :, :, 0]  # (B, M, k)
+        dy = joints[rows, None, :, 1] - canon_joints[None, :, :, 1]
+        # dx*dx + dy*dy, in place: the two-term sum np.sum would make, without its reduction.
+        dx *= dx
+        dy *= dy
+        dx += dy
+        sq = np.where(common, dx, 0.0)  # (B, M, k)
+        counts = np.count_nonzero(common, axis=-1)  # (B, M)
         with np.errstate(invalid="ignore", divide="ignore"):
             block = np.sqrt(sq.sum(axis=-1) / counts)
         block[counts < MIN_COMMON_JOINTS] = np.inf

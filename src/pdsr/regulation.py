@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import AllFramesUnassignableError, EmptyUnionError, ZeroVectorError
 from .model import CanonicalPoseSet, PoseRecord, Tracklet, TrackletMeans, pack
-from .providers import choose_representative
+from .providers import RepresentativeFrames
 from .quantizer import assignment_distances, nearest_poses
 
 
@@ -37,8 +37,10 @@ def _segment_means(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Keys, lengths and row means of the runs of equal keys in sorted `keys`.
 
-    `np.add.reduceat` adds each run's rows in order, so a mean is bitwise
-    the `np.mean` of that run's rows stacked alone.
+    `np.add.reduceat` sums each run in an order fixed by the run alone, so
+    a tracklet pools to the same bits whether it is pooled alone or in any
+    batch.  That order is NumPy's own: it is not `np.mean`'s, whose result
+    can differ in the last bit.
     """
     starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
     sizes = np.diff(np.r_[starts, len(keys)])
@@ -57,10 +59,10 @@ def real_means(tracklets: Sequence[Tracklet]) -> np.ndarray:
 
 
 def tracklet_means(tracklets: Sequence[Tracklet], seed: int) -> TrackletMeans:
-    """Real means of the tracklets and each one's representative frame, drawn once."""
+    """Real means of the tracklets and each one's representative frame, drawn when first read."""
     return TrackletMeans(
         tracklet_ids=tuple(t.tracklet_id for t in tracklets),
-        representative_frame_ids=tuple(choose_representative(t, seed) for t in tracklets),
+        representative_frame_ids=RepresentativeFrames(tracklets, seed),
         real_means=real_means(tracklets),
     )
 
@@ -98,7 +100,7 @@ def pose_normalize(tracklets: Sequence[Tracklet], canon: CanonicalPoseSet, seed:
     members = members.reshape(len(ids), m)
     return PoseRecord(
         tracklet_ids=ids,
-        representative_frame_ids=tuple(choose_representative(t, seed) for t in tracklets),
+        representative_frame_ids=RepresentativeFrames(tracklets, seed),
         real_means=real,
         vectors=vectors,
         frequencies=members / assignable[:, None],

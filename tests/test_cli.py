@@ -489,3 +489,41 @@ def test_cli_outputs_are_byte_identical_to_recorded_digests(tmp_path):
     assert "\t-\tinf\n" in out["assign.tsv"].read_text()
     digests = {name: hashlib.blake2s(path.read_bytes()).hexdigest() for name, path in out.items()}
     assert digests == OUTPUT_DIGESTS
+
+
+# blake2s digests of the eval and match outputs on the same dataset,
+# recorded before ranking moved to one sort per probe row.
+EVAL_DIGESTS = {
+    "report.json": "f4981f1acc451596b1cc0bb638cd5712b5df78c67a316c22245c5c18d24e8b17",
+    "report.csv": "c7638fe6859315983b57b4c6feabaf7d9a8e6c569851e9c60b839e657c0b6022",
+    "report-wpr.json": "6483834b9d362cdaa1c853d744da4bd829c089e1ae1f3e5f298fa922759bc768",
+    "match.tsv": "0c113af60021bc6b951f36511e7b8f0c72daa7a1cb3442452af5a40f4874eea7",
+}
+
+
+def test_eval_and_match_outputs_are_byte_identical_to_recorded_digests(tmp_path):
+    full = _digest_inputs(tmp_path) + ["--synth-index", str(tmp_path / "synth-index.tsv")]
+    out = {name: tmp_path / name for name in EVAL_DIGESTS}
+    run(full + ["eval", "--mode", "wf+wpr", "--report", str(out["report.json"]),
+                "--csv", str(out["report.csv"])])
+    run(full + ["eval", "--mode", "wpr", "--report", str(out["report-wpr.json"])])
+    run(full + ["match", "--probe", "id0001-c1-0", "--out", str(out["match.tsv"])])
+    digests = {name: hashlib.blake2s(path.read_bytes()).hexdigest() for name, path in out.items()}
+    assert digests == EVAL_DIGESTS
+
+
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("text, problem", [
+    (DEEP_JSON, "nested too deeply"),
+    ('{"seed": 0, "seed": 5}', "'seed' appears twice"),
+], ids=["too-deep", "repeated-key"])
+def test_env_config_too_deep_or_with_a_repeated_key_is_an_error_line(tmp_path, text, problem):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(text)
+    result = run_process(["--help"], PDSR_CONFIG=str(config_path))
+    assert result.returncode == 1, result.stdout
+    assert "Error:" in result.stderr and str(config_path) in result.stderr, result.stderr
+    assert problem in result.stderr and "Traceback" not in result.stderr
+

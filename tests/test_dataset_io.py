@@ -32,6 +32,8 @@ from pdsr.dataset_io import (
     _HEADER,
     FORMAT_VERSION,
     MAGIC,
+    _synth_index_columns,
+    _synth_index_lines,
     load_report_json,
     read_feature_matrix,
     read_pose_embedding_index,
@@ -288,11 +290,13 @@ def test_synth_index_rejects_tab_in_id(tmp_path):
 @example(tid="a\tb")
 @example(tid="a\nb")
 @example(tid="")
+@example(tid="b")
 def test_indexes_round_trip_any_tracklet_id_or_refuse_it(tmp_path, tid):
     index = {(tid, 1): 0, ("b", 2): 1}
     record = PoseRecord((tid, "b"), (0, 0), np.zeros((2, 2)), np.ones((2, 1, 2)),
                         np.ones((2, 1)), np.ones((2, 1), dtype=bool))
-    writable = not any(c in tid for c in "\t\n\r")
+    # "b" twice would list ("b", 1) twice in the pose-embedding index
+    writable = not any(c in tid for c in "\t\n\r") and tid != "b"
     try:
         write_synth_index(index, tmp_path / "i.tsv")
         write_pose_embeddings(record, tmp_path / "e.tsv", tmp_path / "e.bin")
@@ -452,6 +456,14 @@ def _gen_spec_with(tmp_path, **fields):
 
 
 NON_UTF8 = b'{"name": "\xff"}\n'
+DEEP_JSON = b"[" * 100_000 + b"]" * 100_000  # beyond the decoder's recursion limit
+
+
+def _gen_spec_repeating(tmp_path, key):
+    save_gen_spec(GenSpec(), tmp_path / "spec.json")
+    raw = (tmp_path / "spec.json").read_bytes()
+    (tmp_path / "spec.json").write_bytes(raw.replace(b"{", b'{"%s": 5, ' % key.encode(), 1))
+    return tmp_path / "spec.json", lambda: load_gen_spec(tmp_path / "spec.json")
 
 MALFORMED_INPUTS = {
     "keypoint-string": lambda tmp: _manifest_with(tmp, lambda t: _set_keypoint(t, "abc")),
@@ -503,6 +515,13 @@ MALFORMED_INPUTS = {
         tmp, {"joint_count": 1, "poses": [[[0.1, 0.2, "no"]]]}
     ),
     "gen-spec-one-identity": lambda tmp: _gen_spec_with(tmp, identities=1),
+    "gen-spec-repeated-key": lambda tmp: _gen_spec_repeating(tmp, "seed"),
+    "manifest-too-deep": lambda tmp: _bytes_file(
+        tmp, "m.json", DEEP_JSON, lambda path: load_dataset(path, path)
+    ),
+    "canon-too-deep": lambda tmp: _bytes_file(tmp, "c.json", DEEP_JSON, load_canon),
+    "report-too-deep": lambda tmp: _bytes_file(tmp, "r.json", DEEP_JSON, load_report_json),
+    "gen-spec-too-deep": lambda tmp: _bytes_file(tmp, "spec.json", DEEP_JSON, load_gen_spec),
 }
 
 
@@ -733,6 +752,16 @@ def test_mutated_synth_index_loads_or_names_the_file(tmp_path, data):
         assert read_synth_index(tmp_path / "again.tsv") == index
 
     _loads_or_names_the_file(tmp_path / "bad.tsv", read_synth_index, accepted)
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError:
+        return
+    try:
+        walked = _synth_index_lines(tmp_path / "bad.tsv")
+    except FileFormatError:
+        walked = None
+    # The column pass accepts only what the line walk reads, as the walk reads it.
+    assert _synth_index_columns(text) in (None, walked)
 
 
 @pytest.mark.parametrize("line, problem", [
@@ -800,7 +829,7 @@ def test_mutated_gen_spec_loads_or_names_the_file(tmp_path, data):
     raw = (tmp_path / "spec.json").read_bytes()
     key = data.draw(st.sampled_from([f.name for f in dataclasses.fields(GenSpec)] + ["seeed"]))
     value = data.draw(st.sampled_from(JSON_VALUES + (2, 2.5, -1, [4, 6], [[1], [3]], float("nan"))))
-    duplicate = f', "{key}": {json.dumps(value)}}}'.encode()  # the last value wins
+    duplicate = f', "{key}": {json.dumps(value)}}}'.encode()  # a key given twice
     raw = data.draw(st.sampled_from([
         lambda: _truncate(data, raw),
         lambda: _flip(data, raw),

@@ -68,7 +68,10 @@ def ranked_metrics(scores, gallery, positive):
     """(order, first-correct ranks, APs) of the batched ranking; None without a positive."""
     scores, gallery, positive = (np.atleast_2d(a) for a in (scores, gallery, positive))
     order = rank_gallery(scores, gallery)
-    count, first, ap = _first_rank_and_ap(scores, gallery, positive)
+    shared = rank_gallery(scores)  # the one sort evaluate makes per probe row
+    count, first, ap = _first_rank_and_ap(
+        np.take_along_axis(gallery, shared, axis=1), np.take_along_axis(positive, shared, axis=1)
+    )
     firsts = [int(f) if n else None for n, f in zip(count, first)]
     aps = [float(a) if n else None for n, a in zip(count, ap)]
     return order, firsts, aps
@@ -442,3 +445,35 @@ def test_confusion_cell_is_none_when_camera_has_no_positive():
     middle = cameras.index(1)
     for r in range(len(cameras)):
         assert matrix[r][middle] is None
+
+
+def lexsort_metrics(scores, gallery, positive):
+    """Order, positives, first ranks and APs as one two-key lexsort per gallery gave them."""
+    order = np.lexsort((-scores, ~gallery), axis=-1)
+    relevant = np.take_along_axis(positive & gallery, order, axis=1)
+    hits = np.cumsum(relevant, axis=1)
+    precision = np.where(relevant, hits / np.arange(1, relevant.shape[1] + 1), 0.0)
+    count = hits[:, -1]
+    with np.errstate(invalid="ignore"):
+        ap = np.cumsum(precision, axis=1)[:, -1] / count
+    return order, count, np.where(count > 0, relevant.argmax(axis=1) + 1, 0), ap
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), shape=st.tuples(st.integers(1, 4), st.integers(1, 9)))
+def test_one_sort_per_row_ranks_every_gallery_as_a_lexsort_per_gallery(data, shape):
+    # Few distinct values, so ties, -0.0 against 0.0, -inf and NaN are common.
+    value = st.sampled_from([-np.inf, -1.0, -0.0, 0.0, 0.25, 1.0, np.nan])
+    scores = np.array(data.draw(st.lists(value, min_size=shape[0] * shape[1],
+                                         max_size=shape[0] * shape[1]))).reshape(shape)
+    masks = st.lists(st.booleans(), min_size=shape[0] * shape[1], max_size=shape[0] * shape[1])
+    gallery = np.array(data.draw(masks)).reshape(shape)
+    positive = np.array(data.draw(masks)).reshape(shape)
+
+    order, count, first, ap = lexsort_metrics(scores, gallery, positive)
+    assert rank_gallery(scores, gallery).tolist() == order.tolist()
+    shared = rank_gallery(scores)
+    got = _first_rank_and_ap(np.take_along_axis(gallery, shared, axis=1),
+                             np.take_along_axis(positive, shared, axis=1))
+    assert got[0].tolist() == count.tolist() and got[1].tolist() == first.tolist()
+    assert got[2].tobytes() == ap.tobytes()  # bit for bit, NaN where no positive

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from naive_reference import naive_representative
 from pdsr import (
@@ -18,8 +20,9 @@ from pdsr import (
     evaluate,
     generate,
 )
+import pdsr.providers
 from pdsr.model import PoseRecord
-from pdsr.providers import choose_representative, fetch_synthetic
+from pdsr.providers import RepresentativeFrames, choose_representative, fetch_synthetic
 from pdsr.seeding import rng_for
 
 
@@ -126,3 +129,65 @@ def test_file_backed_provider_returns_a_copy():
 def test_file_backed_provider_rejects_dangling_rows():
     with pytest.raises(FileFormatError):
         FileBackedProvider({("a", 1): 5}, np.ones((2, 3)))
+
+
+def record_draws(monkeypatch):
+    """The keys of every Generator the providers module makes from now on."""
+    drawn = []
+    real_rng_for = pdsr.providers.rng_for
+    monkeypatch.setattr(pdsr.providers, "rng_for", lambda *key: drawn.append(key) or real_rng_for(*key))
+    return drawn
+
+
+def test_representative_frames_draw_each_frame_once_on_first_read(monkeypatch):
+    tracklets = generate(GenSpec(identities=3, cameras=2, seed=4)).dataset.tracklets
+    drawn = record_draws(monkeypatch)
+    frames = RepresentativeFrames(tracklets, 7)
+    assert not drawn
+    assert frames[2] == choose_representative(tracklets[2], 7)
+    assert frames[2] == frames[-len(tracklets) + 2]
+    assert len(drawn) == 2  # the frame read, and the direct draw it is compared with
+    assert list(frames) == [choose_representative(t, 7) for t in tracklets]
+    assert frames[1:3] == tuple(frames)[1:3] and len(frames) == len(tracklets)
+
+
+@pytest.mark.parametrize("mode", [EvalMode.WF, EvalMode.WPR, EvalMode.FUSED])
+def test_evaluate_with_a_file_backed_provider_draws_no_representative_frame(monkeypatch, mode):
+    gen = generate(GenSpec(identities=4, cameras=2, num_poses=3, feature_dim=8,
+                           pose_visibility=((1, 2), (2, 3)), seed=5))
+    tids = [t.tracklet_id for t in gen.dataset.tracklets]
+    index = {(tid, j): t * 3 + j - 1 for t, tid in enumerate(tids) for j in gen.canon.indices}
+    matrix = np.stack([gen.provider.query(tid, -1, j) for tid, j in index])
+    drawn = record_draws(monkeypatch)
+    provider = FileBackedProvider(index, matrix)
+    report = evaluate(gen.dataset, gen.canon, provider, ProtocolConfig(), mode)
+    assert report.num_scored and not drawn
+    # The planted provider ignores the frame too: its report is the same.
+    assert report == evaluate(gen.dataset, gen.canon, gen.provider, ProtocolConfig(), mode)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), shape=st.tuples(st.integers(0, 4), st.integers(1, 4)),
+       strict=st.booleans(), dim=st.sampled_from([3, 3, 3, 2]))
+def test_file_backed_fetch_equals_the_per_query_loop_bitwise(data, shape, strict, dim):
+    t, m = shape
+    cells = st.lists(st.booleans(), min_size=t * m, max_size=t * m)
+    wanted = np.array(data.draw(cells), dtype=bool).reshape(shape)
+    stored = np.array(data.draw(cells), dtype=bool).reshape(shape)
+    ids = tuple(f"t{i}" for i in range(t))
+    keys = [(ids[i], j + 1) for i, j in zip(*np.nonzero(stored))]
+    rows = data.draw(st.permutations(range(len(keys))))
+    matrix = rng_for(3, "fetch").normal(size=(len(keys) + 1, dim))
+    matrix[-1] = -0.0  # a row no key points at
+    provider = FileBackedProvider(dict(zip(keys, rows)), matrix)
+    record = PoseRecord(ids, (0,) * t, np.zeros((t, 3)), np.zeros((t, m, 3)),
+                        np.zeros((t, m)), np.zeros((t, m), dtype=bool))
+
+    def outcome(fetch):
+        try:
+            synthetic, served = fetch(provider, record, wanted, strict=strict)
+        except (MissingSyntheticError, ValueError) as exc:
+            return type(exc), str(exc)
+        return synthetic.tobytes(), synthetic.shape, served.tolist()
+
+    assert outcome(FileBackedProvider.fetch) == outcome(SyntheticFeatureProvider.fetch)
