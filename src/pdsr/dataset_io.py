@@ -18,7 +18,7 @@ import json
 import struct
 from bisect import bisect_right
 from contextlib import contextmanager
-from itertools import chain, repeat
+from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 from typing import Mapping
@@ -348,35 +348,7 @@ def _pose_and_row(path: str | Path, lineno: int, pose_s: str, row_s: str) -> tup
     return pose, row
 
 
-def _synth_index_columns(text: str) -> dict[tuple[str, int], int] | None:
-    """The entries of a synthetic index, or None if any line breaks a rule.
-
-    Every rule is checked over whole columns: each line holds two tabs,
-    poses and rows convert with one `map(int, ...)` each and read back the
-    same through `map(str, ...)`, and no (tracklet, pose) repeats.
-    """
-    text = text.replace("\r\n", "\n")
-    if "\r" in text:
-        return None
-    lines = list(filter(None, text.split("\n")))
-    if set(map(str.count, lines, repeat("\t"))) - {2}:
-        return None
-    fields = "\t".join(lines).split("\t")
-    tids, poses_s, rows_s = fields[0::3], fields[1::3], fields[2::3]
-    try:
-        poses, rows = list(map(int, poses_s)), list(map(int, rows_s))
-    except ValueError:
-        return None
-    if list(map(str, poses)) != poses_s or list(map(str, rows)) != rows_s:  # "+1", " 1", "01"
-        return None
-    if poses and (min(poses) < 1 or min(rows) < 0):
-        return None
-    index = dict(zip(zip(tids, poses), rows))
-    return index if len(index) == len(lines) else None
-
-
-def _synth_index_lines(path: str | Path) -> dict[tuple[str, int], int]:
-    """The entries of a synthetic index, read line by line; the first bad line is named."""
+def read_synth_index(path: str | Path) -> dict[tuple[str, int], int]:
     index: dict[tuple[str, int], int] = {}
     for lineno, (tid, pose_s, row_s) in _tsv_lines(path, 3):
         pose, row = _pose_and_row(path, lineno, pose_s, row_s)
@@ -384,16 +356,6 @@ def _synth_index_lines(path: str | Path) -> dict[tuple[str, int], int]:
             raise FileFormatError(f"{path}:{lineno}: duplicate entry ({tid}, {pose})")
         index[(tid, pose)] = row
     return index
-
-
-def read_synth_index(path: str | Path) -> dict[tuple[str, int], int]:
-    """The (tracklet_id, pose) -> row entries of an index as `write_synth_index` writes it.
-
-    Lines may end in CR LF.  A file that breaks a rule is read again line
-    by line, to name the first line that does.
-    """
-    index = _synth_index_columns(_read_text(path))
-    return _synth_index_lines(path) if index is None else index
 
 
 def write_pose_embeddings(

@@ -91,9 +91,7 @@ class RepresentativeFrames(Sequence[int]):
     def __len__(self) -> int:
         return len(self._tracklets)
 
-    def __getitem__(self, t):
-        if isinstance(t, slice):
-            return tuple(self[i] for i in range(len(self))[t])
+    def __getitem__(self, t: int) -> int:
         frame_id = self._drawn[t]
         if frame_id is None:
             frame_id = self._drawn[t] = choose_representative(self._tracklets[t], self._seed)
