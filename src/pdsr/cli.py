@@ -35,7 +35,7 @@ from .evaluation import (
 from .fusion import DEFAULT_FUSION_WEIGHT, wf_embeddings
 from .generator import generate, load_gen_spec
 from .model import CanonicalPoseSet, Dataset, pack, validate_dataset
-from .providers import fetch_synthetic, file_backed_provider
+from .providers import file_backed_provider
 from .quantizer import assignment_distances, nearest_poses
 from .regulation import pose_normalize, tracklet_means
 
@@ -71,7 +71,7 @@ class _ConfigGroup(click.Group):
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except (PdsrError, OSError) as exc:  # an OSError's message names its path
+        except (PdsrError, OSError, ValueError) as exc:  # an OSError's message names its path
             raise click.ClickException(str(exc)) from exc
 
 
@@ -159,9 +159,7 @@ def synthgen(obj: CliContext, spec_path: Path, out_dir: Path):
     # writes the same vectors; rows run in (tracklet, pose) order.
     record = tracklet_means(gen.dataset.tracklets, 0)
     m = len(gen.canon)
-    synthetic, _ = fetch_synthetic(
-        record, gen.provider, np.ones((len(record.tracklet_ids), m), dtype=bool)
-    )
+    synthetic, _ = gen.provider.fetch(record, np.ones((len(record.tracklet_ids), m), dtype=bool))
     rows = synthetic.reshape(-1, synthetic.shape[2])
     index = {
         (tid, j): t * m + j - 1 for t, tid in enumerate(record.tracklet_ids) for j in gen.canon.indices
@@ -189,18 +187,19 @@ def quantize(obj: CliContext, out_path: Path | None):
         tids = [t.tracklet_id for t in dataset.tracklets for _ in range(len(t))]
         out_path.write_text(
             "".join(
-                f"{tid}\t{frame_id}\t{'-' if j is None else j}\t{d!r}\n"
-                for tid, frame_id, j, d in zip(tids, frames.frame_ids.tolist(), poses, distances)
+                f"{tid}\t{frame_id}\t{j or '-'}\t{d!r}\n"
+                for tid, frame_id, j, d in zip(
+                    tids, frames.frame_ids.tolist(), poses.tolist(), distances.tolist()
+                )
             ),
             encoding="utf-8",
         )
-    unassignable = poses.count(None)
+    counts = np.bincount(poses, minlength=len(canon) + 1).tolist()  # counts[0]: unassignable
     click.echo(
-        f"{len(frames)} frames: {len(frames) - unassignable} assigned, "
-        f"{unassignable} unassignable"
+        f"{len(frames)} frames: {len(frames) - counts[0]} assigned, {counts[0]} unassignable"
     )
     for j in canon.indices:
-        click.echo(f"pose {j}: {poses.count(j)}")
+        click.echo(f"pose {j}: {counts[j]}")
 
 
 @main.command()
@@ -225,9 +224,8 @@ def embed(obj: CliContext, mode: str, weight: float, out_path: Path,
 
     if mode == "wf":
         record = tracklet_means(tracklets, config.seed)
-        synthetic, served = fetch_synthetic(
-            record, _provider(obj, dataset), np.ones((len(tracklets), len(canon)), dtype=bool),
-            strict=config.strict,
+        synthetic, served = _provider(obj, dataset).fetch(
+            record, np.ones((len(tracklets), len(canon)), dtype=bool), strict=config.strict
         )
         rows = wf_embeddings(record, synthetic, served, config.fusion_weight)
         dataset_io.write_feature_matrix(out_path, rows)
@@ -276,7 +274,8 @@ def match(obj: CliContext, probe_id: str, mode: str, weight: float, top: int,
         gallery_ids=tuple(t.tracklet_id for t, g in zip(tracklets, gallery) if g),
     )
     scores = score_matrix(dataset, canon, provider, [case], _config(obj, weight), eval_mode)
-    order = rank_gallery(scores, gallery[None, :])[0, : len(case.gallery_ids)]
+    order = rank_gallery(scores)[0]
+    order = order[gallery[order]]
     ranked = [(tracklets[i], scores[0, i].item()) for i in order]
 
     if out_path is not None:

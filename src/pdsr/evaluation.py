@@ -21,7 +21,7 @@ import numpy as np
 
 from .fusion import DEFAULT_FUSION_WEIGHT, wf_embeddings
 from .model import CanonicalPoseSet, Dataset, Tracklet
-from .providers import SyntheticFeatureProvider, fetch_synthetic
+from .providers import SyntheticFeatureProvider
 from .regulation import (
     backfill_poses,
     pose_normalize,
@@ -123,20 +123,15 @@ def build_protocol(dataset: Dataset, seed: int) -> tuple[ProbeCase, ...]:
     return tuple(cases)
 
 
-def rank_gallery(scores: np.ndarray, gallery: np.ndarray | None = None) -> np.ndarray:
+def rank_gallery(scores: np.ndarray) -> np.ndarray:
     """Column order of each row of a (probes, tracklets) score matrix.
 
     Columns sort by descending score; equal scores keep column order, which
     on the ascending-id axis is ascending tracklet id.  This is the one tie
     rule: any gallery's ranking is this order with the other columns
-    dropped.  Given a `gallery` mask, its columns come first, in that
-    order, and the others follow, even after a -inf score.
+    dropped.
     """
-    order = np.argsort(-np.asarray(scores, dtype=np.float64), axis=-1, kind="stable")
-    if gallery is None:
-        return order
-    outside = ~np.take_along_axis(np.asarray(gallery, dtype=bool), order, axis=-1)
-    return np.take_along_axis(order, np.argsort(outside, axis=-1, kind="stable"), axis=-1)
+    return np.argsort(-np.asarray(scores, dtype=np.float64), axis=-1, kind="stable")
 
 
 def cmc_curve(first_correct_ranks: Sequence[int], length: int) -> np.ndarray:
@@ -202,21 +197,17 @@ def _columns(
 
 def camera_confusion(
     cases: Sequence[ProbeCase],
-    scores: np.ndarray,
     dataset: Dataset,
-    order: np.ndarray | None = None,
+    columns: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> tuple[tuple[int, ...], tuple[tuple[float | None, ...], ...]]:
     """Mean AP per (probe camera, gallery camera) cell.
 
     Column galleries hold exactly one camera's tracklets; on the diagonal
-    the probe itself is removed, measuring intra-camera retrieval.  `scores`
-    is cases x all-tracklets (ascending tracklet id), and `order` its
-    `rank_gallery` order if the caller has it.  Cells where no probe has a
-    positive are None.
+    the probe itself is removed, measuring intra-camera retrieval.
+    `columns` is what `_columns` reads along the cases' `rank_gallery`
+    order.  Cells where no probe has a positive are None.
     """
-    if order is None:
-        order = rank_gallery(scores)
-    col_cameras, positive, not_probe = _columns(dataset, cases, order)
+    col_cameras, positive, not_probe = columns
     case_cameras = [c.camera for c in cases]
     cameras = dataset.cameras()
 
@@ -267,7 +258,7 @@ def score_matrix(
         backfill = backfill_poses(record, probe_rows)
         if mode is EvalMode.WPR:
             wanted = backfill
-    synthetic, served = fetch_synthetic(record, provider, wanted, strict=config.strict)
+    synthetic, served = provider.fetch(record, wanted, strict=config.strict)
     if mode is not EvalMode.WPR:
         emb = wf_embeddings(record, synthetic, served, config.fusion_weight)
         cos = cosine_matrix(emb[probe_rows], emb)
@@ -301,16 +292,17 @@ def evaluate(
             "validate_dataset names the offending inputs"
         )
 
-    order = rank_gallery(scores)
-    col_cameras, positive, _ = _columns(dataset, cases, order)
+    columns = _columns(dataset, cases, rank_gallery(scores))
+    col_cameras, positive, _ = columns
     gallery = col_cameras != np.array([c.camera for c in cases])[:, None]
     count, first, ap = _first_rank_and_ap(gallery, positive)
+    sizes = gallery.sum(axis=1)
     results = [
         ProbeResult(
             probe_id=case.probe_id,
             identity=case.identity,
             camera=case.camera,
-            gallery_size=len(case.gallery_ids),
+            gallery_size=int(sizes[i]),
             num_positives=int(count[i]),
             first_correct_rank=int(first[i]) if count[i] else None,
             ap=float(ap[i]) if count[i] else None,
@@ -330,7 +322,7 @@ def evaluate(
         mean_ap = None
         cmc = ()
 
-    camera_ids, confusion = camera_confusion(cases, scores, dataset, order)
+    camera_ids, confusion = camera_confusion(cases, dataset, columns)
     return EvalReport(
         mode=mode.value,
         num_probes=len(cases),

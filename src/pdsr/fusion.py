@@ -7,7 +7,7 @@ The fused embedding of a tracklet is
 with the synthetic mean taken over the canonical poses the provider can
 serve.  Both means come batched: the real means from a TrackletMeans
 record (segment sums in frame-id order), the synthetic ones from the tensor
-`fetch_synthetic` returns, summed over the pose axis in pose order and
+`provider.fetch` returns, summed over the pose axis in pose order and
 divided by the number of served poses.  WF assigns no frame a pose, so a
 tracklet whose frames all miss the quantizer still fuses.  No re-normalization happens after
 fusion: downstream cosine scoring absorbs global scale, so `w` is the
@@ -30,8 +30,8 @@ def wf_embeddings(
 ) -> np.ndarray:
     """Fused (T, d) embeddings of a record under weight w.
 
-    `synthetic` and `served` are `fetch_synthetic`'s tensor and mask; a
-    tracklet for which no canonical pose was served is an error.
+    `synthetic` and `served` are the tensor and mask `provider.fetch`
+    returns; a tracklet for which no canonical pose was served is an error.
     """
     if w < 0.0:
         raise ValueError("fusion weight must be non-negative")

@@ -6,11 +6,11 @@ under the requested canonical pose.  Generation itself happens offline;
 providers only serve vectors, deterministically, and must tolerate
 concurrent read-only queries.
 
-`fetch_synthetic` is the one place the package asks a provider for
-vectors: a run asks for each (tracklet, pose) at most once, through the
-provider's `fetch`, and weighted fusion and pose-regulated matching both read
-the tensor it returns.  The base `fetch` queries cell by cell; a provider
-that can serve a whole tensor at once overrides it with the same result.
+A provider's `fetch` is the one place the package asks it for vectors: a
+run asks for each (tracklet, pose) at most once, and weighted fusion and
+pose-regulated matching both read the tensor it returns.  The base `fetch`
+queries cell by cell; a provider that can serve a whole tensor at once
+overrides it with the same result.
 """
 
 from __future__ import annotations
@@ -96,17 +96,6 @@ class RepresentativeFrames(Sequence[int]):
         if frame_id is None:
             frame_id = self._drawn[t] = choose_representative(self._tracklets[t], self._seed)
         return frame_id
-
-
-def fetch_synthetic(
-    record: TrackletMeans,
-    provider: SyntheticFeatureProvider,
-    wanted: np.ndarray,
-    *,
-    strict: bool = True,
-) -> tuple[np.ndarray, np.ndarray]:
-    """`provider.fetch(record, wanted, strict=strict)`: the package's one request for synthetics."""
-    return provider.fetch(record, wanted, strict=strict)
 
 
 class FileBackedProvider(SyntheticFeatureProvider):

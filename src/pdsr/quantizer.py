@@ -8,8 +8,6 @@ masks; a comparison needs at least `MIN_COMMON_JOINTS` shared joints.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .model import CanonicalPoseSet
@@ -55,13 +53,12 @@ def assignment_distances(
     return dist
 
 
-def nearest_poses(dist: np.ndarray) -> tuple[list[int | None], list[float]]:
-    """Nearest canonical pose (1-based) and its distance, per row of `dist`.
+def nearest_poses(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest canonical pose (1-based, int) and its distance, per row of `dist`.
 
     Ties break toward the lowest canonical index.  A row without a finite
-    distance is unassignable: pose None, distance inf.
+    distance is unassignable: pose 0, distance inf.
     """
     best = np.argmin(dist, axis=1)
-    nearest = dist[np.arange(dist.shape[0]), best].tolist()
-    poses = [None if math.isinf(d) else j + 1 for j, d in zip(best.tolist(), nearest)]
-    return poses, nearest
+    nearest = dist[np.arange(dist.shape[0]), best]
+    return np.where(np.isinf(nearest), 0, best + 1), nearest

@@ -40,8 +40,10 @@ def _segment_means(
     `np.add.reduceat` sums each run in an order fixed by the run alone, so
     a tracklet pools to the same bits whether it is pooled alone or in any
     batch.  That order is NumPy's own: it is not `np.mean`'s, whose result
-    can differ in the last bit.
+    can differ in the last bit.  Pooling no rows is an error.
     """
+    if not len(keys):
+        raise ValueError("no tracklets to pool")
     starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
     sizes = np.diff(np.r_[starts, len(keys)])
     sums = np.add.reduceat(rows, starts)
@@ -77,8 +79,7 @@ def pose_normalize(tracklets: Sequence[Tracklet], canon: CanonicalPoseSet, seed:
     ids = tuple(t.tracklet_id for t in tracklets)
     frames, offsets = pack(tracklets)
     row = np.repeat(np.arange(len(ids)), np.diff(offsets))
-    nearest, _ = nearest_poses(assignment_distances(frames.joints, frames.visibility, canon))
-    pose = np.array([0 if j is None else j for j in nearest], dtype=np.int64)  # 0: unassignable
+    pose, _ = nearest_poses(assignment_distances(frames.joints, frames.visibility, canon))
     assigned = np.flatnonzero(pose)
     assignable = np.bincount(row[assigned], minlength=len(ids))
     if not assignable.all():
@@ -130,11 +131,11 @@ def wpr_score_matrix(
 ) -> np.ndarray:
     """Score the probe rows of a record against all of its rows.
 
-    `synthetic` is `fetch_synthetic`'s tensor and `backfilled` the (T, M)
-    cells of it that take part: those `backfill_poses` asks for that the
-    provider served.  A cell asked for but not served (lenient mode) is
-    dropped from every pair union it is in (nu renormalized over what
-    remains).  The per-pose accumulation runs in increasing pose index, so
+    `synthetic` is the tensor `provider.fetch` returns and `backfilled`
+    the (T, M) cells of it that take part: those `backfill_poses` asks for
+    that the provider served.  A cell asked for but not served (lenient
+    mode) is dropped from every pair union it is in (nu renormalized over
+    what remains).  The per-pose accumulation runs in increasing pose index, so
     repeated evaluations are bitwise reproducible.
     """
     p = list(probe_rows)

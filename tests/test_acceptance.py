@@ -19,7 +19,6 @@ from pdsr.cli import main
 from pdsr.evaluation import build_protocol, score_matrix
 from pdsr.generator import GenSpec, PlantedProvider, generate
 from pdsr.model import FrameRecord
-from pdsr.providers import fetch_synthetic
 from pdsr.regulation import backfill_poses, pose_normalize, tracklet_means, wpr_score_matrix
 from pdsr.seeding import rng_for
 from pdsr.similarity import cosine_matrix
@@ -125,8 +124,8 @@ def test_criterion_3_wf_limit_consistency():
         )
         by_id = gen.dataset.by_id()
         record = tracklet_means([by_id[tid] for tid in all_ids], config.seed)
-        synthetic, served = fetch_synthetic(
-            record, gen.provider, np.ones((len(all_ids), len(gen.canon)), dtype=bool)
+        synthetic, served = gen.provider.fetch(
+            record, np.ones((len(all_ids), len(gen.canon)), dtype=bool)
         )
         synth = synthetic.sum(axis=1) / served.sum(axis=1)[:, None]
         probe_rows = np.stack([synth[col[c.probe_id]] for c in cases])
@@ -179,7 +178,7 @@ def test_criterion_4_wpr_invariances():
 
     def score(gen, a, b):
         record = pose_normalize([a] if a is b else [a, b], gen.canon, 0)
-        synthetic, served = fetch_synthetic(record, gen.provider, backfill_poses(record, [0]))
+        synthetic, served = gen.provider.fetch(record, backfill_poses(record, [0]))
         return wpr_score_matrix(record, [0], synthetic, served)[0, -1]
 
     for gen, a, b in _random_pair_pool(100):

@@ -1,4 +1,4 @@
-"""The supported top-level API, and every pdsr import of the benchmark and scripts."""
+"""The supported top-level API, and every pdsr name the benchmark and scripts import or trace."""
 
 import ast
 import dataclasses
@@ -56,3 +56,49 @@ def test_every_pdsr_import_of_bench_and_scripts_resolves(path):
         owner = importlib.import_module(module)
         if name is not None and not hasattr(owner, name):
             importlib.import_module(f"{module}.{name}")  # a submodule, or ImportError
+
+
+# The names bench/tracer.py patches that resolve, as (module, attribute).  A
+# rename or deletion of one of them leaves its per-layer metric reading 0
+# without any error, so each must keep resolving.
+TRACED = [
+    ("pdsr.dataset_io", "load_dataset"),
+    ("pdsr.dataset_io", "load_canon"),
+    ("pdsr.dataset_io", "save_report_json"),
+    ("pdsr.dataset_io", "save_report_csv"),
+    ("pdsr.dataset_io", "write_feature_matrix"),
+    ("pdsr.dataset_io", "write_pose_embeddings"),
+    ("pdsr.cli", "file_backed_provider"),
+    ("pdsr.cli", "validate_dataset"),
+    ("pdsr.cli", "pose_normalize"),
+    ("pdsr.cli", "score_matrix"),
+    ("pdsr.cli", "rank_gallery"),
+    ("pdsr.cli", "evaluate"),
+    ("pdsr.evaluation", "evaluate"),
+    ("pdsr.evaluation", "build_protocol"),
+    ("pdsr.evaluation", "score_matrix"),
+    ("pdsr.evaluation", "rank_gallery"),
+    ("pdsr.evaluation", "camera_confusion"),
+    ("pdsr.evaluation", "pose_normalize"),
+    ("pdsr.evaluation", "wpr_score_matrix"),
+    ("pdsr.evaluation", "cosine_matrix"),
+    ("pdsr.evaluation", "rng_for"),
+    ("pdsr.providers", "rng_for"),
+    ("pdsr.generator", "rng_for"),
+]
+
+
+def _tracer_patches() -> set[tuple[str, str]]:
+    """(module, attribute) of every PATCHES entry in bench/tracer.py, read without importing it."""
+    tree = ast.parse((ROOT / "bench/tracer.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["PATCHES"]:
+            return {(module, attr) for module, attr, _ in ast.literal_eval(node.value)}
+    raise AssertionError("bench/tracer.py has no PATCHES table")
+
+
+def test_every_traced_name_still_resolves():
+    assert len(TRACED) == len(set(TRACED)) == 23
+    assert set(TRACED) <= _tracer_patches()
+    for module, attr in TRACED:
+        assert callable(getattr(importlib.import_module(module), attr, None)), f"{module}.{attr}"

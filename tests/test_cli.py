@@ -27,6 +27,7 @@ from pdsr.dataset_io import (
     write_synth_index,
 )
 from pdsr.generator import GenSpec, generate, save_gen_spec
+from pdsr.model import DISTRACTOR
 
 
 @pytest.fixture(scope="module")
@@ -392,6 +393,42 @@ def test_malformed_synthetic_matrix_is_an_error_not_a_traceback(workspace, tmp_p
     assert result.returncode == 1, result.stdout
     assert "Error:" in result.stderr and str(synth) in result.stderr, result.stderr
     assert "Traceback" not in result.stderr
+
+
+def _with_manifest(workspace, path: Path, tracklets) -> list[str]:
+    """The workspace flags, naming a copy of its manifest that holds `tracklets(old)`."""
+    root, flags = workspace
+    manifest = json.loads((root / "data" / "manifest.json").read_text())
+    manifest["tracklets"] = tracklets(manifest["tracklets"])
+    path.write_text(json.dumps(manifest))
+    flags = flags[:]
+    flags[flags.index("--manifest") + 1] = str(path)
+    return flags
+
+
+def _error_lines(result) -> list[str]:
+    assert result.returncode == 1, result.stdout
+    assert "Traceback" not in result.stderr, result.stderr
+    return [line for line in result.stderr.splitlines() if line.startswith("Error:")]
+
+
+@pytest.mark.parametrize("tracklets", [
+    lambda old: [{**t, "identity": DISTRACTOR} for t in old],
+    lambda old: [],
+], ids=["all-distractors", "no-tracklets"])
+def test_eval_with_nothing_to_probe_is_an_error_line(workspace, tmp_path, tracklets):
+    flags = _with_manifest(workspace, tmp_path / "manifest.json", tracklets)
+    result = run_process(flags + ["eval", "--report", str(tmp_path / "r.json")])
+    assert _error_lines(result) == ["Error: dataset has no non-distractor identity to probe"]
+
+
+def test_embed_with_no_tracklets_is_an_error_line(workspace, tmp_path):
+    flags = _with_manifest(workspace, tmp_path / "manifest.json", lambda old: [])
+    for mode in (["--mode", "wf"], ["--mode", "wpr", "--index", str(tmp_path / "wpr.tsv")]):
+        result = run_process(flags + ["embed", "--out", str(tmp_path / "out.bin")] + mode)
+        assert _error_lines(result) == ["Error: no tracklets to pool"], mode
+    quantized = run(flags + ["quantize"]).output.splitlines()
+    assert quantized[0] == "0 frames: 0 assigned, 0 unassignable"
 
 
 def test_tracklet_without_assignable_frame_fails_only_wpr(workspace, tmp_path):

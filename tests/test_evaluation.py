@@ -21,6 +21,7 @@ from pdsr import (
 )
 from pdsr.evaluation import (
     CMC_DEPTH,
+    _columns,
     _first_rank_and_ap,
     build_protocol,
     camera_confusion,
@@ -64,17 +65,21 @@ def make_canon(m=2, k=5, seed=1):
 # ------------------------------------------------------------- metrics
 
 
+def gallery_order(order, gallery):
+    """Each row of `order` with the columns outside its gallery dropped."""
+    return [row[mask[row]] for row, mask in zip(order, gallery)]
+
+
 def ranked_metrics(scores, gallery, positive):
-    """(order, first-correct ranks, APs) of the batched ranking; None without a positive."""
+    """(gallery orders, first-correct ranks, APs) of the one sort; None without a positive."""
     scores, gallery, positive = (np.atleast_2d(a) for a in (scores, gallery, positive))
-    order = rank_gallery(scores, gallery)
-    shared = rank_gallery(scores)  # the one sort evaluate makes per probe row
+    order = rank_gallery(scores)  # the one sort evaluate makes per probe row
     count, first, ap = _first_rank_and_ap(
-        np.take_along_axis(gallery, shared, axis=1), np.take_along_axis(positive, shared, axis=1)
+        np.take_along_axis(gallery, order, axis=1), np.take_along_axis(positive, order, axis=1)
     )
     firsts = [int(f) if n else None for n, f in zip(count, first)]
     aps = [float(a) if n else None for n, a in zip(count, ap)]
-    return order, firsts, aps
+    return gallery_order(order, gallery), firsts, aps
 
 
 def test_average_precision_spec_example():
@@ -131,8 +136,7 @@ def test_batched_ranking_equals_oracle_exactly(problem):
     for i in range(scores.shape[0]):
         members = np.flatnonzero(gallery[i]).tolist()
         expected = naive_rank([(ids[j], float(scores[i, j])) for j in members])
-        assert [ids[j] for j in order[i, : len(members)]] == [g for g, _ in expected]
-        assert sorted(order[i, len(members):].tolist()) == np.flatnonzero(~gallery[i]).tolist()
+        assert [ids[j] for j in order[i]] == [g for g, _ in expected]
         flags = [bool(positive[i, ids.index(g)]) for g, _ in expected]
         assert aps[i] == naive_ap(flags)
         assert firsts[i] == (flags.index(True) + 1 if any(flags) else None)
@@ -178,13 +182,16 @@ def test_cmc_matches_first_hit_oracle_over_random_matrices():
 
 def test_rank_gallery_breaks_ties_by_ascending_id():
     # columns are ids a, b, c, d; d is outside the gallery
-    order = rank_gallery(np.array([[1.0, 2.0, 1.0, 5.0]]), np.array([[True, True, True, False]]))
-    assert order.tolist() == [[1, 0, 2, 3]]
+    order = rank_gallery(np.array([[1.0, 2.0, 1.0, 5.0]]))
+    (ranked,) = gallery_order(order, np.array([[True, True, True, False]]))
+    assert ranked.tolist() == [1, 0, 2]
 
 
 def test_rank_gallery_puts_non_gallery_after_minus_infinity():
-    order = rank_gallery(np.array([[-np.inf, 0.0, -np.inf]]), np.array([[True, False, True]]))
-    assert order.tolist() == [[0, 2, 1]]
+    # column 1 outside the gallery outscores both -inf columns, yet the gallery's ranking omits it
+    order = rank_gallery(np.array([[-np.inf, 0.0, -np.inf]]))
+    (ranked,) = gallery_order(order, np.array([[True, False, True]]))
+    assert ranked.tolist() == [0, 2]
 
 
 # ------------------------------------------------------------ protocol
@@ -397,7 +404,8 @@ def test_camera_confusion_matches_restricted_gallery_oracle():
     config = ProtocolConfig(seed=2)
     cases = build_protocol(gen.dataset, config.seed)
     scores = score_matrix(gen.dataset, gen.canon, gen.provider, cases, config, EvalMode.WF)
-    cameras, matrix = camera_confusion(cases, scores, gen.dataset)
+    columns = _columns(gen.dataset, cases, rank_gallery(scores))
+    cameras, matrix = camera_confusion(cases, gen.dataset, columns)
     assert cameras == gen.dataset.cameras()
 
     by_id = gen.dataset.by_id()
@@ -440,7 +448,8 @@ def test_confusion_cell_is_none_when_camera_has_no_positive():
     config = ProtocolConfig(seed=0)
     cases = build_protocol(dataset, config.seed)
     scores = score_matrix(dataset, make_canon(), None, cases, config, EvalMode.BASELINE)
-    cameras, matrix = camera_confusion(cases, scores, dataset)
+    columns = _columns(dataset, cases, rank_gallery(scores))
+    cameras, matrix = camera_confusion(cases, dataset, columns)
     assert cameras == (0, 1, 2)
     middle = cameras.index(1)
     for r in range(len(cameras)):
@@ -471,8 +480,9 @@ def test_one_sort_per_row_ranks_every_gallery_as_a_lexsort_per_gallery(data, sha
     positive = np.array(data.draw(masks)).reshape(shape)
 
     order, count, first, ap = lexsort_metrics(scores, gallery, positive)
-    assert rank_gallery(scores, gallery).tolist() == order.tolist()
     shared = rank_gallery(scores)
+    expected = [row[:n] for row, n in zip(order, gallery.sum(axis=1))]
+    assert [r.tolist() for r in gallery_order(shared, gallery)] == [r.tolist() for r in expected]
     got = _first_rank_and_ap(np.take_along_axis(gallery, shared, axis=1),
                              np.take_along_axis(positive, shared, axis=1))
     assert got[0].tolist() == count.tolist() and got[1].tolist() == first.tolist()

@@ -18,7 +18,7 @@ from pdsr import (
 )
 from pdsr.evaluation import ProbeCase, score_matrix
 from pdsr.fusion import wf_embeddings
-from pdsr.providers import choose_representative, fetch_synthetic
+from pdsr.providers import choose_representative
 from pdsr.regulation import real_means, tracklet_means
 from pdsr.seeding import rng_for
 from pdsr.similarity import cosine_matrix
@@ -61,7 +61,7 @@ class PoseOnlyProvider(SyntheticFeatureProvider):
 def fetch_all(record, provider, canon, strict=True):
     """Synthetic tensor and served mask over every canonical pose, as WF asks."""
     wanted = np.ones((len(record.tracklet_ids), len(canon)), dtype=bool)
-    return fetch_synthetic(record, provider, wanted, strict=strict)
+    return provider.fetch(record, wanted, strict=strict)
 
 
 def wf_vectors(tracklets, provider, canon, w):

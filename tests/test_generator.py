@@ -18,7 +18,6 @@ from pdsr.generator import (
     save_gen_spec,
 )
 from pdsr.model import DISTRACTOR, pack
-from pdsr.providers import fetch_synthetic
 from pdsr.quantizer import assignment_distances, nearest_poses
 from pdsr.regulation import tracklet_means
 from pdsr.seeding import rng_for
@@ -113,7 +112,7 @@ def test_disjoint_visibility_hurts_baseline_more_than_wf():
         ))
         record = tracklet_means(gen.dataset.tracklets, 0)
         everything = np.ones((len(record.tracklet_ids), len(gen.canon)), dtype=bool)
-        wf = wf_embeddings(record, *fetch_synthetic(record, gen.provider, everything), 4.0)
+        wf = wf_embeddings(record, *gen.provider.fetch(record, everything), 4.0)
         pairs = {}
         for row, t in enumerate(gen.dataset.tracklets):
             pairs.setdefault(t.identity, []).append(row)

@@ -22,7 +22,7 @@ from pdsr import (
 )
 import pdsr.providers
 from pdsr.model import PoseRecord
-from pdsr.providers import RepresentativeFrames, choose_representative, fetch_synthetic
+from pdsr.providers import RepresentativeFrames, choose_representative
 from pdsr.seeding import rng_for
 
 
@@ -79,19 +79,19 @@ def test_fetch_queries_each_wanted_cell_once_with_its_representative():
                         np.zeros((2, 3)), np.zeros((2, 3), dtype=bool))
     wanted = np.array([[True, False, True], [False, True, False]])
     provider = RecordingProvider(2)
-    synthetic, served = fetch_synthetic(record, provider, wanted)
+    synthetic, served = provider.fetch(record, wanted)
     assert provider.calls == [("a", 7, 1), ("a", 7, 3), ("b", 3, 2)]
     assert served.tolist() == wanted.tolist()
     assert synthetic[:, :, 0].tolist() == [[1.0, 0.0, 3.0], [0.0, 2.0, 0.0]]
 
     gappy = RecordingProvider(2, missing={("a", 3)})
     with pytest.raises(MissingSyntheticError):
-        fetch_synthetic(record, gappy, wanted, strict=True)
-    synthetic, served = fetch_synthetic(record, gappy, wanted, strict=False)
+        gappy.fetch(record, wanted, strict=True)
+    synthetic, served = gappy.fetch(record, wanted, strict=False)
     assert served.tolist() == [[True, False, False], [False, True, False]]
     assert not synthetic[0, 2].any()
     with pytest.raises(ValueError):
-        fetch_synthetic(record, RecordingProvider(5), wanted)
+        RecordingProvider(5).fetch(record, wanted)
 
 
 @pytest.mark.parametrize("mode", [EvalMode.WF, EvalMode.WPR])

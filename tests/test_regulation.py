@@ -17,8 +17,7 @@ from pdsr import (
 )
 from pdsr.generator import GenSpec, generate
 from pdsr.model import FrameRecord, PoseRecord
-from pdsr.providers import fetch_synthetic
-from pdsr.regulation import backfill_poses, pose_normalize, wpr_score_matrix
+from pdsr.regulation import backfill_poses, pose_normalize, real_means, wpr_score_matrix
 from pdsr.seeding import rng_for
 
 SEED = 0
@@ -52,7 +51,7 @@ def make_record(specs, m=3, d=3):
 def scores(record, probe_rows, provider, strict=True):
     """WPR scores of the probe rows against all rows, backfilled by one fetch."""
     wanted = backfill_poses(record, probe_rows)
-    synthetic, served = fetch_synthetic(record, provider, wanted, strict=strict)
+    synthetic, served = provider.fetch(record, wanted, strict=strict)
     return wpr_score_matrix(record, probe_rows, synthetic, served)
 
 
@@ -337,3 +336,10 @@ def test_matrix_rejects_zero_synthetic_vector():
     provider = DictProvider({("a", 2): [0.0, 0.0, 0.0], ("g", 1): [1.0, 1.0, 0.0]})
     with pytest.raises(ZeroVectorError):
         scores(record, [0], provider)
+
+
+def test_pooling_no_tracklets_is_an_error(small_gen):
+    with pytest.raises(ValueError, match="no tracklets to pool"):
+        real_means([])
+    with pytest.raises(ValueError, match="no tracklets to pool"):
+        pose_normalize([], small_gen.canon, SEED)
