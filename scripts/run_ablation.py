@@ -52,12 +52,15 @@ def main() -> None:
     parser.add_argument("--weight", type=float, default=4.0, help="WF fusion weight w")
     parser.add_argument("--json", type=str, default=None, help="optional results JSON path")
     args = parser.parse_args()
+    try:
+        config = ProtocolConfig(seed=0, fusion_weight=args.weight)
+    except ValueError as exc:  # a negative, nan or inf weight
+        parser.error(f"--weight: {exc}")
 
     rank1 = {mode: [] for mode in MODES}
     mean_ap = {mode: [] for mode in MODES}
     for seed in range(args.seeds):
         gen = generate(stressor_spec(seed, args))
-        config = ProtocolConfig(seed=0, fusion_weight=args.weight)
         for mode in MODES:
             report = evaluate(gen.dataset, gen.canon, gen.provider, config, mode)
             rank1[mode].append(report.cmc[0])

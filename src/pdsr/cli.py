@@ -136,6 +136,12 @@ def _provider(obj: CliContext, dataset: Dataset):
     return provider
 
 
+def _finite(ctx, param, value: float) -> float:
+    if not np.isfinite(value):  # FloatRange lets nan and inf through
+        raise click.BadParameter(f"{value} is not a finite number")
+    return value
+
+
 def _config(obj: CliContext, weight: float) -> ProtocolConfig:
     seed = obj.seed if obj.seed is not None else 0
     return ProtocolConfig(seed=seed, fusion_weight=weight, strict=obj.strict)
@@ -205,7 +211,7 @@ def quantize(obj: CliContext, out_path: Path | None):
 @main.command()
 @click.option("--mode", type=click.Choice(["wf", "wpr"]), required=True)
 @click.option("--weight", type=click.FloatRange(min=0.0), default=DEFAULT_FUSION_WEIGHT,
-              show_default=True, help="Real-branch weight w for WF.")
+              callback=_finite, show_default=True, help="Real-branch weight w for WF.")
 @click.option("--out", "out_path", required=True, type=click.Path(path_type=Path),
               help="Output feature matrix.")
 @click.option("--index", "index_path", type=click.Path(path_type=Path), default=None,
@@ -249,7 +255,7 @@ def embed(obj: CliContext, mode: str, weight: float, out_path: Path,
 @click.option("--mode", type=click.Choice(_MODE_NAMES), default=EvalMode.FUSED.value,
               show_default=True)
 @click.option("--weight", type=click.FloatRange(min=0.0), default=DEFAULT_FUSION_WEIGHT,
-              show_default=True)
+              callback=_finite, show_default=True)
 @click.option("--top", type=int, default=10, show_default=True, help="Rows to print.")
 @click.option("--out", "out_path", type=click.Path(path_type=Path), default=None,
               help="Write the full ranking as TSV.")
@@ -296,7 +302,7 @@ def match(obj: CliContext, probe_id: str, mode: str, weight: float, top: int,
 @click.option("--mode", type=click.Choice(_MODE_NAMES), default=EvalMode.FUSED.value,
               show_default=True)
 @click.option("--weight", type=click.FloatRange(min=0.0), default=DEFAULT_FUSION_WEIGHT,
-              show_default=True)
+              callback=_finite, show_default=True)
 @click.option("--report", "report_path", required=True, type=click.Path(path_type=Path),
               help="Report JSON output.")
 @click.option("--csv", "csv_path", type=click.Path(path_type=Path), default=None,

@@ -18,7 +18,7 @@ import json
 import struct
 from bisect import bisect_right
 from contextlib import contextmanager
-from itertools import chain
+from itertools import accumulate, chain
 from operator import itemgetter
 from pathlib import Path
 from typing import Mapping
@@ -164,6 +164,20 @@ def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+_COUNTS = ("feature_dim", "joint_count", "num_poses", "camera_count")
+
+
+def _copies(strings: list[str]) -> list[str]:
+    """New str objects equal to `strings` (`str(s)` and `s[:]` return `s` itself).
+
+    Slices of one join: unlike a trip through bytes or a NumPy array, they
+    keep lone surrogates and trailing NULs.
+    """
+    bounds = list(accumulate(map(len, strings), initial=1))
+    text = "".join(["\0", *strings])  # the join of a single part would be that part
+    return [text[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
 def save_dataset(
     dataset: Dataset, manifest_path: str | Path, features_path: str | Path
 ) -> None:
@@ -217,13 +231,16 @@ def load_dataset(manifest_path: str | Path, features_path: str | Path) -> Datase
     The features are the matrix as read when the manifest lists its rows in
     canonical order, as `save_dataset` writes them.  The cyclic garbage
     collector is paused while it runs, and the caller's setting restored.
+    The dataset keeps no object of the decoded manifest: its strings and
+    ints are copies, so that no survivor pins an arena of the freed tree
+    and the decode's memory goes back to the system.
     """
     manifest = read_json(manifest_path)
     matrix = read_feature_matrix(features_path)
     try:
         if not isinstance(manifest["name"], str):
             raise FileFormatError(f"{manifest_path}: name {manifest['name']!r} is not a string")
-        for key in ("feature_dim", "joint_count", "num_poses", "camera_count"):
+        for key in _COUNTS:
             if not (_is_int(manifest[key]) and manifest[key] >= 0):
                 raise FileFormatError(f"{manifest_path}: {key} {manifest[key]!r} is not a count")
         if manifest["feature_dim"] != matrix.shape[1]:
@@ -271,12 +288,14 @@ def load_dataset(manifest_path: str | Path, features_path: str | Path) -> Datase
         features = matrix if np.array_equal(rows, np.arange(len(matrix))) else matrix[rows]
         # Copied, so that the (N, k, 3) triples are freed and the joints are contiguous.
         packed = PackedFrames(ids, features, keypoints[:, :, :2].copy(), keypoints[:, :, 2] == 1.0)
+        # Copies of every kept str and int (`x + 0` is a new int unless -5 <= x <= 256).
+        keys = itemgetter("tracklet_id", "identity")
+        name, *strings = _copies([manifest["name"], *chain.from_iterable(map(keys, entries))])
         tracklets = tuple(
-            Tracklet(t["tracklet_id"], t["identity"], t["camera"], packed.rows(a, b), t.get("probe", False))
-            for t, a, b in zip(entries, offsets, offsets[1:])
+            Tracklet(tid, identity, t["camera"] + 0, packed.rows(a, b), t.get("probe", False))
+            for t, tid, identity, a, b in zip(entries, strings[::2], strings[1::2], offsets, offsets[1:])
         )
-        return Dataset(manifest["name"], manifest["feature_dim"], k, manifest["num_poses"],
-                       manifest["camera_count"], tracklets)
+        return Dataset(name, *(manifest[key] + 0 for key in _COUNTS), tracklets)
     except (KeyError, TypeError, OverflowError, ValueError) as exc:
         raise FileFormatError(f"{manifest_path}: missing or malformed field: {exc}") from exc
 
@@ -295,6 +314,8 @@ def load_canon(path: str | Path) -> CanonicalPoseSet:
     payload = read_json(path)
     try:
         k, poses = payload["joint_count"], payload["poses"]
+        if not (_is_int(k) and k >= 0):
+            raise FileFormatError(f"{path}: joint_count {k!r} is not a count")
         keypoints = _keypoints(poses, k)
         if keypoints is None:
             i = next(i for i, p in enumerate(poses) if _keypoints([p], k) is None)

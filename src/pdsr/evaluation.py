@@ -53,6 +53,10 @@ class ProtocolConfig:
     fusion_weight: float = DEFAULT_FUSION_WEIGHT
     strict: bool = True
 
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.fusion_weight < np.inf:
+            raise ValueError(f"fusion_weight {self.fusion_weight!r} is not a finite number >= 0")
+
 
 @dataclass(frozen=True)
 class ProbeCase:

@@ -33,8 +33,8 @@ def wf_embeddings(
     `synthetic` and `served` are the tensor and mask `provider.fetch`
     returns; a tracklet for which no canonical pose was served is an error.
     """
-    if w < 0.0:
-        raise ValueError("fusion weight must be non-negative")
+    if not 0.0 <= w < np.inf:
+        raise ValueError("fusion weight must be finite and non-negative")
     count = served.sum(axis=1)
     if not count.all():
         raise MissingSyntheticError(

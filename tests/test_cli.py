@@ -353,15 +353,24 @@ def test_missing_input_file_is_an_error_not_a_traceback(tmp_path):
 
 
 def test_negative_weight_is_a_usage_error(workspace, tmp_path):
+    """A negative, nan or inf weight, given as a flag or by PDSR_CONFIG, is a usage error."""
     _, flags = workspace
-    for command in (
-        ["eval", "--report", str(tmp_path / "r.json")],
-        ["match", "--probe", "id0001-c1-0"],
-        ["embed", "--mode", "wf", "--out", str(tmp_path / "wf.bin")],
-    ):
-        result = run_process(flags + command + ["--weight", "-1"])
-        assert result.returncode != 0, command
-        assert "--weight" in result.stderr and "Traceback" not in result.stderr, result.stderr
+    commands = {
+        "eval": ["eval", "--report", str(tmp_path / "r.json")],
+        "match": ["match", "--probe", "id0001-c1-0"],
+        "embed": ["embed", "--mode", "wf", "--out", str(tmp_path / "wf.bin")],
+    }
+    for weight in (-1.0, float("nan"), float("inf")):
+        config = tmp_path / "config.json"  # NaN and Infinity are accepted JSON tokens
+        config.write_text(json.dumps({name: {"weight": weight} for name in commands}))
+        for name, command in commands.items():
+            for result in (
+                run_process(flags + command + ["--weight", str(weight)]),
+                run_process(flags + command, PDSR_CONFIG=str(config)),
+            ):
+                assert result.returncode == 2, (name, weight, result.stderr)
+                assert "--weight" in result.stderr, result.stderr
+                assert "Traceback" not in result.stderr and "Warning" not in result.stderr
 
 
 def _malformed_synth_features(source: Path, out: Path, case: str) -> None:

@@ -4,7 +4,10 @@ import dataclasses
 import gc
 import inspect
 import json
+import os
+import re
 import struct
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -215,6 +218,65 @@ def test_empty_dataset_round_trips(tmp_path):
     assert loaded.feature_dim == 4
 
 
+#: Any text, lone surrogates included, and the strings a copy could get wrong.
+ANY_TEXT = st.one_of(
+    st.text(st.characters(exclude_categories=()), max_size=4),
+    st.sampled_from(["\x00", "a\x00", "a\x00\x00", "\ud800", "x\udfff", "\U0001f600", "\xe9", "a"]),
+)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(name=ANY_TEXT, keys=st.lists(st.tuples(ANY_TEXT, ANY_TEXT), max_size=3))
+@example(name="a\x00", keys=[("\ud800", "\U0001f600\x00"), ("b", "b")])
+def test_ids_identities_and_name_round_trip_as_any_text(tmp_path, name, keys):
+    rng = rng_for(3, "io")
+    tracklets = tuple(
+        Tracklet(tid, identity, 0, (FrameRecord(0, f32(rng.normal(size=2)), grid_pose(1, rng)),))
+        for tid, identity in keys
+    )
+    ds = Dataset(name, 2, 1, 1, 1, tracklets)
+    save_dataset(ds, tmp_path / "m.json", tmp_path / "f.bin")
+    loaded = load_dataset(tmp_path / "m.json", tmp_path / "f.bin")
+    assert loaded.name == name
+    assert [(t.tracklet_id, t.identity) for t in loaded.tracklets] == [
+        (t.tracklet_id, t.identity) for t in ds.tracklets
+    ]
+
+
+def test_loaded_dataset_keeps_no_object_of_the_decoded_manifest(tmp_path):
+    """Every kept str and int is allocated by the loader, none by the JSON decoder.
+
+    One survivor of the decoded tree keeps the whole allocator arena it sits
+    in resident, freed lists and floats included.  Ints from -5 to 256 are
+    shared objects, so the feature dimension and one camera are above that.
+    """
+    rng = rng_for(4, "io")
+    tracklets = tuple(
+        Tracklet(f"track-{c}", "ident-a", c, tuple(
+            FrameRecord(i, f32(rng.normal(size=300)), grid_pose(5, rng)) for i in range(2)
+        ))
+        for c in (0, 300)
+    )
+    saved = Dataset("kept-name", 300, 5, 2, 301, tracklets)
+    save_dataset(saved, tmp_path / "m.json", tmp_path / "f.bin")
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        ds = load_dataset(tmp_path / "m.json", tmp_path / "f.bin")
+        kept = [ds.name, ds.feature_dim, ds.joint_count, ds.num_poses, ds.camera_count]
+        kept += [x for t in ds.tracklets for x in (t.tracklet_id, t.identity, t.camera)]
+        sources = [tracemalloc.get_object_traceback(x) for x in kept]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    decoder = os.path.join("json", "decoder.py")
+    for x, source in zip(kept, sources):
+        if isinstance(x, str) and len(x) > 1 or isinstance(x, int) and x > 256:  # not shared
+            assert source is not None, x
+            assert not any(frame.filename.endswith(decoder) for frame in source), x
+
+
 # --------------------------------------------------------------- canon
 
 
@@ -237,6 +299,13 @@ def test_canon_joint_count_mismatch_raises(tmp_path):
     (tmp_path / "c.json").write_text(json.dumps(payload))
     with pytest.raises(FileFormatError, match="joints"):
         load_canon(tmp_path / "c.json")
+
+
+@pytest.mark.parametrize("count", [True, -1, 1.0, "1", None])
+def test_canon_joint_count_must_be_a_count(tmp_path, count):
+    _, load = _canon_with(tmp_path, {"joint_count": count, "poses": [[[0.1, 0.2, 1]]]})
+    with pytest.raises(FileFormatError, match=re.escape(f"joint_count {count!r} is not a count")):
+        load()
 
 
 # --------------------------------------------------------- synth index
@@ -501,6 +570,10 @@ MALFORMED_INPUTS = {
     "canon-without-joint-count": lambda tmp: _canon_with(tmp, {"poses": [[[0.1, 0.2, 1]]]}),
     "canon-without-poses": lambda tmp: _canon_with(tmp, {"joint_count": 1, "poses": []}),
     "canon-empty-pose": lambda tmp: _canon_with(tmp, {"joint_count": 1, "poses": [[]]}),
+    "canon-joint-count-bool": lambda tmp: _canon_with(
+        tmp, {"joint_count": True, "poses": [[[0.1, 0.2, 1]]]}
+    ),
+    "canon-joint-count-negative": lambda tmp: _canon_with(tmp, {"joint_count": -1, "poses": []}),
     "joint-count-beyond-numpy": lambda tmp: _manifest_with(
         tmp, lambda t: t.update(frames=[]), joint_count=10**30
     ),

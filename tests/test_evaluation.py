@@ -487,3 +487,9 @@ def test_one_sort_per_row_ranks_every_gallery_as_a_lexsort_per_gallery(data, sha
                              np.take_along_axis(positive, shared, axis=1))
     assert got[0].tolist() == count.tolist() and got[1].tolist() == first.tolist()
     assert got[2].tobytes() == ap.tobytes()  # bit for bit, NaN where no positive
+
+
+@pytest.mark.parametrize("weight", [-1.0, float("nan"), float("inf")])
+def test_protocol_config_rejects_a_negative_or_non_finite_weight(weight):
+    with pytest.raises(ValueError, match="fusion_weight"):
+        ProtocolConfig(fusion_weight=weight)

@@ -139,8 +139,9 @@ def test_wf_rejects_negative_weight_and_dim_mismatch():
     t = make_tracklet(rng)
     canon = make_canon(rng)
     provider = PoseOnlyProvider(rng.normal(size=(3, 6)))
-    with pytest.raises(ValueError):
-        wf_vectors([t], provider, canon, -1.0)
+    for w in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            wf_vectors([t], provider, canon, w)
     bad = PoseOnlyProvider(rng.normal(size=(3, 9)))
     with pytest.raises(ValueError):
         wf_vectors([t], bad, canon, 1.0)

@@ -9,16 +9,21 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_script(name, tmp_path):
-    out = tmp_path / "out.json"
+def script_process(name, *args, check=True):
+    """Run a script in a fresh interpreter with the package on its path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
-    subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name), "--seeds", "2", "--json", str(out)],
-        env=env, check=True, capture_output=True, timeout=120,
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        env=env, check=check, capture_output=True, text=True, timeout=120,
     )
+
+
+def run_script(name, tmp_path):
+    out = tmp_path / "out.json"
+    script_process(name, "--seeds", "2", "--json", str(out))
     return json.loads(out.read_text())
 
 
@@ -37,3 +42,9 @@ def test_weight_sweep_script_writes_results(tmp_path):
     assert len(result["mean_rank1"]) == len(result["weights"])
     assert len(result["per_seed_rank1"]) == 2
     assert 0 <= result["interior_max_seeds"] <= 2
+
+
+def test_ablation_script_rejects_a_non_finite_weight():
+    result = script_process("run_ablation.py", "--weight", "nan", check=False)
+    assert result.returncode == 2 and "--weight" in result.stderr, result.stderr
+    assert "Traceback" not in result.stderr
