@@ -190,6 +190,7 @@ def quantize(obj: CliContext, out_path: Path | None):
     frames, _ = pack(dataset.tracklets)
     poses, distances = nearest_poses(assignment_distances(frames.joints, frames.visibility, canon))
     if out_path is not None:
+        dataset_io._check_ids(t.tracklet_id for t in dataset.tracklets)
         tids = [t.tracklet_id for t in dataset.tracklets for _ in range(len(t))]
         out_path.write_text(
             "".join(
@@ -229,6 +230,8 @@ def embed(obj: CliContext, mode: str, weight: float, out_path: Path,
     tracklets = dataset.tracklets
 
     if mode == "wf":
+        if ids_path is not None:
+            dataset_io._check_ids(t.tracklet_id for t in tracklets)
         record = tracklet_means(tracklets, config.seed)
         synthetic, served = _provider(obj, dataset).fetch(
             record, np.ones((len(tracklets), len(canon)), dtype=bool), strict=config.strict
@@ -285,6 +288,7 @@ def match(obj: CliContext, probe_id: str, mode: str, weight: float, top: int,
     ranked = [(tracklets[i], scores[0, i].item()) for i in order]
 
     if out_path is not None:
+        dataset_io._check_ids(t.tracklet_id for t, _ in ranked)
         out_path.write_text(
             "".join(
                 f"{rank}\t{t.tracklet_id}\t{score!r}\t{t.identity}\t{t.camera}\n"
@@ -326,3 +330,7 @@ def eval_cmd(obj: CliContext, mode: str, weight: float, report_path: Path,
             if r <= len(report.cmc):
                 click.echo(f"rank-{r:<2d} {report.cmc[r - 1]:.6f}")
     click.echo(f"report -> {report_path}")
+
+
+if __name__ == "__main__":
+    main()

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import FileFormatError
 from .evaluation import EvalReport, ProbeResult
-from .model import CanonicalPoseSet, Dataset, PackedFrames, PoseRecord, PoseVector, Tracklet
+from .model import CanonicalPoseSet, Dataset, PackedFrames, PoseRecord, PoseVector, Tracklet, pack
 
 MAGIC = b"PDSR"
 FORMAT_VERSION = 1
@@ -129,11 +129,9 @@ def _collector_paused():
             gc.enable()
 
 
-def _pose_to_triples(pose: PoseVector) -> list[list[float]]:
-    return [
-        [float(x), float(y), 1 if v else 0]
-        for (x, y), v in zip(pose.joints.tolist(), pose.visibility.tolist())
-    ]
+def _triples(joints: list, visibility: list) -> list[list[float]]:
+    """Keypoints [x, y, v] of one pose, from its joints and visibility as lists."""
+    return [[x, y, 1 if v else 0] for (x, y), v in zip(joints, visibility)]
 
 
 def _keypoints(entries: list, k: int) -> np.ndarray | None:
@@ -186,19 +184,14 @@ def save_dataset(
     Rows are assigned walking tracklets and frames in their canonical
     order, so equal datasets serialize byte-identically.
     """
-    rows = []
+    packed, offsets = pack(dataset.tracklets)
     tracklets = []
-    for t in dataset.tracklets:
-        frames = []
-        for f in t.frames:
-            frames.append(
-                {
-                    "frame_id": f.frame_id,
-                    "row": len(rows),
-                    "keypoints": _pose_to_triples(f.pose),
-                }
-            )
-            rows.append(f.feature)
+    for t, first in zip(dataset.tracklets, offsets.tolist()):
+        columns = (t.frames.frame_ids.tolist(), t.frames.joints.tolist(), t.frames.visibility.tolist())
+        frames = [
+            {"frame_id": frame_id, "row": row, "keypoints": _triples(joints, visibility)}
+            for row, (frame_id, joints, visibility) in enumerate(zip(*columns), start=first)
+        ]
         tracklets.append(
             {
                 "tracklet_id": t.tracklet_id,
@@ -217,7 +210,7 @@ def save_dataset(
         "tracklets": tracklets,
     }
     write_feature_matrix(
-        features_path, np.stack(rows) if rows else np.zeros((0, dataset.feature_dim))
+        features_path, packed.features if len(packed) else np.zeros((0, dataset.feature_dim))
     )
     with open(manifest_path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -303,7 +296,7 @@ def load_dataset(manifest_path: str | Path, features_path: str | Path) -> Datase
 def save_canon(canon: CanonicalPoseSet, path: str | Path) -> None:
     payload = {
         "joint_count": int(canon.poses[0].joints.shape[0]),
-        "poses": [_pose_to_triples(p) for p in canon.poses],
+        "poses": [_triples(p.joints.tolist(), p.visibility.tolist()) for p in canon.poses],
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

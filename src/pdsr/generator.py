@@ -26,14 +26,7 @@ import numpy as np
 
 from .dataset_io import read_json
 from .errors import FileFormatError, MissingSyntheticError
-from .model import (
-    DISTRACTOR,
-    CanonicalPoseSet,
-    Dataset,
-    FrameRecord,
-    PoseVector,
-    Tracklet,
-)
+from .model import DISTRACTOR, CanonicalPoseSet, Dataset, PackedFrames, PoseVector, Tracklet
 from .providers import SyntheticFeatureProvider
 from .seeding import rng_for
 
@@ -188,45 +181,12 @@ def _make_canon(spec: GenSpec) -> CanonicalPoseSet:
     return CanonicalPoseSet(poses=tuple(poses))
 
 
-def _make_tracklet(
-    spec: GenSpec,
-    tracklet_id: str,
-    identity: str,
-    camera: int,
-    latent: np.ndarray,
-    offsets: np.ndarray,
-    canon: CanonicalPoseSet,
-    frame_poses: dict[tuple[str, int], int],
-) -> Tracklet:
-    rng = rng_for(spec.seed, "tracklet", tracklet_id)
-    lo, hi = spec.frames_per_tracklet
-    length = int(rng.integers(lo, hi + 1))
-    allowed = spec.camera_poses(camera)
-    frames = []
-    for frame_id in range(length):
-        pose = allowed[int(rng.integers(len(allowed)))]
-        jitter = rng.normal(0.0, spec.pose_jitter, (spec.joint_count, 2))
-        joints = np.clip(canon.pose(pose).joints + jitter, 0.0, 1.0)
-        noise = rng.normal(0.0, spec.noise_sigma, spec.feature_dim)
-        feature = _quantize(_unit(latent + offsets[pose - 1] + noise))
-        frames.append(
-            FrameRecord(
-                frame_id=frame_id,
-                feature=feature,
-                pose=PoseVector(
-                    joints=joints,
-                    visibility=np.ones(spec.joint_count, dtype=bool),
-                ),
-            )
-        )
-        frame_poses[(tracklet_id, frame_id)] = pose
-    return Tracklet(
-        tracklet_id=tracklet_id, identity=identity, camera=camera, frames=tuple(frames)
-    )
-
-
 def generate(spec: GenSpec) -> GeneratedData:
-    """Build the dataset, canonical poses, ideal provider and ground truth."""
+    """Build the dataset, canonical poses, ideal provider and ground truth.
+
+    The tracklets are consecutive cuts of one block of frames, by ascending
+    id, as `load_dataset` returns them.
+    """
     canon = _make_canon(spec)
     offsets = np.zeros((spec.num_poses, spec.feature_dim))
     if spec.pose_effect_scale > 0:
@@ -236,8 +196,7 @@ def generate(spec: GenSpec) -> GeneratedData:
 
     latents: dict[str, np.ndarray] = {}
     latent_key: dict[str, str] = {}
-    frame_poses: dict[tuple[str, int], int] = {}
-    tracklets = []
+    owners: dict[str, tuple[str, int]] = {}  # tracklet id -> (identity, camera)
 
     for i in range(spec.identities):
         identity = f"id{i:04d}"
@@ -248,12 +207,7 @@ def generate(spec: GenSpec) -> GeneratedData:
             for t in range(spec.tracklets_per_identity_per_camera):
                 tid = f"{identity}-c{camera}-{t}"
                 latent_key[tid] = identity
-                tracklets.append(
-                    _make_tracklet(
-                        spec, tid, identity, camera, latents[identity],
-                        offsets, canon, frame_poses,
-                    )
-                )
+                owners[tid] = (identity, camera)
 
     for i in range(spec.distractors):
         tid = f"dx{i:04d}-c{i % spec.cameras}"
@@ -261,12 +215,32 @@ def generate(spec: GenSpec) -> GeneratedData:
             rng_for(spec.seed, "identity-latent", tid).normal(0.0, 1.0, spec.feature_dim)
         )
         latent_key[tid] = tid
-        tracklets.append(
-            _make_tracklet(
-                spec, tid, DISTRACTOR, i % spec.cameras, latents[tid],
-                offsets, canon, frame_poses,
-            )
-        )
+        owners[tid] = (DISTRACTOR, i % spec.cameras)
+
+    # Each tracklet's generator draws its length, then its frames in order.
+    tids = sorted(owners)
+    rngs = [rng_for(spec.seed, "tracklet", tid) for tid in tids]
+    lo, hi = spec.frames_per_tracklet
+    lengths = [int(rng.integers(lo, hi + 1)) for rng in rngs]
+    bounds = np.cumsum([0] + lengths).tolist()
+    n, k = bounds[-1], spec.joint_count
+    block = PackedFrames(
+        np.arange(n, dtype=np.int64) - np.repeat(bounds[:-1], lengths), np.empty((n, spec.feature_dim)),
+        np.empty((n, k, 2)), np.ones((n, k), dtype=bool),
+    )
+    frame_poses: dict[tuple[str, int], int] = {}
+    tracklets = []
+    for tid, rng, a, b in zip(tids, rngs, bounds, bounds[1:]):
+        identity, camera = owners[tid]
+        latent, allowed = latents[latent_key[tid]], spec.camera_poses(camera)
+        for row in range(a, b):
+            pose = allowed[int(rng.integers(len(allowed)))]
+            jitter = rng.normal(0.0, spec.pose_jitter, (k, 2))
+            np.clip(canon.pose(pose).joints + jitter, 0.0, 1.0, out=block.joints[row])
+            noise = rng.normal(0.0, spec.noise_sigma, spec.feature_dim)
+            block.features[row] = _quantize(_unit(latent + offsets[pose - 1] + noise))
+            frame_poses[(tid, row - a)] = pose
+        tracklets.append(Tracklet(tid, identity, camera, block.rows(a, b)))
 
     truth = PlantedTruth(
         latents=latents,

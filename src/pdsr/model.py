@@ -8,12 +8,12 @@ keep their storage order).  Otherwise construction is permissive (so that
 arbitrary files can be represented in memory); `validate_dataset` reports
 invariant violations instead of raising.
 
-Passes over frames read them packed (`pack`): frame ids (N,), features
-(N, d), joints (N, k, 2) and visibility (N, k) in canonical order, tracklet
-t on rows offsets[t]:offsets[t + 1].  A loaded dataset's tracklets are
-views of one such block, which packs without a copy; FrameRecords given to
-a Tracklet are stacked when read, so they must share one feature dimension
-and one joint count.
+A Tracklet holds its frames packed (`PackedFrames`): frame ids (n,),
+features (n, d), joints (n, k, 2) and visibility (n, k) in canonical order.
+FrameRecords given to a Tracklet are stacked once, so they must share one
+feature dimension and one joint count.  A loaded or generated dataset's
+tracklets are consecutive cuts of one block; `pack` reads them back as a
+view of it, tracklet t on rows offsets[t]:offsets[t + 1].
 """
 
 from __future__ import annotations
@@ -110,29 +110,25 @@ class PackedFrames:
 class Tracklet:
     """The frames of one observed person from one camera, by ascending frame id.
 
-    `frames` are FrameRecords, sorted here, or PackedFrames already in order.
+    `frames` are PackedFrames already in order; FrameRecords given instead
+    are sorted here and stacked.
     """
 
     tracklet_id: str
     identity: str
     camera: int
-    frames: Sequence[FrameRecord]
+    frames: PackedFrames
     probe: bool = False
 
     def __post_init__(self) -> None:
         if not isinstance(self.frames, PackedFrames):
-            frames = tuple(sorted(self.frames, key=lambda f: f.frame_id))
+            frames = sorted(self.frames, key=lambda f: f.frame_id)
             if len({(f.feature.shape, f.pose.joints.shape) for f in frames}) > 1:
                 raise ValueError(f"frames of tracklet {self.tracklet_id!r} differ in shape")
-            object.__setattr__(self, "frames", frames)
+            object.__setattr__(self, "frames", PackedFrames.stack(frames))
 
     def __len__(self) -> int:
         return len(self.frames)
-
-    @property
-    def packed(self) -> PackedFrames:
-        """The frames as arrays: the given PackedFrames, or FrameRecords stacked afresh."""
-        return self.frames if isinstance(self.frames, PackedFrames) else PackedFrames.stack(self.frames)
 
     @property
     def is_distractor(self) -> bool:
@@ -221,18 +217,21 @@ class Dataset:
 def pack(tracklets: Sequence[Tracklet]) -> tuple[PackedFrames, np.ndarray]:
     """The tracklets' frames, one tracklet after another, and the (T+1,) offsets of their rows.
 
-    Consecutive cuts of one block, as a loaded dataset's tracklets are,
-    pack into views of it; anything else is stacked frame by frame.
+    Consecutive cuts of one block, as a loaded or generated dataset's
+    tracklets are, pack into a view of it; anything else is concatenated.
     """
     parts = [t.frames for t in tracklets]
     offsets = np.cumsum([0] + [len(p) for p in parts])
-    base = getattr(parts[0], "base", None) if parts else None
+    base = parts[0].base if parts else None
     if base is not None and all(
-        getattr(p, "base", None) is base and p.start == parts[0].start + o
-        for p, o in zip(parts, offsets.tolist())
+        p.base is base and p.start == parts[0].start + o for p, o in zip(parts, offsets.tolist())
     ):
         return base.rows(parts[0].start, parts[0].start + int(offsets[-1])), offsets
-    return PackedFrames.stack([f for p in parts for f in p]), offsets
+    parts = [p for p in parts if len(p)]  # an empty stack has no feature dimension or joint count
+    if not parts:
+        return PackedFrames.stack([]), offsets
+    fields = ("frame_ids", "features", "joints", "visibility")
+    return PackedFrames(*(np.concatenate([getattr(p, f) for p in parts]) for f in fields)), offsets
 
 
 @dataclass(frozen=True)
@@ -299,8 +298,8 @@ def validate_dataset(
     if expected_joints is not None and canon_k != expected_joints:
         add("canon_joint_mismatch", f"canonical set has k={canon_k}, manifest says {expected_joints}")
 
-    first = next((t.frames[0] for t in tracklets if len(t)), None)
-    ref_dim = expected_dim if expected_dim is not None or first is None else first.feature.shape[0]
+    first_dim = next((t.frames.features.shape[1] for t in tracklets if len(t)), None)
+    ref_dim = expected_dim if expected_dim is not None else first_dim
     ref_k = expected_joints if expected_joints is not None else canon_k
 
     flagged: dict[PackedFrames, tuple[np.ndarray, list[int]]] = {}
@@ -314,17 +313,17 @@ def validate_dataset(
             add("empty_tracklet", f"tracklet {t.tracklet_id!r} has no frames")
             continue
 
-        packed = t.packed
-        block = packed if packed.base is None else packed.base
+        frames = t.frames
+        block = frames if frames.base is None else frames.base
         if block not in flagged:
             flagged[block] = _frame_defects(block)
         defects, bad_rows = flagged[block]
-        start, stop = packed.start, packed.start + len(t)
+        start, stop = frames.start, frames.start + len(t)
         rows = bad_rows[bisect_left(bad_rows, start) : bisect_left(bad_rows, stop)]
         if any(defects[r, 3] for r in rows if r > start):
             add("duplicate_frame_id", f"tracklet {t.tracklet_id!r} has duplicate frame ids")
 
-        dim, k = packed.features.shape[1], packed.joints.shape[1]
+        dim, k = frames.features.shape[1], frames.joints.shape[1]
         wrong_dim = ref_dim is not None and dim != ref_dim
         for r in range(start, stop) if wrong_dim or k != ref_k else rows:
             where = f"tracklet {t.tracklet_id!r} frame {block.frame_ids[r]}"

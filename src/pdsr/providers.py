@@ -69,11 +69,11 @@ def choose_representative(tracklet: Tracklet, seed: int) -> int:
     The draw is uniform over the frames in frame-id order, from a generator
     keyed by (seed, tracklet_id), so it is invariant to storage order.
     """
-    frames = tracklet.frames
-    if not frames:
+    frame_ids = tracklet.frames.frame_ids
+    if not len(frame_ids):
         raise ValueError(f"tracklet {tracklet.tracklet_id!r} has no frames")
     rng = rng_for(seed, "representative", tracklet.tracklet_id)
-    return frames[int(rng.integers(len(frames)))].frame_id
+    return int(frame_ids[rng.integers(len(frame_ids))])
 
 
 class RepresentativeFrames(Sequence[int]):

@@ -169,7 +169,7 @@ def _permuted(t, rng):
 def _duplicated(t):
     n = len(t.frames)
     dup = tuple(FrameRecord(f.frame_id + n, f.feature, f.pose) for f in t.frames)
-    return Tracklet(t.tracklet_id, t.identity, t.camera, t.frames + dup, t.probe)
+    return Tracklet(t.tracklet_id, t.identity, t.camera, (*t.frames, *dup), t.probe)
 
 
 @pytest.mark.criterion(4, "WPR invariances: permutation/duplication/symmetry/sum(nu)")

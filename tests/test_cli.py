@@ -82,6 +82,29 @@ def test_synthgen_reruns_bit_identical(workspace, tmp_path):
             (root / "data" / name).read_bytes(), name
 
 
+# blake2s digests of synthgen's files on a small spec with distractors,
+# noise, jitter and per-camera pose subsets, recorded while the generator
+# still built a FrameRecord per frame.
+SYNTHGEN_DIGESTS = {
+    "manifest.json": "d8ca158e815ea70be8ac5eee71a2238f7289b8259d0c961c9455619828e01110",
+    "features.bin": "6c6c7a06aaa48171ff75ffc167917e9fa41f61486698003efe6005c10263040a",
+    "canon.json": "5e52886e7b26d30c337e78606ee7c2131b99234cb03802a231d6fd87013c82b1",
+    "synth-features.bin": "54564ceb98925a62cbc87611614ab9fe90129cd71357353d940316b9184f131b",
+    "synth-index.tsv": "18db47bbe236e3584ca8a59d0c02b109ad3d22d131f85f2e3d2ca4f3c99aecac",
+}
+
+
+def test_synthgen_files_are_byte_identical_to_recorded_digests(tmp_path):
+    spec = GenSpec(identities=3, cameras=2, frames_per_tracklet=(2, 4), feature_dim=6,
+                   joint_count=5, num_poses=3, pose_effect_scale=0.3, noise_sigma=0.1,
+                   pose_jitter=0.02, pose_visibility=((1, 2), (2, 3)), distractors=2, seed=5)
+    save_gen_spec(spec, tmp_path / "spec.json")
+    run(["synthgen", "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "o")])
+    digests = {name: hashlib.blake2s((tmp_path / "o" / name).read_bytes()).hexdigest()
+               for name in SYNTHGEN_DIGESTS}
+    assert digests == SYNTHGEN_DIGESTS
+
+
 def test_synthgen_seed_flag_overrides_spec(workspace, tmp_path):
     root, _ = workspace
     run(["--seed", "99", "synthgen", "--spec", str(root / "spec.json"),
@@ -269,15 +292,50 @@ def test_validation_failure_lists_issues(workspace, tmp_path):
     assert "failed validation" in result.output
 
 
-def run_process(args, **env_vars):
-    """Run the CLI in a fresh interpreter, as a user would, with env_vars set."""
+CONSOLE_ENTRY = ["-c", "import sys; from pdsr.cli import main; sys.exit(main())"]
+
+
+def run_process(args, entry=CONSOLE_ENTRY, **env_vars):
+    """Run the CLI in a fresh interpreter, as a user would, with env_vars set.
+
+    `entry` is how the interpreter starts it: by default as the `pdsr`
+    console script calls `main`.
+    """
     env = {**os.environ, **env_vars}
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     return subprocess.run(
-        [sys.executable, "-c", "import sys; from pdsr.cli import main; sys.exit(main())", *args],
-        env=env, capture_output=True, text=True, timeout=120,
+        [sys.executable, *entry, *args], env=env, capture_output=True, text=True, timeout=120,
     )
+
+
+def test_cli_runs_as_a_module():
+    result = run_process(["--help"], entry=["-m", "pdsr.cli"])
+    assert result.returncode == 0 and "Usage:" in result.stdout, result.stderr
+    result = run_process(["eval"], entry=["-m", "pdsr.cli"])
+    assert result.returncode != 0
+    assert "Missing option '--report'" in result.stderr, result.stderr
+
+
+@pytest.mark.parametrize("char", ["\t", "\n", "\r"], ids=["tab", "newline", "cr"])
+@pytest.mark.parametrize("command", [
+    ["quantize", "--out", "{out}"],
+    ["--lenient", "embed", "--mode", "wf", "--out", "{out}.bin", "--ids", "{out}"],
+    ["match", "--probe", "id0001-c1-0", "--mode", "baseline", "--out", "{out}"],
+], ids=["quantize", "embed-wf-ids", "match"])
+def test_tsv_output_refuses_a_tracklet_id_it_cannot_write(workspace, tmp_path, command, char):
+    root, flags = workspace
+    data = root / "data"
+    manifest = json.loads((data / "manifest.json").read_text())
+    victim = next(t for t in manifest["tracklets"] if t["tracklet_id"] == "id0000-c0-0")
+    victim["tracklet_id"] = f"id0000{char}c0-0"
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    out = tmp_path / "out.tsv"
+    result = CliRunner().invoke(main, ["--manifest", str(tmp_path / "manifest.json"), *flags[2:],
+                                       *(a.format(out=out) for a in command)])
+    assert result.exit_code == 1, result.output
+    assert result.output.count("Error:") == 1 and "cannot contain tab" in result.output
+    assert not list(tmp_path.glob("out*"))
 
 
 def test_text_outputs_are_utf8_under_an_ascii_locale(workspace, tmp_path):

@@ -53,6 +53,16 @@ def test_same_spec_and_seed_is_bit_identical():
     assert np.array_equal(a.provider.query(t0, 0, 1), b.provider.query(t0, 0, 1))
 
 
+def test_tracklets_are_consecutive_cuts_of_one_block():
+    gen = generate(GenSpec(**SMALL, distractors=2))
+    tracklets = gen.dataset.tracklets
+    frames, offsets = pack(tracklets)
+    assert all(np.shares_memory(frames.features, t.frames.features) for t in tracklets)
+    assert np.shares_memory(frames.joints, tracklets[-1].frames.joints)
+    assert offsets[-1] == len(frames) == sum(len(t) for t in tracklets)
+    assert frames.frame_ids.tolist() == [i for t in tracklets for i in range(len(t))]
+
+
 def test_different_seed_differs():
     a = generate(GenSpec(**SMALL, seed=0))
     b = generate(GenSpec(**SMALL, seed=1))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pdsr import CanonicalPoseSet, Dataset, FrameRecord, PoseVector, Tracklet, validate_dataset
+from pdsr.model import PackedFrames, pack
 from pdsr.regulation import pose_normalize
 
 
@@ -39,8 +40,21 @@ def test_frame_feature_must_be_1d():
 def test_tracklet_holds_frames_by_ascending_id_with_duplicates_in_storage_order():
     stored = (frame(2, [1.0, 0.0]), frame(0, [0.0, 1.0]), frame(2, [0.0, 2.0]), frame(1, [1.0, 1.0]))
     t = Tracklet(tracklet_id="t", identity="a", camera=0, frames=stored)
-    assert [f.frame_id for f in t.frames] == [0, 1, 2, 2]
-    assert t.frames[2] is stored[0] and t.frames[3] is stored[2]
+    assert isinstance(t.frames, PackedFrames)
+    assert t.frames.frame_ids.tolist() == [0, 1, 2, 2]
+    assert t.frames.features.tolist() == [[0.0, 1.0], [1.0, 1.0], [1.0, 0.0], [0.0, 2.0]]
+
+
+def test_pack_concatenates_tracklets_not_cut_from_one_block_and_skips_empty_ones():
+    a = Tracklet("a", "x", 0, (frame(1, [1.0, 0.0]), frame(0, [0.0, 1.0])))
+    empty = Tracklet("b", "x", 0, ())
+    c = Tracklet("c", "x", 1, (frame(0, [2.0, 2.0], fill=0.25),))
+    frames, offsets = pack([a, empty, c])
+    assert offsets.tolist() == [0, 2, 2, 3]
+    assert frames.frame_ids.tolist() == [0, 1, 0]
+    assert frames.features.tolist() == [[0.0, 1.0], [1.0, 0.0], [2.0, 2.0]]
+    assert frames.joints.shape == (3, 6, 2) and frames.joints[2, 0].tolist() == [0.25, 0.25]
+    assert frames.visibility.shape == (3, 6) and frames.visibility.all()
 
 
 def test_dataset_holds_tracklets_by_ascending_id():

@@ -240,7 +240,7 @@ def duplicated(tracklet):
         tracklet.tracklet_id,
         tracklet.identity,
         tracklet.camera,
-        tracklet.frames + dup,
+        (*tracklet.frames, *dup),
         tracklet.probe,
     )
 
