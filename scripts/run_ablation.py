@@ -10,12 +10,12 @@ and a one-sided paired t-test of the fused improvement over the baseline.
 """
 
 import argparse
-import json
 
 import numpy as np
 from scipy import stats
 
 from pdsr import EvalMode, ProtocolConfig, evaluate
+from pdsr.dataset_io import write_json
 from pdsr.generator import GenSpec, generate
 
 MODES = (EvalMode.BASELINE, EvalMode.WF, EvalMode.WPR, EvalMode.FUSED)
@@ -84,9 +84,7 @@ def main() -> None:
             "mean_ap": {m.value: mean_ap[m] for m in MODES},
             "fused_vs_baseline_pvalue": float(test.pvalue),
         }
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(args.json, payload)
         print(f"results -> {args.json}")
 
 

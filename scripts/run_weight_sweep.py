@@ -10,11 +10,11 @@ optimum that motivates weighted fusion.
 """
 
 import argparse
-import json
 
 import numpy as np
 
 from pdsr import EvalMode, ProtocolConfig, evaluate
+from pdsr.dataset_io import write_json
 from pdsr.generator import GenSpec, PlantedProvider, generate
 
 DEFAULT_WEIGHTS = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 1e6)
@@ -86,9 +86,7 @@ def main() -> None:
             "per_seed_rank1": curves,
             "interior_max_seeds": interior_max,
         }
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(args.json, payload)
         print(f"results -> {args.json}")
 
 

@@ -190,17 +190,11 @@ def quantize(obj: CliContext, out_path: Path | None):
     frames, _ = pack(dataset.tracklets)
     poses, distances = nearest_poses(assignment_distances(frames.joints, frames.visibility, canon))
     if out_path is not None:
-        dataset_io._check_ids(t.tracklet_id for t in dataset.tracklets)
         tids = [t.tracklet_id for t in dataset.tracklets for _ in range(len(t))]
-        out_path.write_text(
-            "".join(
-                f"{tid}\t{frame_id}\t{j or '-'}\t{d!r}\n"
-                for tid, frame_id, j, d in zip(
-                    tids, frames.frame_ids.tolist(), poses.tolist(), distances.tolist()
-                )
-            ),
-            encoding="utf-8",
-        )
+        text = dataset_io.tsv_text(zip(
+            tids, frames.frame_ids.tolist(), [j or "-" for j in poses.tolist()], distances.tolist()
+        ))
+        out_path.write_text(text, encoding="utf-8")
     counts = np.bincount(poses, minlength=len(canon) + 1).tolist()  # counts[0]: unassignable
     click.echo(
         f"{len(frames)} frames: {len(frames) - counts[0]} assigned, {counts[0]} unassignable"
@@ -230,8 +224,8 @@ def embed(obj: CliContext, mode: str, weight: float, out_path: Path,
     tracklets = dataset.tracklets
 
     if mode == "wf":
-        if ids_path is not None:
-            dataset_io._check_ids(t.tracklet_id for t in tracklets)
+        if ids_path is not None:  # refuses an id it cannot write before any work
+            ids_text = dataset_io.tsv_text(enumerate(t.tracklet_id for t in tracklets))
         record = tracklet_means(tracklets, config.seed)
         synthetic, served = _provider(obj, dataset).fetch(
             record, np.ones((len(tracklets), len(canon)), dtype=bool), strict=config.strict
@@ -239,10 +233,7 @@ def embed(obj: CliContext, mode: str, weight: float, out_path: Path,
         rows = wf_embeddings(record, synthetic, served, config.fusion_weight)
         dataset_io.write_feature_matrix(out_path, rows)
         if ids_path is not None:
-            ids_path.write_text(
-                "".join(f"{i}\t{t.tracklet_id}\n" for i, t in enumerate(tracklets)),
-                encoding="utf-8",
-            )
+            ids_path.write_text(ids_text, encoding="utf-8")
         click.echo(f"{rows.shape[0]} wf embeddings (w={weight}) -> {out_path}")
     else:
         record = pose_normalize(tracklets, canon, config.seed)
@@ -288,14 +279,11 @@ def match(obj: CliContext, probe_id: str, mode: str, weight: float, top: int,
     ranked = [(tracklets[i], scores[0, i].item()) for i in order]
 
     if out_path is not None:
-        dataset_io._check_ids(t.tracklet_id for t, _ in ranked)
-        out_path.write_text(
-            "".join(
-                f"{rank}\t{t.tracklet_id}\t{score!r}\t{t.identity}\t{t.camera}\n"
-                for rank, (t, score) in enumerate(ranked, start=1)
-            ),
-            encoding="utf-8",
+        text = dataset_io.tsv_text(
+            (rank, t.tracklet_id, score, t.identity, t.camera)
+            for rank, (t, score) in enumerate(ranked, start=1)
         )
+        out_path.write_text(text, encoding="utf-8")
     click.echo(f"probe {probe_id} ({probe.identity}, camera {probe.camera}), mode {mode}:")
     for rank, (t, score) in enumerate(ranked[: max(top, 0)], start=1):
         hit = "*" if t.identity == probe.identity else " "

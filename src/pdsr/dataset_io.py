@@ -7,7 +7,9 @@ is float64, so loaders upcast on read and writers downcast on write; a
 write/read round trip of float32-representable values is lossless.
 
 All writers emit sorted, canonical output so byte-identical files mean
-identical content.
+identical content.  Each text format has one writer: `write_json` spells
+canonical JSON and `tsv_text` tab-separated tables, refusing a field that
+its readers could not split back out.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import json
 import struct
 from bisect import bisect_right
 from contextlib import contextmanager
-from itertools import accumulate, chain
+from itertools import accumulate, chain, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Mapping
@@ -111,6 +113,31 @@ def read_json(path: str | Path, *, unique_keys: bool = False):
         raise FileFormatError(f"{path}: {exc}") from exc
 
 
+def write_json(path: str | Path, payload: object) -> None:
+    """Canonical JSON: UTF-8, indented by 2, keys sorted, a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def tsv_text(rows) -> str:
+    """Tab-separated text of tuples of one width, one line each, fields spelled by `str`.
+
+    A field with a tab, newline or carriage return would not read back as
+    one field, so it is a ValueError.  The check counts separators over the
+    whole text and walks the fields only to name the bad one.
+    """
+    rows = list(rows)
+    width = len(rows[0]) if rows else 0
+    line = "\t".join(["%s"] * width) + "\n"
+    text = "".join([line % row for row in rows])
+    if "\r" in text or text.count("\t") + text.count("\n") != width * len(rows):
+        for field in map(str, chain.from_iterable(rows)):
+            if "\t" in field or "\n" in field or "\r" in field:
+                raise ValueError(f"field {field!r} cannot contain tab, newline or carriage return")
+    return text
+
+
 @contextmanager
 def _collector_paused():
     """Turn the cyclic garbage collector off, and back on at exit only if it was on.
@@ -159,7 +186,7 @@ _KEYPOINT_CONTRACT = "must list {k} joints as [x, y, v]: numbers x and y, v 0 or
 
 
 def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 _COUNTS = ("feature_dim", "joint_count", "num_poses", "camera_count")
@@ -212,9 +239,7 @@ def save_dataset(
     write_feature_matrix(
         features_path, packed.features if len(packed) else np.zeros((0, dataset.feature_dim))
     )
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(manifest_path, manifest)
 
 
 @_collector_paused()
@@ -294,13 +319,10 @@ def load_dataset(manifest_path: str | Path, features_path: str | Path) -> Datase
 
 
 def save_canon(canon: CanonicalPoseSet, path: str | Path) -> None:
-    payload = {
+    write_json(path, {
         "joint_count": int(canon.poses[0].joints.shape[0]),
         "poses": [_triples(p.joints.tolist(), p.visibility.tolist()) for p in canon.poses],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
 
 
 def load_canon(path: str | Path) -> CanonicalPoseSet:
@@ -316,12 +338,6 @@ def load_canon(path: str | Path) -> CanonicalPoseSet:
         return CanonicalPoseSet(poses=[PoseVector(p[:, :2], p[:, 2] == 1.0) for p in keypoints])
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"{path}: missing or malformed field: {exc}") from exc
-
-
-def _check_ids(ids) -> None:
-    for tid in ids:
-        if "\t" in tid or "\n" in tid or "\r" in tid:
-            raise ValueError(f"tracklet id {tid!r} cannot contain tab, newline or carriage return")
 
 
 def _tsv_lines(path: str | Path, fields: int):
@@ -342,11 +358,17 @@ def _tsv_lines(path: str | Path, fields: int):
 
 
 def write_synth_index(index: Mapping[tuple[str, int], int], path: str | Path) -> None:
-    """Tab-separated (tracklet_id, pose, row), sorted for determinism."""
-    _check_ids(tid for tid, _ in index)
-    with open(path, "w", encoding="utf-8") as fh:
-        for (tid, pose), row in sorted(index.items()):
-            fh.write(f"{tid}\t{pose}\t{row}\n")
+    """Tab-separated (tracklet_id, pose, row), sorted for determinism.
+
+    An entry `read_synth_index` would refuse is a ValueError before any
+    write: a pose must be an integer >= 1 and a row an integer >= 0.
+    """
+    for (tid, pose), row in index.items():
+        if not (_is_int(pose) and _is_int(row) and pose >= 1 and row >= 0):
+            raise ValueError(f"index entry ({tid!r}, {pose!r}) -> {row!r}: "
+                             "pose must be an integer >= 1 and row an integer >= 0")
+    text = tsv_text((tid, pose, row) for (tid, pose), row in sorted(index.items()))
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def _pose_and_row(path: str | Path, lineno: int, pose_s: str, row_s: str) -> tuple[int, int]:
@@ -385,21 +407,21 @@ def write_pose_embeddings(
     exported, so `origin` is always `real`.  This is an inspection/join
     export; scoring works from the in-memory record.
     """
-    _check_ids(record.tracklet_ids)
-    if len(set(record.tracklet_ids)) < len(record.tracklet_ids):
+    ids = record.tracklet_ids
+    tsv_text(zip(ids))  # every id must be writable, also one with no observed pose
+    if len(set(ids)) < len(ids):
         raise ValueError("tracklet ids repeat: the index would list a (tracklet, pose) twice")
-    rows = []
-    with open(index_path, "w", encoding="utf-8") as fh:
-        for tid, t in sorted((tid, t) for t, tid in enumerate(record.tracklet_ids)):
-            for j in np.flatnonzero(record.observed[t]).tolist():
-                fh.write(
-                    f"{tid}\t{j + 1}\treal"
-                    f"\t{record.frequencies[t, j].item()!r}\t{len(rows)}\n"
-                )
-                rows.append(record.vectors[t, j])
-    if not rows:
+    order = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
+    t, j = np.nonzero(record.observed[order])
+    t = order[t]
+    if not len(t):
         raise ValueError("no pose entries to export")
-    write_feature_matrix(matrix_path, np.stack(rows))
+    text = tsv_text(zip(
+        [ids[i] for i in t.tolist()], (j + 1).tolist(), repeat("real"),
+        record.frequencies[t, j].tolist(), range(len(t)),
+    ))
+    Path(index_path).write_text(text, encoding="utf-8")
+    write_feature_matrix(matrix_path, record.vectors[t, j])
 
 
 def read_pose_embedding_index(path: str | Path) -> list[tuple[str, int, str, float, int]]:
@@ -453,9 +475,7 @@ def report_to_dict(report: EvalReport) -> dict:
 
 
 def save_report_json(report: EvalReport, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report_to_dict(report), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, report_to_dict(report))
 
 
 def load_report_json(path: str | Path) -> EvalReport:

@@ -15,7 +15,6 @@ provider serves is bit-identical to what a feature file round-trip yields.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, fields
 from numbers import Integral, Real
@@ -24,7 +23,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .dataset_io import read_json
+from .dataset_io import read_json, write_json
 from .errors import FileFormatError, MissingSyntheticError
 from .model import DISTRACTOR, CanonicalPoseSet, Dataset, PackedFrames, PoseVector, Tracklet
 from .providers import SyntheticFeatureProvider
@@ -34,6 +33,9 @@ from .seeding import rng_for
 _COUNTS = ("identities", "cameras", "tracklets_per_identity_per_camera", "feature_dim",
            "joint_count", "num_poses", "distractors", "seed")
 _SCALES = ("pose_effect_scale", "noise_sigma", "pose_jitter")
+#: The keys a spec file must give; the others take `GenSpec`'s defaults.
+_REQUIRED = ("identities", "cameras", "tracklets_per_identity_per_camera", "frames_per_tracklet",
+             "feature_dim", "joint_count", "num_poses", "pose_effect_scale", "noise_sigma")
 
 
 def _is_a(value: object, kind: type) -> bool:
@@ -265,37 +267,24 @@ def generate(spec: GenSpec) -> GeneratedData:
 
 
 def save_gen_spec(spec: GenSpec, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(asdict(spec), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, asdict(spec))
 
 
 def load_gen_spec(path: str | Path) -> GenSpec:
     """Read a spec `save_gen_spec` writes; an unknown or repeated key is an error."""
     payload = read_json(path, unique_keys=True)
+    if not isinstance(payload, dict):  # a list's items would pass for keys
+        raise FileFormatError(f"{path}: not a JSON object")
     try:
         unknown = sorted(set(payload) - {f.name for f in fields(GenSpec)})
         if unknown:
             raise FileFormatError(f"{path}: unknown field {unknown[0]!r}")
-        return GenSpec(
-            identities=payload["identities"],
-            cameras=payload["cameras"],
-            tracklets_per_identity_per_camera=payload["tracklets_per_identity_per_camera"],
-            frames_per_tracklet=tuple(payload["frames_per_tracklet"]),
-            feature_dim=payload["feature_dim"],
-            joint_count=payload["joint_count"],
-            num_poses=payload["num_poses"],
-            pose_effect_scale=payload["pose_effect_scale"],
-            noise_sigma=payload["noise_sigma"],
-            pose_jitter=payload.get("pose_jitter", 0.0),
-            pose_visibility=(
-                None
-                if payload.get("pose_visibility") is None
-                else tuple(tuple(s) for s in payload["pose_visibility"])
-            ),
-            distractors=payload.get("distractors", 0),
-            seed=payload.get("seed", 0),
-            name=payload.get("name", "planted"),
-        )
+        missing = [key for key in _REQUIRED if key not in payload]
+        if missing:
+            raise KeyError(missing[0])
+        payload["frames_per_tracklet"] = tuple(payload["frames_per_tracklet"])
+        if payload.get("pose_visibility") is not None:
+            payload["pose_visibility"] = tuple(map(tuple, payload["pose_visibility"]))
+        return GenSpec(**payload)
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"{path}: missing or malformed field: {exc}") from exc

@@ -317,18 +317,22 @@ def test_cli_runs_as_a_module():
     assert "Missing option '--report'" in result.stderr, result.stderr
 
 
+MATCH_OUT = ["match", "--probe", "id0001-c1-0", "--mode", "baseline", "--out", "{out}"]
+
+
 @pytest.mark.parametrize("char", ["\t", "\n", "\r"], ids=["tab", "newline", "cr"])
-@pytest.mark.parametrize("command", [
-    ["quantize", "--out", "{out}"],
-    ["--lenient", "embed", "--mode", "wf", "--out", "{out}.bin", "--ids", "{out}"],
-    ["match", "--probe", "id0001-c1-0", "--mode", "baseline", "--out", "{out}"],
-], ids=["quantize", "embed-wf-ids", "match"])
-def test_tsv_output_refuses_a_tracklet_id_it_cannot_write(workspace, tmp_path, command, char):
+@pytest.mark.parametrize("command, field", [
+    (["quantize", "--out", "{out}"], "tracklet_id"),
+    (["--lenient", "embed", "--mode", "wf", "--out", "{out}.bin", "--ids", "{out}"], "tracklet_id"),
+    (MATCH_OUT, "tracklet_id"),
+    (MATCH_OUT, "identity"),
+], ids=["quantize", "embed-wf-ids", "match", "match-identity"])
+def test_tsv_output_refuses_a_tracklet_id_it_cannot_write(workspace, tmp_path, command, field, char):
     root, flags = workspace
     data = root / "data"
     manifest = json.loads((data / "manifest.json").read_text())
     victim = next(t for t in manifest["tracklets"] if t["tracklet_id"] == "id0000-c0-0")
-    victim["tracklet_id"] = f"id0000{char}c0-0"
+    victim[field] = {"tracklet_id": f"id0000{char}c0-0", "identity": f"id{char}0000"}[field]
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     out = tmp_path / "out.tsv"
     result = CliRunner().invoke(main, ["--manifest", str(tmp_path / "manifest.json"), *flags[2:],

@@ -43,6 +43,7 @@ from pdsr.dataset_io import (
     save_dataset,
     save_report_csv,
     save_report_json,
+    tsv_text,
     write_feature_matrix,
     write_pose_embeddings,
     write_synth_index,
@@ -349,6 +350,32 @@ def test_synth_index_rejects_tab_in_id(tmp_path):
         write_synth_index({("a\tb", 1): 0}, tmp_path / "i.tsv")
 
 
+def test_tsv_text_spells_fields_by_str_and_names_a_field_it_cannot_write():
+    assert tsv_text([]) == ""
+    assert tsv_text([("a", 1, 0.1, "-"), ("b", 2, 1 / 3, 7)]) == f"a\t1\t0.1\t-\nb\t2\t{1 / 3!r}\t7\n"
+    for bad in ("x\ty", "x\ny", "x\ry", "\r"):
+        with pytest.raises(ValueError, match=re.escape(f"{bad!r} cannot contain tab, newline")):
+            tsv_text([("a", 1), (2, bad)])
+
+
+def test_pose_embedding_export_refuses_an_id_even_without_an_observed_pose(tmp_path):
+    record = PoseRecord(("a", "b\tc"), (0, 0), np.zeros((2, 2)), np.zeros((2, 1, 2)),
+                        np.ones((2, 1)), np.array([[True], [False]]))
+    with pytest.raises(ValueError, match="cannot contain tab"):
+        write_pose_embeddings(record, tmp_path / "e.tsv", tmp_path / "e.bin")
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("entry", [
+    (("a", 0), 0), (("b", 1), -2), (("a", True), 0), (("a", 1.0), 0), (("a", 1), False),
+])
+def test_synth_index_writer_refuses_what_its_reader_refuses(tmp_path, entry):
+    key, row = entry
+    with pytest.raises(ValueError, match="pose must be an integer >= 1 and row an integer >= 0"):
+        write_synth_index({("z", 1): 0, key: row}, tmp_path / "i.tsv")
+    assert not (tmp_path / "i.tsv").exists()
+
+
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(tid=st.text(max_size=5))
@@ -406,6 +433,15 @@ def test_pose_embedding_export_requires_entries(tmp_path):
                        np.zeros((0, 3), dtype=bool))
     with pytest.raises(ValueError):
         write_pose_embeddings(empty, tmp_path / "e.tsv", tmp_path / "e.bin")
+    assert not list(tmp_path.iterdir())
+
+
+def test_pose_embedding_export_without_an_observed_pose_writes_neither_file(tmp_path):
+    unobserved = PoseRecord(("a", "b"), (0, 0), np.zeros((2, 2)), np.zeros((2, 3, 2)),
+                            np.zeros((2, 3)), np.zeros((2, 3), dtype=bool))
+    with pytest.raises(ValueError, match="no pose entries to export"):
+        write_pose_embeddings(unobserved, tmp_path / "e.tsv", tmp_path / "e.bin")
+    assert not list(tmp_path.iterdir())
 
 
 # -------------------------------------------------------------- report

@@ -283,6 +283,33 @@ def test_gen_spec_defaults_round_trip(tmp_path):
     assert load_gen_spec(tmp_path / "spec.json") == spec
 
 
+REQUIRED_SPEC = {"identities": 3, "cameras": 3, "tracklets_per_identity_per_camera": 2,
+                 "frames_per_tracklet": [2, 5], "feature_dim": 6, "joint_count": 5,
+                 "num_poses": 2, "pose_effect_scale": 0.5, "noise_sigma": 0.1}
+
+
+def test_gen_spec_with_only_the_required_keys_takes_the_other_defaults(tmp_path):
+    (tmp_path / "spec.json").write_text(json.dumps(REQUIRED_SPEC))
+    spec = load_gen_spec(tmp_path / "spec.json")
+    assert spec == GenSpec(**{**REQUIRED_SPEC, "frames_per_tracklet": (2, 5)})  # the rest default
+
+
+@pytest.mark.parametrize("key", sorted(REQUIRED_SPEC))
+def test_gen_spec_without_a_required_key_names_it_and_the_file(tmp_path, key):
+    payload = {k: v for k, v in REQUIRED_SPEC.items() if k != key}
+    (tmp_path / "spec.json").write_text(json.dumps(payload))
+    with pytest.raises(FileFormatError, match=f"'{key}'") as exc:
+        load_gen_spec(tmp_path / "spec.json")
+    assert str(tmp_path / "spec.json") in str(exc.value)
+
+
+@pytest.mark.parametrize("payload", [["identities"], [], "identities", 5, None])
+def test_gen_spec_that_is_not_an_object_says_so(tmp_path, payload):
+    (tmp_path / "spec.json").write_text(json.dumps(payload))
+    with pytest.raises(FileFormatError, match="spec.json: not a JSON object"):
+        load_gen_spec(tmp_path / "spec.json")
+
+
 def test_provider_matches_frame_features_at_zero_noise():
     # with no feature noise a frame's feature IS the provider vector for its
     # planted pose, quantization included
