@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import FileFormatError
 from .evaluation import EvalReport, ProbeResult
-from .model import CanonicalPoseSet, Dataset, PackedFrames, PoseRecord, PoseVector, Tracklet, pack
+from .model import CanonicalPoseSet, Dataset, PackedFrames, PoseRecord, Tracklet, pack
 
 MAGIC = b"PDSR"
 FORMAT_VERSION = 1
@@ -320,8 +320,8 @@ def load_dataset(manifest_path: str | Path, features_path: str | Path) -> Datase
 
 def save_canon(canon: CanonicalPoseSet, path: str | Path) -> None:
     write_json(path, {
-        "joint_count": int(canon.poses[0].joints.shape[0]),
-        "poses": [_triples(p.joints.tolist(), p.visibility.tolist()) for p in canon.poses],
+        "joint_count": canon.joints.shape[1],
+        "poses": list(map(_triples, canon.joints.tolist(), canon.visibility.tolist())),
     })
 
 
@@ -335,7 +335,7 @@ def load_canon(path: str | Path) -> CanonicalPoseSet:
         if keypoints is None:
             i = next(i for i, p in enumerate(poses) if _keypoints([p], k) is None)
             raise FileFormatError(f"{path}: pose[{i}] {_KEYPOINT_CONTRACT.format(k=k)}")
-        return CanonicalPoseSet(poses=[PoseVector(p[:, :2], p[:, 2] == 1.0) for p in keypoints])
+        return CanonicalPoseSet(keypoints[:, :, :2], keypoints[:, :, 2] == 1.0)
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"{path}: missing or malformed field: {exc}") from exc
 

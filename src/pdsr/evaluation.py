@@ -242,12 +242,15 @@ def score_matrix(
     Each mode pools all tracklets in one pass: BASELINE and WF read real
     means only, WPR and fused a pose record.  WF and WPR read one synthetic
     fetch.  `provider` may be None in BASELINE mode, which uses no
-    synthetics.
+    synthetics.  A tracklet id held twice is a ValueError that names it.
     """
     if provider is None and mode is not EvalMode.BASELINE:
         raise ValueError(f"mode {mode.value!r} needs a synthetic feature provider")
     tracklets = dataset.tracklets
     row = {t.tracklet_id: i for i, t in enumerate(tracklets)}
+    if len(row) < len(tracklets):  # ids ascend, so a repeated id is on neighbouring rows
+        repeated = next(a for a, b in zip(tracklets, tracklets[1:]) if a.tracklet_id == b.tracklet_id)
+        raise ValueError(f"tracklet id {repeated.tracklet_id!r} appears more than once")
     probe_rows = [row[c.probe_id] for c in cases]
     if mode is EvalMode.BASELINE:
         means = real_means(tracklets)

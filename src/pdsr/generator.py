@@ -25,7 +25,7 @@ import numpy as np
 
 from .dataset_io import read_json, write_json
 from .errors import FileFormatError, MissingSyntheticError
-from .model import DISTRACTOR, CanonicalPoseSet, Dataset, PackedFrames, PoseVector, Tracklet
+from .model import DISTRACTOR, CanonicalPoseSet, Dataset, PackedFrames, Tracklet
 from .providers import SyntheticFeatureProvider
 from .seeding import rng_for
 
@@ -176,11 +176,9 @@ class GeneratedData:
 
 
 def _make_canon(spec: GenSpec) -> CanonicalPoseSet:
-    poses = []
-    for j in range(1, spec.num_poses + 1):
-        joints = rng_for(spec.seed, "canon", j).uniform(0.0, 1.0, (spec.joint_count, 2))
-        poses.append(PoseVector(joints=joints, visibility=np.ones(spec.joint_count, dtype=bool)))
-    return CanonicalPoseSet(poses=tuple(poses))
+    k = spec.joint_count
+    joints = [rng_for(spec.seed, "canon", j).uniform(0.0, 1.0, (k, 2)) for j in range(1, spec.num_poses + 1)]
+    return CanonicalPoseSet(np.stack(joints), np.ones((spec.num_poses, k), dtype=bool))
 
 
 def generate(spec: GenSpec) -> GeneratedData:
@@ -238,7 +236,7 @@ def generate(spec: GenSpec) -> GeneratedData:
         for row in range(a, b):
             pose = allowed[int(rng.integers(len(allowed)))]
             jitter = rng.normal(0.0, spec.pose_jitter, (k, 2))
-            np.clip(canon.pose(pose).joints + jitter, 0.0, 1.0, out=block.joints[row])
+            np.clip(canon.joints[pose - 1] + jitter, 0.0, 1.0, out=block.joints[row])
             noise = rng.normal(0.0, spec.noise_sigma, spec.feature_dim)
             block.features[row] = _quantize(_unit(latent + offsets[pose - 1] + noise))
             frame_poses[(tid, row - a)] = pose

@@ -3,17 +3,18 @@
 All types are immutable after construction and safe to share across
 concurrent readers.  Construction fixes the one canonical order every
 score and report uses: a Dataset holds its tracklets by ascending id and
-a Tracklet its frames by ascending frame id (stable sorts, so duplicates
-keep their storage order).  Otherwise construction is permissive (so that
-arbitrary files can be represented in memory); `validate_dataset` reports
-invariant violations instead of raising.
+every Tracklet its frames by ascending frame id, however given (stable
+sorts, so duplicates keep their storage order).  Otherwise construction
+is permissive (so that arbitrary files can be represented in memory);
+`validate_dataset` reports invariant violations instead of raising.
 
 A Tracklet holds its frames packed (`PackedFrames`): frame ids (n,),
 features (n, d), joints (n, k, 2) and visibility (n, k) in canonical order.
 FrameRecords given to a Tracklet are stacked once, so they must share one
 feature dimension and one joint count.  A loaded or generated dataset's
 tracklets are consecutive cuts of one block; `pack` reads them back as a
-view of it, tracklet t on rows offsets[t]:offsets[t + 1].
+view of it, tracklet t on rows offsets[t]:offsets[t + 1].  The canon is
+two arrays as well: joints (M, k, 2) and visibility (M, k).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import numpy as np
 #: Reserved identity label for tracklets that never count as positives.
 DISTRACTOR = "DISTRACTOR"
 _BLOCK_FRAMES = 4096  # rows validate_dataset checks per array operation
+_FIELDS = ("frame_ids", "features", "joints", "visibility")  # the arrays of PackedFrames
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,10 +51,6 @@ class PoseVector:
             raise ValueError("visibility length must match joint count")
         object.__setattr__(self, "joints", joints)
         object.__setattr__(self, "visibility", vis)
-
-    @property
-    def joint_count(self) -> int:
-        return self.joints.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,8 +108,9 @@ class PackedFrames:
 class Tracklet:
     """The frames of one observed person from one camera, by ascending frame id.
 
-    `frames` are PackedFrames already in order; FrameRecords given instead
-    are sorted here and stacked.
+    `frames` are PackedFrames or FrameRecords (stacked here).  Frames whose
+    ids are not ascending are sorted by a stable argsort; ascending
+    PackedFrames are kept as given, so a cut stays a view of its block.
     """
 
     tracklet_id: str
@@ -121,11 +120,17 @@ class Tracklet:
     probe: bool = False
 
     def __post_init__(self) -> None:
-        if not isinstance(self.frames, PackedFrames):
-            frames = sorted(self.frames, key=lambda f: f.frame_id)
+        frames = self.frames
+        if not isinstance(frames, PackedFrames):
+            frames = tuple(frames)
             if len({(f.feature.shape, f.pose.joints.shape) for f in frames}) > 1:
                 raise ValueError(f"frames of tracklet {self.tracklet_id!r} differ in shape")
-            object.__setattr__(self, "frames", PackedFrames.stack(frames))
+            frames = PackedFrames.stack(frames)
+        ids = frames.frame_ids
+        if (ids[1:] < ids[:-1]).any():
+            order = np.argsort(ids, kind="stable")
+            frames = PackedFrames(*(getattr(frames, f)[order] for f in _FIELDS))
+        object.__setattr__(self, "frames", frames)
 
     def __len__(self) -> int:
         return len(self.frames)
@@ -139,27 +144,29 @@ class Tracklet:
 class CanonicalPoseSet:
     """The M reference keypoint vectors quantizing the pose space.
 
-    Pose indices are 1-based: index j refers to poses[j - 1].
+    `joints` is (M, k, 2) and `visibility` (M, k), with M >= 1.  Pose
+    indices are 1-based: index j refers to row j - 1 of both.
     """
 
-    poses: tuple[PoseVector, ...]
+    joints: np.ndarray
+    visibility: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "poses", tuple(self.poses))
-        if not self.poses:
+        joints = np.asarray(self.joints, dtype=np.float64)
+        vis = np.asarray(self.visibility, dtype=bool)
+        if joints.ndim != 3 or joints.shape[2] != 2 or vis.shape != joints.shape[:2]:
+            raise ValueError(f"canon shapes {joints.shape} and {vis.shape} are not (M, k, 2) and (M, k)")
+        if not len(joints):
             raise ValueError("canonical pose set must contain at least one pose")
+        object.__setattr__(self, "joints", joints)
+        object.__setattr__(self, "visibility", vis)
 
     def __len__(self) -> int:
-        return len(self.poses)
-
-    def pose(self, index: int) -> PoseVector:
-        if not 1 <= index <= len(self.poses):
-            raise IndexError(f"pose index {index} out of range 1..{len(self.poses)}")
-        return self.poses[index - 1]
+        return self.joints.shape[0]
 
     @property
     def indices(self) -> range:
-        return range(1, len(self.poses) + 1)
+        return range(1, len(self) + 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,8 +237,7 @@ def pack(tracklets: Sequence[Tracklet]) -> tuple[PackedFrames, np.ndarray]:
     parts = [p for p in parts if len(p)]  # an empty stack has no feature dimension or joint count
     if not parts:
         return PackedFrames.stack([]), offsets
-    fields = ("frame_ids", "features", "joints", "visibility")
-    return PackedFrames(*(np.concatenate([getattr(p, f) for p in parts]) for f in fields)), offsets
+    return PackedFrames(*(np.concatenate([getattr(p, f) for p in parts]) for f in _FIELDS)), offsets
 
 
 @dataclass(frozen=True)
@@ -282,18 +288,12 @@ def validate_dataset(
     def add(code: str, message: str) -> None:
         issues.append(ValidationIssue(code, message))
 
-    canon_k = canon.poses[0].joint_count
-    for j, p in enumerate(canon.poses, start=1):
-        if p.joint_count != canon_k:
-            add("canon_joint_mismatch", f"canonical pose {j} has k={p.joint_count}, expected {canon_k}")
-    for a in range(len(canon.poses)):
-        for b in range(a + 1, len(canon.poses)):
-            pa, pb = canon.poses[a], canon.poses[b]
-            if pa.joint_count != pb.joint_count:
-                continue
-            common = pa.visibility & pb.visibility
-            if common.any() and np.array_equal(pa.joints[common], pb.joints[common]):
-                add("canon_duplicate", f"canonical poses {a + 1} and {b + 1} coincide on their common joints")
+    canon_k = canon.joints.shape[1]
+    common = canon.visibility[:, None] & canon.visibility[None]  # (M, M, k)
+    same = (canon.joints[:, None] == canon.joints[None]).all(axis=3)
+    coincide = common.any(axis=2) & (same | ~common).all(axis=2)
+    for a, b in zip(*np.nonzero(np.triu(coincide, 1))):  # row-major: by a, then b
+        add("canon_duplicate", f"canonical poses {a + 1} and {b + 1} coincide on their common joints")
 
     if expected_joints is not None and canon_k != expected_joints:
         add("canon_joint_mismatch", f"canonical set has k={canon_k}, manifest says {expected_joints}")

@@ -27,19 +27,17 @@ def assignment_distances(
     on its own pose, so any batch gives a frame the same distances bit for
     bit.
     """
-    canon_joints = np.stack([p.joints for p in canon.poses])  # (M, k, 2)
-    canon_vis = np.stack([p.visibility for p in canon.poses])  # (M, k)
-    if len(joints) and joints.shape[1] != canon_joints.shape[1]:
-        raise ValueError(f"joint counts differ: {joints.shape[1]} vs {canon_joints.shape[1]}")
+    if len(joints) and joints.shape[1] != canon.joints.shape[1]:
+        raise ValueError(f"joint counts differ: {joints.shape[1]} vs {canon.joints.shape[1]}")
 
-    dist = np.empty((len(joints), len(canon.poses)))
+    dist = np.empty((len(joints), len(canon)))
     # Blocks bound the (block, M, k, 2) temporaries; a whole dataset at
     # once would hold several of them, each far larger than the result.
     for start in range(0, len(joints), _BLOCK_FRAMES):
         rows = slice(start, start + _BLOCK_FRAMES)
-        common = visibility[rows, None, :] & canon_vis[None, :, :]  # (B, M, k)
-        dx = joints[rows, None, :, 0] - canon_joints[None, :, :, 0]  # (B, M, k)
-        dy = joints[rows, None, :, 1] - canon_joints[None, :, :, 1]
+        common = visibility[rows, None, :] & canon.visibility[None, :, :]  # (B, M, k)
+        dx = joints[rows, None, :, 0] - canon.joints[None, :, :, 0]  # (B, M, k)
+        dy = joints[rows, None, :, 1] - canon.joints[None, :, :, 1]
         # dx*dx + dy*dy, in place: the two-term sum np.sum would make, without its reduction.
         dx *= dx
         dy *= dy

@@ -1,8 +1,17 @@
 """Shared fixtures and the acceptance-criterion result summary."""
 
+import numpy as np
 import pytest
 
-from pdsr import GenSpec, generate
+from pdsr import CanonicalPoseSet, GenSpec, generate
+
+
+def make_canon(joints, visibility=None) -> CanonicalPoseSet:
+    """A canon from (M, k, 2) joints, or a list of M (k, 2) arrays; every joint visible by default."""
+    joints = np.asarray(joints, dtype=np.float64)
+    if visibility is None:
+        visibility = np.ones(joints.shape[:2], dtype=bool)
+    return CanonicalPoseSet(joints, visibility)
 
 
 def pytest_configure(config):

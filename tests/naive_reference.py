@@ -35,14 +35,14 @@ def naive_rng(seed: int, *parts: int | str) -> np.random.Generator:
 # ---------------------------------------------------------------- geometry
 
 
-def naive_keypoint_distance(pose_a, pose_b, min_common_joints: int = 4) -> float | None:
+def naive_keypoint_distance(joints_a, vis_a, joints_b, vis_b, min_common_joints: int = 4) -> float | None:
     """Mean-RMS distance over mutually visible joints; None when too few."""
     total = 0.0
     count = 0
-    for i in range(len(pose_a.visibility)):
-        if pose_a.visibility[i] and pose_b.visibility[i]:
-            dx = float(pose_a.joints[i][0]) - float(pose_b.joints[i][0])
-            dy = float(pose_a.joints[i][1]) - float(pose_b.joints[i][1])
+    for i in range(len(vis_a)):
+        if vis_a[i] and vis_b[i]:
+            dx = float(joints_a[i][0]) - float(joints_b[i][0])
+            dy = float(joints_a[i][1]) - float(joints_b[i][1])
             total += dx * dx + dy * dy
             count += 1
     if count < min_common_joints:
@@ -51,10 +51,11 @@ def naive_keypoint_distance(pose_a, pose_b, min_common_joints: int = 4) -> float
 
 
 def naive_assign(frame_pose, canon, min_common_joints: int = 4) -> int | None:
+    """1-based index of the canon row nearest to a frame's pose; None when none is comparable."""
     best_index = None
     best = math.inf
-    for j in range(1, len(canon.poses) + 1):
-        d = naive_keypoint_distance(frame_pose, canon.poses[j - 1], min_common_joints)
+    for j, (joints, vis) in enumerate(zip(canon.joints, canon.visibility), start=1):
+        d = naive_keypoint_distance(frame_pose.joints, frame_pose.visibility, joints, vis, min_common_joints)
         if d is not None and d < best:
             best = d
             best_index = j
@@ -210,7 +211,7 @@ def naive_evaluate(
     """
     if rep_seed is None:
         rep_seed = seed
-    num_poses = len(canon.poses)
+    num_poses = len(canon.joints)
     tracklets = sorted(dataset.tracklets, key=lambda t: t.tracklet_id)
     by_id = {t.tracklet_id: t for t in tracklets}
     reps = {t.tracklet_id: naive_representative(t, rep_strategy, rep_seed) for t in tracklets}

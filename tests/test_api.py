@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import importlib
+import sys
 from pathlib import Path
 
 import pytest
@@ -38,6 +39,25 @@ def test_star_import_binds_every_name():
 def test_protocol_config_has_three_settings():
     fields = [f.name for f in dataclasses.fields(pdsr.ProtocolConfig)]
     assert fields == ["seed", "fusion_weight", "strict"]
+
+
+# What src/pdsr may import: the standard library and pyproject.toml's two dependencies.
+ALLOWED_IMPORTS = set(sys.stdlib_module_names) | {"numpy", "click", "pdsr"}
+
+
+def test_package_imports_only_the_standard_library_numpy_and_click():
+    outside = []
+    for path in sorted((ROOT / "src/pdsr").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:  # a relative import is pdsr's own
+                modules = [node.module]
+            else:
+                continue
+            outside += [f"{path.name}:{node.lineno}: {m}" for m in modules
+                        if m.split(".")[0] not in ALLOWED_IMPORTS]
+    assert outside == []
 
 
 def _pdsr_imports(path: Path):

@@ -158,7 +158,8 @@ def test_quantize_matches_oracle_with_unassignable_frames(workspace, tmp_path):
             assert (pose, distance) == ("-", "inf")
             continue
         assert int(pose) == expected
-        naive = naive_keypoint_distance(frame.pose, canon.poses[expected - 1])
+        naive = naive_keypoint_distance(frame.pose.joints, frame.pose.visibility,
+                                        canon.joints[expected - 1], canon.visibility[expected - 1])
         assert abs(float(distance) - naive) <= 1e-12
     assert unassignable >= len(dataset.tracklets)
 

@@ -1,14 +1,16 @@
 """Retrieval protocol, ranking metrics, and the cross-camera report."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import make_canon
 from naive_reference import naive_ap, naive_baseline_vec, naive_cosine, naive_rank, naive_wf_vec
 from pdsr import (
     AllFramesUnassignableError,
-    CanonicalPoseSet,
     Dataset,
     EvalMode,
     FrameRecord,
@@ -18,6 +20,7 @@ from pdsr import (
     SyntheticFeatureProvider,
     Tracklet,
     evaluate,
+    validate_dataset,
 )
 from pdsr.evaluation import (
     CMC_DEPTH,
@@ -52,14 +55,8 @@ def make_dataset(rows, seed=0, d=8, k=5):
     return Dataset("manual", d, k, 2, len(cameras), tracklets)
 
 
-def make_canon(m=2, k=5, seed=1):
-    rng = rng_for(seed, "eval-canon")
-    return CanonicalPoseSet(
-        poses=tuple(
-            PoseVector(joints=rng.uniform(0, 1, (k, 2)), visibility=np.ones(k, dtype=bool))
-            for _ in range(m)
-        )
-    )
+def random_canon(m=2, k=5, seed=1):
+    return make_canon(rng_for(seed, "eval-canon").uniform(0, 1, (m, k, 2)))
 
 
 # ------------------------------------------------------------- metrics
@@ -264,7 +261,7 @@ def test_report_cmc_length_tracks_depth_and_gallery(small_gen):
     # Camera 0's probes see 30 same-identity and 25 distractor tracklets.
     rows = [(f"{i:02d}-{cam}", f"id{i:02d}", cam) for i in range(30) for cam in (0, 1)]
     rows += [(f"x-{i:02d}", DISTRACTOR, 1) for i in range(25)]
-    wide = evaluate(make_dataset(rows), make_canon(), None, ProtocolConfig(), EvalMode.BASELINE)
+    wide = evaluate(make_dataset(rows), random_canon(), None, ProtocolConfig(), EvalMode.BASELINE)
     assert max(r.gallery_size for r in wide.probe_results if r.ap is not None) > CMC_DEPTH
     assert len(wide.cmc) == CMC_DEPTH == 50
 
@@ -277,7 +274,7 @@ def test_probes_without_positives_are_reported_not_scored():
         ("x-0", DISTRACTOR, 1),
     ]
     dataset = make_dataset(rows)
-    report = evaluate(dataset, make_canon(), None, ProtocolConfig(), EvalMode.BASELINE)
+    report = evaluate(dataset, random_canon(), None, ProtocolConfig(), EvalMode.BASELINE)
     assert report.num_probes == 2
     assert report.num_scored == 1
     orphan = next(r for r in report.probe_results if r.identity == "idb")
@@ -290,7 +287,7 @@ def test_probes_without_positives_are_reported_not_scored():
 def test_evaluate_requires_a_probeable_identity():
     rows = [("x-0", DISTRACTOR, 0), ("x-1", DISTRACTOR, 1)]
     with pytest.raises(ValueError):
-        evaluate(make_dataset(rows), make_canon(), None, ProtocolConfig(), EvalMode.BASELINE)
+        evaluate(make_dataset(rows), random_canon(), None, ProtocolConfig(), EvalMode.BASELINE)
 
 
 def test_baseline_mode_needs_no_provider(small_gen):
@@ -387,10 +384,22 @@ def test_evaluate_rejects_non_finite_scores():
     tracklets[3] = Tracklet(bad.tracklet_id, bad.identity, bad.camera, frames)
     dataset = Dataset("nan", 8, 5, 2, 2, tuple(tracklets))
     with pytest.raises(ValueError, match="non-finite") as exc:
-        evaluate(dataset, make_canon(), None, ProtocolConfig(), EvalMode.BASELINE)
+        evaluate(dataset, random_canon(), None, ProtocolConfig(), EvalMode.BASELINE)
     # the NaN tracklet sits in every probe's score row
     for case in build_protocol(dataset, 0):
         assert case.probe_id in str(exc.value)
+
+
+@pytest.mark.parametrize("mode", list(EvalMode))
+def test_evaluate_refuses_a_repeated_tracklet_id(mode):
+    gen = generate(GenSpec(identities=6, cameras=2, feature_dim=16, num_poses=3, seed=4))
+    tracklets = list(gen.dataset.tracklets)
+    source, target = tracklets[0], next(t for t in tracklets if t.identity != tracklets[0].identity)
+    tracklets[tracklets.index(target)] = dataclasses.replace(target, tracklet_id=source.tracklet_id)
+    dataset = dataclasses.replace(gen.dataset, tracklets=tuple(tracklets))
+    assert "duplicate_tracklet_id" in [i.code for i in validate_dataset(dataset.tracklets, gen.canon)]
+    with pytest.raises(ValueError, match=f"tracklet id {source.tracklet_id!r} appears more than once"):
+        evaluate(dataset, gen.canon, gen.provider, ProtocolConfig(), mode)
 
 
 def test_camera_confusion_matches_restricted_gallery_oracle():
@@ -447,7 +456,7 @@ def test_confusion_cell_is_none_when_camera_has_no_positive():
     dataset = make_dataset(rows)
     config = ProtocolConfig(seed=0)
     cases = build_protocol(dataset, config.seed)
-    scores = score_matrix(dataset, make_canon(), None, cases, config, EvalMode.BASELINE)
+    scores = score_matrix(dataset, random_canon(), None, cases, config, EvalMode.BASELINE)
     columns = _columns(dataset, cases, rank_gallery(scores))
     cameras, matrix = camera_confusion(cases, dataset, columns)
     assert cameras == (0, 1, 2)

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
+from conftest import make_canon
 from naive_reference import naive_cosine, naive_rank, naive_synth_mean, naive_wf_vec
 from pdsr import (
-    CanonicalPoseSet,
     Dataset,
     EvalMode,
     FrameRecord,
@@ -26,13 +26,8 @@ from pdsr.similarity import cosine_matrix
 SEED = 0
 
 
-def make_canon(rng, m=3, k=5):
-    return CanonicalPoseSet(
-        poses=tuple(
-            PoseVector(joints=rng.uniform(0, 1, (k, 2)), visibility=np.ones(k, dtype=bool))
-            for _ in range(m)
-        )
-    )
+def random_canon(rng, m=3, k=5):
+    return make_canon(rng.uniform(0, 1, (m, k, 2)))
 
 
 def make_tracklet(rng, tid="t0", n=5, d=6, k=5):
@@ -85,7 +80,7 @@ def test_baseline_is_frame_mean_and_order_invariant():
 def test_synthetic_mean_over_all_canonical_poses():
     rng = rng_for(1, "wf")
     t = make_tracklet(rng)
-    canon = make_canon(rng)
+    canon = random_canon(rng)
     vectors = rng.normal(size=(3, 6))
     record = tracklet_means([t], SEED)
     synthetic, served = fetch_all(record, PoseOnlyProvider(vectors), canon)
@@ -97,7 +92,7 @@ def test_synthetic_mean_over_all_canonical_poses():
 def test_synthetic_mean_strict_vs_lenient():
     rng = rng_for(2, "wf")
     t = make_tracklet(rng)
-    canon = make_canon(rng)
+    canon = random_canon(rng)
     vectors = rng.normal(size=(3, 6))
     record = tracklet_means([t], SEED)
     partial = PoseOnlyProvider(vectors, missing={2})
@@ -115,7 +110,7 @@ def test_synthetic_mean_strict_vs_lenient():
 def test_weight_zero_is_bitwise_synthetic_only():
     rng = rng_for(3, "wf")
     t = make_tracklet(rng)
-    canon = make_canon(rng)
+    canon = random_canon(rng)
     provider = PoseOnlyProvider(rng.normal(size=(3, 6)))
     fused = wf_vectors([t], provider, canon, 0.0)[0]
     synth = np.mean(np.stack([provider.query("t0", 0, j) for j in canon.indices]), axis=0)
@@ -125,7 +120,7 @@ def test_weight_zero_is_bitwise_synthetic_only():
 def test_wf_formula_matches_naive():
     rng = rng_for(4, "wf")
     t = make_tracklet(rng)
-    canon = make_canon(rng)
+    canon = random_canon(rng)
     provider = PoseOnlyProvider(rng.normal(size=(3, 6)))
     for w in (0.5, 1.0, 4.0):
         got = wf_vectors([t], provider, canon, w)[0]
@@ -137,7 +132,7 @@ def test_wf_formula_matches_naive():
 def test_wf_rejects_negative_weight_and_dim_mismatch():
     rng = rng_for(5, "wf")
     t = make_tracklet(rng)
-    canon = make_canon(rng)
+    canon = random_canon(rng)
     provider = PoseOnlyProvider(rng.normal(size=(3, 6)))
     for w in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError):
@@ -150,7 +145,7 @@ def test_wf_rejects_negative_weight_and_dim_mismatch():
 def test_wf_invariant_to_frame_storage_order():
     rng = rng_for(6, "wf")
     t = make_tracklet(rng)
-    canon = make_canon(rng)
+    canon = random_canon(rng)
     provider = PoseOnlyProvider(rng.normal(size=(3, 6)))
     shuffled = Tracklet("t0", "x", 0, tuple(reversed(t.frames)))
     a = wf_vectors([t], provider, canon, 4.0)
@@ -185,7 +180,7 @@ def test_cosine_matches_naive_oracle():
 
 def gallery_setup(seed, n=8):
     rng = rng_for(seed, "lim")
-    canon = make_canon(rng)
+    canon = random_canon(rng)
     tracklets = [make_tracklet(rng, tid=f"g{i:02d}") for i in range(n)]
     provider = PoseOnlyProvider(rng.normal(size=(3, 6)))
     return canon, tracklets, provider

@@ -47,10 +47,17 @@ def test_same_spec_and_seed_is_bit_identical():
         for fa, fb in zip(ta.frames, tb.frames):
             assert np.array_equal(fa.feature, fb.feature)
             assert np.array_equal(fa.pose.joints, fb.pose.joints)
-    for pa, pb in zip(a.canon.poses, b.canon.poses):
-        assert np.array_equal(pa.joints, pb.joints)
+    assert np.array_equal(a.canon.joints, b.canon.joints)
     t0 = a.dataset.tracklets[0].tracklet_id
     assert np.array_equal(a.provider.query(t0, 0, 1), b.provider.query(t0, 0, 1))
+
+
+def test_canon_row_j_minus_1_is_the_draw_of_pose_j():
+    spec = GenSpec(**SMALL, joint_count=7, seed=21)
+    canon = generate(spec).canon
+    assert canon.joints.shape == (4, 7, 2) and canon.visibility.all()
+    for j in canon.indices:
+        assert np.array_equal(canon.joints[j - 1], rng_for(21, "canon", j).uniform(0.0, 1.0, (7, 2)))
 
 
 def test_tracklets_are_consecutive_cuts_of_one_block():

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from conftest import make_canon
 from pdsr import CanonicalPoseSet, Dataset, FrameRecord, PoseVector, Tracklet, validate_dataset
 from pdsr.model import PackedFrames, pack
-from pdsr.regulation import pose_normalize
+from pdsr.regulation import pose_normalize, real_means
 
 
 def pose(k=6, fill=0.5, visible=True):
@@ -45,6 +46,55 @@ def test_tracklet_holds_frames_by_ascending_id_with_duplicates_in_storage_order(
     assert t.frames.features.tolist() == [[0.0, 1.0], [1.0, 1.0], [1.0, 0.0], [0.0, 2.0]]
 
 
+def packed(frame_ids, k=6, d=3):
+    """PackedFrames with the given ids, in that storage order; row i's values derive from i."""
+    n = len(frame_ids)
+    rows = np.arange(n, dtype=np.float64)
+    features = np.sin(rows[:, None] * 1.3 + np.arange(1, d + 1)) + 1.5  # sums that depend on their order
+    joints = np.broadcast_to((rows / (n + 1))[:, None, None], (n, k, 2)).copy()
+    return PackedFrames(np.array(frame_ids, dtype=np.int64), features, joints, np.ones((n, k), dtype=bool))
+
+
+def test_tracklet_sorts_packed_frames_by_a_stable_argsort_of_their_ids():
+    stored = packed([2, 1, 0])
+    t = Tracklet("t", "a", 0, stored)
+    assert t.frames.frame_ids.tolist() == [0, 1, 2]
+    assert np.array_equal(t.frames.features, stored.features[[2, 1, 0]])
+    assert t.frames.joints[:, 0, 0].tolist() == [0.5, 0.25, 0.0]
+    stored = packed([1, 2, 1])
+    t = Tracklet("t", "a", 0, stored)
+    assert t.frames.frame_ids.tolist() == [1, 1, 2]
+    assert np.array_equal(t.frames.features, stored.features[[0, 2, 1]])  # the two 1s keep storage order
+
+
+def test_tracklet_keeps_ascending_packed_frames_as_given():
+    block = packed([0, 1, 1, 3, 0, 2])
+    a, b = Tracklet("a", "x", 0, block.rows(0, 4)), Tracklet("b", "x", 0, block.rows(4, 6))
+    assert a.frames.base is block and b.frames.base is block
+    frames, _ = pack([a, b])
+    assert np.shares_memory(frames.features, block.features)
+
+
+def test_duplicate_frame_id_in_unsorted_packed_frames_is_reported():
+    tracklets, canon = clean_setup()
+    tracklets.append(Tracklet("c", "id2", 0, packed([1, 2, 1])))
+    assert codes(validate_dataset(tracklets, canon)) == ["duplicate_frame_id"]
+
+
+def test_pooled_means_do_not_depend_on_storage_order():
+    ids = [4, 0, 9, 3, 11, 1, 7, 2, 10, 5, 8, 6]
+    order = np.argsort(ids)
+    shuffled = packed(ids)
+    ascending = PackedFrames(shuffled.frame_ids[order], shuffled.features[order],
+                             shuffled.joints[order], shuffled.visibility[order])
+    canon = make_canon([np.full((6, 2), x) for x in (0.0, 0.3, 0.6)])
+    a, b = Tracklet("t", "x", 0, shuffled), Tracklet("t", "x", 0, ascending)
+    assert np.array_equal(real_means([a]), real_means([b]))
+    ra, rb = pose_normalize([a], canon, 0), pose_normalize([b], canon, 0)
+    assert np.array_equal(ra.vectors, rb.vectors) and np.array_equal(ra.frequencies, rb.frequencies)
+    assert ra.observed.sum() > 1  # the frames spread over more than one pose
+
+
 def test_pack_concatenates_tracklets_not_cut_from_one_block_and_skips_empty_ones():
     a = Tracklet("a", "x", 0, (frame(1, [1.0, 0.0]), frame(0, [0.0, 1.0])))
     empty = Tracklet("b", "x", 0, ())
@@ -66,22 +116,36 @@ def test_dataset_holds_tracklets_by_ascending_id():
 
 
 def test_canonical_pose_indexing_is_one_based():
-    canon = CanonicalPoseSet(poses=(pose(fill=0.1), pose(fill=0.9)))
-    assert np.allclose(canon.pose(1).joints, 0.1)
-    assert np.allclose(canon.pose(2).joints, 0.9)
+    canon = make_canon([pose(fill=0.1).joints, pose(fill=0.9).joints])
+    assert len(canon) == 2
+    assert np.allclose(canon.joints[0], 0.1)  # pose 1
+    assert np.allclose(canon.joints[1], 0.9)  # pose 2
     assert list(canon.indices) == [1, 2]
-    with pytest.raises(IndexError):
-        canon.pose(0)
-    with pytest.raises(IndexError):
-        canon.pose(3)
-    with pytest.raises(ValueError):
-        CanonicalPoseSet(poses=())
+
+
+def test_canonical_pose_set_refuses_empty_ragged_and_mismatched_shapes():
+    with pytest.raises(ValueError, match="at least one pose"):
+        CanonicalPoseSet(np.zeros((0, 6, 2)), np.zeros((0, 6), dtype=bool))
+    with pytest.raises(ValueError):  # ragged: poses of 6 and 5 joints
+        CanonicalPoseSet([np.zeros((6, 2)), np.zeros((5, 2))], [np.ones(6, bool), np.ones(5, bool)])
+    with pytest.raises(ValueError, match="are not"):
+        CanonicalPoseSet(np.zeros((2, 6, 2)), np.ones((2, 5), dtype=bool))
+    with pytest.raises(ValueError, match="are not"):
+        CanonicalPoseSet(np.zeros((2, 6, 3)), np.ones((2, 6), dtype=bool))
+    with pytest.raises(ValueError, match="are not"):
+        CanonicalPoseSet(np.zeros((6, 2)), np.ones(6, dtype=bool))  # one pose, unstacked
+
+
+def test_canonical_pose_set_holds_float_joints_and_bool_visibility():
+    canon = CanonicalPoseSet([[[0, 1]] * 4], [[1, 0, 1, 1]])
+    assert canon.joints.dtype == np.float64 and canon.joints.shape == (1, 4, 2)
+    assert canon.visibility.dtype == bool and canon.visibility.tolist() == [[True, False, True, True]]
 
 
 def test_embedding_entries_iterate_in_increasing_pose_order():
     # Frames stored at poses 3 then 1 land on rows 2 and 0: rows follow the
     # canonical pose index, not frame order.
-    canon = CanonicalPoseSet(poses=tuple(grid_pose(6, x) for x in (0.0, 0.2, 0.4)))
+    canon = make_canon([grid_pose(6, x).joints for x in (0.0, 0.2, 0.4)])
     frames = (
         FrameRecord(0, np.array([1.0, 0.0]), grid_pose(6, 0.4)),
         FrameRecord(1, np.array([0.0, 1.0]), grid_pose(6, 0.0)),
@@ -93,7 +157,7 @@ def test_embedding_entries_iterate_in_increasing_pose_order():
 
 
 def clean_setup():
-    canon = CanonicalPoseSet(poses=(grid_pose(6, 0.0), grid_pose(6, 0.2)))
+    canon = make_canon([grid_pose(6, 0.0).joints, grid_pose(6, 0.2).joints])
     tracklets = [
         Tracklet("a", "id1", 0, (frame(0, [1.0, 0.0, 0.0]), frame(1, [0.0, 1.0, 0.0]))),
         Tracklet("b", "id1", 1, (frame(0, [0.0, 0.0, 1.0]),)),
@@ -179,8 +243,28 @@ def test_invisible_out_of_range_coordinates_are_fine():
 
 def test_duplicate_canonical_poses_detected():
     tracklets, _ = clean_setup()
-    canon = CanonicalPoseSet(poses=(grid_pose(6, 0.0), grid_pose(6, 0.0)))
+    canon = make_canon([grid_pose(6, 0.0).joints, grid_pose(6, 0.0).joints])
     assert "canon_duplicate" in codes(validate_dataset(tracklets, canon))
+
+
+def test_canon_duplicates_compare_common_visible_joints_pair_by_pair():
+    tracklets, _ = clean_setup()
+    joints = np.array([grid_pose(6, x).joints for x in (0.0, 0.2, 0.0, 0.2, 0.4)])
+    joints[4, :3] = joints[0, :3]  # pose 5 shares pose 1's visible joints only
+    visibility = np.ones((5, 6), dtype=bool)
+    visibility[4, 3:] = False
+    joints[3, 5] = 0.9  # pose 4 differs from pose 2 on a joint that pose 2 hides
+    visibility[1, 5] = False
+    issues = validate_dataset(tracklets, make_canon(joints, visibility))
+    assert [str(i) for i in issues] == [
+        "[canon_duplicate] canonical poses 1 and 3 coincide on their common joints",
+        "[canon_duplicate] canonical poses 1 and 5 coincide on their common joints",
+        "[canon_duplicate] canonical poses 2 and 4 coincide on their common joints",
+        "[canon_duplicate] canonical poses 3 and 5 coincide on their common joints",
+    ]
+    blind = visibility.copy()
+    blind[0], blind[2] = [True] * 3 + [False] * 3, [False] * 3 + [True] * 3  # no common joint
+    assert "poses 1 and 3" not in str(validate_dataset(tracklets, make_canon(joints, blind)))
 
 
 def test_canon_joint_mismatch_detected():
@@ -207,10 +291,9 @@ def test_every_defect_is_reported_once_in_order():
         Tracklet("f", "id4", 0, (FrameRecord(0, np.array([1.0, 0.0, 0.0]), hidden),
                                  FrameRecord(1, np.array([0.0, 1.0, 0.0]), stray))),
     ]
-    canon = CanonicalPoseSet(poses=(grid_pose(6, 0.0), grid_pose(6, 0.0), grid_pose(5, 0.1)))
+    canon = make_canon([grid_pose(6, 0.0).joints, grid_pose(6, 0.0).joints])
     issues = validate_dataset(tracklets, canon, expected_dim=3, expected_joints=6)
     assert [str(i) for i in issues] == [
-        "[canon_joint_mismatch] canonical pose 3 has k=5, expected 6",
         "[canon_duplicate] canonical poses 1 and 2 coincide on their common joints",
         "[duplicate_tracklet_id] tracklet id 'a' appears more than once",
         "[empty_tracklet] tracklet 'b' has no frames",

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import make_canon
 from naive_reference import naive_assign, naive_groups, naive_keypoint_distance
-from pdsr import AllFramesUnassignableError, CanonicalPoseSet, FrameRecord, PoseVector, Tracklet
+from pdsr import AllFramesUnassignableError, FrameRecord, PoseVector, Tracklet
 from pdsr.quantizer import _BLOCK_FRAMES, MIN_COMMON_JOINTS, assignment_distances, nearest_poses
 from pdsr.regulation import pose_normalize
 from pdsr.seeding import rng_for
@@ -21,8 +22,13 @@ def random_pose(rng, k=8, visible_prob=1.0):
     )
 
 
+def canon_of(*poses):
+    """The canon whose row j - 1 is the j-th pose given."""
+    return make_canon([p.joints for p in poses], [p.visibility for p in poses])
+
+
 def random_canon(rng, m=4, k=8):
-    return CanonicalPoseSet(poses=tuple(random_pose(rng, k) for _ in range(m)))
+    return canon_of(*(random_pose(rng, k) for _ in range(m)))
 
 
 def pose_distances(poses, canon):
@@ -33,7 +39,7 @@ def pose_distances(poses, canon):
 
 def distance(a, b):
     """Distance between two poses through the batched quantizer."""
-    return pose_distances([a], CanonicalPoseSet(poses=(b,)))[0, 0]
+    return pose_distances([a], canon_of(b))[0, 0]
 
 
 def assign(frame, canon):
@@ -71,7 +77,7 @@ def test_distance_symmetry(seed):
 def test_distance_matches_naive(seed):
     rng = rng_for(seed, "naive-dist")
     a, b = random_pose(rng, visible_prob=0.7), random_pose(rng, visible_prob=0.7)
-    naive = naive_keypoint_distance(a, b)
+    naive = naive_keypoint_distance(a.joints, a.visibility, b.joints, b.visibility)
     if naive is None:
         assert math.isinf(distance(a, b))
     else:
@@ -108,7 +114,7 @@ def test_joint_count_mismatch_raises():
 def test_exact_tie_breaks_to_lowest_index():
     rng = rng_for(2, "tie")
     shared = random_pose(rng)
-    canon = CanonicalPoseSet(poses=(random_pose(rng), shared, shared))
+    canon = canon_of(random_pose(rng), shared, shared)
     assert assign(shared, canon) == (2, 0.0)  # distance 0 to both 2 and 3
 
 
@@ -124,9 +130,7 @@ def test_assignment_matches_exhaustive_scan(seed):
 
 def test_unassignable_frame_has_none_pose_and_inf_distance():
     blind = PoseVector(joints=np.zeros((6, 2)), visibility=np.zeros(6, dtype=bool))
-    canon = CanonicalPoseSet(
-        poses=(PoseVector(joints=np.zeros((6, 2)), visibility=np.ones(6, dtype=bool)),)
-    )
+    canon = make_canon(np.zeros((1, 6, 2)))
     poses, distances = nearest_poses(pose_distances([blind], canon))
     assert np.issubdtype(poses.dtype, np.integer)
     assert poses.tolist() == [0]  # pose 0: unassignable
@@ -136,9 +140,9 @@ def test_unassignable_frame_has_none_pose_and_inf_distance():
 def test_assignment_permutation_invariance():
     rng = rng_for(3, "perm")
     poses = tuple(random_pose(rng) for _ in range(5))
-    canon = CanonicalPoseSet(poses=poses)
+    canon = canon_of(*poses)
     perm = [2, 0, 4, 1, 3]
-    permuted = CanonicalPoseSet(poses=tuple(poses[i] for i in perm))
+    permuted = canon_of(*(poses[i] for i in perm))
     for _ in range(10):
         frame = random_pose(rng)
         original = assign(frame, canon)[0]
