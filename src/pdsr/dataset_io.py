@@ -1,4 +1,4 @@
-"""On-disk formats: feature matrices, manifests, poses, indices, reports.
+"""On-disk formats: feature matrices, manifests (and their decode cache), poses, indices, reports.
 
 Feature vectors live in a small binary container (header then row-major
 float32, everything little-endian); structural metadata lives in JSON next
@@ -16,10 +16,14 @@ from __future__ import annotations
 
 import csv
 import gc
+import hashlib
 import json
+import os
+import stat
 import struct
+import tempfile
 from bisect import bisect_right
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from itertools import accumulate, chain, repeat
 from operator import itemgetter
 from pathlib import Path
@@ -76,10 +80,10 @@ def read_feature_matrix(path: str | Path) -> np.ndarray:
         raise FileFormatError(f"{path}: cannot hold a {rows} x {dim} matrix") from exc
 
 
-def _read_text(path: str | Path) -> str:
-    """The file decoded as UTF-8, line ends as stored."""
+def _read_text(path: str | Path, data: bytes | None = None) -> str:
+    """The file (or `data`, its bytes as already read) decoded as UTF-8, line ends as stored."""
     try:
-        return Path(path).read_bytes().decode("utf-8")
+        return (Path(path).read_bytes() if data is None else data).decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FileFormatError(f"{path}: not UTF-8 at byte {exc.start}") from exc
 
@@ -94,15 +98,15 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return obj
 
 
-def read_json(path: str | Path, *, unique_keys: bool = False):
-    """The decoded file; invalid JSON, or JSON nested too deeply to decode, names the file.
+def read_json(path: str | Path, *, unique_keys: bool = False, text: str | None = None):
+    """The decoded file (or `text`, as read); invalid or too deeply nested JSON names the file.
 
     With `unique_keys` a key given twice in one object is an error too, as
     the settings readers (gen spec, PDSR_CONFIG) ask.  The manifest, canon
     and report readers keep the last value, as `json` does: the check slows
     the decode of a large manifest by a sixth or more.
     """
-    text = _read_text(path)
+    text = _read_text(path) if text is None else text
     try:
         return json.loads(text, object_pairs_hook=_unique_keys if unique_keys else None)
     except json.JSONDecodeError as exc:
@@ -243,29 +247,22 @@ def save_dataset(
 
 
 @_collector_paused()
-def load_dataset(manifest_path: str | Path, features_path: str | Path) -> Dataset:
-    """Read a manifest and its feature matrix into one packed block, in canonical order.
+def _decode_manifest(manifest_path: str | Path, raw: list[bytes]) -> tuple[list, list[np.ndarray]]:
+    """A manifest's content in canonical order, once every check that needs only its bytes passes.
 
-    The features are the matrix as read when the manifest lists its rows in
-    canonical order, as `save_dataset` writes them.  The cyclic garbage
-    collector is paused while it runs, and the caller's setting restored.
-    The dataset keeps no object of the decoded manifest: its strings and
-    ints are copies, so that no survivor pins an arena of the freed tree
-    and the decode's memory goes back to the system.
+    That is `[name, counts, tracklet ids, identities, cameras, probe flags,
+    offsets]` (counts as `_COUNTS`; tracklet t has frames offsets[t] to
+    offsets[t + 1]) and the frame ids, rows, joints and visibility.  `raw`
+    holds the bytes, let go of once read as text.  The cyclic garbage
+    collector is paused while it runs, then restored.
     """
-    manifest = read_json(manifest_path)
-    matrix = read_feature_matrix(features_path)
+    manifest = read_json(manifest_path, text=_read_text(manifest_path, raw.pop()))
     try:
         if not isinstance(manifest["name"], str):
             raise FileFormatError(f"{manifest_path}: name {manifest['name']!r} is not a string")
         for key in _COUNTS:
             if not (_is_int(manifest[key]) and manifest[key] >= 0):
                 raise FileFormatError(f"{manifest_path}: {key} {manifest[key]!r} is not a count")
-        if manifest["feature_dim"] != matrix.shape[1]:
-            raise FileFormatError(
-                f"{manifest_path}: feature_dim {manifest['feature_dim']!r} does not match "
-                f"dimension {matrix.shape[1]} of {features_path}"
-            )
         k = manifest["joint_count"]
 
         def fail(t: dict, problem: str) -> FileFormatError:
@@ -292,8 +289,9 @@ def load_dataset(manifest_path: str | Path, features_path: str | Path) -> Datase
         if set(map(type, frame_ids)) - {int}:
             i = next(i for i, x in enumerate(frame_ids) if not _is_int(x))
             raise fail(tracklet_of(i), f"frame_id {frame_ids[i]!r} is not an integer")
-        if set(map(type, rows)) - {int} or rows and not 0 <= min(rows) <= max(rows) < len(matrix):
-            i = next(i for i, x in enumerate(rows) if not (_is_int(x) and 0 <= x < len(matrix)))
+        # No feature matrix has 2**63 rows; load_dataset checks the rows against the one read.
+        if set(map(type, rows)) - {int} or rows and not 0 <= min(rows) <= max(rows) < 2**63:
+            i = next(i for i, x in enumerate(rows) if not (_is_int(x) and 0 <= x < 2**63))
             raise fail(tracklet_of(i), f"row {rows[i]!r} is not a row of the feature matrix")
         if keypoints is None:
             i = next(i for i, f in enumerate(frames) if _keypoints([f["keypoints"]], k) is None)
@@ -303,19 +301,101 @@ def load_dataset(manifest_path: str | Path, features_path: str | Path) -> Datase
         order = np.lexsort((ids, np.repeat(np.arange(len(entries)), np.diff(offsets))))
         if not np.array_equal(order, np.arange(len(order))):  # frames listed out of order
             ids, rows, keypoints = ids[order], rows[order], keypoints[order]
-        features = matrix if np.array_equal(rows, np.arange(len(matrix))) else matrix[rows]
+        meta = [manifest["name"], [manifest[key] for key in _COUNTS],
+                *([t[key] for t in entries] for key in ("tracklet_id", "identity", "camera")),
+                [t.get("probe", False) for t in entries], offsets]
         # Copied, so that the (N, k, 3) triples are freed and the joints are contiguous.
-        packed = PackedFrames(ids, features, keypoints[:, :, :2].copy(), keypoints[:, :, 2] == 1.0)
-        # Copies of every kept str and int (`x + 0` is a new int unless -5 <= x <= 256).
-        keys = itemgetter("tracklet_id", "identity")
-        name, *strings = _copies([manifest["name"], *chain.from_iterable(map(keys, entries))])
-        tracklets = tuple(
-            Tracklet(tid, identity, t["camera"] + 0, packed.rows(a, b), t.get("probe", False))
-            for t, tid, identity, a, b in zip(entries, strings[::2], strings[1::2], offsets, offsets[1:])
-        )
-        return Dataset(name, *(manifest[key] + 0 for key in _COUNTS), tracklets)
+        return meta, [ids, rows, keypoints[:, :, :2].copy(), keypoints[:, :, 2] == 1.0]
     except (KeyError, TypeError, OverflowError, ValueError) as exc:
         raise FileFormatError(f"{manifest_path}: missing or malformed field: {exc}") from exc
+
+
+#: A manifest's decode is kept in the file named as it plus `_CACHE_SUFFIX`, keyed by the SHA-256
+#: of its bytes followed by `_CACHE_VERSION`; a new layout of that file takes a new version.
+_CACHE_SUFFIX, _CACHE_VERSION = ".pdsr-cache", b"pdsr-cache 1"
+
+
+def _read_cache(path: Path, key: bytes) -> tuple[list, list[np.ndarray]] | None:
+    """The decode kept at `path` if it was made from the manifest bytes of `key`, else None.
+
+    Any other file, or one of another version or with a value of another
+    type, dtype, shape or length, is a miss, never an error.
+    """
+    try:
+        with open(path, "rb") as fh:
+            if np.load(fh, allow_pickle=False).tobytes() != key:
+                return None
+            meta = json.loads(np.load(fh, allow_pickle=False).tobytes())
+            columns = [np.load(fh, allow_pickle=False) for _ in range(4)]
+        name, counts, ids, identities, cameras, probes, offsets = meta
+        n, k = offsets[-1], counts[1]
+        want = [(np.int64, (n,)), (np.int64, (n,)), (np.float64, (n, k, 2)), (bool, (n, k))]
+        if ({*map(type, counts + offsets + cameras)} <= {int} and min(counts) >= 0 and len(counts) == 4
+                and {*map(type, [name, *ids, *identities])} == {str} and {*map(type, probes)} <= {bool}
+                and offsets[0] == 0 and offsets == sorted(offsets)
+                and len({*map(len, (ids, identities, cameras, probes, offsets[1:]))}) == 1
+                and [(c.dtype, c.shape) for c in columns] == want):
+            return meta, columns
+    except Exception:  # whatever the file holds, a miss
+        pass
+    return None
+
+
+def _write_cache(path: Path, key: bytes, meta: list, columns: list[np.ndarray]) -> None:
+    """Keep a decode at `path`, written beside it and moved into place; a failure is no error.
+
+    The bytes depend on the manifest's alone: no path, no time.
+    """
+    with suppress(OSError):
+        fd, tmp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
+        try:
+            with open(fd, "wb") as fh:
+                for a in [*(np.frombuffer(b, "u1") for b in (key, json.dumps(meta).encode())), *columns]:
+                    np.save(fh, a, allow_pickle=False)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+
+
+def load_dataset(manifest_path: str | Path, features_path: str | Path) -> Dataset:
+    """Read a manifest and its feature matrix into one packed block, in canonical order.
+
+    The decode is read from the cache file beside the manifest if it was
+    made from the same bytes, else made and, once the load succeeds, kept
+    there when the manifest is a regular file.  The features are the matrix
+    as read when the manifest lists its rows in canonical order, as
+    `save_dataset` writes them.  The dataset's strings and ints are copies,
+    so that no survivor pins an arena of a decoded tree.
+    """
+    with open(manifest_path, "rb") as fh:
+        regular, raw = stat.S_ISREG(os.fstat(fh.fileno()).st_mode), [fh.read()]
+    key, cache = hashlib.sha256(raw[0]).digest() + _CACHE_VERSION, Path(f"{manifest_path}{_CACHE_SUFFIX}")
+    cached = _read_cache(cache, key)
+    meta, columns = cached or _decode_manifest(manifest_path, raw)
+    name, counts, ids, identities, cameras, probes, offsets = meta
+    frame_ids, rows, joints, visibility = columns
+    matrix = read_feature_matrix(features_path)
+    if counts[0] != matrix.shape[1]:
+        raise FileFormatError(f"{manifest_path}: feature_dim {counts[0]!r} does not match "
+                              f"dimension {matrix.shape[1]} of {features_path}")
+    if (rows >= len(matrix)).any():
+        i = int(np.argmax(rows >= len(matrix)))
+        raise FileFormatError(f"{manifest_path}: tracklet {ids[bisect_right(offsets, i) - 1]!r}: "
+                              f"row {rows[i]} is not a row of the feature matrix")
+    features = matrix if np.array_equal(rows, np.arange(len(matrix))) else matrix[rows]
+    packed = PackedFrames(frame_ids, features, joints, visibility)
+    # Copies of every kept str and int (`x + 0` is a new int unless -5 <= x <= 256).
+    name, *strings = _copies([name, *ids, *identities])
+    tracklets = tuple(
+        Tracklet(tid, identity, camera + 0, packed.rows(a, b), probe)
+        for tid, identity, camera, probe, a, b
+        in zip(strings[:len(ids)], strings[len(ids):], cameras, probes, offsets, offsets[1:])
+    )
+    dataset = Dataset(name, *(count + 0 for count in counts), tracklets)
+    if regular and cached is None:
+        _write_cache(cache, key, meta, columns)
+    return dataset
 
 
 def save_canon(canon: CanonicalPoseSet, path: str | Path) -> None:

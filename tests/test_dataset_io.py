@@ -2,11 +2,13 @@
 
 import dataclasses
 import gc
+import hashlib
 import inspect
 import json
 import os
 import re
 import struct
+import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -31,6 +33,7 @@ from pdsr import (
     report_to_dict,
     validate_dataset,
 )
+from pdsr import dataset_io
 from pdsr.dataset_io import (
     _HEADER,
     FORMAT_VERSION,
@@ -135,20 +138,16 @@ def single_tracklet_dataset():
 
 
 def assert_datasets_equal(a: Dataset, b: Dataset):
-    assert (a.name, a.feature_dim, a.joint_count, a.num_poses, a.camera_count) == (
-        b.name, b.feature_dim, b.joint_count, b.num_poses, b.camera_count,
-    )
-    assert len(a.tracklets) == len(b.tracklets)
+    """Equal field for field: strings and ints of one type, arrays bitwise of one dtype and shape."""
+    def scalars(ds):
+        fields = [ds.name, ds.feature_dim, ds.joint_count, ds.num_poses, ds.camera_count]
+        return fields + [x for t in ds.tracklets for x in (t.tracklet_id, t.identity, t.camera, t.probe)]
+
+    assert [(type(x), x) for x in scalars(a)] == [(type(x), x) for x in scalars(b)]
     for ta, tb in zip(a.tracklets, b.tracklets):
-        assert (ta.tracklet_id, ta.identity, ta.camera, ta.probe) == (
-            tb.tracklet_id, tb.identity, tb.camera, tb.probe,
-        )
-        fa, fb = ta.frames, tb.frames
-        assert [f.frame_id for f in fa] == [f.frame_id for f in fb]
-        for x, y in zip(fa, fb):
-            assert np.array_equal(x.feature, y.feature)
-            assert np.array_equal(x.pose.joints, y.pose.joints)
-            assert np.array_equal(x.pose.visibility, y.pose.visibility)
+        for name in ("frame_ids", "features", "joints", "visibility"):
+            x, y = getattr(ta.frames, name), getattr(tb.frames, name)
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
 
 
 def test_single_tracklet_round_trip_bit_exact(tmp_path):
@@ -245,12 +244,14 @@ def test_ids_identities_and_name_round_trip_as_any_text(tmp_path, name, keys):
     ]
 
 
-def test_loaded_dataset_keeps_no_object_of_the_decoded_manifest(tmp_path):
+@pytest.mark.parametrize("path", ["cold", "warm"])
+def test_loaded_dataset_keeps_no_object_of_the_decoded_manifest(tmp_path, decodes, path):
     """Every kept str and int is allocated by the loader, none by the JSON decoder.
 
     One survivor of the decoded tree keeps the whole allocator arena it sits
     in resident, freed lists and floats included.  Ints from -5 to 256 are
     shared objects, so the feature dimension and one camera are above that.
+    A warm load decodes the cache's JSON, so it is held to the same rule.
     """
     rng = rng_for(4, "io")
     tracklets = tuple(
@@ -261,6 +262,9 @@ def test_loaded_dataset_keeps_no_object_of_the_decoded_manifest(tmp_path):
     )
     saved = Dataset("kept-name", 300, 5, 2, 301, tracklets)
     save_dataset(saved, tmp_path / "m.json", tmp_path / "f.bin")
+    if path == "warm":
+        load_dataset(tmp_path / "m.json", tmp_path / "f.bin")
+    decodes.clear()
     tracing = tracemalloc.is_tracing()
     tracemalloc.start()
     try:
@@ -271,6 +275,7 @@ def test_loaded_dataset_keeps_no_object_of_the_decoded_manifest(tmp_path):
     finally:
         if not tracing:
             tracemalloc.stop()
+    assert decodes == ([] if path == "warm" else [tmp_path / "m.json"])
     decoder = os.path.join("json", "decoder.py")
     for x, source in zip(kept, sources):
         if isinstance(x, str) and len(x) > 1 or isinstance(x, int) and x > 256:  # not shared
@@ -793,12 +798,262 @@ def test_load_dataset_restores_the_callers_collector_setting(saved, case):
         (gc.enable if was else gc.disable)()
 
 
+def test_the_collector_is_paused_for_the_decode_alone(saved, monkeypatch):
+    """Paused while a cold load decodes the JSON; on while it reads the features, and on a warm load."""
+    states = []
+    for name in ("read_json", "read_feature_matrix"):
+        def spy(*args, _read=getattr(dataset_io, name), _name=name, **kwargs):
+            states.append((_name, gc.isenabled()))
+            return _read(*args, **kwargs)
+
+        monkeypatch.setattr(dataset_io, name, spy)
+    assert gc.isenabled()
+    load_dataset(*saved)
+    load_dataset(*saved)
+    assert states == [("read_json", False), ("read_feature_matrix", True), ("read_feature_matrix", True)]
+
+
 def test_concurrent_loads_leave_the_collector_on(saved):
     assert gc.isenabled()
     with ThreadPoolExecutor(max_workers=2) as pool:
         loaded = list(pool.map(lambda _: load_dataset(*saved), range(8)))
     assert gc.isenabled()
     assert all(len(d.tracklets) == len(loaded[0].tracklets) for d in loaded)
+
+
+# ------------------------------------------------------ the decode cache
+
+
+@pytest.fixture
+def decodes(monkeypatch):
+    """The manifest paths `load_dataset` decodes as JSON (its cache misses), in order."""
+    calls = []
+    decode = dataset_io._decode_manifest
+
+    def counting(manifest_path, raw):
+        calls.append(manifest_path)
+        return decode(manifest_path, raw)
+
+    monkeypatch.setattr(dataset_io, "_decode_manifest", counting)
+    return calls
+
+
+def _cache_of(manifest):
+    return manifest.with_name(manifest.name + dataset_io._CACHE_SUFFIX)
+
+
+#: Cameras and counts of any size: a JSON integer beyond int64 is a valid camera.
+BIG_INTS = st.one_of(st.integers(-3, 300), st.sampled_from([2**63 - 1, 2**63, 2**63 + 1, 2**70]))
+COORDINATES = st.one_of(st.floats(), st.integers(-2, 2))
+
+
+@st.composite
+def manifest_docs(draw):
+    """(manifest as decoded JSON, rows of the feature matrix it references) of a loadable manifest.
+
+    Tracklets may be empty and list frame ids out of order or more than
+    once; ids, identities and the name may be any text; cameras may exceed
+    int64; the probe flag may be missing, true or false; rows are a
+    permutation of the feature matrix.
+    """
+    k = draw(st.integers(0, 2))
+    frame_ids = draw(st.lists(st.lists(st.integers(-2, 3), max_size=3), max_size=3))
+    rows = draw(st.permutations(range(sum(map(len, frame_ids)))))
+
+    def keypoint():
+        return [draw(COORDINATES), draw(COORDINATES), draw(st.sampled_from([0, 1]))]
+
+    tracklets = []
+    for ids in frame_ids:
+        frames = [{"frame_id": i, "row": rows.pop(), "keypoints": [keypoint() for _ in range(k)]} for i in ids]
+        t = {"tracklet_id": draw(ANY_TEXT), "identity": draw(ANY_TEXT), "camera": draw(BIG_INTS), "frames": frames}
+        probe = draw(st.sampled_from([None, True, False]))
+        if probe is not None:
+            t["probe"] = probe
+        tracklets.append(t)
+    count = BIG_INTS.filter(lambda x: x >= 0)
+    doc = {"name": draw(ANY_TEXT), "feature_dim": 2, "joint_count": k, "num_poses": draw(count),
+           "camera_count": draw(count), "tracklets": tracklets}
+    return doc, sum(map(len, frame_ids))
+
+
+def _features(tmp_path, rows: int) -> dict:
+    """Feature files for a manifest referencing `rows` rows: the right one and three bad ones."""
+    matrix = np.arange(rows * 2).reshape(rows, 2) / 7
+    write_feature_matrix(tmp_path / "f.bin", matrix)
+    write_feature_matrix(tmp_path / "f-dim.bin", np.ones((rows, 3)))
+    write_feature_matrix(tmp_path / "f-rows.bin", matrix[:-1])
+    (tmp_path / "f-cut.bin").write_bytes((tmp_path / "f.bin").read_bytes()[:-1])
+    return {name: tmp_path / f"{name}.bin" for name in ("f", "f-dim", "f-rows", "f-cut")}
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=manifest_docs(), data=st.data())
+@example(case=({"name": "a\x00", "feature_dim": 2, "joint_count": 1, "num_poses": 0, "camera_count": 2**64,
+                "tracklets": [
+                    {"tracklet_id": "\ud800\x00", "identity": "x\udfff", "camera": 2**63 + 5, "probe": True,
+                     "frames": [{"frame_id": 3, "row": 1, "keypoints": [[0.5, -0.0, 1]]},
+                                {"frame_id": 1, "row": 0, "keypoints": [[1, 2, 0]]},
+                                {"frame_id": 1, "row": 2, "keypoints": [[0.25, 0.75, 1]]}]},
+                    {"tracklet_id": "\ud800", "identity": "", "camera": 0, "probe": False, "frames": []},
+                ]}, 3), data=None)
+def test_a_warm_load_equals_a_cold_load(tmp_path, decodes, case, data):
+    """Over the manifest fuzzer's manifests that load: a cache hit returns the dataset the decode does.
+
+    With a bad feature file (wrong dimension, a row out of range,
+    truncated), the same error comes first on both paths.  A load that
+    fails leaves no cache and no temporary file.
+    """
+    doc, rows = case
+    if data is not None and rows and doc["joint_count"] and data.draw(st.booleans()):
+        _mutate(doc, data, rows)  # the fuzzer's mutations need a frame with a joint
+    manifest, cache = tmp_path / "m.json", _cache_of(tmp_path / "m.json")
+    manifest.write_text(json.dumps(doc))
+    features = _features(tmp_path, rows)
+
+    def load(name, kept=None):
+        """The dataset or the error message: warm from the `kept` cache bytes, else cold."""
+        if kept is None:
+            cache.unlink(missing_ok=True)
+        else:
+            cache.write_bytes(kept)
+        decodes.clear()
+        try:
+            outcome = load_dataset(manifest, features[name])
+        except FileFormatError as exc:
+            outcome = str(exc)
+            assert kept is not None or not cache.exists()
+        assert decodes == ([manifest] if kept is None else [])
+        return outcome
+
+    cold = load("f")
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["m.json", *(f"{name}.bin" for name in features)] + ([] if isinstance(cold, str) else [cache.name])
+    )
+    if isinstance(cold, str):
+        return
+    kept = cache.read_bytes()
+    assert_datasets_equal(load("f", kept), cold)
+    for name in ("f-dim", "f-rows", "f-cut"):
+        warm, cold = load(name, kept), load(name)
+        if isinstance(cold, str) or isinstance(warm, str):
+            assert warm == cold
+        else:
+            assert_datasets_equal(warm, cold)
+
+
+def _saved_manifest(tmp_path):
+    save_dataset(single_tracklet_dataset(), tmp_path / "m.json", tmp_path / "f.bin")
+    return tmp_path / "m.json", tmp_path / "f.bin"
+
+
+def test_a_manifest_edited_to_the_same_size_and_time_is_decoded_again(tmp_path, decodes):
+    manifest, features = _saved_manifest(tmp_path)
+    load_dataset(manifest, features)
+    raw, kept, before = manifest.read_bytes(), _cache_of(manifest).read_bytes(), manifest.stat()
+    edited = raw.replace(b'"name": "one"', b'"name": "two"')
+    assert len(edited) == len(raw) and edited != raw
+    manifest.write_bytes(edited)
+    os.utime(manifest, ns=(before.st_atime_ns, before.st_mtime_ns))
+    decodes.clear()
+    assert load_dataset(manifest, features).name == "two"
+    assert decodes == [manifest]
+    assert _cache_of(manifest).read_bytes() != kept
+    assert load_dataset(manifest, features).name == "two"
+    assert decodes == [manifest]  # the replaced cache serves the edited bytes
+
+
+def _rewritten(edit):
+    """A damage that writes the cache again, as `_write_cache` does, from edited (key, meta, columns)."""
+    def damage(manifest, raw):
+        key = hashlib.sha256(manifest.read_bytes()).digest() + dataset_io._CACHE_VERSION
+        other = manifest.with_name("other")
+        dataset_io._write_cache(other, *edit(key, *dataset_io._read_cache(_cache_of(manifest), key)))
+        data = other.read_bytes()
+        other.unlink()
+        return data
+
+    return damage
+
+
+#: Ways a cache file can be wrong, each a function of the manifest and the cache's bytes.
+DAMAGED_CACHES = {
+    "empty": lambda m, raw: b"",
+    "garbage": lambda m, raw: b"not a cache\n" * 10,
+    "zip": lambda m, raw: b"PK\x03\x04" + raw,
+    "cut-in-key": lambda m, raw: raw[:100],
+    "cut-in-columns": lambda m, raw: raw[: len(raw) // 2],
+    "cut-by-one": lambda m, raw: raw[:-1],
+    "other-key": _rewritten(lambda key, meta, columns: (bytes(32) + key[32:], meta, columns)),
+    "old-version": _rewritten(lambda key, meta, columns: (key[:32] + b"pdsr-cache 0", meta, columns)),
+    "wrong-dtype": _rewritten(lambda key, meta, columns: (
+        key, meta, [columns[0].astype(np.int32), *columns[1:]])),
+    "wrong-shape": _rewritten(lambda key, meta, columns: (
+        key, meta, [*columns[:2], columns[2][:, :1], columns[3]])),
+    "wrong-length": _rewritten(lambda key, meta, columns: (key, [*meta[:6], [0, 2]], columns)),
+    "wrong-type": _rewritten(lambda key, meta, columns: (key, [*meta[:4], ["0"], *meta[5:]], columns)),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(DAMAGED_CACHES))
+def test_a_damaged_cache_is_a_miss_and_is_replaced(tmp_path, decodes, damage):
+    manifest, features = _saved_manifest(tmp_path)
+    cold = load_dataset(manifest, features)
+    good = _cache_of(manifest).read_bytes()
+    _cache_of(manifest).write_bytes(DAMAGED_CACHES[damage](manifest, good))
+    decodes.clear()
+    assert_datasets_equal(load_dataset(manifest, features), cold)
+    assert decodes == [manifest]
+    assert _cache_of(manifest).read_bytes() == good
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f.bin", "m.json", _cache_of(manifest).name]
+
+
+def test_a_directory_at_the_cache_path_does_not_fail_the_load(tmp_path, decodes):
+    manifest, features = _saved_manifest(tmp_path)
+    _cache_of(manifest).mkdir()
+    first, second = load_dataset(manifest, features), load_dataset(manifest, features)
+    assert_datasets_equal(first, second)
+    assert decodes == [manifest, manifest]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f.bin", "m.json", _cache_of(manifest).name]
+    assert not list(_cache_of(manifest).iterdir())
+
+
+@pytest.mark.parametrize("fault", ["manifest", "features"])
+def test_a_failed_load_leaves_no_cache_and_no_temporary_file(tmp_path, fault):
+    manifest, features = _saved_manifest(tmp_path)
+    if fault == "manifest":
+        manifest.write_text(manifest.read_text().replace('"probe": true', '"probe": "yes"'))
+    else:
+        write_feature_matrix(features, np.ones((3, 9)))
+    with pytest.raises(FileFormatError):
+        load_dataset(manifest, features)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f.bin", "m.json"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_a_manifest_read_from_a_pipe_keeps_no_cache(tmp_path, decodes):
+    manifest, features = _saved_manifest(tmp_path)
+    pipe = tmp_path / "pipe.json"
+    os.mkfifo(pipe)
+    writer = threading.Thread(target=pipe.write_bytes, args=(manifest.read_bytes(),), daemon=True)
+    writer.start()
+    from_pipe = load_dataset(pipe, features)
+    writer.join(timeout=10)
+    assert_datasets_equal(from_pipe, load_dataset(manifest, features))
+    assert decodes == [pipe, manifest]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "f.bin", "m.json", _cache_of(manifest).name, "pipe.json"]
+
+
+def test_one_manifest_in_two_directories_keeps_byte_identical_caches(tmp_path):
+    caches = []
+    for directory in ("a", "a-much-longer-directory-name"):
+        (tmp_path / directory).mkdir()
+        manifest, features = _saved_manifest(tmp_path / directory)
+        load_dataset(manifest, features)
+        caches.append(_cache_of(manifest).read_bytes())
+    assert caches[0] == caches[1]
 
 
 # ------------------------------------------------- reader fuzzers
