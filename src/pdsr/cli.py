@@ -40,7 +40,6 @@ from .quantizer import assignment_distances, nearest_poses
 from .regulation import pose_normalize, tracklet_means
 
 ENV_CONFIG = "PDSR_CONFIG"
-_MODE_NAMES = [m.value for m in EvalMode]
 
 
 @dataclass
@@ -87,17 +86,9 @@ class _ConfigGroup(click.Group):
                    "representative frame.")
 @click.option("--strict/--lenient", "strict", default=True, help="Fail on missing synthetic vectors vs skip them.")
 @click.pass_context
-def main(ctx, manifest, features, canon, synth_index, synth_features, seed, strict):
+def main(ctx, **options):
     """Pose-regulated tracklet matching and retrieval evaluation."""
-    ctx.obj = CliContext(
-        manifest=manifest,
-        features=features,
-        canon=canon,
-        synth_index=synth_index,
-        synth_features=synth_features,
-        seed=seed,
-        strict=strict,
-    )
+    ctx.obj = CliContext(**options)
 
 
 def _require(value: Path | None, flag: str) -> Path:
@@ -140,6 +131,14 @@ def _finite(ctx, param, value: float) -> float:
     if not np.isfinite(value):  # FloatRange lets nan and inf through
         raise click.BadParameter(f"{value} is not a finite number")
     return value
+
+
+#: The options that several commands share, each declared once.
+_mode_option = click.option("--mode", type=click.Choice([m.value for m in EvalMode]),
+                            default=EvalMode.FUSED.value, show_default=True,
+                            callback=lambda ctx, param, value: EvalMode(value))
+_weight_option = click.option("--weight", type=click.FloatRange(min=0.0), default=DEFAULT_FUSION_WEIGHT,
+                              callback=_finite, show_default=True, help="Real-branch weight w for WF.")
 
 
 def _config(obj: CliContext, weight: float) -> ProtocolConfig:
@@ -205,8 +204,7 @@ def quantize(obj: CliContext, out_path: Path | None):
 
 @main.command()
 @click.option("--mode", type=click.Choice(["wf", "wpr"]), required=True)
-@click.option("--weight", type=click.FloatRange(min=0.0), default=DEFAULT_FUSION_WEIGHT,
-              callback=_finite, show_default=True, help="Real-branch weight w for WF.")
+@_weight_option
 @click.option("--out", "out_path", required=True, type=click.Path(path_type=Path),
               help="Output feature matrix.")
 @click.option("--index", "index_path", type=click.Path(path_type=Path), default=None,
@@ -246,15 +244,13 @@ def embed(obj: CliContext, mode: str, weight: float, out_path: Path,
 
 @main.command()
 @click.option("--probe", "probe_id", required=True, help="Tracklet id to query.")
-@click.option("--mode", type=click.Choice(_MODE_NAMES), default=EvalMode.FUSED.value,
-              show_default=True)
-@click.option("--weight", type=click.FloatRange(min=0.0), default=DEFAULT_FUSION_WEIGHT,
-              callback=_finite, show_default=True)
+@_mode_option
+@_weight_option
 @click.option("--top", type=int, default=10, show_default=True, help="Rows to print.")
 @click.option("--out", "out_path", type=click.Path(path_type=Path), default=None,
               help="Write the full ranking as TSV.")
 @click.pass_obj
-def match(obj: CliContext, probe_id: str, mode: str, weight: float, top: int,
+def match(obj: CliContext, probe_id: str, mode: EvalMode, weight: float, top: int,
           out_path: Path | None):
     """Rank the cross-camera gallery for one probe tracklet."""
     dataset, canon = _load_inputs(obj)
@@ -267,13 +263,12 @@ def match(obj: CliContext, probe_id: str, mode: str, weight: float, top: int,
     if not gallery.any():
         raise click.ClickException("no tracklet from another camera to rank")
 
-    eval_mode = EvalMode(mode)
-    provider = None if eval_mode is EvalMode.BASELINE else _provider(obj, dataset)
+    provider = None if mode is EvalMode.BASELINE else _provider(obj, dataset)
     case = ProbeCase(
         probe_id=probe_id, identity=probe.identity, camera=probe.camera,
         gallery_ids=tuple(t.tracklet_id for t, g in zip(tracklets, gallery) if g),
     )
-    scores = score_matrix(dataset, canon, provider, [case], _config(obj, weight), eval_mode)
+    scores = score_matrix(dataset, canon, provider, [case], _config(obj, weight), mode)
     order = rank_gallery(scores)[0]
     order = order[gallery[order]]
     ranked = [(tracklets[i], scores[0, i].item()) for i in order]
@@ -284,29 +279,26 @@ def match(obj: CliContext, probe_id: str, mode: str, weight: float, top: int,
             for rank, (t, score) in enumerate(ranked, start=1)
         )
         out_path.write_text(text, encoding="utf-8")
-    click.echo(f"probe {probe_id} ({probe.identity}, camera {probe.camera}), mode {mode}:")
+    click.echo(f"probe {probe_id} ({probe.identity}, camera {probe.camera}), mode {mode.value}:")
     for rank, (t, score) in enumerate(ranked[: max(top, 0)], start=1):
         hit = "*" if t.identity == probe.identity else " "
         click.echo(f"{rank:4d} {hit} {t.tracklet_id}  {score: .6f}  {t.identity}")
 
 
 @main.command("eval")
-@click.option("--mode", type=click.Choice(_MODE_NAMES), default=EvalMode.FUSED.value,
-              show_default=True)
-@click.option("--weight", type=click.FloatRange(min=0.0), default=DEFAULT_FUSION_WEIGHT,
-              callback=_finite, show_default=True)
+@_mode_option
+@_weight_option
 @click.option("--report", "report_path", required=True, type=click.Path(path_type=Path),
               help="Report JSON output.")
 @click.option("--csv", "csv_path", type=click.Path(path_type=Path), default=None,
               help="Optional flat CSV mirror of the report.")
 @click.pass_obj
-def eval_cmd(obj: CliContext, mode: str, weight: float, report_path: Path,
+def eval_cmd(obj: CliContext, mode: EvalMode, weight: float, report_path: Path,
              csv_path: Path | None):
     """Run the cross-camera retrieval protocol and write the report."""
     dataset, canon = _load_inputs(obj)
-    eval_mode = EvalMode(mode)
-    provider = None if eval_mode is EvalMode.BASELINE else _provider(obj, dataset)
-    report = evaluate(dataset, canon, provider, _config(obj, weight), eval_mode)
+    provider = None if mode is EvalMode.BASELINE else _provider(obj, dataset)
+    report = evaluate(dataset, canon, provider, _config(obj, weight), mode)
     dataset_io.save_report_json(report, report_path)
     if csv_path is not None:
         dataset_io.save_report_csv(report, csv_path)

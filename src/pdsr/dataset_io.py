@@ -21,10 +21,11 @@ import json
 import os
 import stat
 import struct
-import tempfile
 from bisect import bisect_right
 from contextlib import contextmanager, suppress
+from dataclasses import fields, is_dataclass
 from itertools import accumulate, chain, repeat
+from numbers import Integral
 from operator import itemgetter
 from pathlib import Path
 from typing import Mapping
@@ -189,8 +190,9 @@ def _keypoints(entries: list, k: int) -> np.ndarray | None:
 _KEYPOINT_CONTRACT = "must list {k} joints as [x, y, v]: numbers x and y, v 0 or 1"
 
 
-def _is_int(value: object) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+def _is_a(value: object, kind: type) -> bool:
+    """Whether `value` is a `kind` (e.g. `Integral`, which NumPy's integers are) and not a bool."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 _COUNTS = ("feature_dim", "joint_count", "num_poses", "camera_count")
@@ -223,23 +225,10 @@ def save_dataset(
             {"frame_id": frame_id, "row": row, "keypoints": _triples(joints, visibility)}
             for row, (frame_id, joints, visibility) in enumerate(zip(*columns), start=first)
         ]
-        tracklets.append(
-            {
-                "tracklet_id": t.tracklet_id,
-                "identity": t.identity,
-                "camera": t.camera,
-                "probe": t.probe,
-                "frames": frames,
-            }
-        )
-    manifest = {
-        "name": dataset.name,
-        "feature_dim": dataset.feature_dim,
-        "joint_count": dataset.joint_count,
-        "num_poses": dataset.num_poses,
-        "camera_count": dataset.camera_count,
-        "tracklets": tracklets,
-    }
+        entry = {key: getattr(t, key) for key in ("tracklet_id", "identity", "camera", "probe")}
+        tracklets.append({**entry, "frames": frames})
+    counts = {key: getattr(dataset, key) for key in _COUNTS}
+    manifest = {"name": dataset.name, **counts, "tracklets": tracklets}
     write_feature_matrix(
         features_path, packed.features if len(packed) else np.zeros((0, dataset.feature_dim))
     )
@@ -261,7 +250,7 @@ def _decode_manifest(manifest_path: str | Path, raw: list[bytes]) -> tuple[list,
         if not isinstance(manifest["name"], str):
             raise FileFormatError(f"{manifest_path}: name {manifest['name']!r} is not a string")
         for key in _COUNTS:
-            if not (_is_int(manifest[key]) and manifest[key] >= 0):
+            if not (_is_a(manifest[key], Integral) and manifest[key] >= 0):
                 raise FileFormatError(f"{manifest_path}: {key} {manifest[key]!r} is not a count")
         k = manifest["joint_count"]
 
@@ -271,7 +260,7 @@ def _decode_manifest(manifest_path: str | Path, raw: list[bytes]) -> tuple[list,
         for t in manifest["tracklets"]:
             if not (isinstance(t["tracklet_id"], str) and isinstance(t["identity"], str)):
                 raise fail(t, "tracklet_id and identity must be strings")
-            if not _is_int(t["camera"]):
+            if not _is_a(t["camera"], Integral):
                 raise fail(t, f"camera {t['camera']!r} is not an integer")
             if not isinstance(t.get("probe", False), bool):
                 raise fail(t, f"probe {t['probe']!r} is not true or false")
@@ -287,11 +276,11 @@ def _decode_manifest(manifest_path: str | Path, raw: list[bytes]) -> tuple[list,
             return entries[bisect_right(offsets, i) - 1]
 
         if set(map(type, frame_ids)) - {int}:
-            i = next(i for i, x in enumerate(frame_ids) if not _is_int(x))
+            i = next(i for i, x in enumerate(frame_ids) if not _is_a(x, Integral))
             raise fail(tracklet_of(i), f"frame_id {frame_ids[i]!r} is not an integer")
         # No feature matrix has 2**63 rows; load_dataset checks the rows against the one read.
         if set(map(type, rows)) - {int} or rows and not 0 <= min(rows) <= max(rows) < 2**63:
-            i = next(i for i, x in enumerate(rows) if not (_is_int(x) and 0 <= x < 2**63))
+            i = next(i for i, x in enumerate(rows) if not (_is_a(x, Integral) and 0 <= x < 2**63))
             raise fail(tracklet_of(i), f"row {rows[i]!r} is not a row of the feature matrix")
         if keypoints is None:
             i = next(i for i, f in enumerate(frames) if _keypoints([f["keypoints"]], k) is None)
@@ -347,7 +336,8 @@ def _write_cache(path: Path, key: bytes, meta: list, columns: list[np.ndarray]) 
     The bytes depend on the manifest's alone: no path, no time.
     """
     with suppress(OSError):
-        fd, tmp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
+        tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # as `open` would, under the umask
         try:
             with open(fd, "wb") as fh:
                 for a in [*(np.frombuffer(b, "u1") for b in (key, json.dumps(meta).encode())), *columns]:
@@ -409,7 +399,7 @@ def load_canon(path: str | Path) -> CanonicalPoseSet:
     payload = read_json(path)
     try:
         k, poses = payload["joint_count"], payload["poses"]
-        if not (_is_int(k) and k >= 0):
+        if not (_is_a(k, Integral) and k >= 0):
             raise FileFormatError(f"{path}: joint_count {k!r} is not a count")
         keypoints = _keypoints(poses, k)
         if keypoints is None:
@@ -444,7 +434,7 @@ def write_synth_index(index: Mapping[tuple[str, int], int], path: str | Path) ->
     write: a pose must be an integer >= 1 and a row an integer >= 0.
     """
     for (tid, pose), row in index.items():
-        if not (_is_int(pose) and _is_int(row) and pose >= 1 and row >= 0):
+        if not (_is_a(pose, Integral) and _is_a(row, Integral) and pose >= 1 and row >= 0):
             raise ValueError(f"index entry ({tid!r}, {pose!r}) -> {row!r}: "
                              "pose must be an integer >= 1 and row an integer >= 0")
     text = tsv_text((tid, pose, row) for (tid, pose), row in sorted(index.items()))
@@ -530,58 +520,36 @@ def read_pose_embedding_index(path: str | Path) -> list[tuple[str, int, str, flo
     return out
 
 
+def _plain(value: object) -> object:
+    """A report value as its JSON holds it: a record as the dict of its fields, a tuple as a list."""
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    return value
+
+
 def report_to_dict(report: EvalReport) -> dict:
-    return {
-        "mode": report.mode,
-        "num_probes": report.num_probes,
-        "num_scored": report.num_scored,
-        "mean_ap": report.mean_ap,
-        "cmc": list(report.cmc),
-        "camera_ids": list(report.camera_ids),
-        "camera_pair_map": [list(row) for row in report.camera_pair_map],
-        "probe_results": [
-            {
-                "probe_id": r.probe_id,
-                "identity": r.identity,
-                "camera": r.camera,
-                "gallery_size": r.gallery_size,
-                "num_positives": r.num_positives,
-                "first_correct_rank": r.first_correct_rank,
-                "ap": r.ap,
-            }
-            for r in report.probe_results
-        ],
-    }
+    return _plain(report)
 
 
 def save_report_json(report: EvalReport, path: str | Path) -> None:
     write_json(path, report_to_dict(report))
 
 
+def _tuples(value: object) -> object:
+    """A JSON value with each list, at every depth, read back as a tuple."""
+    return tuple(map(_tuples, value)) if isinstance(value, list) else value
+
+
 def load_report_json(path: str | Path) -> EvalReport:
     d = read_json(path)
     try:
-        return EvalReport(
-            mode=d["mode"],
-            num_probes=d["num_probes"],
-            num_scored=d["num_scored"],
-            mean_ap=d["mean_ap"],
-            cmc=tuple(d["cmc"]),
-            camera_ids=tuple(d["camera_ids"]),
-            camera_pair_map=tuple(tuple(row) for row in d["camera_pair_map"]),
-            probe_results=tuple(
-                ProbeResult(
-                    probe_id=r["probe_id"],
-                    identity=r["identity"],
-                    camera=r["camera"],
-                    gallery_size=r["gallery_size"],
-                    num_positives=r["num_positives"],
-                    first_correct_rank=r["first_correct_rank"],
-                    ap=r["ap"],
-                )
-                for r in d["probe_results"]
-            ),
+        report = {f.name: _tuples(d[f.name]) for f in fields(EvalReport)}
+        report["probe_results"] = tuple(
+            ProbeResult(**{f.name: r[f.name] for f in fields(ProbeResult)}) for r in d["probe_results"]
         )
+        return EvalReport(**report)
     except (KeyError, TypeError) as exc:
         raise FileFormatError(f"{path}: missing or malformed field: {exc}") from exc
 

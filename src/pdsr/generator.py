@@ -23,7 +23,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .dataset_io import read_json, write_json
+from .dataset_io import _is_a, read_json, write_json
 from .errors import FileFormatError, MissingSyntheticError
 from .model import DISTRACTOR, CanonicalPoseSet, Dataset, PackedFrames, Tracklet
 from .providers import SyntheticFeatureProvider
@@ -36,10 +36,6 @@ _SCALES = ("pose_effect_scale", "noise_sigma", "pose_jitter")
 #: The keys a spec file must give; the others take `GenSpec`'s defaults.
 _REQUIRED = ("identities", "cameras", "tracklets_per_identity_per_camera", "frames_per_tracklet",
              "feature_dim", "joint_count", "num_poses", "pose_effect_scale", "noise_sigma")
-
-
-def _is_a(value: object, kind: type) -> bool:
-    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,9 @@ is permissive (so that arbitrary files can be represented in memory);
 
 A Tracklet holds its frames packed (`PackedFrames`): frame ids (n,),
 features (n, d), joints (n, k, 2) and visibility (n, k) in canonical order.
-FrameRecords given to a Tracklet are stacked once, so they must share one
-feature dimension and one joint count.  A loaded or generated dataset's
+FrameRecords and PoseVectors are plain records: a Tracklet given them
+stacks them once, and that step checks their shapes (one feature dimension
+and one joint count for all).  A loaded or generated dataset's
 tracklets are consecutive cuts of one block; `pack` reads them back as a
 view of it, tracklet t on rows offsets[t]:offsets[t + 1].  The canon is
 two arrays as well: joints (M, k, 2) and visibility (M, k).
@@ -35,37 +36,22 @@ _FIELDS = ("frame_ids", "features", "joints", "visibility")  # the arrays of Pac
 class PoseVector:
     """2D body-joint coordinates in normalized image units, with visibility.
 
-    `joints` has shape (k, 2); coordinates of visible joints are expected in
-    [0, 1] x [0, 1].  Coordinates of invisible joints carry no meaning.
+    `joints` is (k, 2) and `visibility` (k,); coordinates of visible joints
+    are expected in [0, 1] x [0, 1], those of invisible joints carry no
+    meaning.  A plain record: a Tracklet checks the shapes as it stacks it.
     """
 
     joints: np.ndarray
     visibility: np.ndarray
 
-    def __post_init__(self) -> None:
-        joints = np.asarray(self.joints, dtype=np.float64)
-        vis = np.asarray(self.visibility, dtype=bool)
-        if joints.ndim != 2 or joints.shape[1] != 2:
-            raise ValueError(f"joints must have shape (k, 2), got {joints.shape}")
-        if vis.shape != (joints.shape[0],):
-            raise ValueError("visibility length must match joint count")
-        object.__setattr__(self, "joints", joints)
-        object.__setattr__(self, "visibility", vis)
-
 
 @dataclass(frozen=True, eq=False)
 class FrameRecord:
-    """One frame: its ordinal id, feature vector, and keypoint pose."""
+    """One frame: its ordinal id, (d,) feature vector, and keypoint pose; a plain record."""
 
     frame_id: int
     feature: np.ndarray
     pose: PoseVector
-
-    def __post_init__(self) -> None:
-        feature = np.asarray(self.feature, dtype=np.float64)
-        if feature.ndim != 1:
-            raise ValueError(f"feature must be a 1-D vector, got shape {feature.shape}")
-        object.__setattr__(self, "feature", feature)
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,15 +70,23 @@ class PackedFrames:
 
     @classmethod
     def stack(cls, frames: Sequence[FrameRecord]) -> PackedFrames:
+        """The records as one block; each holds a (d,) feature, (k, 2) joints and (k,) visibility.
+
+        Records whose shapes differ from one another, or from those, are a ValueError.
+        """
         if not frames:  # no frame to take a dimension or joint count from
             return cls(np.zeros(0, np.int64), np.zeros((0, 0)), np.zeros((0, 0, 2)), np.zeros((0, 0), bool))
-        return cls(np.array([f.frame_id for f in frames], np.int64), np.stack([f.feature for f in frames]),
-                   np.stack([f.pose.joints for f in frames]), np.stack([f.pose.visibility for f in frames]))
+        features = np.array([f.feature for f in frames], np.float64)
+        joints = np.array([f.pose.joints for f in frames], np.float64)
+        visibility = np.array([f.pose.visibility for f in frames], bool)
+        if features.ndim != 2 or joints.ndim != 3 or joints.shape[2] != 2 or visibility.shape != joints.shape[:2]:
+            raise ValueError(f"frames hold features {features.shape[1:]}, joints {joints.shape[1:]} and "
+                             f"visibility {visibility.shape[1:]}, not (d,), (k, 2) and (k,)")
+        return cls(np.array([f.frame_id for f in frames], np.int64), features, joints, visibility)
 
     def rows(self, start: int, stop: int) -> PackedFrames:
         cut, base = slice(start, stop), self if self.base is None else self.base
-        return PackedFrames(self.frame_ids[cut], self.features[cut], self.joints[cut],
-                            self.visibility[cut], base, self.start + start)
+        return PackedFrames(*(getattr(self, f)[cut] for f in _FIELDS), base, self.start + start)
 
     def __len__(self) -> int:
         return self.frame_ids.shape[0]
@@ -122,10 +116,10 @@ class Tracklet:
     def __post_init__(self) -> None:
         frames = self.frames
         if not isinstance(frames, PackedFrames):
-            frames = tuple(frames)
-            if len({(f.feature.shape, f.pose.joints.shape) for f in frames}) > 1:
-                raise ValueError(f"frames of tracklet {self.tracklet_id!r} differ in shape")
-            frames = PackedFrames.stack(frames)
+            try:
+                frames = PackedFrames.stack(tuple(frames))
+            except ValueError as exc:  # shapes that differ from frame to frame, or a wrong one
+                raise ValueError(f"frames of tracklet {self.tracklet_id!r}: {exc}") from exc
         ids = frames.frame_ids
         if (ids[1:] < ids[:-1]).any():
             order = np.argsort(ids, kind="stable")

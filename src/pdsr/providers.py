@@ -42,22 +42,24 @@ class SyntheticFeatureProvider(ABC):
         Each wanted (tracklet, pose) cell is queried once, in row-major
         order, conditioned on the tracklet's representative frame.  In
         strict mode a miss propagates; in lenient mode it leaves the cell
-        unserved.  Cells not served hold zeros.
+        unserved.  Cells not served hold zeros.  A vector of the wrong
+        length or with a NaN or Inf is a ValueError in either mode.
         """
         dim = record.real_means.shape[1]
         synthetic = np.zeros(wanted.shape + (dim,))
         served = np.zeros(wanted.shape, dtype=bool)
         for t, j in zip(*(axis.tolist() for axis in np.nonzero(wanted))):
+            tid = record.tracklet_ids[t]
             try:
-                vector = self.query(
-                    record.tracklet_ids[t], record.representative_frame_ids[t], j + 1
-                )
+                vector = self.query(tid, record.representative_frame_ids[t], j + 1)
             except MissingSyntheticError:
                 if strict:
                     raise
                 continue
             if vector.shape != (dim,):
                 raise ValueError(f"synthetic dimension {vector.shape[0]} != real dimension {dim}")
+            if not np.isfinite(vector).all():
+                raise ValueError(f"synthetic feature for ({tid!r}, pose {j + 1}) is not finite")
             synthetic[t, j] = vector
             served[t, j] = True
         return synthetic, served

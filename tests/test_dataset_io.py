@@ -1,12 +1,14 @@
 """File formats: feature container, manifests, canon, indices, reports."""
 
 import dataclasses
+import fnmatch
 import gc
 import hashlib
 import inspect
 import json
 import os
 import re
+import stat
 import struct
 import threading
 import tracemalloc
@@ -493,6 +495,28 @@ def test_report_json_round_trip_100_random(tmp_path):
         path = tmp_path / f"r{i}.json"
         save_report_json(report, path)
         assert report_to_dict(load_report_json(path)) == report_to_dict(report)
+
+
+UNSCORED_REPORT = EvalReport(
+    mode="wf+wpr", num_probes=2, num_scored=0, mean_ap=None, cmc=(), camera_ids=(0, 3),
+    camera_pair_map=((None, None), (None, None)),
+    probe_results=(ProbeResult("t0", "id0", 0, 4, 0, None, None),
+                   ProbeResult("t1", "id1", 3, 4, 0, None, None)),
+)
+
+
+def test_report_json_keys_are_the_report_fields():
+    d = report_to_dict(random_report(rng_for(5, "io")))
+    assert set(d) == {f.name for f in dataclasses.fields(EvalReport)}
+    for r in d["probe_results"]:
+        assert set(r) == {f.name for f in dataclasses.fields(ProbeResult)}
+
+
+@pytest.mark.parametrize("report", [random_report(rng_for(6, "io")), UNSCORED_REPORT],
+                         ids=["random", "unscored"])
+def test_report_json_round_trip_equals_the_report(tmp_path, report):
+    save_report_json(report, tmp_path / "r.json")
+    assert load_report_json(tmp_path / "r.json") == report  # every field, as a dataclass
 
 
 def test_report_json_keeps_full_float_precision(tmp_path):
@@ -1044,6 +1068,21 @@ def test_a_manifest_read_from_a_pipe_keeps_no_cache(tmp_path, decodes):
     assert decodes == [pipe, manifest]
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "f.bin", "m.json", _cache_of(manifest).name, "pipe.json"]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=oct)
+def test_the_cache_is_created_under_the_umask(tmp_path, monkeypatch, umask):
+    manifest, features = _saved_manifest(tmp_path)
+    moved = []
+    replace = os.replace
+    monkeypatch.setattr(os, "replace", lambda src, dst: moved.append(os.path.basename(src)) or replace(src, dst))
+    old = os.umask(umask)
+    try:
+        load_dataset(manifest, features)
+    finally:
+        os.umask(old)
+    assert len(moved) == 1 and fnmatch.fnmatch(moved[0], "*.pdsr-cache.*.tmp")  # as .gitignore lists it
+    assert stat.S_IMODE(_cache_of(manifest).stat().st_mode) == 0o666 & ~umask
 
 
 def test_one_manifest_in_two_directories_keeps_byte_identical_caches(tmp_path):

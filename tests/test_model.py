@@ -26,16 +26,29 @@ def grid_pose(k, offset):
     return PoseVector(joints=np.clip(joints, 0.0, 1.0), visibility=np.ones(k, dtype=bool))
 
 
+def tracklet_of(*frames):
+    return Tracklet(tracklet_id="t7", identity="a", camera=0, frames=frames)
+
+
 def test_pose_vector_shape_validation():
-    with pytest.raises(ValueError):
-        PoseVector(joints=np.zeros((4, 3)), visibility=np.ones(4, dtype=bool))
-    with pytest.raises(ValueError):
-        PoseVector(joints=np.zeros((4, 2)), visibility=np.ones(5, dtype=bool))
+    with pytest.raises(ValueError, match="tracklet 't7'"):
+        bad = PoseVector(joints=np.zeros((4, 3)), visibility=np.ones(4, dtype=bool))
+        tracklet_of(FrameRecord(frame_id=0, feature=np.ones(3), pose=bad))
+    with pytest.raises(ValueError, match="tracklet 't7'"):
+        bad = PoseVector(joints=np.zeros((4, 2)), visibility=np.ones(5, dtype=bool))
+        tracklet_of(FrameRecord(frame_id=0, feature=np.ones(3), pose=bad))
 
 
 def test_frame_feature_must_be_1d():
-    with pytest.raises(ValueError):
-        FrameRecord(frame_id=0, feature=np.zeros((2, 2)), pose=pose())
+    with pytest.raises(ValueError, match="tracklet 't7'"):
+        tracklet_of(FrameRecord(frame_id=0, feature=np.zeros((2, 2)), pose=pose()))
+
+
+@pytest.mark.parametrize("other", [frame(1, [1.0, 2.0, 3.0]), frame(1, [1.0, 2.0], k=5)],
+                         ids=["feature-dim", "joint-count"])
+def test_frames_whose_shapes_differ_name_the_tracklet(other):
+    with pytest.raises(ValueError, match="tracklet 't7'"):
+        tracklet_of(frame(0, [1.0, 2.0]), other)
 
 
 def test_tracklet_holds_frames_by_ascending_id_with_duplicates_in_storage_order():

@@ -94,6 +94,39 @@ def test_fetch_queries_each_wanted_cell_once_with_its_representative():
         RecordingProvider(5).fetch(record, wanted)
 
 
+class NanProvider(RecordingProvider):
+    """RecordingProvider that serves NaN in place of the listed keys (all, if None)."""
+
+    def __init__(self, d, poisoned=None):
+        super().__init__(d)
+        self.poisoned = poisoned
+
+    def query(self, tracklet_id, representative_frame_id, pose):
+        vector = super().query(tracklet_id, representative_frame_id, pose)
+        if self.poisoned is None or (tracklet_id, pose) in self.poisoned:
+            vector[-1] = np.nan
+        return vector
+
+
+@pytest.mark.parametrize("strict", [True, False])
+def test_fetch_refuses_a_non_finite_vector_and_names_its_cell(strict):
+    record = PoseRecord(("a", "b"), (7, 3), np.zeros((2, 2)), np.zeros((2, 3, 2)),
+                        np.zeros((2, 3)), np.zeros((2, 3), dtype=bool))
+    wanted = np.ones((2, 3), dtype=bool)
+    with pytest.raises(ValueError, match=r"synthetic feature for \('b', pose 2\) is not finite"):
+        NanProvider(2, poisoned={("b", 2)}).fetch(record, wanted, strict=strict)
+
+
+@pytest.mark.parametrize("strict", [True, False])
+@pytest.mark.parametrize("mode", [EvalMode.WF, EvalMode.WPR])
+def test_evaluate_blames_a_non_finite_synthetic_vector_on_the_provider(mode, strict):
+    gen = generate(GenSpec(identities=4, cameras=2, num_poses=3, feature_dim=8,
+                           pose_visibility=((1, 2), (2, 3)), seed=5))
+    with pytest.raises(ValueError, match=r"synthetic feature for \('.+', pose \d\) is not finite"):
+        evaluate(gen.dataset, gen.canon, NanProvider(gen.dataset.feature_dim),
+                 ProtocolConfig(strict=strict), mode)
+
+
 @pytest.mark.parametrize("mode", [EvalMode.WF, EvalMode.WPR])
 def test_evaluate_conditions_queries_on_frames_drawn_with_the_protocol_seed(mode):
     # Cameras see different poses, so WPR backfills some cells too.
