@@ -28,12 +28,12 @@ from itertools import accumulate, chain, repeat
 from numbers import Integral
 from operator import itemgetter
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from .errors import FileFormatError
-from .evaluation import EvalReport, ProbeResult
+from .evaluation import EvalReport
 from .model import CanonicalPoseSet, Dataset, PackedFrames, PoseRecord, Tracklet, pack
 
 MAGIC = b"PDSR"
@@ -304,15 +304,18 @@ def _decode_manifest(manifest_path: str | Path, raw: list[bytes]) -> tuple[list,
 _CACHE_SUFFIX, _CACHE_VERSION = ".pdsr-cache", b"pdsr-cache 1"
 
 
-def _read_cache(path: Path, key: bytes) -> tuple[list, list[np.ndarray]] | None:
-    """The decode kept at `path` if it was made from the manifest bytes of `key`, else None.
+def _read_cache(path: Path, manifest_path: str | Path) -> tuple[list, list[np.ndarray]] | None:
+    """The decode kept at `path` if made from the manifest's bytes (streamed: a hit holds no copy), else None.
 
     Any other file, or one of another version or with a value of another
     type, dtype, shape or length, is a miss, never an error.
     """
     try:
-        with open(path, "rb") as fh:
-            if np.load(fh, allow_pickle=False).tobytes() != key:
+        with open(path, "rb") as fh, open(manifest_path, "rb") as manifest:
+            key, sha, chunk = np.load(fh, allow_pickle=False).tobytes(), hashlib.sha256(), bytearray(1 << 18)
+            while n := manifest.readinto(chunk):
+                sha.update(memoryview(chunk)[:n])
+            if key != sha.digest() + _CACHE_VERSION:
                 return None
             meta = json.loads(np.load(fh, allow_pickle=False).tobytes())
             columns = [np.load(fh, allow_pickle=False) for _ in range(4)]
@@ -351,17 +354,17 @@ def _write_cache(path: Path, key: bytes, meta: list, columns: list[np.ndarray]) 
 def load_dataset(manifest_path: str | Path, features_path: str | Path) -> Dataset:
     """Read a manifest and its feature matrix into one packed block, in canonical order.
 
-    The decode is read from the cache file beside the manifest if it was
-    made from the same bytes, else made and, once the load succeeds, kept
-    there when the manifest is a regular file.  The features are the matrix
-    as read when the manifest lists its rows in canonical order, as
-    `save_dataset` writes them.  The dataset's strings and ints are copies,
-    so that no survivor pins an arena of a decoded tree.
+    The decode of a regular file is read from the cache file beside it if
+    it was made from the same bytes, else made and, once the load succeeds,
+    kept there.  The features are the matrix as read when the manifest
+    lists its rows in canonical order, as `save_dataset` writes them.  The
+    dataset's strings and ints are copies, so that no survivor pins an
+    arena of a decoded tree.
     """
-    with open(manifest_path, "rb") as fh:
-        regular, raw = stat.S_ISREG(os.fstat(fh.fileno()).st_mode), [fh.read()]
-    key, cache = hashlib.sha256(raw[0]).digest() + _CACHE_VERSION, Path(f"{manifest_path}{_CACHE_SUFFIX}")
-    cached = _read_cache(cache, key)
+    regular, cache = stat.S_ISREG(os.stat(manifest_path).st_mode), Path(f"{manifest_path}{_CACHE_SUFFIX}")
+    if not (cached := regular and _read_cache(cache, manifest_path)):  # a pipe is read once, whole
+        raw = [Path(manifest_path).read_bytes()]
+        key = hashlib.sha256(raw[0]).digest() + _CACHE_VERSION  # of these bytes, not of those streamed
     meta, columns = cached or _decode_manifest(manifest_path, raw)
     name, counts, ids, identities, cameras, probes, offsets = meta
     frame_ids, rows, joints, visibility = columns
@@ -383,7 +386,7 @@ def load_dataset(manifest_path: str | Path, features_path: str | Path) -> Datase
         in zip(strings[:len(ids)], strings[len(ids):], cameras, probes, offsets, offsets[1:])
     )
     dataset = Dataset(name, *(count + 0 for count in counts), tracklets)
-    if regular and cached is None:
+    if regular and not cached:
         _write_cache(cache, key, meta, columns)
     return dataset
 
@@ -537,29 +540,33 @@ def save_report_json(report: EvalReport, path: str | Path) -> None:
     write_json(path, report_to_dict(report))
 
 
-def _tuples(value: object) -> object:
-    """A JSON value with each list, at every depth, read back as a tuple."""
-    return tuple(map(_tuples, value)) if isinstance(value, list) else value
+def _report_value(path: str | Path, value: object, hint: object, where: str = "", signed: bool = False):
+    """`value` from a report's JSON as a report holds a `hint`, or a FileFormatError naming its field.
+
+    None stands only where `hint` allows it; a float is in [0, 1]; an int is >= 0 unless `signed` (a camera).
+    """
+    kinds = get_args(hint)
+    if type(None) in kinds:  # `T | None`: what no scored probe fills
+        return None if value is None else _report_value(path, value, kinds[0], where, signed)
+    if is_dataclass(hint) and isinstance(value, dict):
+        return hint(**{k: _report_value(path, value[k], t, f"{where}.{k}", k.startswith("camera"))
+                       for k, t in get_type_hints(hint).items()})
+    if get_origin(hint) is tuple and isinstance(value, list):
+        return tuple(_report_value(path, v, kinds[0], f"{where}[{i}]", signed) for i, v in enumerate(value))
+    if type(value) is hint and (hint is str or (0 <= value <= 1 if hint is float else signed or value >= 0)):
+        return value
+    raise FileFormatError(f"{path}: {where.lstrip('.') or 'report'} {value!r} is not what a report holds")
 
 
 def load_report_json(path: str | Path) -> EvalReport:
-    d = read_json(path)
     try:
-        report = {f.name: _tuples(d[f.name]) for f in fields(EvalReport)}
-        report["probe_results"] = tuple(
-            ProbeResult(**{f.name: r[f.name] for f in fields(ProbeResult)}) for r in d["probe_results"]
-        )
-        return EvalReport(**report)
-    except (KeyError, TypeError) as exc:
-        raise FileFormatError(f"{path}: missing or malformed field: {exc}") from exc
+        return _report_value(path, read_json(path), EvalReport)
+    except KeyError as exc:
+        raise FileFormatError(f"{path}: missing field {exc}") from exc
 
 
 def _csv_value(value: object) -> str:
-    if value is None:
-        return "null"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return "null" if value is None else str(value)  # a float's str is its repr, exact
 
 
 def save_report_csv(report: EvalReport, path: str | Path) -> None:

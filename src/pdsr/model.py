@@ -258,8 +258,8 @@ def _frame_defects(frames: PackedFrames) -> tuple[np.ndarray, list[int]]:
         features, joints = frames.features[rows], frames.joints[rows]
         defects[rows, 0] = ~np.isfinite(features).all(axis=1)
         defects[rows, 1] = ~features.any(axis=1)
-        inside = ((joints >= 0.0) & (joints <= 1.0)).all(axis=2)  # False for NaN
-        defects[rows, 2] = (frames.visibility[rows] & ~inside).any(axis=1)
+        ok = (joints >= 0.0) & (joints <= 1.0)  # False for NaN
+        defects[rows, 2] = (frames.visibility[rows] & ~(ok[..., 0] & ok[..., 1])).any(axis=1)
     return defects, np.flatnonzero(defects.any(axis=1)).tolist()
 
 

@@ -527,6 +527,65 @@ def test_report_json_keeps_full_float_precision(tmp_path):
     assert loaded.cmc == report.cmc
 
 
+def _probe(d, key, value):
+    d["probe_results"][0][key] = value
+
+
+#: Report JSON edits that `evaluate` never writes, each with the field its error must name.
+BAD_REPORT_VALUES = {
+    "mode-7": (lambda d: d.update(mode=7), "mode"),
+    "num_probes-x": (lambda d: d.update(num_probes="x"), "num_probes"),
+    "mean_ap-high": (lambda d: d.update(mean_ap="high"), "mean_ap"),
+    "gallery_size--4": (lambda d: _probe(d, "gallery_size", -4), "probe_results[0].gallery_size"),
+    "ap-bad": (lambda d: _probe(d, "ap", "bad"), "probe_results[0].ap"),
+    "ap-nan": (lambda d: _probe(d, "ap", float("nan")), "probe_results[0].ap"),
+    "ap-above-1": (lambda d: _probe(d, "ap", 1.5), "probe_results[0].ap"),
+    "probe_id-null": (lambda d: _probe(d, "probe_id", None), "probe_results[0].probe_id"),
+    "num_scored-null": (lambda d: d.update(num_scored=None), "num_scored"),
+    "num_scored-true": (lambda d: d.update(num_scored=True), "num_scored"),
+    "cmc-null": (lambda d: d.update(cmc=[None]), "cmc[0]"),
+    "cmc-number": (lambda d: d.update(cmc=0.5), "cmc"),
+    "camera_ids-float": (lambda d: d.update(camera_ids=[0.0]), "camera_ids[0]"),
+    "camera_pair_map-flat": (lambda d: d.update(camera_pair_map=[0.5]), "camera_pair_map[0]"),
+    "probe_results-object": (lambda d: d.update(probe_results={}), "probe_results"),
+    "probe_result-list": (lambda d: d["probe_results"].append([]), "probe_results[2]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_REPORT_VALUES))
+def test_report_json_refuses_a_value_evaluate_never_writes_and_names_its_field(tmp_path, case):
+    edit, field = BAD_REPORT_VALUES[case]
+    d = report_to_dict(UNSCORED_REPORT)
+    edit(d)
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps(d))
+    with pytest.raises(FileFormatError) as caught:
+        load_report_json(path)
+    assert str(caught.value).startswith(f"{path}: {field} ")
+
+
+def test_report_json_refuses_a_missing_field_and_a_document_that_is_no_object(tmp_path):
+    path = tmp_path / "r.json"
+    d = report_to_dict(UNSCORED_REPORT)
+    del d["probe_results"][1]["ap"]
+    path.write_text(json.dumps(d))
+    with pytest.raises(FileFormatError, match="missing field 'ap'"):
+        load_report_json(path)
+    path.write_text("[]")
+    with pytest.raises(FileFormatError, match=r"report \[\] is not"):
+        load_report_json(path)
+
+
+def test_report_json_keeps_cameras_of_any_sign_and_size(tmp_path):
+    """A camera is any integer, as in a manifest, and the report keeps it."""
+    report = dataclasses.replace(
+        UNSCORED_REPORT, camera_ids=(-3, 2**63),
+        probe_results=tuple(dataclasses.replace(r, camera=c) for r, c in zip(UNSCORED_REPORT.probe_results,
+                                                                              (-3, 2**63))))
+    save_report_json(report, tmp_path / "r.json")
+    assert load_report_json(tmp_path / "r.json") == report
+
+
 def test_report_csv_writes_null_markers_and_exact_floats(tmp_path):
     report = EvalReport(
         mode="wf",
@@ -993,7 +1052,7 @@ def _rewritten(edit):
     def damage(manifest, raw):
         key = hashlib.sha256(manifest.read_bytes()).digest() + dataset_io._CACHE_VERSION
         other = manifest.with_name("other")
-        dataset_io._write_cache(other, *edit(key, *dataset_io._read_cache(_cache_of(manifest), key)))
+        dataset_io._write_cache(other, *edit(key, *dataset_io._read_cache(_cache_of(manifest), manifest)))
         data = other.read_bytes()
         other.unlink()
         return data
@@ -1083,6 +1142,107 @@ def test_the_cache_is_created_under_the_umask(tmp_path, monkeypatch, umask):
         os.umask(old)
     assert len(moved) == 1 and fnmatch.fnmatch(moved[0], "*.pdsr-cache.*.tmp")  # as .gitignore lists it
     assert stat.S_IMODE(_cache_of(manifest).stat().st_mode) == 0o666 & ~umask
+
+
+@pytest.fixture(scope="module")
+def long_manifest(tmp_path_factory):
+    """(manifest, features) of 2,000 frames of 18 joints and 2-d features: the manifest is nearly all the bytes."""
+    spec = GenSpec(identities=10, cameras=2, frames_per_tracklet=(100, 100), feature_dim=2, joint_count=18,
+                   num_poses=4, pose_jitter=0.01, seed=3)
+    directory = tmp_path_factory.mktemp("long")
+    save_dataset(generate(spec).dataset, directory / "m.json", directory / "f.bin")
+    return directory / "m.json", directory / "f.bin"
+
+
+def _fresh_copy(tmp_path, long_manifest):
+    for source in long_manifest:
+        (tmp_path / source.name).write_bytes(source.read_bytes())
+    return tmp_path / "m.json", tmp_path / "f.bin"
+
+
+def _bytes_read(call) -> int:
+    """Bytes this process read from files while `call` ran, as Linux counts them (rchar)."""
+    def rchar():
+        with open("/proc/self/io") as fh:
+            return int(re.search(r"^rchar: (\d+)$", fh.read(), re.M).group(1))
+
+    before = rchar()
+    call()
+    return rchar() - before
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/io"), reason="needs Linux's per-process I/O counters")
+@pytest.mark.parametrize("cache", ["none", "kept", "stale"])
+def test_the_manifest_is_read_once_unless_its_cache_is_stale(tmp_path, long_manifest, decodes, cache):
+    """No cache: one whole read.  A hit: one streamed pass.  Only a stale cache may cost a second pass."""
+    manifest, features = _fresh_copy(tmp_path, long_manifest)
+    if cache != "none":
+        load_dataset(manifest, features)
+    if cache == "stale":
+        manifest.write_bytes(manifest.read_bytes().replace(b'"name": "planted-s3"', b'"name": "planted-s4"'))
+    size, kept = manifest.stat().st_size, _cache_of(manifest).stat().st_size if cache != "none" else 0
+    decodes.clear()
+    read = _bytes_read(lambda: load_dataset(manifest, features))
+    passes = {"none": 1, "kept": 1, "stale": 2}[cache]
+    assert decodes == ([] if cache == "kept" else [manifest])
+    assert size <= read <= passes * size + kept + features.stat().st_size + 64 * 1024
+
+
+def test_a_warm_load_holds_no_copy_of_the_manifest(tmp_path, long_manifest, decodes):
+    manifest, features = _fresh_copy(tmp_path, long_manifest)
+    cold = load_dataset(manifest, features)
+    decodes.clear()
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        warm = load_dataset(manifest, features)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert decodes == []
+    assert_datasets_equal(warm, cold)
+    assert peak < manifest.stat().st_size / 3, (peak, manifest.stat().st_size)
+
+
+def test_a_manifest_rewritten_after_the_cache_check_keys_the_bytes_it_decodes(tmp_path, decodes, monkeypatch):
+    """A miss reads the manifest again, and the cache it keeps is keyed by what that read decoded."""
+    manifest, features = _saved_manifest(tmp_path)
+    one = manifest.read_bytes()
+    two = one.replace(b'"name": "one"', b'"name": "two"')
+    load_dataset(manifest, features)
+    manifest.write_bytes(two)
+    check, rewrites = dataset_io._read_cache, [one]
+
+    def rewritten_after(cache, path):
+        kept = check(cache, path)  # streams `two` against the cache of `one`: a miss
+        if rewrites:
+            manifest.write_bytes(rewrites.pop())  # before the whole read
+        return kept
+
+    monkeypatch.setattr(dataset_io, "_read_cache", rewritten_after)
+    decodes.clear()
+    assert load_dataset(manifest, features).name == "one"
+    assert decodes == [manifest]
+    assert check(_cache_of(manifest), manifest) is not None  # keyed by `one`, the bytes now there
+    manifest.write_bytes(two)
+    assert load_dataset(manifest, features).name == "two"  # no cache keyed by `two` holds `one`
+    assert decodes == [manifest, manifest]
+
+
+def test_a_cache_kept_under_the_version_1_key_still_hits(tmp_path, decodes):
+    """Key: the SHA-256 of the manifest's bytes, then b"pdsr-cache 1"; then the meta JSON and 4 arrays."""
+    manifest, features = _saved_manifest(tmp_path)
+    cold = load_dataset(manifest, features)
+    with open(_cache_of(manifest), "rb") as fh:
+        key, meta, *columns = (np.load(fh, allow_pickle=False) for _ in range(6))
+    assert key.tobytes() == hashlib.sha256(manifest.read_bytes()).digest() + b"pdsr-cache 1"
+    _cache_of(manifest).unlink()
+    dataset_io._write_cache(_cache_of(manifest), key.tobytes(), json.loads(meta.tobytes()), columns)
+    decodes.clear()
+    assert_datasets_equal(load_dataset(manifest, features), cold)
+    assert decodes == []
 
 
 def test_one_manifest_in_two_directories_keeps_byte_identical_caches(tmp_path):

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_canon
 from pdsr import CanonicalPoseSet, Dataset, FrameRecord, PoseVector, Tracklet, validate_dataset
-from pdsr.model import PackedFrames, pack
+from pdsr.model import PackedFrames, _frame_defects, pack
 from pdsr.regulation import pose_normalize, real_means
 
 
@@ -252,6 +254,26 @@ def test_invisible_out_of_range_coordinates_are_fine():
         Tracklet("c", "id2", 0, (FrameRecord(0, np.array([1.0, 0, 0]), hidden),))
     )
     assert "coordinate_out_of_range" not in codes(validate_dataset(tracklets, canon))
+
+
+#: Coordinates at and beyond the edges of [0, 1], and values no comparison holds for.
+EDGE_COORDINATES = st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, 0.5, np.nextafter(1.0, 2.0),
+                                    np.nextafter(0.0, -1.0), 5e-324, -5e-324, 2.0, -2.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(1, 6), k=st.integers(1, 4))
+def test_out_of_range_flags_are_those_of_the_per_coordinate_rule(data, n, k):
+    """A frame is flagged iff a visible joint has a coordinate that is not in [0, 1] (NaN included)."""
+    def drawn(values, size):
+        return np.array(data.draw(st.lists(values, min_size=size, max_size=size)))
+
+    joints = drawn(EDGE_COORDINATES, n * k * 2).reshape(n, k, 2)
+    visibility = drawn(st.booleans(), n * k).reshape(n, k)
+    frames = PackedFrames(np.arange(n, dtype=np.int64), np.ones((n, 3)), joints, visibility)
+    inside = ((joints >= 0.0) & (joints <= 1.0)).all(axis=2)
+    expected = [any(v and not ok for v, ok in zip(vis, row)) for vis, row in zip(visibility, inside)]
+    assert _frame_defects(frames)[0][:, 2].tolist() == expected
 
 
 def test_duplicate_canonical_poses_detected():
