@@ -15,6 +15,7 @@ subcommand (e.g. {"canon": "c.json", "eval": {"weight": 2.0}}).
 
 from __future__ import annotations
 
+import gc
 import os
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -89,6 +90,10 @@ class _ConfigGroup(click.Group):
 def main(ctx, **options):
     """Pose-regulated tracklet matching and retrieval evaluation."""
     ctx.obj = CliContext(**options)
+    # What is alive now (modules, numpy's and click's objects, the options)
+    # lives until exit: frozen, neither the command's collections nor the
+    # interpreter's at exit walk it again.  The collector keeps its setting.
+    gc.freeze()
 
 
 def _require(value: Path | None, flag: str) -> Path:
@@ -281,7 +286,7 @@ def match(obj: CliContext, probe_id: str, mode: EvalMode, weight: float, top: in
         out_path.write_text(text, encoding="utf-8")
     click.echo(f"probe {probe_id} ({probe.identity}, camera {probe.camera}), mode {mode.value}:")
     for rank, (t, score) in enumerate(ranked[: max(top, 0)], start=1):
-        hit = "*" if t.identity == probe.identity else " "
+        hit = "*" if t.identity == probe.identity and not probe.is_distractor else " "
         click.echo(f"{rank:4d} {hit} {t.tracklet_id}  {score: .6f}  {t.identity}")
 
 

@@ -23,31 +23,35 @@ def assignment_distances(
 ) -> np.ndarray:
     """Distance matrix (L, M) of L packed poses to the canon; inf where too few common joints.
 
-    `joints` is (L, k, 2) and `visibility` (L, k).  Each row depends only
+    `joints` is (L, k, 2) and `visibility` (L, k) boolean.  Each row depends only
     on its own pose, so any batch gives a frame the same distances bit for
     bit.
     """
-    if len(joints) and joints.shape[1] != canon.joints.shape[1]:
+    if not len(joints):  # an empty stack may have no joint count
+        return np.empty((0, len(canon)))
+    if joints.shape[1] != canon.joints.shape[1]:
         raise ValueError(f"joint counts differ: {joints.shape[1]} vs {canon.joints.shape[1]}")
 
+    # Exact integer counts of common joints, for all frames at once.
+    counts = visibility.astype(np.intp) @ canon.visibility.T.astype(np.intp)  # (L, M)
+    hidden, canon_hidden = ~visibility, ~canon.visibility
+    x, y = np.ascontiguousarray(joints[..., 0]), np.ascontiguousarray(joints[..., 1])  # (L, k)
+    cx, cy = np.ascontiguousarray(canon.joints[..., 0]), np.ascontiguousarray(canon.joints[..., 1])
     dist = np.empty((len(joints), len(canon)))
-    # Blocks bound the (block, M, k, 2) temporaries; a whole dataset at
-    # once would hold several of them, each far larger than the result.
+    # Blocks bound the (block, M, k) temporaries; a whole dataset at once
+    # would hold several of them, each far larger than the result.
     for start in range(0, len(joints), _BLOCK_FRAMES):
         rows = slice(start, start + _BLOCK_FRAMES)
-        common = visibility[rows, None, :] & canon.visibility[None, :, :]  # (B, M, k)
-        dx = joints[rows, None, :, 0] - canon.joints[None, :, :, 0]  # (B, M, k)
-        dy = joints[rows, None, :, 1] - canon.joints[None, :, :, 1]
+        dx = x[rows, None, :] - cx  # (B, M, k)
+        dy = y[rows, None, :] - cy
         # dx*dx + dy*dy, in place: the two-term sum np.sum would make, without its reduction.
         dx *= dx
         dy *= dy
         dx += dy
-        sq = np.where(common, dx, 0.0)  # (B, M, k)
-        counts = np.count_nonzero(common, axis=-1)  # (B, M)
+        dx[hidden[rows, None, :] | canon_hidden] = 0.0  # only common joints count
         with np.errstate(invalid="ignore", divide="ignore"):
-            block = np.sqrt(sq.sum(axis=-1) / counts)
-        block[counts < MIN_COMMON_JOINTS] = np.inf
-        dist[rows] = block
+            dist[rows] = np.sqrt(dx.sum(axis=-1) / counts[rows])
+    dist[counts < MIN_COMMON_JOINTS] = np.inf
     return dist
 
 

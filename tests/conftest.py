@@ -1,5 +1,7 @@
 """Shared fixtures and the acceptance-criterion result summary."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,13 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     for num in sorted(results):
         status, title = results[num]
         terminalreporter.write_line(f"criterion {num}: {status} - {title}")
+
+
+@pytest.fixture(autouse=True)
+def _unfreeze_heap():
+    """Hand back to the collector whatever an in-process CLI command froze during the test."""
+    yield
+    gc.unfreeze()
 
 
 @pytest.fixture(scope="session")

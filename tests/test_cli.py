@@ -211,6 +211,15 @@ def test_match_unknown_probe_fails(workspace):
     assert "unknown tracklet" in result.output
 
 
+def test_match_marks_no_hit_for_a_distractor_probe(workspace):
+    # Distractors never count as positives, not even for one another.
+    _, flags = workspace
+    result = run(flags + ["match", "--probe", "dx0000-c0", "--top", "100"])
+    rows = result.output.splitlines()[1:]
+    assert any(row.endswith(DISTRACTOR) for row in rows)
+    assert [row[5] for row in rows] == [" "] * len(rows)
+
+
 def test_eval_writes_report_and_csv(workspace, tmp_path):
     _, flags = workspace
     report_path, csv_path = tmp_path / "r.json", tmp_path / "r.csv"
@@ -316,6 +325,36 @@ def test_cli_runs_as_a_module():
     result = run_process(["eval"], entry=["-m", "pdsr.cli"])
     assert result.returncode != 0
     assert "Missing option '--report'" in result.stderr, result.stderr
+
+
+GC_PROBE = """
+import gc, sys
+{before}
+import pdsr, pdsr.cli
+print(gc.get_freeze_count(), gc.isenabled())
+pdsr.cli.main(sys.argv[1:], standalone_mode=False)
+print(gc.get_freeze_count(), gc.isenabled())
+"""
+
+
+def test_importing_pdsr_freezes_nothing():
+    result = run_process(["--help"], entry=["-c", GC_PROBE.format(before="")])
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[0] == "0 True"
+
+
+@pytest.mark.parametrize("before", ["", "gc.disable()"], ids=["enabled", "disabled"])
+def test_a_command_freezes_the_start_up_heap_and_keeps_the_collector_setting(workspace, tmp_path,
+                                                                             before):
+    _, flags = workspace
+    result = run_process(flags + ["quantize", "--out", str(tmp_path / "a.tsv")],
+                         entry=["-c", GC_PROBE.format(before=before)])
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    enabled = str(not before)
+    assert lines[0] == f"0 {enabled}"
+    frozen, after = lines[-1].split()
+    assert int(frozen) > 0 and after == enabled
 
 
 MATCH_OUT = ["match", "--probe", "id0001-c1-0", "--mode", "baseline", "--out", "{out}"]

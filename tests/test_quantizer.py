@@ -161,6 +161,44 @@ def test_vectorized_distances_match_scalar_bitwise():
         assert np.array_equal(matrix[i], pose_distances([f], canon)[0])
 
 
+def reference_distances(joints, visibility, canon):
+    """The whole-tensor expression the blocked quantizer must reproduce bit for bit."""
+    common = visibility[:, None, :] & canon.visibility[None, :, :]  # (L, M, k)
+    dx = joints[:, None, :, 0] - canon.joints[None, :, :, 0]
+    dy = joints[:, None, :, 1] - canon.joints[None, :, :, 1]
+    dx *= dx
+    dy *= dy
+    dx += dy
+    sq = np.where(common, dx, 0.0)
+    counts = np.count_nonzero(common, axis=-1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        dist = np.sqrt(sq.sum(axis=-1) / counts)
+    dist[counts < MIN_COMMON_JOINTS] = np.inf
+    return dist
+
+
+SPECIAL_COORDINATES = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 1e300])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, _BLOCK_FRAMES + 40), st.integers(1, 10),
+       st.integers(1, 6), st.floats(0.0, 1.0), st.floats(0.0, 0.3))
+def test_distances_are_bitwise_the_reference_expression(seed, n, k, m, visible_prob, special_share):
+    # Visible or hidden, frame or canon, NaN and infinite joints included.
+    rng = rng_for(seed, "bitwise")
+    joints = rng.uniform(-1, 2, (n, k, 2))
+    canon_joints = rng.uniform(-1, 2, (m, k, 2))
+    for a in (joints, canon_joints):
+        special = rng.uniform(size=a.shape) < special_share
+        a[special] = rng.choice(SPECIAL_COORDINATES, size=int(special.sum()))
+    canon = make_canon(canon_joints, rng.uniform(size=(m, k)) < visible_prob)
+    visibility = rng.uniform(size=(n, k)) < visible_prob
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf, 1e300 squared
+        got = assignment_distances(joints, visibility, canon)
+        want = reference_distances(joints, visibility, canon)
+    assert got.tobytes() == want.tobytes()
+
+
 def make_tracklet(rng, n_frames, k=8, d=4, visible_prob=1.0):
     frames = tuple(
         FrameRecord(frame_id=i, feature=rng.normal(size=d),
