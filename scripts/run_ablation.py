@@ -16,42 +16,20 @@ from scipy import stats
 
 from pdsr import EvalMode, ProtocolConfig, evaluate
 from pdsr.dataset_io import write_json
-from pdsr.generator import GenSpec, generate
+from pdsr.generator import generate
+from stressor import add_stressor_options, check_stressor_options, stressor_spec
 
 MODES = (EvalMode.BASELINE, EvalMode.WF, EvalMode.WPR, EvalMode.FUSED)
 
 
-def stressor_spec(seed: int, args: argparse.Namespace) -> GenSpec:
-    half = args.num_poses // 2
-    return GenSpec(
-        identities=args.identities,
-        cameras=2,
-        num_poses=args.num_poses,
-        feature_dim=args.dim,
-        frames_per_tracklet=(5, 8),
-        pose_effect_scale=args.pose_effect,
-        noise_sigma=args.noise,
-        pose_visibility=(
-            tuple(range(1, half + 1)),
-            tuple(range(half + 1, args.num_poses + 1)),
-        ),
-        distractors=args.distractors,
-        seed=seed,
-    )
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", type=int, default=30, help="number of planted datasets")
-    parser.add_argument("--identities", type=int, default=12)
-    parser.add_argument("--num-poses", type=int, default=4)
-    parser.add_argument("--dim", type=int, default=32)
-    parser.add_argument("--distractors", type=int, default=6)
-    parser.add_argument("--noise", type=float, default=0.5, help="frame feature noise sigma")
-    parser.add_argument("--pose-effect", type=float, default=1.0)
+    add_stressor_options(parser)
     parser.add_argument("--weight", type=float, default=4.0, help="WF fusion weight w")
-    parser.add_argument("--json", type=str, default=None, help="optional results JSON path")
     args = parser.parse_args()
+    if args.seeds < 2:
+        parser.error("--seeds: the paired t-test needs at least 2 seeds")
+    check_stressor_options(parser, args)
     try:
         config = ProtocolConfig(seed=0, fusion_weight=args.weight)
     except ValueError as exc:  # a negative, nan or inf weight

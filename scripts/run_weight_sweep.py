@@ -10,49 +10,34 @@ optimum that motivates weighted fusion.
 """
 
 import argparse
+import math
 
 import numpy as np
 
 from pdsr import EvalMode, ProtocolConfig, evaluate
 from pdsr.dataset_io import write_json
-from pdsr.generator import GenSpec, PlantedProvider, generate
+from pdsr.generator import PlantedProvider, generate
+from stressor import add_stressor_options, check_stressor_options, stressor_spec
 
 DEFAULT_WEIGHTS = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 1e6)
 
 
-def stressor_spec(seed: int, args: argparse.Namespace) -> GenSpec:
-    half = args.num_poses // 2
-    return GenSpec(
-        identities=args.identities,
-        cameras=2,
-        num_poses=args.num_poses,
-        feature_dim=args.dim,
-        frames_per_tracklet=(5, 8),
-        pose_effect_scale=args.pose_effect,
-        noise_sigma=args.noise,
-        pose_visibility=(
-            tuple(range(1, half + 1)),
-            tuple(range(half + 1, args.num_poses + 1)),
-        ),
-        distractors=args.distractors,
-        seed=seed,
-    )
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", type=int, default=30)
-    parser.add_argument("--identities", type=int, default=12)
-    parser.add_argument("--num-poses", type=int, default=4)
-    parser.add_argument("--dim", type=int, default=32)
-    parser.add_argument("--distractors", type=int, default=6)
-    parser.add_argument("--noise", type=float, default=0.5, help="frame feature noise sigma")
-    parser.add_argument("--pose-effect", type=float, default=1.0)
-    parser.add_argument("--corruption", type=float, default=0.5,
-                        help="synthetic provider noise sigma")
-    parser.add_argument("--weights", type=float, nargs="+", default=list(DEFAULT_WEIGHTS))
-    parser.add_argument("--json", type=str, default=None, help="optional results JSON path")
+    add_stressor_options(parser)
+    parser.add_argument("--corruption", type=float, default=0.5, help="synthetic provider noise sigma")
+    parser.add_argument("--weights", type=float, nargs="+", default=list(DEFAULT_WEIGHTS),
+                        help="the synthetic-only limit, interior weights, then the baseline limit")
     args = parser.parse_args()
+    check_stressor_options(parser, args)
+    if not 0 <= args.corruption < math.inf:  # PlantedProvider lets nan and inf through
+        parser.error(f"--corruption: {args.corruption} is not a finite number >= 0")
+    if len(args.weights) < 3:
+        parser.error("--weights: needs the two limits and at least one interior weight")
+    try:
+        configs = [ProtocolConfig(seed=0, fusion_weight=w) for w in args.weights]
+    except ValueError as exc:  # a negative, nan or inf weight
+        parser.error(f"--weights: {exc}")
 
     curves = []
     interior_max = 0
@@ -60,11 +45,8 @@ def main() -> None:
         gen = generate(stressor_spec(seed, args))
         provider = PlantedProvider(gen.truth, noise_sigma=args.corruption, seed=seed)
         curve = []
-        for w in args.weights:
-            report = evaluate(
-                gen.dataset, gen.canon, provider,
-                ProtocolConfig(seed=0, fusion_weight=w), EvalMode.WF,
-            )
+        for config in configs:
+            report = evaluate(gen.dataset, gen.canon, provider, config, EvalMode.WF)
             curve.append(report.cmc[0])
         curves.append(curve)
         peak = max(curve[1:-1])

@@ -15,6 +15,7 @@ from .errors import (
     AllFramesUnassignableError,
     EmptyUnionError,
     FileFormatError,
+    InvalidDatasetError,
     MissingSyntheticError,
     PdsrError,
     ZeroVectorError,
@@ -35,6 +36,7 @@ __all__ = [
     "FileFormatError",
     "FrameRecord",
     "GenSpec",
+    "InvalidDatasetError",
     "MissingSyntheticError",
     "PdsrError",
     "PlantedProvider",

@@ -24,7 +24,7 @@ import click
 import numpy as np
 
 from . import dataset_io
-from .errors import FileFormatError, PdsrError
+from .errors import FileFormatError, InvalidDatasetError, PdsrError
 from .evaluation import (
     EvalMode,
     ProbeCase,
@@ -71,6 +71,9 @@ class _ConfigGroup(click.Group):
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
+        except InvalidDatasetError as exc:
+            click.echo("".join(f"invalid: {i.code}: {i.message}\n" for i in exc.issues), err=True, nl=False)
+            raise click.ClickException(f"dataset failed validation with {len(exc.issues)} issue(s)") from exc
         except (PdsrError, OSError, ValueError) as exc:  # an OSError's message names its path
             raise click.ClickException(str(exc)) from exc
 
@@ -107,16 +110,13 @@ def _load_inputs(obj: CliContext) -> tuple[Dataset, CanonicalPoseSet]:
         _require(obj.manifest, "--manifest"), _require(obj.features, "--features")
     )
     canon = dataset_io.load_canon(_require(obj.canon, "--canon"))
-    issues = validate_dataset(
-        dataset.tracklets,
-        canon,
-        expected_dim=dataset.feature_dim,
-        expected_joints=dataset.joint_count,
-    )
-    if issues:
-        for issue in issues:
-            click.echo(f"invalid: {issue.code}: {issue.message}", err=True)
-        raise click.ClickException(f"dataset failed validation with {len(issues)} issue(s)")
+    return dataset, canon
+
+
+def _validated(dataset: Dataset, canon: CanonicalPoseSet) -> tuple[Dataset, CanonicalPoseSet]:
+    if issues := validate_dataset(dataset.tracklets, canon, expected_dim=dataset.feature_dim,
+                                  expected_joints=dataset.joint_count):
+        raise InvalidDatasetError(issues)
     return dataset, canon
 
 
@@ -190,7 +190,7 @@ def synthgen(obj: CliContext, spec_path: Path, out_dir: Path):
 @click.pass_obj
 def quantize(obj: CliContext, out_path: Path | None):
     """Assign every frame to its nearest canonical pose."""
-    dataset, canon = _load_inputs(obj)
+    dataset, canon = _validated(*_load_inputs(obj))
     frames, _ = pack(dataset.tracklets)
     poses, distances = nearest_poses(assignment_distances(frames.joints, frames.visibility, canon))
     if out_path is not None:
@@ -222,7 +222,10 @@ def embed(obj: CliContext, mode: str, weight: float, out_path: Path,
     """Write fused (wf) or pose-normalized (wpr) embeddings."""
     if mode == "wpr" and index_path is None:
         raise click.UsageError("--mode wpr needs --index for the keyed output")
-    dataset, canon = _load_inputs(obj)
+    for flag, value, own in (("--index", index_path, "wpr"), ("--ids", ids_path, "wf")):
+        if value is not None and mode != own:
+            raise click.UsageError(f"{flag} is for --mode {own} only")
+    dataset, canon = _validated(*_load_inputs(obj))
     config = _config(obj, weight)
     tracklets = dataset.tracklets
 
@@ -259,10 +262,9 @@ def match(obj: CliContext, probe_id: str, mode: EvalMode, weight: float, top: in
           out_path: Path | None):
     """Rank the cross-camera gallery for one probe tracklet."""
     dataset, canon = _load_inputs(obj)
-    by_id = dataset.by_id()
-    if probe_id not in by_id:
+    probe = dataset.by_id().get(probe_id)
+    if probe is None:
         raise click.ClickException(f"unknown tracklet {probe_id!r}")
-    probe = by_id[probe_id]
     tracklets = dataset.tracklets
     gallery = np.array([t.camera != probe.camera for t in tracklets])
     if not gallery.any():

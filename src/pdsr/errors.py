@@ -23,3 +23,11 @@ class ZeroVectorError(PdsrError):
 
 class FileFormatError(PdsrError):
     """A manifest, feature-matrix, index, or report file is malformed."""
+
+
+class InvalidDatasetError(PdsrError, ValueError):
+    """validate_dataset reported `issues` (its list, in its order); the message names each."""
+
+    def __init__(self, issues) -> None:
+        self.issues = list(issues)
+        super().__init__(f"{len(self.issues)} dataset issue(s): " + "; ".join(map(str, self.issues)))

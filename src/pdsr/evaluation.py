@@ -19,8 +19,9 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import InvalidDatasetError
 from .fusion import DEFAULT_FUSION_WEIGHT, wf_embeddings
-from .model import CanonicalPoseSet, Dataset, Tracklet
+from .model import CanonicalPoseSet, Dataset, Tracklet, validate_dataset
 from .providers import SyntheticFeatureProvider
 from .regulation import (
     backfill_poses,
@@ -242,15 +243,15 @@ def score_matrix(
     Each mode pools all tracklets in one pass: BASELINE and WF read real
     means only, WPR and fused a pose record.  WF and WPR read one synthetic
     fetch.  `provider` may be None in BASELINE mode, which uses no
-    synthetics.  A tracklet id held twice is a ValueError that names it.
+    synthetics.  A dataset `validate_dataset` reports is an InvalidDatasetError.
     """
     if provider is None and mode is not EvalMode.BASELINE:
         raise ValueError(f"mode {mode.value!r} needs a synthetic feature provider")
     tracklets = dataset.tracklets
+    if issues := validate_dataset(tracklets, canon, expected_dim=dataset.feature_dim,
+                                  expected_joints=dataset.joint_count):
+        raise InvalidDatasetError(issues)
     row = {t.tracklet_id: i for i, t in enumerate(tracklets)}
-    if len(row) < len(tracklets):  # ids ascend, so a repeated id is on neighbouring rows
-        repeated = next(a for a, b in zip(tracklets, tracklets[1:]) if a.tracklet_id == b.tracklet_id)
-        raise ValueError(f"tracklet id {repeated.tracklet_id!r} appears more than once")
     probe_rows = [row[c.probe_id] for c in cases]
     if mode is EvalMode.BASELINE:
         means = real_means(tracklets)
@@ -294,10 +295,7 @@ def evaluate(
     scores = score_matrix(dataset, canon, provider, cases, config, mode)
     nonfinite = [c.probe_id for c, ok in zip(cases, np.isfinite(scores).all(axis=1)) if not ok]
     if nonfinite:
-        raise ValueError(
-            f"non-finite scores for probe(s) {', '.join(nonfinite)}; "
-            "validate_dataset names the offending inputs"
-        )
+        raise ValueError(f"non-finite scores for probe(s) {', '.join(nonfinite)}: finite inputs overflowed")
 
     columns = _columns(dataset, cases, rank_gallery(scores))
     col_cameras, positive, _ = columns

@@ -20,13 +20,13 @@ SUPPORTED = [
     "load_dataset", "load_canon", "validate_dataset",
     "SyntheticFeatureProvider", "FileBackedProvider", "file_backed_provider",
     "PlantedProvider", "GenSpec", "generate",
-    "PdsrError", "FileFormatError", "MissingSyntheticError",
+    "PdsrError", "FileFormatError", "InvalidDatasetError", "MissingSyntheticError",
     "AllFramesUnassignableError", "EmptyUnionError", "ZeroVectorError",
 ]
 
 
 def test_all_is_the_supported_api():
-    assert len(pdsr.__all__) == len(set(pdsr.__all__)) == 25
+    assert len(pdsr.__all__) == len(set(pdsr.__all__)) == 26
     assert set(pdsr.__all__) == set(SUPPORTED)
 
 

@@ -14,7 +14,9 @@ import pytest
 from click.testing import CliRunner
 
 from naive_reference import naive_assign, naive_keypoint_distance
-from pdsr import PoseVector, load_canon, load_dataset
+import pdsr.cli
+import pdsr.evaluation
+from pdsr import PoseVector, load_canon, load_dataset, validate_dataset
 from pdsr.cli import main
 from pdsr.dataset_io import (
     _HEADER,
@@ -193,6 +195,18 @@ def test_embed_wpr_requires_index(workspace, tmp_path):
     assert "--index" in result.output
 
 
+@pytest.mark.parametrize("mode, stray, own", [("wpr", "--ids", "wf"), ("wf", "--index", "wpr")])
+def test_embed_refuses_a_flag_of_the_other_mode(workspace, tmp_path, mode, stray, own):
+    _, flags = workspace
+    args = ["embed", "--mode", mode, "--out", str(tmp_path / "x.bin"), stray, str(tmp_path / "x.tsv")]
+    if mode == "wpr":
+        args += ["--index", str(tmp_path / "index.tsv")]
+    result = CliRunner().invoke(main, flags + args)
+    assert result.exit_code == 2, result.output
+    assert f"{stray} is for --mode {own} only" in result.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_match_ranks_same_identity_first(workspace, tmp_path):
     _, flags = workspace
     out = tmp_path / "rank.tsv"
@@ -284,22 +298,59 @@ def test_env_config_invalid_json_fails(tmp_path, monkeypatch):
     assert "invalid JSON" in result.output
 
 
-def test_validation_failure_lists_issues(workspace, tmp_path):
-    root, _ = workspace
-    data = root / "data"
-    manifest = json.loads((data / "manifest.json").read_text())
-    manifest["tracklets"][0]["frames"] = []  # empty tracklet
+def _invalid_manifest(workspace, tmp_path) -> list[str]:
+    """The workspace's flags with a manifest holding an empty tracklet and a joint shifted out of the image."""
+    root, flags = workspace
+    manifest = json.loads((root / "data" / "manifest.json").read_text())
+    manifest["tracklets"][0]["frames"] = []
+    manifest["tracklets"][2]["frames"][3]["keypoints"][0][0] += 2.0
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(manifest))
-    result = CliRunner().invoke(main, [
-        "--manifest", str(bad),
-        "--features", str(data / "features.bin"),
-        "--canon", str(data / "canon.json"),
-        "quantize",
-    ])
-    assert result.exit_code != 0
-    assert "empty_tracklet" in result.output
-    assert "failed validation" in result.output
+    return ["--manifest", str(bad)] + flags[2:]
+
+
+INVALID_STDERR = (
+    b"invalid: empty_tracklet: tracklet 'dx0000-c0' has no frames\n"
+    b"invalid: coordinate_out_of_range: tracklet 'id0000-c0-0' frame 3: "
+    b"visible joint outside [0, 1] x [0, 1]\n"
+    b"Error: dataset failed validation with 2 issue(s)\n"
+)
+
+
+@pytest.mark.parametrize("command", [
+    ["quantize", "--out", "{tmp}/a.tsv"],
+    ["embed", "--mode", "wf", "--out", "{tmp}/wf.bin", "--ids", "{tmp}/ids.tsv"],
+    ["match", "--probe", "id0001-c0-0", "--out", "{tmp}/rank.tsv"],
+    ["eval", "--report", "{tmp}/r.json"],
+], ids=lambda command: command[0])
+def test_validation_failure_lists_issues(workspace, tmp_path, command):
+    args = [arg.format(tmp=tmp_path) for arg in command]
+    result = CliRunner().invoke(main, _invalid_manifest(workspace, tmp_path) + args)
+    assert result.exit_code == 1, result.output
+    assert result.stderr_bytes == INVALID_STDERR
+    assert result.stdout_bytes == b""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json", "bad.json.pdsr-cache"]
+
+
+@pytest.mark.parametrize("command", [
+    ["quantize"],
+    ["embed", "--mode", "wf", "--out", "{tmp}/wf.bin"],
+    ["embed", "--mode", "wpr", "--out", "{tmp}/wpr.bin", "--index", "{tmp}/wpr.tsv"],
+    ["match", "--probe", "id0001-c0-0"],
+    ["eval", "--report", "{tmp}/r.json"],
+], ids=["quantize", "embed-wf", "embed-wpr", "match", "eval"])
+def test_each_command_validates_once(workspace, tmp_path, monkeypatch, command):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return validate_dataset(*args, **kwargs)
+
+    for module in (pdsr.cli, pdsr.evaluation):  # the two names it is called by
+        monkeypatch.setattr(module, "validate_dataset", counted)
+    _, flags = workspace
+    run(flags + [arg.format(tmp=tmp_path) for arg in command])
+    assert len(calls) == 1
 
 
 CONSOLE_ENTRY = ["-c", "import sys; from pdsr.cli import main; sys.exit(main())"]

@@ -1,6 +1,8 @@
 """Retrieval protocol, ranking metrics, and the cross-camera report."""
 
 import dataclasses
+import inspect
+import re
 
 import numpy as np
 import pytest
@@ -11,9 +13,11 @@ from conftest import make_canon
 from naive_reference import naive_ap, naive_baseline_vec, naive_cosine, naive_rank, naive_wf_vec
 from pdsr import (
     AllFramesUnassignableError,
+    CanonicalPoseSet,
     Dataset,
     EvalMode,
     FrameRecord,
+    InvalidDatasetError,
     MissingSyntheticError,
     PoseVector,
     ProtocolConfig,
@@ -33,7 +37,7 @@ from pdsr.evaluation import (
     score_matrix,
 )
 from pdsr.generator import GenSpec, generate
-from pdsr.model import DISTRACTOR
+from pdsr.model import DISTRACTOR, PackedFrames
 from pdsr.seeding import rng_for
 
 
@@ -373,33 +377,106 @@ def test_pose_free_modes_score_a_tracklet_without_assignable_frame(small_gen):
             evaluate(dataset, small_gen.canon, small_gen.provider, config, mode)
 
 
-def test_evaluate_rejects_non_finite_scores():
-    rows = [(f"{i}-{c}", f"id{i}", c) for i in "abc" for c in (0, 1)]
-    dataset = make_dataset(rows)
-    bad = dataset.tracklets[3]
-    nan_feature = bad.frames[0].feature.copy()
-    nan_feature[0] = np.nan
-    frames = (FrameRecord(0, nan_feature, bad.frames[0].pose),) + bad.frames[1:]
+@pytest.fixture(scope="module")
+def gate_gen():
+    return generate(GenSpec(identities=6, cameras=2, feature_dim=16, num_poses=3, seed=4))
+
+
+FRAME_ARRAYS = ("frame_ids", "features", "joints", "visibility")
+
+
+def _refill(tracklet, **arrays):
+    """The tracklet with some of its frames' arrays replaced."""
+    packed = PackedFrames(*(arrays.get(f, getattr(tracklet.frames, f)) for f in FRAME_ARRAYS))
+    return dataclasses.replace(tracklet, frames=packed)
+
+
+def _one_tracklet(edit):
+    """A defect in tracklet 3 of the dataset: edit(frames) gives its new arrays."""
+    def defect(dataset, canon):
+        tracklets = list(dataset.tracklets)
+        tracklets[3] = _refill(tracklets[3], **edit(tracklets[3].frames))
+        return dataclasses.replace(dataset, tracklets=tuple(tracklets)), canon
+    return defect
+
+
+def _repeated_id(dataset, canon):
     tracklets = list(dataset.tracklets)
-    tracklets[3] = Tracklet(bad.tracklet_id, bad.identity, bad.camera, frames)
-    dataset = Dataset("nan", 8, 5, 2, 2, tuple(tracklets))
-    with pytest.raises(ValueError, match="non-finite") as exc:
-        evaluate(dataset, random_canon(), None, ProtocolConfig(), EvalMode.BASELINE)
-    # the NaN tracklet sits in every probe's score row
-    for case in build_protocol(dataset, 0):
-        assert case.probe_id in str(exc.value)
+    source = tracklets[0]
+    target = next(t for t in tracklets if t.identity != source.identity)
+    tracklets[tracklets.index(target)] = dataclasses.replace(target, tracklet_id=source.tracklet_id)
+    return dataclasses.replace(dataset, tracklets=tuple(tracklets)), canon
+
+
+def _duplicate_canon(dataset, canon):
+    joints, visibility = canon.joints.copy(), canon.visibility.copy()
+    joints[1], visibility[1] = joints[0], visibility[0]
+    return dataset, CanonicalPoseSet(joints, visibility)
+
+
+def _with(array, index, value):
+    """A copy of the array with one entry set."""
+    array = array.copy()
+    array[index] = value
+    return array
+
+
+# One dataset per validation code, each holding that defect (and maybe others).
+DEFECTS = {
+    "canon_duplicate": _duplicate_canon,
+    "canon_joint_mismatch": lambda d, c: (dataclasses.replace(d, joint_count=d.joint_count + 1), c),
+    "duplicate_tracklet_id": _repeated_id,
+    "empty_tracklet": _one_tracklet(lambda f: {a: getattr(f, a)[:0] for a in FRAME_ARRAYS}),
+    "duplicate_frame_id": _one_tracklet(lambda f: {"frame_ids": _with(f.frame_ids, 1, f.frame_ids[0])}),
+    "dimension_mismatch": lambda d, c: (dataclasses.replace(d, feature_dim=d.feature_dim + 1), c),
+    "nonfinite_feature": _one_tracklet(lambda f: {"features": _with(f.features, (0, 0), np.nan)}),
+    "zero_feature": _one_tracklet(lambda f: {"features": np.zeros_like(f.features)}),
+    "joint_count_mismatch": _one_tracklet(lambda f: {
+        "joints": np.concatenate([f.joints, f.joints[:, :1]], axis=1),
+        "visibility": np.concatenate([f.visibility, f.visibility[:, :1]], axis=1),
+    }),
+    "coordinate_out_of_range": _one_tracklet(lambda f: {"joints": f.joints + 2.0}),
+}
+
+
+def test_every_validation_code_has_a_defect():
+    source = inspect.getsource(validate_dataset)
+    assert set(DEFECTS) == set(re.findall(r'add\("(\w+)"', source))
 
 
 @pytest.mark.parametrize("mode", list(EvalMode))
-def test_evaluate_refuses_a_repeated_tracklet_id(mode):
-    gen = generate(GenSpec(identities=6, cameras=2, feature_dim=16, num_poses=3, seed=4))
-    tracklets = list(gen.dataset.tracklets)
-    source, target = tracklets[0], next(t for t in tracklets if t.identity != tracklets[0].identity)
-    tracklets[tracklets.index(target)] = dataclasses.replace(target, tracklet_id=source.tracklet_id)
-    dataset = dataclasses.replace(gen.dataset, tracklets=tuple(tracklets))
-    assert "duplicate_tracklet_id" in [i.code for i in validate_dataset(dataset.tracklets, gen.canon)]
-    with pytest.raises(ValueError, match=f"tracklet id {source.tracklet_id!r} appears more than once"):
-        evaluate(dataset, gen.canon, gen.provider, ProtocolConfig(), mode)
+@pytest.mark.parametrize("code", list(DEFECTS))
+def test_evaluate_refuses_what_validate_dataset_reports(gate_gen, code, mode):
+    dataset, canon = DEFECTS[code](gate_gen.dataset, gate_gen.canon)
+    issues = validate_dataset(dataset.tracklets, canon, expected_dim=dataset.feature_dim,
+                              expected_joints=dataset.joint_count)
+    assert code in [issue.code for issue in issues]
+    with pytest.raises(InvalidDatasetError) as exc:
+        evaluate(dataset, canon, gate_gen.provider, ProtocolConfig(), mode)
+    assert exc.value.issues == issues
+    assert all(str(issue) in str(exc.value) for issue in issues)
+
+
+@pytest.mark.parametrize("mode", list(EvalMode))
+def test_evaluate_refuses_a_repeated_tracklet_id(gate_gen, mode):
+    dataset, canon = _repeated_id(gate_gen.dataset, gate_gen.canon)
+    repeated = dataset.tracklets[0].tracklet_id
+    with pytest.raises(ValueError, match=f"tracklet id {repeated!r} appears more than once"):
+        evaluate(dataset, canon, gate_gen.provider, ProtocolConfig(), mode)
+
+
+@pytest.mark.parametrize("mode", list(EvalMode))
+def test_evaluate_rejects_non_finite_scores(gate_gen, mode):
+    # Valid features whose sum overflows: the mean is inf, and that
+    # tracklet sits in every probe's score row.
+    dataset, canon = _one_tracklet(lambda f: {"features": np.full_like(f.features, 1e308)})(
+        gate_gen.dataset, gate_gen.canon)
+    assert validate_dataset(dataset.tracklets, canon) == []
+    with pytest.raises(ValueError, match="non-finite scores.*finite inputs overflowed") as exc:
+        with np.errstate(over="ignore", invalid="ignore"):
+            evaluate(dataset, canon, gate_gen.provider, ProtocolConfig(), mode)
+    for case in build_protocol(dataset, 0):
+        assert case.probe_id in str(exc.value)
 
 
 def test_camera_confusion_matches_restricted_gallery_oracle():

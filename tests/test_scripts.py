@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -48,3 +50,29 @@ def test_ablation_script_rejects_a_non_finite_weight():
     result = script_process("run_ablation.py", "--weight", "nan", check=False)
     assert result.returncode == 2 and "--weight" in result.stderr, result.stderr
     assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("name, args, option", [
+    ("run_weight_sweep.py", ["--weights", "nan", "1", "2"], "--weights"),
+    ("run_weight_sweep.py", ["--weights", "-1", "0", "1"], "--weights"),
+    ("run_weight_sweep.py", ["--weights", "1", "2"], "--weights"),
+    ("run_weight_sweep.py", ["--corruption", "-0.5"], "--corruption"),
+    ("run_weight_sweep.py", ["--corruption", "nan"], "--corruption"),
+    ("run_weight_sweep.py", ["--seeds", "0"], "--seeds"),
+    ("run_ablation.py", ["--seeds", "0"], "--seeds"),
+    ("run_ablation.py", ["--seeds", "1"], "--seeds"),
+    ("run_ablation.py", ["--identities", "1"], "--identities"),
+    ("run_ablation.py", ["--num-poses", "1"], "--num-poses"),
+    ("run_ablation.py", ["--noise", "inf"], "--noise"),
+    ("run_ablation.py", ["--dim", "x"], "--dim"),
+    ("run_ablation.py", ["--dim", "0"], "--dim"),
+    ("run_ablation.py", ["--distractors", "-1"], "--distractors"),
+    ("run_weight_sweep.py", ["--json", "{tmp}/missing/out.json"], "--json"),
+])
+def test_scripts_refuse_a_bad_argument_before_generating(name, args, option, tmp_path):
+    args = [arg.format(tmp=tmp_path) for arg in args]
+    result = script_process(name, "--json", str(tmp_path / "out.json"), *args, check=False)
+    assert result.returncode == 2, result.stderr
+    assert f"argument {option}" in result.stderr or f"error: {option}:" in result.stderr, result.stderr
+    assert "Traceback" not in result.stderr and result.stdout == ""
+    assert not (tmp_path / "out.json").exists()
