@@ -523,17 +523,13 @@ def read_pose_embedding_index(path: str | Path) -> list[tuple[str, int, str, flo
     return out
 
 
-def _plain(value: object) -> object:
-    """A report value as its JSON holds it: a record as the dict of its fields, a tuple as a list."""
-    if isinstance(value, tuple):
-        return [_plain(v) for v in value]
-    if is_dataclass(value):
-        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
-    return value
-
-
-def report_to_dict(report: EvalReport) -> dict:
-    return _plain(report)
+def report_to_dict(report: object) -> object:
+    """A report, or a value in it, as its JSON holds it: records as dicts of fields, tuples as lists."""
+    if isinstance(report, tuple):
+        return [report_to_dict(v) for v in report]
+    if is_dataclass(report):
+        return {f.name: report_to_dict(getattr(report, f.name)) for f in fields(report)}
+    return report
 
 
 def save_report_json(report: EvalReport, path: str | Path) -> None:

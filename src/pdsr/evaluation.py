@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidDatasetError
+from .errors import InvalidDatasetError, ZeroVectorError
 from .fusion import DEFAULT_FUSION_WEIGHT, wf_embeddings
 from .model import CanonicalPoseSet, Dataset, Tracklet, validate_dataset
 from .providers import SyntheticFeatureProvider
@@ -183,21 +183,19 @@ def _columns(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per case, read along its row of `order`: column cameras, positives and non-probe columns.
 
-    Identities and tracklet ids are compared as integer codes.
+    Identities are compared as integer codes, the probe by its row.
     """
     tracklets = dataset.tracklets
+    row = {t.tracklet_id: i for i, t in enumerate(tracklets)}
     identity_code: dict[str, int] = {}
-    tracklet_code: dict[str, int] = {}
     identities = np.array(
         [identity_code.setdefault(t.identity, len(identity_code)) for t in tracklets]
     )
-    ids = np.array([tracklet_code.setdefault(t.tracklet_id, len(tracklet_code)) for t in tracklets])
     cameras = np.array([t.camera for t in tracklets], dtype=int)
     case_identities = np.array([identity_code.get(c.identity, -1) for c in cases])
-    probes = np.array([tracklet_code.get(c.probe_id, -1) for c in cases])
+    probes = np.array([row[c.probe_id] for c in cases])
     positive = identities[order] == case_identities[:, None]
-    not_probe = ids[order] != probes[:, None]
-    return cameras[order], positive, not_probe
+    return cameras[order], positive, order != probes[:, None]
 
 
 def camera_confusion(
@@ -210,24 +208,29 @@ def camera_confusion(
     Column galleries hold exactly one camera's tracklets; on the diagonal
     the probe itself is removed, measuring intra-camera retrieval.
     `columns` is what `_columns` reads along the cases' `rank_gallery`
-    order.  Cells where no probe has a positive are None.
+    order.  A cell averages its probes' APs in probe order; cells where no
+    probe has a positive are None.
     """
     col_cameras, positive, not_probe = columns
-    case_cameras = [c.camera for c in cases]
+    case_cameras = np.array([c.camera for c in cases])
     cameras = dataset.cameras()
-
-    columns = []
+    cells = []  # by gallery camera, then probe camera
     for cam_b in cameras:
         count, _, ap = _first_rank_and_ap(not_probe & (col_cameras == cam_b), positive)
-        columns.append([(case_cameras[i], float(ap[i])) for i in np.flatnonzero(count)])
-    matrix = []
-    for cam_a in cameras:
-        row: list[float | None] = []
-        for cell in columns:
-            aps = [ap for cam, ap in cell if cam == cam_a]
-            row.append(sum(aps) / len(aps) if aps else None)
-        matrix.append(tuple(row))
-    return cameras, tuple(matrix)
+        cells.append([ap[(count > 0) & (case_cameras == cam_a)].tolist() for cam_a in cameras])
+    matrix = tuple(tuple(sum(aps) / len(aps) if aps else None for aps in row) for row in zip(*cells))
+    return cameras, matrix
+
+
+def _cosine_to_probes(
+    vectors: np.ndarray, probe_rows: list[int], tracklets: Sequence[Tracklet]
+) -> np.ndarray:
+    """Probe rows' cosines to all rows; a zero-norm row is a ZeroVectorError naming its tracklet."""
+    zero = np.linalg.norm(vectors, axis=1) == 0.0
+    if zero.any():
+        tid = tracklets[int(np.argmax(zero))].tracklet_id
+        raise ZeroVectorError(f"tracklet {tid!r} pools to a zero-norm vector")
+    return cosine_matrix(vectors[probe_rows], vectors)
 
 
 def score_matrix(
@@ -254,8 +257,7 @@ def score_matrix(
     row = {t.tracklet_id: i for i, t in enumerate(tracklets)}
     probe_rows = [row[c.probe_id] for c in cases]
     if mode is EvalMode.BASELINE:
-        means = real_means(tracklets)
-        return cosine_matrix(means[probe_rows], means)
+        return _cosine_to_probes(real_means(tracklets), probe_rows, tracklets)
 
     # WF averages every canonical pose; WPR backfills only what a pair can need.
     wanted = np.ones((len(tracklets), len(canon)), dtype=bool)
@@ -268,9 +270,8 @@ def score_matrix(
             wanted = backfill
     synthetic, served = provider.fetch(record, wanted, strict=config.strict)
     if mode is not EvalMode.WPR:
-        emb = wf_embeddings(record, synthetic, served, config.fusion_weight)
-        cos = cosine_matrix(emb[probe_rows], emb)
-        del emb  # WPR below is the memory peak of a fused run; keep only the scores
+        cos = _cosine_to_probes(wf_embeddings(record, synthetic, served, config.fusion_weight),
+                                probe_rows, tracklets)
         if mode is EvalMode.WF:
             return cos
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -91,9 +91,7 @@ class PackedFrames:
     def __len__(self) -> int:
         return self.frame_ids.shape[0]
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(self)[i]
+    def __getitem__(self, i: int) -> FrameRecord:
         pose = PoseVector(self.joints[i], self.visibility[i])
         return FrameRecord(int(self.frame_ids[i]), self.features[i], pose)
 
@@ -167,14 +165,15 @@ class CanonicalPoseSet:
 class TrackletMeans:
     """Real-frame means of T tracklets and the frames their synthetics condition on.
 
-    Row t belongs to `tracklet_ids[t]`.  Each tracklet's representative
-    frame is drawn at most once, on first read (see
-    `providers.RepresentativeFrames`; a tuple also serves), so every
-    synthetic query of a run conditions on the same frame.
+    Row t belongs to `tracklet_ids[t]`.  `representative_frame(t)` is its
+    representative frame id; `providers.representative_frames` draws each
+    at most once, on the first call, so every synthetic query of a run
+    conditions on the same frame.  A record built by hand may pass a
+    tuple's `__getitem__`.
     """
 
     tracklet_ids: tuple[str, ...]
-    representative_frame_ids: Sequence[int]
+    representative_frame: Callable[[int], int]
     real_means: np.ndarray  # (T, d) mean feature of all frames
 
 

@@ -16,9 +16,10 @@ overrides it with the same result.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from functools import cache
 from itertools import repeat
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -51,7 +52,7 @@ class SyntheticFeatureProvider(ABC):
         for t, j in zip(*(axis.tolist() for axis in np.nonzero(wanted))):
             tid = record.tracklet_ids[t]
             try:
-                vector = self.query(tid, record.representative_frame_ids[t], j + 1)
+                vector = self.query(tid, record.representative_frame(t), j + 1)
             except MissingSyntheticError:
                 if strict:
                     raise
@@ -78,26 +79,12 @@ def choose_representative(tracklet: Tracklet, seed: int) -> int:
     return int(frame_ids[rng.integers(len(frame_ids))])
 
 
-class RepresentativeFrames(Sequence[int]):
-    """The tracklets' representative frame ids, each drawn on its first read and kept.
+def representative_frames(tracklets: Sequence[Tracklet], seed: int) -> Callable[[int], int]:
+    """Row t -> `choose_representative(tracklets[t], seed)`, drawn on the first call and kept.
 
-    Item t is `choose_representative(tracklets[t], seed)`; a provider that
-    never reads the frame costs no draw.
+    A provider that never reads the frame costs no draw.
     """
-
-    def __init__(self, tracklets: Sequence[Tracklet], seed: int):
-        self._tracklets = tuple(tracklets)
-        self._seed = seed
-        self._drawn: list[int | None] = [None] * len(self._tracklets)
-
-    def __len__(self) -> int:
-        return len(self._tracklets)
-
-    def __getitem__(self, t: int) -> int:
-        frame_id = self._drawn[t]
-        if frame_id is None:
-            frame_id = self._drawn[t] = choose_representative(self._tracklets[t], self._seed)
-        return frame_id
+    return cache(lambda t: choose_representative(tracklets[t], seed))
 
 
 class FileBackedProvider(SyntheticFeatureProvider):
@@ -138,22 +125,16 @@ class FileBackedProvider(SyntheticFeatureProvider):
         """The base class's tensor and mask, from one index lookup over the wanted cells.
 
         The rows are gathered straight into the tensor, so no (cells, d)
-        copy is made beside it.  Errors are the ones the per-cell queries
-        would raise first.
+        copy is made beside it.  A request the base class would refuse (a
+        miss in strict mode, a served row of the wrong width) goes to it.
         """
         dim = record.real_means.shape[1]
         ts, js = np.nonzero(wanted)
-        ids = record.tracklet_ids
-        keys = zip(map(ids.__getitem__, ts.tolist()), (js + 1).tolist())
+        keys = zip(map(record.tracklet_ids.__getitem__, ts.tolist()), (js + 1).tolist())
         rows = np.fromiter(map(self._index.get, keys, repeat(-1)), dtype=np.int64, count=len(ts))
         hit = rows >= 0
-        first_miss = int(np.argmin(hit)) if strict and not hit.all() else len(rows)
-        if self.feature_dim != dim and hit[:first_miss].any():
-            raise ValueError(f"synthetic dimension {self.feature_dim} != real dimension {dim}")
-        if first_miss < len(rows):
-            raise MissingSyntheticError(
-                f"no synthetic feature for ({ids[ts[first_miss]]!r}, pose {js[first_miss] + 1})"
-            )
+        if (strict and not hit.all()) or (self.feature_dim != dim and hit.any()):
+            return super().fetch(record, wanted, strict=strict)
         served = np.zeros(wanted.shape, dtype=bool)
         served[ts[hit], js[hit]] = True
         if not hit.any():

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import AllFramesUnassignableError, EmptyUnionError, ZeroVectorError
 from .model import CanonicalPoseSet, PoseRecord, Tracklet, TrackletMeans, pack
-from .providers import RepresentativeFrames
+from .providers import representative_frames
 from .quantizer import assignment_distances, nearest_poses
 
 
@@ -64,7 +64,7 @@ def tracklet_means(tracklets: Sequence[Tracklet], seed: int) -> TrackletMeans:
     """Real means of the tracklets and each one's representative frame, drawn when first read."""
     return TrackletMeans(
         tracklet_ids=tuple(t.tracklet_id for t in tracklets),
-        representative_frame_ids=RepresentativeFrames(tracklets, seed),
+        representative_frame=representative_frames(tracklets, seed),
         real_means=real_means(tracklets),
     )
 
@@ -101,7 +101,7 @@ def pose_normalize(tracklets: Sequence[Tracklet], canon: CanonicalPoseSet, seed:
     members = members.reshape(len(ids), m)
     return PoseRecord(
         tracklet_ids=ids,
-        representative_frame_ids=RepresentativeFrames(tracklets, seed),
+        representative_frame=representative_frames(tracklets, seed),
         real_means=real,
         vectors=vectors,
         frequencies=members / assignable[:, None],
@@ -160,5 +160,7 @@ def wpr_score_matrix(
         numer += weight * (unit[p] @ unit.T)
         denom += weight
     if (denom == 0.0).any():
-        raise EmptyUnionError("a probe/gallery pair shares no fillable pose")
+        i, k = np.argwhere(denom == 0.0)[0].tolist()  # the first pair in row-major order
+        ids = record.tracklet_ids
+        raise EmptyUnionError(f"probe {ids[p[i]]!r} and gallery {ids[k]!r} share no fillable pose")
     return numer / denom

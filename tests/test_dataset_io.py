@@ -367,7 +367,7 @@ def test_tsv_text_spells_fields_by_str_and_names_a_field_it_cannot_write():
 
 
 def test_pose_embedding_export_refuses_an_id_even_without_an_observed_pose(tmp_path):
-    record = PoseRecord(("a", "b\tc"), (0, 0), np.zeros((2, 2)), np.zeros((2, 1, 2)),
+    record = PoseRecord(("a", "b\tc"), (0, 0).__getitem__, np.zeros((2, 2)), np.zeros((2, 1, 2)),
                         np.ones((2, 1)), np.array([[True], [False]]))
     with pytest.raises(ValueError, match="cannot contain tab"):
         write_pose_embeddings(record, tmp_path / "e.tsv", tmp_path / "e.bin")
@@ -395,7 +395,7 @@ def test_synth_index_writer_refuses_what_its_reader_refuses(tmp_path, entry):
 @example(tid="b")
 def test_indexes_round_trip_any_tracklet_id_or_refuse_it(tmp_path, tid):
     index = {(tid, 1): 0, ("b", 2): 1}
-    record = PoseRecord((tid, "b"), (0, 0), np.zeros((2, 2)), np.ones((2, 1, 2)),
+    record = PoseRecord((tid, "b"), (0, 0).__getitem__, np.zeros((2, 2)), np.ones((2, 1, 2)),
                         np.ones((2, 1)), np.ones((2, 1), dtype=bool))
     # "b" twice would list ("b", 1) twice in the pose-embedding index
     writable = not any(c in tid for c in "\t\n\r") and tid != "b"
@@ -437,7 +437,7 @@ def test_pose_embedding_export_round_trip(tmp_path, small_gen):
 
 
 def test_pose_embedding_export_requires_entries(tmp_path):
-    empty = PoseRecord((), (), np.zeros((0, 2)), np.zeros((0, 3, 2)), np.zeros((0, 3)),
+    empty = PoseRecord((), ().__getitem__, np.zeros((0, 2)), np.zeros((0, 3, 2)), np.zeros((0, 3)),
                        np.zeros((0, 3), dtype=bool))
     with pytest.raises(ValueError):
         write_pose_embeddings(empty, tmp_path / "e.tsv", tmp_path / "e.bin")
@@ -445,7 +445,7 @@ def test_pose_embedding_export_requires_entries(tmp_path):
 
 
 def test_pose_embedding_export_without_an_observed_pose_writes_neither_file(tmp_path):
-    unobserved = PoseRecord(("a", "b"), (0, 0), np.zeros((2, 2)), np.zeros((2, 3, 2)),
+    unobserved = PoseRecord(("a", "b"), (0, 0).__getitem__, np.zeros((2, 2)), np.zeros((2, 3, 2)),
                             np.zeros((2, 3)), np.zeros((2, 3), dtype=bool))
     with pytest.raises(ValueError, match="no pose entries to export"):
         write_pose_embeddings(unobserved, tmp_path / "e.tsv", tmp_path / "e.bin")
@@ -1338,7 +1338,7 @@ def test_pose_embedding_index_malformed_lines_raise(tmp_path, line, problem):
 
 
 POSE_RECORD = PoseRecord(
-    ("b", "a", "é-c1"), (0, 0, 0), np.zeros((3, 2)), np.ones((3, 3, 2)),
+    ("b", "a", "é-c1"), (0, 0, 0).__getitem__, np.zeros((3, 2)), np.ones((3, 3, 2)),
     np.array([[0.25, 0.75, 0.0], [1 / 3, 0.0, 2 / 3], [0.0, 0.0, 1.0]]),
     np.array([[True, True, False], [True, False, True], [False, False, True]]),
 )

@@ -23,6 +23,7 @@ from pdsr import (
     ProtocolConfig,
     SyntheticFeatureProvider,
     Tracklet,
+    ZeroVectorError,
     evaluate,
     validate_dataset,
 )
@@ -477,6 +478,34 @@ def test_evaluate_rejects_non_finite_scores(gate_gen, mode):
             evaluate(dataset, canon, gate_gen.provider, ProtocolConfig(), mode)
     for case in build_protocol(dataset, 0):
         assert case.probe_id in str(exc.value)
+
+
+class CancellingProvider(SyntheticFeatureProvider):
+    """An inner provider, except that `victim`'s three poses serve -e2, 0 and e2, which sum to zero."""
+
+    def __init__(self, inner, victim):
+        self.inner, self.victim = inner, victim
+
+    def query(self, tracklet_id, representative_frame_id, pose):
+        vector = self.inner.query(tracklet_id, representative_frame_id, pose)
+        return np.eye(len(vector))[1] * (pose - 2) if tracklet_id == self.victim else vector
+
+
+@pytest.mark.parametrize("mode", [EvalMode.BASELINE, EvalMode.WF, EvalMode.FUSED])
+def test_score_matrix_names_a_tracklet_that_pools_to_a_zero_vector(gate_gen, mode):
+    # Frames e1 and -e1 are each valid, but their mean is the zero vector;
+    # with synthetics that cancel too, so is the fused one.
+    def cancelling(f):
+        features = np.zeros((2, f.features.shape[1]))
+        features[:, 0] = (1.0, -1.0)
+        return {**{a: getattr(f, a)[:2] for a in FRAME_ARRAYS}, "features": features}
+
+    dataset, canon = _one_tracklet(cancelling)(gate_gen.dataset, gate_gen.canon)
+    victim = dataset.tracklets[3].tracklet_id
+    assert validate_dataset(dataset.tracklets, canon) == [] and len(canon) == 3
+    provider = CancellingProvider(gate_gen.provider, victim)
+    with pytest.raises(ZeroVectorError, match=f"tracklet {victim!r} pools to a zero-norm vector"):
+        evaluate(dataset, canon, provider, ProtocolConfig(), mode)
 
 
 def test_camera_confusion_matches_restricted_gallery_oracle():

@@ -22,7 +22,7 @@ from pdsr import (
 )
 import pdsr.providers
 from pdsr.model import PoseRecord
-from pdsr.providers import RepresentativeFrames, choose_representative
+from pdsr.providers import choose_representative, representative_frames
 from pdsr.seeding import rng_for
 
 
@@ -75,7 +75,7 @@ class RecordingProvider(SyntheticFeatureProvider):
 
 
 def test_fetch_queries_each_wanted_cell_once_with_its_representative():
-    record = PoseRecord(("a", "b"), (7, 3), np.zeros((2, 2)), np.zeros((2, 3, 2)),
+    record = PoseRecord(("a", "b"), (7, 3).__getitem__, np.zeros((2, 2)), np.zeros((2, 3, 2)),
                         np.zeros((2, 3)), np.zeros((2, 3), dtype=bool))
     wanted = np.array([[True, False, True], [False, True, False]])
     provider = RecordingProvider(2)
@@ -110,7 +110,7 @@ class NanProvider(RecordingProvider):
 
 @pytest.mark.parametrize("strict", [True, False])
 def test_fetch_refuses_a_non_finite_vector_and_names_its_cell(strict):
-    record = PoseRecord(("a", "b"), (7, 3), np.zeros((2, 2)), np.zeros((2, 3, 2)),
+    record = PoseRecord(("a", "b"), (7, 3).__getitem__, np.zeros((2, 2)), np.zeros((2, 3, 2)),
                         np.zeros((2, 3)), np.zeros((2, 3), dtype=bool))
     wanted = np.ones((2, 3), dtype=bool)
     with pytest.raises(ValueError, match=r"synthetic feature for \('b', pose 2\) is not finite"):
@@ -174,14 +174,16 @@ def record_draws(monkeypatch):
 
 def test_representative_frames_draw_each_frame_once_on_first_read(monkeypatch):
     tracklets = generate(GenSpec(identities=3, cameras=2, seed=4)).dataset.tracklets
+    expected = [choose_representative(t, 7) for t in tracklets]
     drawn = record_draws(monkeypatch)
-    frames = RepresentativeFrames(tracklets, 7)
+    frame = representative_frames(tracklets, 7)
     assert not drawn
-    assert frames[2] == choose_representative(tracklets[2], 7)
-    assert frames[2] == frames[-len(tracklets) + 2]
-    assert len(drawn) == 2  # the frame read, and the direct draw it is compared with
-    assert list(frames) == [choose_representative(t, 7) for t in tracklets]
-    assert len(frames) == len(tracklets)
+    assert frame(2) == expected[2]
+    assert frame(2) == expected[2]
+    assert drawn == [(7, "representative", tracklets[2].tracklet_id)]
+    assert [frame(t) for t in range(len(tracklets))] == expected
+    assert [frame(t) for t in range(len(tracklets))] == expected
+    assert sorted(drawn) == sorted((7, "representative", t.tracklet_id) for t in tracklets)
 
 
 @pytest.mark.parametrize("mode", [EvalMode.WF, EvalMode.WPR, EvalMode.FUSED])
@@ -199,6 +201,17 @@ def test_evaluate_with_a_file_backed_provider_draws_no_representative_frame(monk
     assert report == evaluate(gen.dataset, gen.canon, gen.provider, ProtocolConfig(), mode)
 
 
+@pytest.mark.parametrize("mode", [EvalMode.WF, EvalMode.WPR, EvalMode.FUSED])
+def test_evaluate_with_a_query_only_provider_draws_once_per_queried_tracklet(monkeypatch, mode):
+    gen = generate(GenSpec(identities=4, cameras=2, num_poses=3, feature_dim=8,
+                           pose_visibility=((1, 2), (2, 3)), seed=5))
+    drawn = record_draws(monkeypatch)
+    provider = RecordingProvider(gen.dataset.feature_dim)
+    evaluate(gen.dataset, gen.canon, provider, ProtocolConfig(), mode)
+    queried = {tid for tid, _, _ in provider.calls}
+    assert sorted(drawn) == sorted((0, "representative", tid) for tid in queried)
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), shape=st.tuples(st.integers(0, 4), st.integers(1, 4)),
        strict=st.booleans(), dim=st.sampled_from([3, 3, 3, 2]))
@@ -213,7 +226,7 @@ def test_file_backed_fetch_equals_the_per_query_loop_bitwise(data, shape, strict
     matrix = rng_for(3, "fetch").normal(size=(len(keys) + 1, dim))
     matrix[-1] = -0.0  # a row no key points at
     provider = FileBackedProvider(dict(zip(keys, rows)), matrix)
-    record = PoseRecord(ids, (0,) * t, np.zeros((t, 3)), np.zeros((t, m, 3)),
+    record = PoseRecord(ids, ((0,) * t).__getitem__, np.zeros((t, 3)), np.zeros((t, m, 3)),
                         np.zeros((t, m)), np.zeros((t, m), dtype=bool))
 
     def outcome(fetch):

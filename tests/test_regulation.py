@@ -44,7 +44,7 @@ def make_record(specs, m=3, d=3):
         for j, (v, f) in spec.items():
             vectors[t, j - 1] = v
             frequencies[t, j - 1] = f
-    return PoseRecord(tuple(specs), (0,) * len(specs), np.zeros((len(specs), d)),
+    return PoseRecord(tuple(specs), ((0,) * len(specs)).__getitem__, np.zeros((len(specs), d)),
                       vectors, frequencies, frequencies > 0.0)
 
 
@@ -85,7 +85,7 @@ def test_pose_normalize_matches_group_oracle(noisy_gen):
     for row, t in enumerate(noisy_gen.dataset.tracklets):
         groups, freqs = naive_groups(t, noisy_gen.canon)
         assert record.tracklet_ids[row] == t.tracklet_id
-        assert record.representative_frame_ids[row] == naive_representative(t, "seeded-random", 0)
+        assert record.representative_frame(row) == naive_representative(t, "seeded-random", 0)
         for j in noisy_gen.canon.indices:
             assert record.observed[row, j - 1] == (j in groups)
             if j in groups:
@@ -117,7 +117,7 @@ def test_batched_pass_equals_single_tracklet_pass_and_oracle(noisy_gen):
     record = pose_normalize(tracklets, canon, SEED)
     for row, t in enumerate(tracklets):
         alone = pose_normalize([t], canon, SEED)
-        assert alone.representative_frame_ids[0] == record.representative_frame_ids[row]
+        assert alone.representative_frame(0) == record.representative_frame(row)
         for field in ("real_means", "vectors", "frequencies", "observed"):
             assert np.array_equal(getattr(alone, field)[0], getattr(record, field)[row]), field
         groups, freqs = naive_groups(t, canon)
@@ -180,6 +180,20 @@ def test_align_pair_lenient_with_nothing_left_raises():
         scores(record, [0, 1], DictProvider({}), strict=False)
 
 
+@pytest.mark.parametrize("probe_rows, pair", [([0, 1], ("a", "a2")), ([1, 0], ("a2", "a"))])
+def test_empty_union_names_the_first_pair_in_row_major_order(probe_rows, pair):
+    # (a, a2), (a, b), (a2, a) and (a2, c) share no pose; column-major
+    # order would name (a2, a) first for probe rows [0, 1].
+    record = make_record({
+        "a": {1: ([1.0, 0.0, 0.0], 1.0)},
+        "a2": {2: ([0.0, 0.0, 1.0], 1.0)},
+        "b": {2: ([0.0, 1.0, 0.0], 1.0)},
+        "c": {1: ([0.0, 1.0, 0.0], 1.0)},
+    })
+    with pytest.raises(EmptyUnionError, match=rf"^probe {pair[0]!r} and gallery {pair[1]!r} share"):
+        scores(record, probe_rows, DictProvider({}), strict=False)
+
+
 def test_align_pair_empty_union_raises():
     record = make_record({"a": {}, "b": {}})
     with pytest.raises(EmptyUnionError):
@@ -213,7 +227,7 @@ def test_wpr_score_matches_naive_oracle(eight_pose_gen):
     for a, b in itertools.combinations(range(len(tracklets)), 2):
         expected = naive_wpr_score(
             tracklets[a], tracklets[b], gen.provider, gen.canon,
-            record.representative_frame_ids[a], record.representative_frame_ids[b],
+            record.representative_frame(a), record.representative_frame(b),
         )
         assert matrix[a, b] == pytest.approx(expected, abs=1e-12)
 
@@ -271,14 +285,14 @@ def test_matrix_equals_per_pair_path(noisy_gen):
     record = pose_normalize(tracklets, gen.canon, SEED)
     matrix = scores(record, [0, 1, 2, 3], gen.provider)  # probes are rows too
     assert matrix.shape == (4, len(tracklets))
-    reps = record.representative_frame_ids
+    reps = record.representative_frame
     for i in range(4):
         for k in range(len(tracklets)):
             if i == k:
                 assert abs(matrix[i, k] - 1.0) <= 1e-12
                 continue
             expected = naive_wpr_score(
-                tracklets[i], tracklets[k], gen.provider, gen.canon, reps[i], reps[k]
+                tracklets[i], tracklets[k], gen.provider, gen.canon, reps(i), reps(k)
             )
             assert abs(matrix[i, k] - expected) <= 1e-12
 
