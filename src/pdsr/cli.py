@@ -9,8 +9,8 @@ Global flags name the input files once; subcommands do one stage each:
     pdsr ... eval --mode wf+wpr --report report.json --csv report.csv
 
 A JSON file named by the PDSR_CONFIG environment variable supplies
-defaults: top-level keys for the global flags, nested objects per
-subcommand (e.g. {"canon": "c.json", "eval": {"weight": 2.0}}).
+defaults by parameter name (`csv_path` for `--csv`): top-level keys for
+global flags, nested objects per subcommand (e.g. {"eval": {"weight": 2}}).
 """
 
 from __future__ import annotations
@@ -54,6 +54,24 @@ class CliContext:
     strict: bool
 
 
+def _checked_config(path: str, section, command: click.Command, where: str = ""):
+    """`section` if click can take it as `command`'s defaults, else a FileFormatError naming the key."""
+    if not isinstance(section, dict):
+        raise FileFormatError(f"{path}: {f'key {where!r}' if where else 'the top level'} is not an object")
+    params, commands = {p.name: p for p in command.params}, getattr(command, "commands", {})
+    for key, value in section.items():
+        name = f"{where}.{key}" if where else key
+        if key in commands:
+            _checked_config(path, value, commands[key], name)
+        elif key not in params:
+            raise FileFormatError(f"{path}: key {name!r} is not one of {', '.join(sorted([*params, *commands]))}")
+        elif isinstance(value, (list, dict)):
+            raise FileFormatError(f"{path}: key {name!r} must hold one value, not {value!r}")
+        elif isinstance(params[key].type, click.Path) and not isinstance(value, (str, type(None))):
+            raise FileFormatError(f"{path}: key {name!r} names a path: a string or null, not {value!r}")
+    return section
+
+
 class _ConfigGroup(click.Group):
     """Loads default option values from the PDSR_CONFIG file, if set."""
 
@@ -61,7 +79,7 @@ class _ConfigGroup(click.Group):
         path = os.environ.get(ENV_CONFIG)
         if path and "default_map" not in extra:
             try:
-                extra["default_map"] = dataset_io.read_json(path, unique_keys=True)
+                extra["default_map"] = _checked_config(path, dataset_io.read_json(path, unique_keys=True), self)
             except OSError as exc:
                 raise click.ClickException(f"cannot read {ENV_CONFIG}={path}: {exc}")
             except FileFormatError as exc:  # names the file

@@ -31,7 +31,6 @@ from .regulation import (
     wpr_score_matrix,
 )
 from .seeding import rng_for
-from .similarity import cosine_matrix
 
 #: CMC entries reported, unless the widest scored gallery is smaller.
 CMC_DEPTH = 50
@@ -222,15 +221,15 @@ def camera_confusion(
     return cameras, matrix
 
 
-def _cosine_to_probes(
-    vectors: np.ndarray, probe_rows: list[int], tracklets: Sequence[Tracklet]
+def cosine_matrix(
+    vectors: np.ndarray, probe_rows: Sequence[int], tracklet_ids: Sequence[str]
 ) -> np.ndarray:
     """Probe rows' cosines to all rows; a zero-norm row is a ZeroVectorError naming its tracklet."""
-    zero = np.linalg.norm(vectors, axis=1) == 0.0
-    if zero.any():
-        tid = tracklets[int(np.argmax(zero))].tracklet_id
-        raise ZeroVectorError(f"tracklet {tid!r} pools to a zero-norm vector")
-    return cosine_matrix(vectors[probe_rows], vectors)
+    norms = np.linalg.norm(vectors, axis=1)
+    if (zero := norms == 0.0).any():
+        raise ZeroVectorError(f"tracklet {tracklet_ids[int(np.argmax(zero))]!r} pools to a zero-norm vector")
+    unit = vectors / norms[:, None]
+    return unit[probe_rows] @ unit.T
 
 
 def score_matrix(
@@ -257,7 +256,7 @@ def score_matrix(
     row = {t.tracklet_id: i for i, t in enumerate(tracklets)}
     probe_rows = [row[c.probe_id] for c in cases]
     if mode is EvalMode.BASELINE:
-        return _cosine_to_probes(real_means(tracklets), probe_rows, tracklets)
+        return cosine_matrix(real_means(tracklets), probe_rows, tuple(row))
 
     # WF averages every canonical pose; WPR backfills only what a pair can need.
     wanted = np.ones((len(tracklets), len(canon)), dtype=bool)
@@ -270,8 +269,8 @@ def score_matrix(
             wanted = backfill
     synthetic, served = provider.fetch(record, wanted, strict=config.strict)
     if mode is not EvalMode.WPR:
-        cos = _cosine_to_probes(wf_embeddings(record, synthetic, served, config.fusion_weight),
-                                probe_rows, tracklets)
+        cos = cosine_matrix(wf_embeddings(record, synthetic, served, config.fusion_weight),
+                            probe_rows, record.tracklet_ids)
         if mode is EvalMode.WF:
             return cos
 

@@ -50,6 +50,17 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line(f"criterion {num}: {status} - {title}")
 
 
+@pytest.fixture(autouse=True, scope="session")
+def _no_config_from_the_shell():
+    """Keep a PDSR_CONFIG set in the developer's shell out of every CLI run, module fixtures included.
+
+    Tests that need one set it themselves.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.delenv("PDSR_CONFIG", raising=False)
+        yield
+
+
 @pytest.fixture(autouse=True)
 def _unfreeze_heap():
     """Hand back to the collector whatever an in-process CLI command froze during the test."""

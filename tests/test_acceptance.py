@@ -16,12 +16,11 @@ from scipy import stats
 from naive_reference import naive_evaluate, naive_rank
 from pdsr import EvalMode, ProtocolConfig, Tracklet, evaluate
 from pdsr.cli import main
-from pdsr.evaluation import build_protocol, score_matrix
+from pdsr.evaluation import build_protocol, cosine_matrix, score_matrix
 from pdsr.generator import GenSpec, PlantedProvider, generate
 from pdsr.model import FrameRecord
 from pdsr.regulation import backfill_poses, pose_normalize, tracklet_means, wpr_score_matrix
 from pdsr.seeding import rng_for
-from pdsr.similarity import cosine_matrix
 
 ALL_MODES = (EvalMode.BASELINE, EvalMode.WF, EvalMode.WPR, EvalMode.FUSED)
 
@@ -128,8 +127,7 @@ def test_criterion_3_wf_limit_consistency():
             record, np.ones((len(all_ids), len(gen.canon)), dtype=bool)
         )
         synth = synthetic.sum(axis=1) / served.sum(axis=1)[:, None]
-        probe_rows = np.stack([synth[col[c.probe_id]] for c in cases])
-        synth_only = cosine_matrix(probe_rows, synth)
+        synth_only = cosine_matrix(synth, [col[c.probe_id] for c in cases], all_ids)
         assert rankings(zero) == rankings(synth_only)
 
 

@@ -529,6 +529,8 @@ def test_negative_weight_is_a_usage_error(workspace, tmp_path):
 def _malformed_synth_features(source: Path, out: Path, case: str) -> None:
     if case == "dimension":  # 8 columns against the manifest's 16
         write_feature_matrix(out, read_feature_matrix(source)[:, :8])
+    elif case == "rows":  # the index's last row is past the matrix
+        write_feature_matrix(out, read_feature_matrix(source)[:-1])
     else:  # the writer refuses NaN, so patch row 0, column 0 of the stored bytes
         raw = bytearray(source.read_bytes())
         raw[_HEADER.size : _HEADER.size + 4] = struct.pack("<f", float("nan"))
@@ -539,11 +541,12 @@ def _malformed_synth_features(source: Path, out: Path, case: str) -> None:
     "case, command",
     [
         ("dimension", ["eval", "--report", "{tmp}/r.json"]),
+        ("rows", ["eval", "--report", "{tmp}/r.json"]),
         ("nan", ["eval", "--mode", "wf", "--report", "{tmp}/r.json"]),
         ("nan", ["embed", "--mode", "wf", "--out", "{tmp}/wf.bin"]),
         ("nan", ["match", "--probe", "id0001-c1-0", "--mode", "wf"]),
     ],
-    ids=["dimension-eval", "nan-eval", "nan-embed", "nan-match"],
+    ids=["dimension-eval", "rows-eval", "nan-eval", "nan-embed", "nan-match"],
 )
 def test_malformed_synthetic_matrix_is_an_error_not_a_traceback(workspace, tmp_path, case, command):
     root, flags = workspace
@@ -582,6 +585,12 @@ def test_eval_with_nothing_to_probe_is_an_error_line(workspace, tmp_path, trackl
     flags = _with_manifest(workspace, tmp_path / "manifest.json", tracklets)
     result = run_process(flags + ["eval", "--report", str(tmp_path / "r.json")])
     assert _error_lines(result) == ["Error: dataset has no non-distractor identity to probe"]
+
+
+def test_match_with_no_other_camera_is_an_error_line(workspace, tmp_path):
+    flags = _with_manifest(workspace, tmp_path / "manifest.json", lambda old: [{**t, "camera": 0} for t in old])
+    result = run_process(flags + ["match", "--probe", "id0000-c0-0"])
+    assert _error_lines(result) == ["Error: no tracklet from another camera to rank"]
 
 
 def test_embed_with_no_tracklets_is_an_error_line(workspace, tmp_path):
@@ -714,15 +723,38 @@ def test_eval_and_match_outputs_are_byte_identical_to_recorded_digests(tmp_path)
 DEEP_JSON = "[" * 100_000 + "]" * 100_000
 
 
+#: Config file texts that stand for no file at that path, or a directory there.
+MISSING, DIRECTORY = object(), object()
+_KEYS = "canon, embed, eval, features, manifest, match, quantize, seed, strict, synth_features, synth_index, synthgen"
+
+
 @pytest.mark.parametrize("text, problem", [
     (DEEP_JSON, "nested too deeply"),
     ('{"seed": 0, "seed": 5}', "'seed' appears twice"),
-], ids=["too-deep", "repeated-key"])
+    (MISSING, "cannot read PDSR_CONFIG="),
+    (DIRECTORY, "cannot read PDSR_CONFIG="),
+    ("[1, 2]", "the top level is not an object"),
+    ('"x"', "the top level is not an object"),
+    ("3", "the top level is not an object"),
+    ('{"eval": 5}', "key 'eval' is not an object"),
+    ('{"seed": [1]}', "key 'seed' must hold one value, not [1]"),
+    ('{"strict": [1]}', "key 'strict' must hold one value, not [1]"),
+    ('{"eval": {"weight": [1]}}', "key 'eval.weight' must hold one value, not [1]"),
+    ('{"match": {"top": {"n": 1}}}', "key 'match.top' must hold one value, not {'n': 1}"),
+    ('{"manifest": 7}', "key 'manifest' names a path: a string or null, not 7"),
+    ('{"eval": {"csv": "r.csv"}}', "key 'eval.csv' is not one of csv_path, mode, report_path, weight"),
+    ('{"synth-index": "s.tsv"}', f"key 'synth-index' is not one of {_KEYS}"),
+], ids=["too-deep", "repeated-key", "missing-file", "directory", "array", "string", "number",
+        "section-not-object", "array-value", "array-flag", "array-in-section", "object-in-section",
+        "number-path", "flag-spelling", "dashed-global"])
 def test_env_config_too_deep_or_with_a_repeated_key_is_an_error_line(tmp_path, text, problem):
     config_path = tmp_path / "config.json"
-    config_path.write_text(text)
+    if text is DIRECTORY:
+        config_path.mkdir()
+    elif text is not MISSING:
+        config_path.write_text(text)
     result = run_process(["--help"], PDSR_CONFIG=str(config_path))
-    assert result.returncode == 1, result.stdout
-    assert "Error:" in result.stderr and str(config_path) in result.stderr, result.stderr
-    assert problem in result.stderr and "Traceback" not in result.stderr
+    error = _error_lines(result)
+    assert len(error) == 1 and str(config_path) in error[0], result.stderr
+    assert problem in error[0], result.stderr
 

@@ -16,12 +16,11 @@ from pdsr import (
     Tracklet,
     ZeroVectorError,
 )
-from pdsr.evaluation import ProbeCase, score_matrix
+from pdsr.evaluation import ProbeCase, cosine_matrix, score_matrix
 from pdsr.fusion import wf_embeddings
 from pdsr.providers import choose_representative
 from pdsr.regulation import real_means, tracklet_means
 from pdsr.seeding import rng_for
-from pdsr.similarity import cosine_matrix
 
 SEED = 0
 
@@ -169,13 +168,16 @@ def test_wf_score_is_per_gallery_cosine():
 
 def test_cosine_matches_naive_oracle():
     rng = rng_for(8, "cos")
-    left, right = rng.normal(size=(5, 10)), rng.normal(size=(20, 10))
-    matrix = cosine_matrix(left, right)
-    for i, u in enumerate(left):
-        for k, v in enumerate(right):
-            assert matrix[i, k] == pytest.approx(naive_cosine(list(u), list(v)), abs=1e-12)
-    with pytest.raises(ZeroVectorError):
-        cosine_matrix(left, np.zeros((1, 10)))
+    vectors = rng.normal(size=(20, 10))
+    probe_rows, ids = [3, 0, 17, 3, 9], [f"t{k:02d}" for k in range(20)]
+    matrix = cosine_matrix(vectors, probe_rows, ids)
+    assert matrix.shape == (5, 20)
+    for i, p in enumerate(probe_rows):
+        for k, v in enumerate(vectors):
+            assert matrix[i, k] == pytest.approx(naive_cosine(list(vectors[p]), list(v)), abs=1e-12)
+    vectors[12] = 0.0
+    with pytest.raises(ZeroVectorError, match="tracklet 't12' pools to a zero-norm vector"):
+        cosine_matrix(vectors, probe_rows, ids)
 
 
 def gallery_setup(seed, n=8):
@@ -187,7 +189,7 @@ def gallery_setup(seed, n=8):
 
 
 def ranking_ids(probe_vec, gallery_vecs, ids):
-    scores = cosine_matrix(probe_vec[None, :], np.stack(gallery_vecs))[0]
+    scores = cosine_matrix(np.stack([probe_vec, *gallery_vecs]), [0], ["probe", *ids])[0, 1:]
     return [g for g, _ in naive_rank(list(zip(ids, scores.tolist())))]
 
 

@@ -164,6 +164,11 @@ def test_file_backed_provider_rejects_dangling_rows():
         FileBackedProvider({("a", 1): 5}, np.ones((2, 3)))
 
 
+def test_file_backed_provider_rejects_a_non_finite_row():
+    with pytest.raises(FileFormatError, match="synthetic matrix row 1 is not finite"):
+        FileBackedProvider({("a", 1): 0}, np.array([[1.0, 2.0], [np.inf, 0.0]]))
+
+
 def record_draws(monkeypatch):
     """The keys of every Generator the providers module makes from now on."""
     drawn = []
