@@ -43,14 +43,15 @@ _HEADER = struct.Struct("<4sIQI")  # magic, version u32, rows u64, dim u32
 
 def write_feature_matrix(path: str | Path, matrix: np.ndarray) -> None:
     """Store a (rows, dim) matrix as float32; this is the quantization point."""
-    arr = np.asarray(matrix, dtype=np.float64)
+    with np.errstate(over="ignore"):  # a value beyond float32's range becomes inf, refused below
+        arr = np.asarray(matrix, dtype=np.float64).astype("<f4")
     if arr.ndim != 2:
         raise ValueError(f"feature matrix must be 2-D, got shape {arr.shape}")
     if not np.isfinite(arr).all():
-        raise ValueError("feature matrix contains non-finite values")
+        raise ValueError("feature matrix contains values that are not finite in float32")
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, arr.shape[0], arr.shape[1]))
-        fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+        fh.write(arr.tobytes())  # C order whatever the layout
 
 
 def read_feature_matrix(path: str | Path) -> np.ndarray:

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidDatasetError, ZeroVectorError
+from .errors import InvalidDatasetError
 from .fusion import DEFAULT_FUSION_WEIGHT, wf_embeddings
 from .model import CanonicalPoseSet, Dataset, Tracklet, validate_dataset
 from .providers import SyntheticFeatureProvider
@@ -28,6 +28,7 @@ from .regulation import (
     pose_normalize,
     real_means,
     tracklet_means,
+    unit_rows,
     wpr_score_matrix,
 )
 from .seeding import rng_for
@@ -54,6 +55,10 @@ class ProtocolConfig:
     strict: bool = True
 
     def __post_init__(self) -> None:
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
+            raise TypeError(f"seed {self.seed!r} is not an integer")
+        if not isinstance(self.strict, bool):
+            raise TypeError(f"strict {self.strict!r} is not a bool")
         if not 0.0 <= self.fusion_weight < np.inf:
             raise ValueError(f"fusion_weight {self.fusion_weight!r} is not a finite number >= 0")
 
@@ -224,11 +229,8 @@ def camera_confusion(
 def cosine_matrix(
     vectors: np.ndarray, probe_rows: Sequence[int], tracklet_ids: Sequence[str]
 ) -> np.ndarray:
-    """Probe rows' cosines to all rows; a zero-norm row is a ZeroVectorError naming its tracklet."""
-    norms = np.linalg.norm(vectors, axis=1)
-    if (zero := norms == 0.0).any():
-        raise ZeroVectorError(f"tracklet {tracklet_ids[int(np.argmax(zero))]!r} pools to a zero-norm vector")
-    unit = vectors / norms[:, None]
+    """Probe rows' cosines to all rows; `unit_rows` refuses a zero or overflowed row by its tracklet."""
+    unit = unit_rows(vectors, tracklet_ids, "pools to a zero-norm vector")
     return unit[probe_rows] @ unit.T
 
 
@@ -293,10 +295,6 @@ def evaluate(
         raise ValueError("dataset has no non-distractor identity to probe")
 
     scores = score_matrix(dataset, canon, provider, cases, config, mode)
-    nonfinite = [c.probe_id for c, ok in zip(cases, np.isfinite(scores).all(axis=1)) if not ok]
-    if nonfinite:
-        raise ValueError(f"non-finite scores for probe(s) {', '.join(nonfinite)}: finite inputs overflowed")
-
     columns = _columns(dataset, cases, rank_gallery(scores))
     col_cameras, positive, _ = columns
     gallery = col_cameras != np.array([c.camera for c in cases])[:, None]

@@ -123,6 +123,17 @@ def backfill_poses(record: PoseRecord, probe_rows: Sequence[int]) -> np.ndarray:
     return needed & ~observed
 
 
+def unit_rows(vectors: np.ndarray, tracklet_ids: Sequence[str], zero_message: str, needed=True) -> np.ndarray:
+    """Rows over their norms, zero rows not `needed` kept; a needed zero or an inf/NaN norm names its tracklet."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.linalg.norm(vectors, axis=1)
+    if (zero := needed & (norms == 0.0)).any():
+        raise ZeroVectorError(f"tracklet {tracklet_ids[int(np.argmax(zero))]!r} {zero_message}")
+    if (bad := ~np.isfinite(norms)).any():
+        raise ValueError(f"tracklet {tracklet_ids[int(np.argmax(bad))]!r}: its vector norm overflowed")
+    return vectors / np.where(norms == 0.0, 1.0, norms)[:, None]
+
+
 def wpr_score_matrix(
     record: PoseRecord,
     probe_rows: Sequence[int],
@@ -146,14 +157,7 @@ def wpr_score_matrix(
     for m in np.flatnonzero(observed.any(axis=0)).tolist():
         unit = np.where(observed[:, m, None], record.vectors[:, m], synthetic[:, m])
         unit[~avail[:, m]] = 0.0
-        norms = np.linalg.norm(unit, axis=1)
-        empty = avail[:, m] & (norms == 0.0)
-        if empty.any():
-            raise ZeroVectorError(
-                f"tracklet {record.tracklet_ids[int(np.argmax(empty))]!r} "
-                "has an all-zero per-pose vector"
-            )
-        unit /= np.where(norms == 0.0, 1.0, norms)[:, None]
+        unit = unit_rows(unit, record.tracklet_ids, "has an all-zero per-pose vector", avail[:, m])
         freq = record.frequencies[:, m]
         weight = (freq[p][:, None] + freq[None, :]) / 2.0
         weight *= avail[p, m][:, None] & avail[:, m][None, :]

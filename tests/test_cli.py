@@ -587,6 +587,22 @@ def test_eval_with_nothing_to_probe_is_an_error_line(workspace, tmp_path, trackl
     assert _error_lines(result) == ["Error: dataset has no non-distractor identity to probe"]
 
 
+@pytest.mark.parametrize("command, error", [
+    (["match", "--probe", "id0001-c1-0", "--weight", "1e308"], "tracklet 'dx0000-c0': its vector norm overflowed"),
+    (["eval", "--mode", "wf", "--weight", "1e308", "--report", "{tmp}/r.json"],
+     "tracklet 'dx0000-c0': its vector norm overflowed"),
+    (["embed", "--mode", "wf", "--weight", "1e39", "--out", "{tmp}/wf.bin"],
+     "feature matrix contains values that are not finite in float32"),
+], ids=["match", "eval", "embed"])
+def test_a_weight_that_overflows_is_an_error_line(workspace, tmp_path, command, error):
+    """A finite weight whose fused vectors overflow a norm, or float32, is refused before any output."""
+    _, flags = workspace
+    result = run_process(flags + [arg.format(tmp=tmp_path) for arg in command])
+    assert _error_lines(result) == [f"Error: {error}"]
+    assert "RuntimeWarning" not in result.stderr and result.stdout == "", result.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_match_with_no_other_camera_is_an_error_line(workspace, tmp_path):
     flags = _with_manifest(workspace, tmp_path / "manifest.json", lambda old: [{**t, "camera": 0} for t in old])
     result = run_process(flags + ["match", "--probe", "id0000-c0-0"])

@@ -117,10 +117,11 @@ def test_matrix_rejects_bad_magic_version_and_size(tmp_path):
 
 
 def test_matrix_writer_rejects_nonfinite_and_wrong_rank(tmp_path):
-    with pytest.raises(ValueError):
-        write_feature_matrix(tmp_path / "x.bin", np.array([[1.0, np.nan]]))
-    with pytest.raises(ValueError):
-        write_feature_matrix(tmp_path / "x.bin", np.ones(4))
+    # 1e39 is finite in float64 but beyond float32, the type the file stores.
+    for matrix in (np.array([[1.0, np.nan]]), np.ones(4), np.array([[1e39]])):
+        with pytest.raises(ValueError):
+            write_feature_matrix(tmp_path / "x.bin", matrix)
+        assert not (tmp_path / "x.bin").exists()
 
 
 # ------------------------------------------------------------ manifest

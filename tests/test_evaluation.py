@@ -466,18 +466,24 @@ def test_evaluate_refuses_a_repeated_tracklet_id(gate_gen, mode):
         evaluate(dataset, canon, gate_gen.provider, ProtocolConfig(), mode)
 
 
-@pytest.mark.parametrize("mode", list(EvalMode))
-def test_evaluate_rejects_non_finite_scores(gate_gen, mode):
-    # Valid features whose sum overflows: the mean is inf, and that
-    # tracklet sits in every probe's score row.
-    dataset, canon = _one_tracklet(lambda f: {"features": np.full_like(f.features, 1e308)})(
+# Valid features of one tracklet that overflow in scoring, by id suffix.
+OVERFLOWS = {
+    "": lambda f: np.full_like(f.features, 1e308),  # the sum overflows: the mean is inf
+    "-norm": lambda f: f.features * 1e200,  # the mean is finite, its norm is not
+}
+
+
+@pytest.mark.parametrize("mode, overflow", [
+    pytest.param(mode, suffix, id=f"{mode}{suffix}") for suffix in OVERFLOWS for mode in EvalMode
+])
+def test_evaluate_rejects_non_finite_scores(gate_gen, mode, overflow):
+    dataset, canon = _one_tracklet(lambda f: {"features": OVERFLOWS[overflow](f)})(
         gate_gen.dataset, gate_gen.canon)
     assert validate_dataset(dataset.tracklets, canon) == []
-    with pytest.raises(ValueError, match="non-finite scores.*finite inputs overflowed") as exc:
+    victim = dataset.tracklets[3].tracklet_id
+    with pytest.raises(ValueError, match=f"tracklet {victim!r}: its vector norm overflowed"):
         with np.errstate(over="ignore", invalid="ignore"):
             evaluate(dataset, canon, gate_gen.provider, ProtocolConfig(), mode)
-    for case in build_protocol(dataset, 0):
-        assert case.probe_id in str(exc.value)
 
 
 class CancellingProvider(SyntheticFeatureProvider):
@@ -608,3 +614,16 @@ def test_one_sort_per_row_ranks_every_gallery_as_a_lexsort_per_gallery(data, sha
 def test_protocol_config_rejects_a_negative_or_non_finite_weight(weight):
     with pytest.raises(ValueError, match="fusion_weight"):
         ProtocolConfig(fusion_weight=weight)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("seed", 1.5), ("seed", "3"), ("seed", None), ("seed", True), ("strict", "no"), ("strict", 1),
+])
+def test_protocol_config_rejects_a_seed_or_strict_flag_of_the_wrong_type(field, value):
+    with pytest.raises(TypeError, match=f"^{field} {value!r} is not"):
+        ProtocolConfig(**{field: value})
+
+
+def test_protocol_config_accepts_numpy_integer_seeds():
+    assert ProtocolConfig(seed=np.int64(3)).seed == 3
+    assert ProtocolConfig(seed=np.uint8(2), strict=False).seed == 2
