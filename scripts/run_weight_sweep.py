@@ -30,7 +30,7 @@ def main() -> None:
                         help="the synthetic-only limit, interior weights, then the baseline limit")
     args = parser.parse_args()
     check_stressor_options(parser, args)
-    if not 0 <= args.corruption < math.inf:  # PlantedProvider lets nan and inf through
+    if not 0 <= args.corruption < math.inf:  # PlantedProvider refuses it too, but only after a dataset is generated
         parser.error(f"--corruption: {args.corruption} is not a finite number >= 0")
     if len(args.weights) < 3:
         parser.error("--weights: needs the two limits and at least one interior weight")

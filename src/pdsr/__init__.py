@@ -22,7 +22,7 @@ from .errors import (
 )
 from .evaluation import EvalMode, EvalReport, ProtocolConfig, evaluate
 from .generator import GenSpec, PlantedProvider, generate
-from .model import CanonicalPoseSet, Dataset, FrameRecord, PoseVector, Tracklet, validate_dataset
+from .model import CanonicalPoseSet, Dataset, Tracklet, validate_dataset
 from .providers import FileBackedProvider, SyntheticFeatureProvider, file_backed_provider
 
 __all__ = [
@@ -34,13 +34,11 @@ __all__ = [
     "EvalReport",
     "FileBackedProvider",
     "FileFormatError",
-    "FrameRecord",
     "GenSpec",
     "InvalidDatasetError",
     "MissingSyntheticError",
     "PdsrError",
     "PlantedProvider",
-    "PoseVector",
     "ProtocolConfig",
     "SyntheticFeatureProvider",
     "Tracklet",

@@ -16,9 +16,11 @@ global flags, nested objects per subcommand (e.g. {"eval": {"weight": 2}}).
 from __future__ import annotations
 
 import gc
+import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import click
 import numpy as np
@@ -43,19 +45,8 @@ from .regulation import pose_normalize, tracklet_means
 ENV_CONFIG = "PDSR_CONFIG"
 
 
-@dataclass
-class CliContext:
-    manifest: Path | None
-    features: Path | None
-    canon: Path | None
-    synth_index: Path | None
-    synth_features: Path | None
-    seed: int | None
-    strict: bool
-
-
 def _checked_config(path: str, section, command: click.Command, where: str = ""):
-    """`section` if click can take it as `command`'s defaults, else a FileFormatError naming the key."""
+    """`section`, scalars as JSON text, if click can take it as `command`'s defaults, else a FileFormatError naming the key."""
     if not isinstance(section, dict):
         raise FileFormatError(f"{path}: {f'key {where!r}' if where else 'the top level'} is not an object")
     params, commands = {p.name: p for p in command.params}, getattr(command, "commands", {})
@@ -69,6 +60,8 @@ def _checked_config(path: str, section, command: click.Command, where: str = "")
             raise FileFormatError(f"{path}: key {name!r} must hold one value, not {value!r}")
         elif isinstance(params[key].type, click.Path) and not isinstance(value, (str, type(None))):
             raise FileFormatError(f"{path}: key {name!r} names a path: a string or null, not {value!r}")
+        elif not isinstance(value, (str, type(None))):  # click parses the text as it parses the flag's
+            section[key] = json.dumps(value)
     return section
 
 
@@ -110,7 +103,7 @@ class _ConfigGroup(click.Group):
 @click.pass_context
 def main(ctx, **options):
     """Pose-regulated tracklet matching and retrieval evaluation."""
-    ctx.obj = CliContext(**options)
+    ctx.obj = SimpleNamespace(**options)
     # What is alive now (modules, numpy's and click's objects, the options)
     # lives until exit: frozen, neither the command's collections nor the
     # interpreter's at exit walk it again.  The collector keeps its setting.
@@ -123,7 +116,7 @@ def _require(value: Path | None, flag: str) -> Path:
     return value
 
 
-def _load_inputs(obj: CliContext) -> tuple[Dataset, CanonicalPoseSet]:
+def _load_inputs(obj: SimpleNamespace) -> tuple[Dataset, CanonicalPoseSet]:
     dataset = dataset_io.load_dataset(
         _require(obj.manifest, "--manifest"), _require(obj.features, "--features")
     )
@@ -138,7 +131,7 @@ def _validated(dataset: Dataset, canon: CanonicalPoseSet) -> tuple[Dataset, Cano
     return dataset, canon
 
 
-def _provider(obj: CliContext, dataset: Dataset):
+def _provider(obj: SimpleNamespace, dataset: Dataset):
     index_path = _require(obj.synth_index, "--synth-index")
     features_path = _require(obj.synth_features, "--synth-features")
     provider = file_backed_provider(index_path, features_path)
@@ -164,7 +157,7 @@ _weight_option = click.option("--weight", type=click.FloatRange(min=0.0), defaul
                               callback=_finite, show_default=True, help="Real-branch weight w for WF.")
 
 
-def _config(obj: CliContext, weight: float) -> ProtocolConfig:
+def _config(obj: SimpleNamespace, weight: float) -> ProtocolConfig:
     seed = obj.seed if obj.seed is not None else 0
     return ProtocolConfig(seed=seed, fusion_weight=weight, strict=obj.strict)
 
@@ -173,7 +166,7 @@ def _config(obj: CliContext, weight: float) -> ProtocolConfig:
 @click.option("--spec", "spec_path", required=True, type=click.Path(path_type=Path), help="GenSpec JSON.")
 @click.option("--out", "out_dir", required=True, type=click.Path(path_type=Path), help="Output directory.")
 @click.pass_obj
-def synthgen(obj: CliContext, spec_path: Path, out_dir: Path):
+def synthgen(obj: SimpleNamespace, spec_path: Path, out_dir: Path):
     """Generate a planted dataset plus canon, synthetic features and index."""
     spec = load_gen_spec(spec_path)
     if obj.seed is not None:
@@ -206,7 +199,7 @@ def synthgen(obj: CliContext, spec_path: Path, out_dir: Path):
 @click.option("--out", "out_path", type=click.Path(path_type=Path), default=None,
               help="Write per-frame assignments TSV (tracklet, frame, pose, distance).")
 @click.pass_obj
-def quantize(obj: CliContext, out_path: Path | None):
+def quantize(obj: SimpleNamespace, out_path: Path | None):
     """Assign every frame to its nearest canonical pose."""
     dataset, canon = _validated(*_load_inputs(obj))
     frames, _ = pack(dataset.tracklets)
@@ -235,7 +228,7 @@ def quantize(obj: CliContext, out_path: Path | None):
 @click.option("--ids", "ids_path", type=click.Path(path_type=Path), default=None,
               help="Optional row -> tracklet id TSV (wf mode).")
 @click.pass_obj
-def embed(obj: CliContext, mode: str, weight: float, out_path: Path,
+def embed(obj: SimpleNamespace, mode: str, weight: float, out_path: Path,
           index_path: Path | None, ids_path: Path | None):
     """Write fused (wf) or pose-normalized (wpr) embeddings."""
     if mode == "wpr" and index_path is None:
@@ -276,7 +269,7 @@ def embed(obj: CliContext, mode: str, weight: float, out_path: Path,
 @click.option("--out", "out_path", type=click.Path(path_type=Path), default=None,
               help="Write the full ranking as TSV.")
 @click.pass_obj
-def match(obj: CliContext, probe_id: str, mode: EvalMode, weight: float, top: int,
+def match(obj: SimpleNamespace, probe_id: str, mode: EvalMode, weight: float, top: int,
           out_path: Path | None):
     """Rank the cross-camera gallery for one probe tracklet."""
     dataset, canon = _load_inputs(obj)
@@ -318,7 +311,7 @@ def match(obj: CliContext, probe_id: str, mode: EvalMode, weight: float, top: in
 @click.option("--csv", "csv_path", type=click.Path(path_type=Path), default=None,
               help="Optional flat CSV mirror of the report.")
 @click.pass_obj
-def eval_cmd(obj: CliContext, mode: EvalMode, weight: float, report_path: Path,
+def eval_cmd(obj: SimpleNamespace, mode: EvalMode, weight: float, report_path: Path,
              csv_path: Path | None):
     """Run the cross-camera retrieval protocol and write the report."""
     dataset, canon = _load_inputs(obj)

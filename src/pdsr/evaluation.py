@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from numbers import Real
 from typing import Sequence
 
 import numpy as np
@@ -59,6 +60,8 @@ class ProtocolConfig:
             raise TypeError(f"seed {self.seed!r} is not an integer")
         if not isinstance(self.strict, bool):
             raise TypeError(f"strict {self.strict!r} is not a bool")
+        if isinstance(self.fusion_weight, bool) or not isinstance(self.fusion_weight, Real):
+            raise TypeError(f"fusion_weight {self.fusion_weight!r} is not a number")
         if not 0.0 <= self.fusion_weight < np.inf:
             raise ValueError(f"fusion_weight {self.fusion_weight!r} is not a finite number >= 0")
 

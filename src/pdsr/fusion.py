@@ -41,4 +41,5 @@ def wf_embeddings(
             f"provider served no canonical pose for tracklet "
             f"{record.tracklet_ids[int(np.argmin(count))]!r}"
         )
-    return w * record.real_means + synthetic.sum(axis=1) / count[:, None]
+    with np.errstate(over="ignore"):  # an overflow is refused by name where the rows are used
+        return w * record.real_means + synthetic.sum(axis=1) / count[:, None]

@@ -142,8 +142,8 @@ class PlantedProvider(SyntheticFeatureProvider):
     """
 
     def __init__(self, truth: PlantedTruth, noise_sigma: float = 0.0, seed: int = 0):
-        if noise_sigma < 0:
-            raise ValueError("noise_sigma must be non-negative")
+        if not 0 <= noise_sigma < math.inf:
+            raise ValueError(f"noise_sigma {noise_sigma!r} is not a finite number >= 0")
         self._truth = truth
         self._sigma = float(noise_sigma)
         self._seed = seed

@@ -66,25 +66,20 @@ class SyntheticFeatureProvider(ABC):
         return synthetic, served
 
 
-def choose_representative(tracklet: Tracklet, seed: int) -> int:
-    """Pick the representative frame id of a tracklet.
+def representative_frames(tracklets: Sequence[Tracklet], seed: int) -> Callable[[int], int]:
+    """Row t -> the representative frame id of `tracklets[t]`, drawn on the first call and kept.
 
     The draw is uniform over the frames in frame-id order, from a generator
-    keyed by (seed, tracklet_id), so it is invariant to storage order.
+    keyed by (seed, tracklet_id), so it is invariant to storage order.  A
+    provider that never reads the frame costs no draw.
     """
-    frame_ids = tracklet.frames.frame_ids
-    if not len(frame_ids):
-        raise ValueError(f"tracklet {tracklet.tracklet_id!r} has no frames")
-    rng = rng_for(seed, "representative", tracklet.tracklet_id)
-    return int(frame_ids[rng.integers(len(frame_ids))])
-
-
-def representative_frames(tracklets: Sequence[Tracklet], seed: int) -> Callable[[int], int]:
-    """Row t -> `choose_representative(tracklets[t], seed)`, drawn on the first call and kept.
-
-    A provider that never reads the frame costs no draw.
-    """
-    return cache(lambda t: choose_representative(tracklets[t], seed))
+    def draw(t: int) -> int:
+        frame_ids = tracklets[t].frames.frame_ids
+        if not len(frame_ids):
+            raise ValueError(f"tracklet {tracklets[t].tracklet_id!r} has no frames")
+        rng = rng_for(seed, "representative", tracklets[t].tracklet_id)
+        return int(frame_ids[rng.integers(len(frame_ids))])
+    return cache(draw)
 
 
 class FileBackedProvider(SyntheticFeatureProvider):

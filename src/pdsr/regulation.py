@@ -127,6 +127,10 @@ def unit_rows(vectors: np.ndarray, tracklet_ids: Sequence[str], zero_message: st
     """Rows over their norms, zero rows not `needed` kept; a needed zero or an inf/NaN norm names its tracklet."""
     with np.errstate(over="ignore", invalid="ignore"):
         norms = np.linalg.norm(vectors, axis=1)
+    # A non-zero row whose squares all underflow has its norm re-taken over it scaled by its peak.
+    if (zero := norms == 0.0).any() and (tiny := np.flatnonzero(zero)[vectors[zero].any(axis=1)]).size:
+        peak = np.abs(vectors[tiny]).max(axis=1)
+        norms[tiny] = np.linalg.norm(vectors[tiny] / peak[:, None], axis=1) * peak
     if (zero := needed & (norms == 0.0)).any():
         raise ZeroVectorError(f"tracklet {tracklet_ids[int(np.argmax(zero))]!r} {zero_message}")
     if (bad := ~np.isfinite(norms)).any():

@@ -16,7 +16,7 @@ CALLERS = sorted([*ROOT.glob("bench/*.py"), *ROOT.glob("scripts/*.py"), ROOT / "
 
 SUPPORTED = [
     "evaluate", "EvalMode", "ProtocolConfig", "EvalReport", "report_to_dict",
-    "Dataset", "Tracklet", "FrameRecord", "PoseVector", "CanonicalPoseSet",
+    "Dataset", "Tracklet", "CanonicalPoseSet",
     "load_dataset", "load_canon", "validate_dataset",
     "SyntheticFeatureProvider", "FileBackedProvider", "file_backed_provider",
     "PlantedProvider", "GenSpec", "generate",
@@ -26,7 +26,7 @@ SUPPORTED = [
 
 
 def test_all_is_the_supported_api():
-    assert len(pdsr.__all__) == len(set(pdsr.__all__)) == 26
+    assert len(pdsr.__all__) == len(set(pdsr.__all__)) == 24
     assert set(pdsr.__all__) == set(SUPPORTED)
 
 

@@ -16,7 +16,7 @@ from click.testing import CliRunner
 from naive_reference import naive_assign, naive_keypoint_distance
 import pdsr.cli
 import pdsr.evaluation
-from pdsr import PoseVector, load_canon, load_dataset, validate_dataset
+from pdsr import ProtocolConfig, load_canon, load_dataset, validate_dataset
 from pdsr.cli import main
 from pdsr.dataset_io import (
     _HEADER,
@@ -29,7 +29,7 @@ from pdsr.dataset_io import (
     write_synth_index,
 )
 from pdsr.generator import GenSpec, generate, save_gen_spec
-from pdsr.model import DISTRACTOR
+from pdsr.model import DISTRACTOR, PoseVector
 
 
 @pytest.fixture(scope="module")
@@ -506,14 +506,14 @@ def test_missing_input_file_is_an_error_not_a_traceback(tmp_path):
 
 
 def test_negative_weight_is_a_usage_error(workspace, tmp_path):
-    """A negative, nan or inf weight, given as a flag or by PDSR_CONFIG, is a usage error."""
+    """A negative, nan, inf or boolean weight, given as a flag or by PDSR_CONFIG, is a usage error."""
     _, flags = workspace
     commands = {
         "eval": ["eval", "--report", str(tmp_path / "r.json")],
         "match": ["match", "--probe", "id0001-c1-0"],
         "embed": ["embed", "--mode", "wf", "--out", str(tmp_path / "wf.bin")],
     }
-    for weight in (-1.0, float("nan"), float("inf")):
+    for weight in (-1.0, float("nan"), float("inf"), True):
         config = tmp_path / "config.json"  # NaN and Infinity are accepted JSON tokens
         config.write_text(json.dumps({name: {"weight": weight} for name in commands}))
         for name, command in commands.items():
@@ -524,6 +524,27 @@ def test_negative_weight_is_a_usage_error(workspace, tmp_path):
                 assert result.returncode == 2, (name, weight, result.stderr)
                 assert "--weight" in result.stderr, result.stderr
                 assert "Traceback" not in result.stderr and "Warning" not in result.stderr
+
+
+@pytest.mark.parametrize("config, expected", [
+    ({"seed": True}, "--seed"),
+    ({"seed": 1.9}, "--seed"),
+    ({"seed": 3}, ProtocolConfig(seed=3)),
+    ({"eval": {"weight": 2}}, ProtocolConfig(fusion_weight=2.0)),
+    ({"strict": False}, ProtocolConfig(strict=False)),
+], ids=["seed-true", "seed-float", "seed", "weight", "strict-false"])
+def test_env_config_values_parse_as_their_flags_do(workspace, tmp_path, monkeypatch, config, expected):
+    """A config value the flag would refuse is a usage error naming it; one it takes keeps its meaning."""
+    _, flags = workspace
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    seen = []
+    monkeypatch.setattr(pdsr.cli, "evaluate", lambda *args: seen.append(args[3]) or pdsr.evaluation.evaluate(*args))
+    result = CliRunner().invoke(main, flags + ["eval", "--report", str(tmp_path / "r.json")],
+                                env={"PDSR_CONFIG": str(tmp_path / "config.json")})
+    if isinstance(expected, str):
+        assert result.exit_code == 2 and expected in result.output and not seen, result.output
+    else:
+        assert result.exit_code == 0 and seen == [expected], result.output
 
 
 def _malformed_synth_features(source: Path, out: Path, case: str) -> None:
@@ -587,16 +608,27 @@ def test_eval_with_nothing_to_probe_is_an_error_line(workspace, tmp_path, trackl
     assert _error_lines(result) == ["Error: dataset has no non-distractor identity to probe"]
 
 
-@pytest.mark.parametrize("command, error", [
-    (["match", "--probe", "id0001-c1-0", "--weight", "1e308"], "tracklet 'dx0000-c0': its vector norm overflowed"),
+@pytest.mark.parametrize("command, error, scale", [
+    (["match", "--probe", "id0001-c1-0", "--weight", "1e308"], "tracklet 'dx0000-c0': its vector norm overflowed", 1),
     (["eval", "--mode", "wf", "--weight", "1e308", "--report", "{tmp}/r.json"],
-     "tracklet 'dx0000-c0': its vector norm overflowed"),
+     "tracklet 'dx0000-c0': its vector norm overflowed", 1),
     (["embed", "--mode", "wf", "--weight", "1e39", "--out", "{tmp}/wf.bin"],
-     "feature matrix contains values that are not finite in float32"),
-], ids=["match", "eval", "embed"])
-def test_a_weight_that_overflows_is_an_error_line(workspace, tmp_path, command, error):
+     "feature matrix contains values that are not finite in float32", 1),
+    # Features x10: w * mean itself overflows, before any norm is taken.
+    (["match", "--probe", "id0001-c1-0", "--weight", "1e308"], "tracklet 'dx0000-c0': its vector norm overflowed", 10),
+    (["eval", "--mode", "wf", "--weight", "1e308", "--report", "{tmp}/r.json"],
+     "tracklet 'dx0000-c0': its vector norm overflowed", 10),
+    (["embed", "--mode", "wf", "--weight", "1e308", "--out", "{tmp}/wf.bin"],
+     "feature matrix contains values that are not finite in float32", 10),
+], ids=["match", "eval", "embed", "match-x10", "eval-x10", "embed-x10"])
+def test_a_weight_that_overflows_is_an_error_line(workspace, tmp_path, tmp_path_factory, command, error, scale):
     """A finite weight whose fused vectors overflow a norm, or float32, is refused before any output."""
-    _, flags = workspace
+    root, flags = workspace
+    if scale != 1:
+        scaled = tmp_path_factory.mktemp("scaled") / "features.bin"
+        write_feature_matrix(scaled, read_feature_matrix(root / "data" / "features.bin") * scale)
+        flags = flags[:]
+        flags[flags.index("--features") + 1] = str(scaled)
     result = run_process(flags + [arg.format(tmp=tmp_path) for arg in command])
     assert _error_lines(result) == [f"Error: {error}"]
     assert "RuntimeWarning" not in result.stderr and result.stdout == "", result.stderr
@@ -734,6 +766,26 @@ def test_eval_and_match_outputs_are_byte_identical_to_recorded_digests(tmp_path)
     run(full + ["match", "--probe", "id0001-c1-0", "--out", str(out["match.tsv"])])
     digests = {name: hashlib.blake2s(path.read_bytes()).hexdigest() for name, path in out.items()}
     assert digests == EVAL_DIGESTS
+
+
+def test_eval_outputs_do_not_depend_on_the_blas_thread_count(tmp_path, monkeypatch):
+    """The report JSON and CSV bytes of every mode are the same on one BLAS thread, two, or the default."""
+    spec = GenSpec(identities=60, cameras=2, tracklets_per_identity_per_camera=2, frames_per_tracklet=(4, 8),
+                   feature_dim=128, num_poses=4, pose_effect_scale=0.4, noise_sigma=0.2, distractors=8, seed=3)
+    save_gen_spec(spec, tmp_path / "spec.json")
+    run(["synthgen", "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "data")])
+    flags = [arg for name in ("manifest.json", "features.bin", "canon.json", "synth-index.tsv", "synth-features.bin")
+             for arg in (f"--{name.split('.')[0]}", str(tmp_path / "data" / name))]
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    for mode in ("baseline", "wf", "wpr", "wf+wpr"):
+        outputs = set()
+        for threads in ({}, {"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "2"}):
+            report, csv = tmp_path / "r.json", tmp_path / "r.csv"
+            result = run_process(flags + ["eval", "--mode", mode, "--report", str(report), "--csv", str(csv)],
+                                 **threads)
+            assert result.returncode == 0, result.stderr
+            outputs.add((report.read_bytes(), csv.read_bytes()))
+        assert len(outputs) == 1, mode
 
 
 DEEP_JSON = "[" * 100_000 + "]" * 100_000

@@ -25,8 +25,6 @@ from pdsr import (
     EvalMode,
     EvalReport,
     FileFormatError,
-    FrameRecord,
-    PoseVector,
     ProtocolConfig,
     Tracklet,
     evaluate,
@@ -55,7 +53,7 @@ from pdsr.dataset_io import (
 )
 from pdsr.evaluation import ProbeResult
 from pdsr.generator import GenSpec, generate, load_gen_spec, save_gen_spec
-from pdsr.model import PoseRecord
+from pdsr.model import FrameRecord, PoseRecord, PoseVector
 from pdsr.regulation import pose_normalize
 from pdsr.seeding import rng_for
 

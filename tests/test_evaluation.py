@@ -16,10 +16,8 @@ from pdsr import (
     CanonicalPoseSet,
     Dataset,
     EvalMode,
-    FrameRecord,
     InvalidDatasetError,
     MissingSyntheticError,
-    PoseVector,
     ProtocolConfig,
     SyntheticFeatureProvider,
     Tracklet,
@@ -38,7 +36,7 @@ from pdsr.evaluation import (
     score_matrix,
 )
 from pdsr.generator import GenSpec, generate
-from pdsr.model import DISTRACTOR, PackedFrames
+from pdsr.model import DISTRACTOR, FrameRecord, PackedFrames, PoseVector
 from pdsr.seeding import rng_for
 
 
@@ -486,6 +484,18 @@ def test_evaluate_rejects_non_finite_scores(gate_gen, mode, overflow):
             evaluate(dataset, canon, gate_gen.provider, ProtocolConfig(), mode)
 
 
+@pytest.mark.parametrize("mode", list(EvalMode))
+def test_evaluate_scores_a_tracklet_whose_squares_underflow(gate_gen, mode):
+    """Features x1e-200 square to 0 yet are no zero vector; cosines of the real rows do not see the scale."""
+    dataset, canon = _one_tracklet(lambda f: {"features": f.features * 1e-200})(gate_gen.dataset, gate_gen.canon)
+    assert validate_dataset(dataset.tracklets, canon) == []
+    report = evaluate(dataset, canon, gate_gen.provider, ProtocolConfig(), mode)
+    assert report.num_scored == report.num_probes > 0
+    if mode in (EvalMode.BASELINE, EvalMode.WPR):
+        unscaled = evaluate(gate_gen.dataset, canon, gate_gen.provider, ProtocolConfig(), mode)
+        assert report.mean_ap == pytest.approx(unscaled.mean_ap) and report.cmc == pytest.approx(unscaled.cmc)
+
+
 class CancellingProvider(SyntheticFeatureProvider):
     """An inner provider, except that `victim`'s three poses serve -e2, 0 and e2, which sum to zero."""
 
@@ -622,6 +632,12 @@ def test_protocol_config_rejects_a_negative_or_non_finite_weight(weight):
 def test_protocol_config_rejects_a_seed_or_strict_flag_of_the_wrong_type(field, value):
     with pytest.raises(TypeError, match=f"^{field} {value!r} is not"):
         ProtocolConfig(**{field: value})
+
+
+@pytest.mark.parametrize("weight", [True, "2", None])
+def test_protocol_config_rejects_a_weight_that_is_not_a_number(weight):
+    with pytest.raises(TypeError, match=f"^fusion_weight {weight!r} is not a number"):
+        ProtocolConfig(fusion_weight=weight)
 
 
 def test_protocol_config_accepts_numpy_integer_seeds():

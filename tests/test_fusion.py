@@ -8,9 +8,7 @@ from naive_reference import naive_cosine, naive_rank, naive_synth_mean, naive_wf
 from pdsr import (
     Dataset,
     EvalMode,
-    FrameRecord,
     MissingSyntheticError,
-    PoseVector,
     ProtocolConfig,
     SyntheticFeatureProvider,
     Tracklet,
@@ -18,7 +16,8 @@ from pdsr import (
 )
 from pdsr.evaluation import ProbeCase, cosine_matrix, score_matrix
 from pdsr.fusion import wf_embeddings
-from pdsr.providers import choose_representative
+from pdsr.model import FrameRecord, PoseVector
+from pdsr.providers import representative_frames
 from pdsr.regulation import real_means, tracklet_means
 from pdsr.seeding import rng_for
 
@@ -123,7 +122,7 @@ def test_wf_formula_matches_naive():
     provider = PoseOnlyProvider(rng.normal(size=(3, 6)))
     for w in (0.5, 1.0, 4.0):
         got = wf_vectors([t], provider, canon, w)[0]
-        rep_frame = choose_representative(t, SEED)
+        rep_frame = representative_frames([t], SEED)(0)
         expected = naive_wf_vec(t, provider, 3, w, rep_frame)
         assert np.allclose(got, expected, atol=1e-12)
 

@@ -202,6 +202,13 @@ def test_planted_provider_rejects_unknown_keys():
         PlantedProvider(gen.truth, noise_sigma=-0.5)
 
 
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+def test_planted_provider_refuses_a_noise_sigma_that_is_not_finite(sigma):
+    gen = generate(GenSpec(**SMALL, seed=6))
+    with pytest.raises(ValueError, match=f"^noise_sigma {sigma!r} is not a finite number >= 0"):
+        PlantedProvider(gen.truth, noise_sigma=sigma)
+
+
 def test_corrupted_provider_adds_seeded_noise():
     gen = generate(GenSpec(**SMALL, seed=8))
     noisy = PlantedProvider(gen.truth, noise_sigma=0.5, seed=1)

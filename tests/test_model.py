@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_canon
-from pdsr import CanonicalPoseSet, Dataset, FrameRecord, PoseVector, Tracklet, validate_dataset
-from pdsr.model import PackedFrames, _frame_defects, pack
+from pdsr import CanonicalPoseSet, Dataset, Tracklet, validate_dataset
+from pdsr.model import FrameRecord, PackedFrames, PoseVector, _frame_defects, pack
 from pdsr.regulation import pose_normalize, real_means
 
 

@@ -10,10 +10,8 @@ from pdsr import (
     EvalMode,
     FileBackedProvider,
     FileFormatError,
-    FrameRecord,
     GenSpec,
     MissingSyntheticError,
-    PoseVector,
     ProtocolConfig,
     SyntheticFeatureProvider,
     Tracklet,
@@ -21,8 +19,8 @@ from pdsr import (
     generate,
 )
 import pdsr.providers
-from pdsr.model import PoseRecord
-from pdsr.providers import choose_representative, representative_frames
+from pdsr.model import FrameRecord, PoseRecord, PoseVector
+from pdsr.providers import representative_frames
 from pdsr.seeding import rng_for
 
 
@@ -43,20 +41,20 @@ def tracklet_with_ids(frame_ids, d=4, seed=0):
 def test_seeded_random_matches_documented_contract():
     t = tracklet_with_ids(range(7))
     for seed in range(5):
-        assert choose_representative(t, seed) == naive_representative(t, "seeded-random", seed)
+        assert representative_frames([t], seed)(0) == naive_representative(t, "seeded-random", seed)
 
 
 def test_representative_invariant_to_storage_order():
     t = tracklet_with_ids([3, 1, 0, 2])
     shuffled = Tracklet("t0", "x", 0, tuple(reversed(t.frames)))
     for seed in (0, 11):
-        assert choose_representative(t, seed) == choose_representative(shuffled, seed)
+        assert representative_frames([t], seed)(0) == representative_frames([shuffled], seed)(0)
 
 
 def test_empty_tracklet_has_no_representative():
     t = Tracklet("t0", "x", 0, ())
     with pytest.raises(ValueError):
-        choose_representative(t, 0)
+        representative_frames([t], 0)(0)
 
 
 class RecordingProvider(SyntheticFeatureProvider):
@@ -133,14 +131,14 @@ def test_evaluate_conditions_queries_on_frames_drawn_with_the_protocol_seed(mode
     gen = generate(GenSpec(identities=4, cameras=2, num_poses=3, feature_dim=8,
                            pose_visibility=((1, 2), (2, 3)), seed=5))
     tracklets = gen.dataset.tracklets
-    assert any(choose_representative(t, 3) != choose_representative(t, 0) for t in tracklets)
+    assert any(representative_frames([t], 3)(0) != representative_frames([t], 0)(0) for t in tracklets)
     provider = RecordingProvider(gen.dataset.feature_dim)
     evaluate(gen.dataset, gen.canon, provider, ProtocolConfig(seed=3), mode)
     by_id = gen.dataset.by_id()
     assert provider.calls
     assert len(provider.calls) == len({(tid, pose) for tid, _, pose in provider.calls})
     for tid, frame_id, _ in provider.calls:
-        assert frame_id == choose_representative(by_id[tid], 3)
+        assert frame_id == representative_frames([by_id[tid]], 3)(0)
 
 
 def test_file_backed_provider_serves_rows_and_misses():
@@ -179,7 +177,7 @@ def record_draws(monkeypatch):
 
 def test_representative_frames_draw_each_frame_once_on_first_read(monkeypatch):
     tracklets = generate(GenSpec(identities=3, cameras=2, seed=4)).dataset.tracklets
-    expected = [choose_representative(t, 7) for t in tracklets]
+    expected = [representative_frames([t], 7)(0) for t in tracklets]
     drawn = record_draws(monkeypatch)
     frame = representative_frames(tracklets, 7)
     assert not drawn

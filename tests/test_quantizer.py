@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from conftest import make_canon
 from naive_reference import naive_assign, naive_groups, naive_keypoint_distance
-from pdsr import AllFramesUnassignableError, FrameRecord, PoseVector, Tracklet
+from pdsr import AllFramesUnassignableError, Tracklet
+from pdsr.model import FrameRecord, PoseVector
 from pdsr.quantizer import _BLOCK_FRAMES, MIN_COMMON_JOINTS, assignment_distances, nearest_poses
 from pdsr.regulation import pose_normalize
 from pdsr.seeding import rng_for

@@ -10,14 +10,13 @@ from pdsr import (
     AllFramesUnassignableError,
     EmptyUnionError,
     MissingSyntheticError,
-    PoseVector,
     SyntheticFeatureProvider,
     Tracklet,
     ZeroVectorError,
 )
 from pdsr.generator import GenSpec, generate
-from pdsr.model import FrameRecord, PoseRecord
-from pdsr.regulation import backfill_poses, pose_normalize, real_means, wpr_score_matrix
+from pdsr.model import FrameRecord, PoseRecord, PoseVector
+from pdsr.regulation import backfill_poses, pose_normalize, real_means, unit_rows, wpr_score_matrix
 from pdsr.seeding import rng_for
 
 SEED = 0
@@ -357,3 +356,16 @@ def test_pooling_no_tracklets_is_an_error(small_gen):
         real_means([])
     with pytest.raises(ValueError, match="no tracklets to pool"):
         pose_normalize([], small_gen.canon, SEED)
+
+
+def test_unit_rows_retakes_only_the_norms_that_underflow():
+    vectors = rng_for(0, "unit-rows").normal(size=(4, 8))
+    plain = unit_rows(vectors, "abcd", "is zero")
+    vectors[1] *= 1e-200  # its squares all underflow to 0
+    vectors[2] = 0.0
+    got = unit_rows(vectors, "abcd", "is zero", needed=np.array([True, True, False, True]))
+    assert got[[0, 3]].tobytes() == plain[[0, 3]].tobytes()
+    assert np.allclose(got[1], plain[1], rtol=1e-15, atol=0.0)
+    assert not got[2].any()
+    with pytest.raises(ZeroVectorError, match="tracklet 'c' is zero"):
+        unit_rows(vectors, "abcd", "is zero")

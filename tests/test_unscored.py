@@ -12,8 +12,6 @@ from pdsr import (
     Dataset,
     EvalMode,
     FileBackedProvider,
-    FrameRecord,
-    PoseVector,
     ProtocolConfig,
     Tracklet,
     evaluate,
@@ -21,7 +19,7 @@ from pdsr import (
 from pdsr.cli import main
 from pdsr.dataset_io import save_canon, save_dataset, write_feature_matrix, write_synth_index
 from pdsr.evaluation import cmc_curve
-from pdsr.model import DISTRACTOR
+from pdsr.model import DISTRACTOR, FrameRecord, PoseVector
 from pdsr.seeding import rng_for
 
 D, K, M = 6, 5, 3
