@@ -28,7 +28,7 @@ from itertools import accumulate, chain, repeat
 from numbers import Integral
 from operator import itemgetter
 from pathlib import Path
-from typing import Mapping, get_args, get_origin, get_type_hints
+from typing import Mapping
 
 import numpy as np
 
@@ -104,9 +104,9 @@ def read_json(path: str | Path, *, unique_keys: bool = False, text: str | None =
     """The decoded file (or `text`, as read); invalid or too deeply nested JSON names the file.
 
     With `unique_keys` a key given twice in one object is an error too, as
-    the settings readers (gen spec, PDSR_CONFIG) ask.  The manifest, canon
-    and report readers keep the last value, as `json` does: the check slows
-    the decode of a large manifest by a sixth or more.
+    the settings readers (gen spec, PDSR_CONFIG) ask.  The manifest and
+    canon readers keep the last value, as `json` does: the check slows the
+    decode of a large manifest by a sixth or more.
     """
     text = _read_text(path) if text is None else text
     try:
@@ -414,23 +414,6 @@ def load_canon(path: str | Path) -> CanonicalPoseSet:
         raise FileFormatError(f"{path}: missing or malformed field: {exc}") from exc
 
 
-def _tsv_lines(path: str | Path, fields: int):
-    """(line number, fields) of each non-empty line of a tab-separated file.
-
-    A line may end in CR LF; a carriage return anywhere else is an error.
-    """
-    for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
-        line = line.removesuffix("\r")
-        if not line:
-            continue
-        if "\r" in line:
-            raise FileFormatError(f"{path}:{lineno}: carriage return inside a line")
-        parts = line.split("\t")
-        if len(parts) != fields:
-            raise FileFormatError(f"{path}:{lineno}: expected {fields} tab-separated fields")
-        yield lineno, parts
-
-
 def write_synth_index(index: Mapping[tuple[str, int], int], path: str | Path) -> None:
     """Tab-separated (tracklet_id, pose, row), sorted for determinism.
 
@@ -445,23 +428,32 @@ def write_synth_index(index: Mapping[tuple[str, int], int], path: str | Path) ->
     Path(path).write_text(text, encoding="utf-8")
 
 
-def _pose_and_row(path: str | Path, lineno: int, pose_s: str, row_s: str) -> tuple[int, int]:
-    """An index line's pose (>= 1) and row (>= 0), each written as a plain integer."""
-    try:
-        pose, row = int(pose_s), int(row_s)
-    except ValueError as exc:
-        raise FileFormatError(f"{path}:{lineno}: non-integer pose or row") from exc
-    if f"{pose}\t{row}" != f"{pose_s}\t{row_s}":  # "+1", " 1", "01", "1_0"
-        raise FileFormatError(f"{path}:{lineno}: pose or row not written as a plain integer")
-    if pose < 1 or row < 0:
-        raise FileFormatError(f"{path}:{lineno}: pose or row out of range")
-    return pose, row
-
-
 def read_synth_index(path: str | Path) -> dict[tuple[str, int], int]:
+    """(tracklet_id, pose) -> row of each non-empty line, taken only as `write_synth_index` writes it.
+
+    Pose (>= 1) and row (>= 0) are plain integers and a (tracklet, pose)
+    pair appears once.  A line may end in CR LF; a carriage return
+    anywhere else is an error.
+    """
     index: dict[tuple[str, int], int] = {}
-    for lineno, (tid, pose_s, row_s) in _tsv_lines(path, 3):
-        pose, row = _pose_and_row(path, lineno, pose_s, row_s)
+    for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
+        line = line.removesuffix("\r")
+        if not line:
+            continue
+        if "\r" in line:
+            raise FileFormatError(f"{path}:{lineno}: carriage return inside a line")
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise FileFormatError(f"{path}:{lineno}: expected 3 tab-separated fields")
+        tid, pose_s, row_s = parts
+        try:
+            pose, row = int(pose_s), int(row_s)
+        except ValueError as exc:
+            raise FileFormatError(f"{path}:{lineno}: non-integer pose or row") from exc
+        if f"{pose}\t{row}" != f"{pose_s}\t{row_s}":  # "+1", " 1", "01", "1_0"
+            raise FileFormatError(f"{path}:{lineno}: pose or row not written as a plain integer")
+        if pose < 1 or row < 0:
+            raise FileFormatError(f"{path}:{lineno}: pose or row out of range")
         if (tid, pose) in index:
             raise FileFormatError(f"{path}:{lineno}: duplicate entry ({tid}, {pose})")
         index[(tid, pose)] = row
@@ -498,32 +490,6 @@ def write_pose_embeddings(
     write_feature_matrix(matrix_path, record.vectors[t, j])
 
 
-def read_pose_embedding_index(path: str | Path) -> list[tuple[str, int, str, float, int]]:
-    """Rows of a keyed pose-embedding index, each line as `write_pose_embeddings` writes it.
-
-    Pose and row are plain integers, origin is `real`, and the frequency is
-    the `repr` of a float in (0, 1]; a (tracklet, pose) pair appears once.
-    """
-    out = []
-    seen = set()
-    for lineno, (tid, pose_s, origin, freq_s, row_s) in _tsv_lines(path, 5):
-        pose, row = _pose_and_row(path, lineno, pose_s, row_s)
-        if origin != "real":
-            raise FileFormatError(f"{path}:{lineno}: origin {origin!r} is not 'real'")
-        try:
-            freq = float(freq_s)
-            written = repr(freq) == freq_s and 0.0 < freq <= 1.0
-        except ValueError:
-            written = False
-        if not written:
-            raise FileFormatError(f"{path}:{lineno}: frequency {freq_s!r} is not a float in (0, 1]")
-        if (tid, pose) in seen:
-            raise FileFormatError(f"{path}:{lineno}: duplicate entry ({tid}, {pose})")
-        seen.add((tid, pose))
-        out.append((tid, pose, origin, freq, row))
-    return out
-
-
 def report_to_dict(report: object) -> object:
     """A report, or a value in it, as its JSON holds it: records as dicts of fields, tuples as lists."""
     if isinstance(report, tuple):
@@ -535,31 +501,6 @@ def report_to_dict(report: object) -> object:
 
 def save_report_json(report: EvalReport, path: str | Path) -> None:
     write_json(path, report_to_dict(report))
-
-
-def _report_value(path: str | Path, value: object, hint: object, where: str = "", signed: bool = False):
-    """`value` from a report's JSON as a report holds a `hint`, or a FileFormatError naming its field.
-
-    None stands only where `hint` allows it; a float is in [0, 1]; an int is >= 0 unless `signed` (a camera).
-    """
-    kinds = get_args(hint)
-    if type(None) in kinds:  # `T | None`: what no scored probe fills
-        return None if value is None else _report_value(path, value, kinds[0], where, signed)
-    if is_dataclass(hint) and isinstance(value, dict):
-        return hint(**{k: _report_value(path, value[k], t, f"{where}.{k}", k.startswith("camera"))
-                       for k, t in get_type_hints(hint).items()})
-    if get_origin(hint) is tuple and isinstance(value, list):
-        return tuple(_report_value(path, v, kinds[0], f"{where}[{i}]", signed) for i, v in enumerate(value))
-    if type(value) is hint and (hint is str or (0 <= value <= 1 if hint is float else signed or value >= 0)):
-        return value
-    raise FileFormatError(f"{path}: {where.lstrip('.') or 'report'} {value!r} is not what a report holds")
-
-
-def load_report_json(path: str | Path) -> EvalReport:
-    try:
-        return _report_value(path, read_json(path), EvalReport)
-    except KeyError as exc:
-        raise FileFormatError(f"{path}: missing field {exc}") from exc
 
 
 def _csv_value(value: object) -> str:

@@ -22,7 +22,7 @@ class ZeroVectorError(PdsrError):
 
 
 class FileFormatError(PdsrError):
-    """A manifest, feature-matrix, index, or report file is malformed."""
+    """A manifest, canon, feature-matrix, index or settings file is malformed."""
 
 
 class InvalidDatasetError(PdsrError, ValueError):

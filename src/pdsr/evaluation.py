@@ -27,7 +27,6 @@ from .providers import SyntheticFeatureProvider
 from .regulation import (
     backfill_poses,
     pose_normalize,
-    real_means,
     tracklet_means,
     unit_rows,
     wpr_score_matrix,
@@ -250,8 +249,11 @@ def score_matrix(
     Each mode pools all tracklets in one pass: BASELINE and WF read real
     means only, WPR and fused a pose record.  WF and WPR read one synthetic
     fetch.  `provider` may be None in BASELINE mode, which uses no
-    synthetics.  A dataset `validate_dataset` reports is an InvalidDatasetError.
+    synthetics.  A dataset `validate_dataset` reports is an InvalidDatasetError;
+    a `mode` that is not an `EvalMode` is a TypeError before any work.
     """
+    if not isinstance(mode, EvalMode):
+        raise TypeError(f"mode {mode!r} is not an EvalMode")
     if provider is None and mode is not EvalMode.BASELINE:
         raise ValueError(f"mode {mode.value!r} needs a synthetic feature provider")
     tracklets = dataset.tracklets
@@ -260,8 +262,9 @@ def score_matrix(
         raise InvalidDatasetError(issues)
     row = {t.tracklet_id: i for i, t in enumerate(tracklets)}
     probe_rows = [row[c.probe_id] for c in cases]
-    if mode is EvalMode.BASELINE:
-        return cosine_matrix(real_means(tracklets), probe_rows, tuple(row))
+    if mode is EvalMode.BASELINE:  # the representative frames are never drawn
+        record = tracklet_means(tracklets, config.seed)
+        return cosine_matrix(record.real_means, probe_rows, record.tracklet_ids)
 
     # WF averages every canonical pose; WPR backfills only what a pair can need.
     wanted = np.ones((len(tracklets), len(canon)), dtype=bool)

@@ -16,14 +16,14 @@ provider serves is bit-identical to what a feature file round-trip yields.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from numbers import Integral, Real
 from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
-from .dataset_io import _is_a, read_json, write_json
+from .dataset_io import _is_a, read_json
 from .errors import FileFormatError, MissingSyntheticError
 from .model import DISTRACTOR, CanonicalPoseSet, Dataset, PackedFrames, Tracklet
 from .providers import SyntheticFeatureProvider
@@ -260,12 +260,8 @@ def generate(spec: GenSpec) -> GeneratedData:
     )
 
 
-def save_gen_spec(spec: GenSpec, path: str | Path) -> None:
-    write_json(path, asdict(spec))
-
-
 def load_gen_spec(path: str | Path) -> GenSpec:
-    """Read a spec `save_gen_spec` writes; an unknown or repeated key is an error."""
+    """Read a spec file, a JSON object of `GenSpec` fields; an unknown or repeated key is an error."""
     payload = read_json(path, unique_keys=True)
     if not isinstance(payload, dict):  # a list's items would pass for keys
         raise FileFormatError(f"{path}: not a JSON object")

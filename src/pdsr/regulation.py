@@ -1,8 +1,8 @@
 """Batched pooling of tracklets, and pose-regulated, frequency-weighted matching.
 
 Every pooling here is one pass over a whole set of tracklets: segment sums
-over rows in frame-id order give each tracklet's real mean (`real_means`,
-`tracklet_means`), and `pose_normalize` adds one quantizer call that
+over rows in frame-id order give each tracklet's real mean
+(`tracklet_means`), and `pose_normalize` adds one quantizer call that
 assigns every frame its canonical pose and, per (tracklet, pose), the
 pooled feature and the fraction of assignable frames.  Only WPR needs
 poses, so only it pays for the quantizer.  To match two tracklets, both
@@ -51,21 +51,16 @@ def _segment_means(
     return keys[starts], sizes, sums
 
 
-def real_means(tracklets: Sequence[Tracklet]) -> np.ndarray:
-    """(T, d) mean feature of each tracklet's frames, pooled in one pass."""
+def tracklet_means(tracklets: Sequence[Tracklet], seed: int) -> TrackletMeans:
+    """Real means of the tracklets, pooled in one pass, and each one's representative frame, drawn when first read."""
     frames, offsets = pack(tracklets)
     sizes = np.diff(offsets)
     if not sizes.all():
         raise ValueError(f"tracklet {tracklets[int(np.argmin(sizes))].tracklet_id!r} has no frames")
-    return _segment_means(frames.features, np.repeat(np.arange(len(sizes)), sizes))[2]
-
-
-def tracklet_means(tracklets: Sequence[Tracklet], seed: int) -> TrackletMeans:
-    """Real means of the tracklets and each one's representative frame, drawn when first read."""
     return TrackletMeans(
         tracklet_ids=tuple(t.tracklet_id for t in tracklets),
         representative_frame=representative_frames(tracklets, seed),
-        real_means=real_means(tracklets),
+        real_means=_segment_means(frames.features, np.repeat(np.arange(len(sizes)), sizes))[2],
     )
 
 

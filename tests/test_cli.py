@@ -6,7 +6,7 @@ import os
 import struct
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -16,19 +16,29 @@ from click.testing import CliRunner
 from naive_reference import naive_assign, naive_keypoint_distance
 import pdsr.cli
 import pdsr.evaluation
-from pdsr import ProtocolConfig, load_canon, load_dataset, validate_dataset
+from pdsr import (
+    EvalMode,
+    ProtocolConfig,
+    evaluate,
+    file_backed_provider,
+    load_canon,
+    load_dataset,
+    report_to_dict,
+    validate_dataset,
+)
 from pdsr.cli import main
 from pdsr.dataset_io import (
     _HEADER,
-    load_report_json,
     read_feature_matrix,
     read_synth_index,
     save_canon,
     save_dataset,
+    save_report_csv,
     write_feature_matrix,
+    write_json,
     write_synth_index,
 )
-from pdsr.generator import GenSpec, generate, save_gen_spec
+from pdsr.generator import GenSpec, generate
 from pdsr.model import DISTRACTOR, PoseVector
 
 
@@ -39,7 +49,7 @@ def workspace(tmp_path_factory):
     spec = GenSpec(identities=4, cameras=2, frames_per_tracklet=(4, 6),
                    feature_dim=16, num_poses=3, pose_effect_scale=0.4,
                    noise_sigma=0.1, distractors=2, seed=17)
-    save_gen_spec(spec, root / "spec.json")
+    write_json(root / "spec.json", asdict(spec))
     result = CliRunner().invoke(
         main, ["synthgen", "--spec", str(root / "spec.json"), "--out", str(root / "data")]
     )
@@ -100,7 +110,7 @@ def test_synthgen_files_are_byte_identical_to_recorded_digests(tmp_path):
     spec = GenSpec(identities=3, cameras=2, frames_per_tracklet=(2, 4), feature_dim=6,
                    joint_count=5, num_poses=3, pose_effect_scale=0.3, noise_sigma=0.1,
                    pose_jitter=0.02, pose_visibility=((1, 2), (2, 3)), distractors=2, seed=5)
-    save_gen_spec(spec, tmp_path / "spec.json")
+    write_json(tmp_path / "spec.json", asdict(spec))
     run(["synthgen", "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "o")])
     digests = {name: hashlib.blake2s((tmp_path / "o" / name).read_bytes()).hexdigest()
                for name in SYNTHGEN_DIGESTS}
@@ -235,15 +245,21 @@ def test_match_marks_no_hit_for_a_distractor_probe(workspace):
 
 
 def test_eval_writes_report_and_csv(workspace, tmp_path):
-    _, flags = workspace
+    """The written JSON and CSV are those of `evaluate` run in process on the same files."""
+    root, flags = workspace
     report_path, csv_path = tmp_path / "r.json", tmp_path / "r.csv"
     result = run(flags + ["eval", "--mode", "wf+wpr",
                           "--report", str(report_path), "--csv", str(csv_path)])
     assert "mAP" in result.output
-    report = load_report_json(report_path)
-    assert report.mode == "wf+wpr"
-    assert report.num_probes == 4
-    assert csv_path.read_text().startswith("section,key,value")
+    data = root / "data"
+    report = evaluate(load_dataset(data / "manifest.json", data / "features.bin"),
+                      load_canon(data / "canon.json"),
+                      file_backed_provider(data / "synth-index.tsv", data / "synth-features.bin"),
+                      ProtocolConfig(), EvalMode.FUSED)
+    assert report.mode == "wf+wpr" and report.num_probes == 4
+    assert json.loads(report_path.read_text(encoding="utf-8")) == report_to_dict(report)
+    save_report_csv(report, tmp_path / "expected.csv")
+    assert csv_path.read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
 
 def test_eval_reruns_are_bit_identical(workspace, tmp_path):
@@ -481,7 +497,7 @@ def test_malformed_canon_is_an_error_not_a_traceback(workspace, tmp_path):
 
 @pytest.mark.parametrize("field, value", [("identities", 2.5), ("feature_dim", 8.0)])
 def test_gen_spec_of_wrong_type_is_an_error_not_a_traceback(tmp_path, field, value):
-    save_gen_spec(GenSpec(), tmp_path / "spec.json")
+    write_json(tmp_path / "spec.json", asdict(GenSpec()))
     payload = json.loads((tmp_path / "spec.json").read_text())
     payload[field] = value
     (tmp_path / "spec.json").write_text(json.dumps(payload))
@@ -772,7 +788,7 @@ def test_eval_outputs_do_not_depend_on_the_blas_thread_count(tmp_path, monkeypat
     """The report JSON and CSV bytes of every mode are the same on one BLAS thread, two, or the default."""
     spec = GenSpec(identities=60, cameras=2, tracklets_per_identity_per_camera=2, frames_per_tracklet=(4, 8),
                    feature_dim=128, num_poses=4, pose_effect_scale=0.4, noise_sigma=0.2, distractors=8, seed=3)
-    save_gen_spec(spec, tmp_path / "spec.json")
+    write_json(tmp_path / "spec.json", asdict(spec))
     run(["synthgen", "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "data")])
     flags = [arg for name in ("manifest.json", "features.bin", "canon.json", "synth-index.tsv", "synth-features.bin")
              for arg in (f"--{name.split('.')[0]}", str(tmp_path / "data" / name))]

@@ -339,6 +339,15 @@ def test_fused_evaluation_queries_each_key_at_most_once(noisy_gen, strict):
     assert len(provider.keys) == len(noisy_gen.dataset.tracklets) * len(noisy_gen.canon)
 
 
+@pytest.mark.parametrize("mode, has_provider", [("wf", True), (None, True), ("baseline", False)],
+                         ids=["wf", "None", "baseline-without-provider"])
+def test_a_mode_that_is_no_eval_mode_is_a_type_error_before_any_work(small_gen, mode, has_provider):
+    provider = CountingProvider(small_gen.provider) if has_provider else None
+    with pytest.raises(TypeError, match=f"^mode {re.escape(repr(mode))} is not an EvalMode$"):
+        evaluate(small_gen.dataset, small_gen.canon, provider, ProtocolConfig(), mode)
+    assert provider is None or provider.keys == []  # nothing was fetched
+
+
 def occluded(tracklet):
     """The tracklet with every frame showing only 3 joints: no frame maps to a pose."""
     frames = tuple(

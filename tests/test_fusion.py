@@ -18,7 +18,7 @@ from pdsr.evaluation import ProbeCase, cosine_matrix, score_matrix
 from pdsr.fusion import wf_embeddings
 from pdsr.model import FrameRecord, PoseVector
 from pdsr.providers import representative_frames
-from pdsr.regulation import real_means, tracklet_means
+from pdsr.regulation import tracklet_means
 from pdsr.seeding import rng_for
 
 SEED = 0
@@ -67,12 +67,12 @@ def test_baseline_is_frame_mean_and_order_invariant():
     rng = rng_for(0, "wf")
     t = make_tracklet(rng)
     expected = np.mean(np.stack([f.feature for f in t.frames]), axis=0)
-    real = real_means([t])[0]
+    real = tracklet_means([t], SEED).real_means[0]
     assert np.allclose(real, expected, atol=1e-15)
     shuffled = Tracklet("t0", "x", 0, tuple(reversed(t.frames)))
-    assert np.array_equal(real, real_means([shuffled])[0])
+    assert np.array_equal(real, tracklet_means([shuffled], SEED).real_means[0])
     with pytest.raises(ValueError):
-        real_means([Tracklet("t0", "x", 0, ())])
+        tracklet_means([Tracklet("t0", "x", 0, ())], SEED)
 
 
 def test_synthetic_mean_over_all_canonical_poses():
@@ -195,7 +195,7 @@ def ranking_ids(probe_vec, gallery_vecs, ids):
 def test_large_weight_ranking_equals_baseline_ranking():
     canon, tracklets, provider = gallery_setup(9)
     ids = [t.tracklet_id for t in tracklets[1:]]
-    real = real_means(tracklets)
+    real = tracklet_means(tracklets, SEED).real_means
     for w in (1e6, 1e9):
         vectors = wf_vectors(tracklets, provider, canon, w)
         wf_rank = ranking_ids(vectors[0], list(vectors[1:]), ids)

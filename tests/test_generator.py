@@ -1,5 +1,6 @@
 """Planted-ground-truth generator: determinism, recoverability, difficulty knobs."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from naive_reference import naive_cosine
 from pdsr import FileFormatError, MissingSyntheticError, validate_dataset
+from pdsr.dataset_io import write_json
 from pdsr.fusion import wf_embeddings
 from pdsr.generator import (
     GenSpec,
@@ -15,7 +17,6 @@ from pdsr.generator import (
     _unit,
     generate,
     load_gen_spec,
-    save_gen_spec,
 )
 from pdsr.model import DISTRACTOR, pack
 from pdsr.quantizer import assignment_distances, nearest_poses
@@ -267,7 +268,7 @@ def test_gen_spec_rejects_bad_values(kwargs):
 def test_gen_spec_field_of_wrong_type_or_name_is_rejected(tmp_path, field, value):
     with pytest.raises(TypeError):
         GenSpec(**{field: value})
-    save_gen_spec(GenSpec(), tmp_path / "spec.json")
+    write_json(tmp_path / "spec.json", dataclasses.asdict(GenSpec()))
     payload = json.loads((tmp_path / "spec.json").read_text())
     payload[field] = value
     (tmp_path / "spec.json").write_text(json.dumps(payload))
@@ -282,7 +283,7 @@ def test_gen_spec_json_round_trip(tmp_path):
                    num_poses=6, pose_effect_scale=0.7, noise_sigma=0.2,
                    pose_jitter=0.05, pose_visibility=((1, 2), (3, 4), (5, 6)),
                    distractors=4, seed=42, name="trip")
-    save_gen_spec(spec, tmp_path / "spec.json")
+    write_json(tmp_path / "spec.json", dataclasses.asdict(spec))
     assert load_gen_spec(tmp_path / "spec.json") == spec
     # generating from the reloaded spec is the same dataset
     a, b = generate(spec), generate(load_gen_spec(tmp_path / "spec.json"))
@@ -293,7 +294,7 @@ def test_gen_spec_json_round_trip(tmp_path):
 
 def test_gen_spec_defaults_round_trip(tmp_path):
     spec = GenSpec()
-    save_gen_spec(spec, tmp_path / "spec.json")
+    write_json(tmp_path / "spec.json", dataclasses.asdict(spec))
     assert load_gen_spec(tmp_path / "spec.json") == spec
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import make_canon
 from pdsr import CanonicalPoseSet, Dataset, Tracklet, validate_dataset
 from pdsr.model import FrameRecord, PackedFrames, PoseVector, _frame_defects, pack
-from pdsr.regulation import pose_normalize, real_means
+from pdsr.regulation import pose_normalize, tracklet_means
 
 
 def pose(k=6, fill=0.5, visible=True):
@@ -104,7 +104,7 @@ def test_pooled_means_do_not_depend_on_storage_order():
                              shuffled.joints[order], shuffled.visibility[order])
     canon = make_canon([np.full((6, 2), x) for x in (0.0, 0.3, 0.6)])
     a, b = Tracklet("t", "x", 0, shuffled), Tracklet("t", "x", 0, ascending)
-    assert np.array_equal(real_means([a]), real_means([b]))
+    assert np.array_equal(tracklet_means([a], 0).real_means, tracklet_means([b], 0).real_means)
     ra, rb = pose_normalize([a], canon, 0), pose_normalize([b], canon, 0)
     assert np.array_equal(ra.vectors, rb.vectors) and np.array_equal(ra.frequencies, rb.frequencies)
     assert ra.observed.sum() > 1  # the frames spread over more than one pose

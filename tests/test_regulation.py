@@ -16,7 +16,7 @@ from pdsr import (
 )
 from pdsr.generator import GenSpec, generate
 from pdsr.model import FrameRecord, PoseRecord, PoseVector
-from pdsr.regulation import backfill_poses, pose_normalize, real_means, unit_rows, wpr_score_matrix
+from pdsr.regulation import backfill_poses, pose_normalize, tracklet_means, unit_rows, wpr_score_matrix
 from pdsr.seeding import rng_for
 
 SEED = 0
@@ -353,7 +353,7 @@ def test_matrix_rejects_zero_synthetic_vector():
 
 def test_pooling_no_tracklets_is_an_error(small_gen):
     with pytest.raises(ValueError, match="no tracklets to pool"):
-        real_means([])
+        tracklet_means([], SEED)
     with pytest.raises(ValueError, match="no tracklets to pool"):
         pose_normalize([], small_gen.canon, SEED)
 
