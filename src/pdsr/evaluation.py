@@ -250,10 +250,12 @@ def score_matrix(
     means only, WPR and fused a pose record.  WF and WPR read one synthetic
     fetch.  `provider` may be None in BASELINE mode, which uses no
     synthetics.  A dataset `validate_dataset` reports is an InvalidDatasetError;
-    a `mode` that is not an `EvalMode` is a TypeError before any work.
+    a `mode` or `config` of the wrong type is a TypeError before any work.
     """
     if not isinstance(mode, EvalMode):
         raise TypeError(f"mode {mode!r} is not an EvalMode")
+    if not isinstance(config, ProtocolConfig):
+        raise TypeError(f"config {config!r} is not a ProtocolConfig")
     if provider is None and mode is not EvalMode.BASELINE:
         raise ValueError(f"mode {mode.value!r} needs a synthetic feature provider")
     tracklets = dataset.tracklets
@@ -296,6 +298,8 @@ def evaluate(
     mode: EvalMode = EvalMode.FUSED,
 ) -> EvalReport:
     """Run the full protocol: probe draw, ranking, mAP, CMC, camera confusion."""
+    if not isinstance(config, ProtocolConfig):  # before the probe draw reads its seed
+        raise TypeError(f"config {config!r} is not a ProtocolConfig")
     cases = build_protocol(dataset, config.seed)
     if not cases:
         raise ValueError("dataset has no non-distractor identity to probe")

@@ -251,15 +251,28 @@ def test_eval_writes_report_and_csv(workspace, tmp_path):
     result = run(flags + ["eval", "--mode", "wf+wpr",
                           "--report", str(report_path), "--csv", str(csv_path)])
     assert "mAP" in result.output
-    data = root / "data"
-    report = evaluate(load_dataset(data / "manifest.json", data / "features.bin"),
-                      load_canon(data / "canon.json"),
-                      file_backed_provider(data / "synth-index.tsv", data / "synth-features.bin"),
-                      ProtocolConfig(), EvalMode.FUSED)
+    report = _evaluated_in_process(root, EvalMode.FUSED)
     assert report.mode == "wf+wpr" and report.num_probes == 4
     assert json.loads(report_path.read_text(encoding="utf-8")) == report_to_dict(report)
     save_report_csv(report, tmp_path / "expected.csv")
     assert csv_path.read_bytes() == (tmp_path / "expected.csv").read_bytes()
+
+
+def _evaluated_in_process(root, mode):
+    data = root / "data"
+    return evaluate(load_dataset(data / "manifest.json", data / "features.bin"),
+                    load_canon(data / "canon.json"),
+                    file_backed_provider(data / "synth-index.tsv", data / "synth-features.bin"),
+                    ProtocolConfig(), mode)
+
+
+@pytest.mark.parametrize("mode", [EvalMode.BASELINE, EvalMode.WF, EvalMode.WPR], ids=lambda m: m.value)
+def test_eval_report_in_each_other_mode_is_that_of_evaluate(workspace, tmp_path, mode):
+    root, flags = workspace
+    run(flags + ["eval", "--mode", mode.value, "--report", str(tmp_path / "r.json")])
+    report = _evaluated_in_process(root, mode)
+    assert report.mode == mode.value and report.num_probes == 4
+    assert json.loads((tmp_path / "r.json").read_text(encoding="utf-8")) == report_to_dict(report)
 
 
 def test_eval_reruns_are_bit_identical(workspace, tmp_path):
@@ -392,6 +405,19 @@ def test_cli_runs_as_a_module():
     result = run_process(["eval"], entry=["-m", "pdsr.cli"])
     assert result.returncode != 0
     assert "Missing option '--report'" in result.stderr, result.stderr
+
+
+#: Runs the CLI as the console script does, with the package named by the first argument made unimportable.
+WITHOUT_PACKAGE = ["-c", "import sys; sys.modules[sys.argv.pop(1)] = None; "
+                         "from pdsr.cli import main; sys.exit(main())"]
+
+
+@pytest.mark.parametrize("package", ["pytest", "hypothesis", "scipy"])  # pyproject's [test] extras
+def test_the_cli_runs_without_a_test_package(workspace, tmp_path, package):
+    _, flags = workspace
+    result = run_process([package, *flags, "eval", "--report", str(tmp_path / "r.json")], entry=WITHOUT_PACKAGE)
+    assert result.returncode == 0 and "mAP" in result.stdout, result.stderr
+    assert json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))["mode"] == "wf+wpr"
 
 
 GC_PROBE = """

@@ -50,9 +50,9 @@ from pdsr.dataset_io import (
     write_pose_embeddings,
     write_synth_index,
 )
-from pdsr.evaluation import ProbeResult
+from pdsr.evaluation import CMC_DEPTH, ProbeResult
 from pdsr.generator import GenSpec, generate, load_gen_spec
-from pdsr.model import FrameRecord, PoseRecord, PoseVector
+from pdsr.model import DISTRACTOR, FrameRecord, PoseRecord, PoseVector
 from pdsr.regulation import pose_normalize
 from pdsr.seeding import rng_for
 
@@ -434,6 +434,55 @@ def test_pose_embedding_export_round_trip(tmp_path, small_gen):
     assert np.array_equal(matrix, f32(vectors))
 
 
+@pytest.fixture(scope="module")
+def written_pose_index(noisy_gen, tmp_path_factory):
+    """(record, tab-split lines, matrix) of a pose index and matrix written from a record with unobserved poses."""
+    root = tmp_path_factory.mktemp("pose-index")
+    record = pose_normalize(noisy_gen.dataset.tracklets[::-1], noisy_gen.canon, 0)
+    assert not record.observed.all()
+    write_pose_embeddings(record, root / "e.tsv", root / "e.bin")
+    lines = (root / "e.tsv").read_bytes().decode("utf-8").split("\n")
+    assert lines.pop() == ""  # each line ends in a newline
+    return record, [line.split("\t") for line in lines], read_feature_matrix(root / "e.bin")
+
+
+def _pose_index_tracklets(record, rows):
+    return [t for t, *_ in rows] == sorted(t for t, *_ in rows) and {t for t, *_ in rows} == set(record.tracklet_ids)
+
+
+def _pose_index_poses(record, rows):
+    keys = [(t, int(j)) for t, j, *_ in rows]
+    observed = {(t, j + 1) for i, t in enumerate(record.tracklet_ids) for j in np.flatnonzero(record.observed[i])}
+    return all(j == str(int(j)) for _, j, *_ in rows) and keys == sorted(observed)
+
+
+def _pose_index_frequencies(record, rows):
+    freqs = [f for *_, f, _ in rows]
+    totals = {}
+    for (t, *_), f in zip(rows, map(float, freqs)):
+        totals[t] = totals.get(t, 0.0) + f
+    return (all(f == repr(float(f)) and 0.0 < float(f) <= 1.0 for f in freqs)
+            and all(abs(v - 1.0) < 1e-12 for v in totals.values()))
+
+
+#: Field -> what every line `write_pose_embeddings` writes holds there (record, tab-split lines, matrix).
+POSE_INDEX_FIELD_CHECKS = {
+    "tracklet_id": lambda record, rows, matrix: _pose_index_tracklets(record, rows),
+    "pose": lambda record, rows, matrix: _pose_index_poses(record, rows),
+    "origin": lambda record, rows, matrix: all(o == "real" for _, _, o, *_ in rows),
+    "frequency": lambda record, rows, matrix: _pose_index_frequencies(record, rows),
+    "row": lambda record, rows, matrix: [r for *_, r in rows] == [str(i) for i in range(len(matrix))],
+}
+
+
+@pytest.mark.parametrize("field", list(POSE_INDEX_FIELD_CHECKS))
+def test_written_pose_index_holds_each_field_as_the_format_says(written_pose_index, field):
+    """Each line is (tracklet, pose, `real`, frequency, row), sorted; a tracklet's frequencies sum to 1."""
+    record, rows, matrix = written_pose_index
+    assert all(len(row) == 5 for row in rows)
+    assert POSE_INDEX_FIELD_CHECKS[field](record, rows, matrix) is True
+
+
 def test_pose_embedding_export_requires_entries(tmp_path):
     empty = PoseRecord((), ().__getitem__, np.zeros((0, 2)), np.zeros((0, 3, 2)), np.zeros((0, 3)),
                        np.zeros((0, 3), dtype=bool))
@@ -523,6 +572,121 @@ def test_report_json_keeps_full_float_precision(tmp_path):
     loaded = json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))
     assert loaded["mean_ap"] == report.mean_ap  # bitwise, not approximately
     assert loaded["cmc"] == list(report.cmc)
+
+
+def test_report_json_keeps_cameras_of_any_sign_and_size(tmp_path):
+    """A camera is any integer, as in a manifest, and the written report keeps it exactly."""
+    report = dataclasses.replace(
+        UNSCORED_REPORT, camera_ids=(-3, 2**63),
+        probe_results=tuple(dataclasses.replace(r, camera=c) for r, c in zip(UNSCORED_REPORT.probe_results,
+                                                                              (-3, 2**63))))
+    save_report_json(report, tmp_path / "r.json")
+    loaded = json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))
+    assert loaded == report_to_dict(report)
+    assert loaded["camera_ids"] == [-3, 2**63] and type(loaded["camera_ids"][1]) is int
+
+
+@pytest.fixture(scope="module")
+def written_reports(tmp_path_factory):
+    """(dataset, JSON) of every report `evaluate` writes in each mode, for scored, partly and wholly unscored probes."""
+    gen = generate(GenSpec(identities=6, cameras=3, tracklets_per_identity_per_camera=2, num_poses=3,
+                           feature_dim=8, pose_effect_scale=0.5, noise_sigma=1.5,
+                           pose_visibility=((1, 2), (2, 3), (1, 3)), seed=21, distractors=3))
+    ds = gen.dataset
+    first = next(t.identity for t in ds.tracklets if not t.is_distractor)
+    datasets = (
+        ds,
+        dataclasses.replace(ds, tracklets=tuple(t for t in ds.tracklets  # `first` seen by one camera
+                                                if t.identity != first or t.camera == 0)),
+        dataclasses.replace(ds, tracklets=tuple(t for t in ds.tracklets if t.camera == 0)),
+    )
+    out = []
+    for i, dataset in enumerate(datasets):
+        for mode in EvalMode:
+            path = tmp_path_factory.mktemp("reports") / f"{i}-{mode.name}.json"
+            save_report_json(evaluate(dataset, gen.canon, gen.provider, ProtocolConfig(), mode), path)
+            out.append((dataset, mode, json.loads(path.read_text(encoding="utf-8"))))
+    return out
+
+
+def _is_int(value, low=0, high=float("inf")):
+    return type(value) is int and low <= value <= high
+
+
+def _is_fraction(value):
+    return type(value) is float and 0.0 <= value <= 1.0
+
+
+def _check_mean_ap(d, dataset, mode):
+    aps = [r["ap"] for r in d["probe_results"] if r["ap"] is not None]
+    return d["mean_ap"] is None if not aps else d["mean_ap"] == sum(aps) / len(aps) and _is_fraction(d["mean_ap"])
+
+
+def _check_cmc(d, dataset, mode):
+    cmc = d["cmc"]
+    return (type(cmc) is list and len(cmc) <= CMC_DEPTH and (not cmc) == (d["num_scored"] == 0)
+            and all(_is_fraction(v) for v in cmc) and cmc == sorted(cmc))
+
+
+def _check_camera_pair_map(d, dataset, mode):
+    size = len(d["camera_ids"])
+    return (type(d["camera_pair_map"]) is list and len(d["camera_pair_map"]) == size
+            and all(type(row) is list and len(row) == size and all(v is None or _is_fraction(v) for v in row)
+                    for row in d["camera_pair_map"]))
+
+
+def _check_probe_results(d, dataset, mode):
+    return (type(d["probe_results"]) is list and len(d["probe_results"]) == d["num_probes"]
+            and all(set(r) == {f.name for f in dataclasses.fields(ProbeResult)} for r in d["probe_results"])
+            and len({r["probe_id"] for r in d["probe_results"]}) == d["num_probes"])
+
+
+def _per_probe(check):
+    """A check that holds for each probe result `r`, given its tracklet `t` and the other cameras' tracklets."""
+    def run(d, dataset, mode):
+        by_id = dataset.by_id()
+        return all(check(r, by_id.get(r["probe_id"]), [u for u in dataset.tracklets if u.camera != r["camera"]])
+                   for r in d["probe_results"])
+    return run
+
+
+#: Field -> what every report `evaluate` writes holds there (dict, dataset, mode).
+REPORT_FIELD_CHECKS = {
+    "mode": lambda d, dataset, mode: d["mode"] == mode.value,
+    "num_probes": lambda d, dataset, mode: _is_int(d["num_probes"], 1),
+    "num_scored": lambda d, dataset, mode: (
+        _is_int(d["num_scored"], 0, d["num_probes"])
+        and d["num_scored"] == sum(r["ap"] is not None for r in d["probe_results"])),
+    "mean_ap": _check_mean_ap,
+    "cmc": _check_cmc,
+    "camera_ids": lambda d, dataset, mode: (
+        d["camera_ids"] == sorted({t.camera for t in dataset.tracklets})
+        and all(_is_int(c, -float("inf")) for c in d["camera_ids"])),
+    "camera_pair_map": _check_camera_pair_map,
+    "probe_results": _check_probe_results,
+    "probe_id": _per_probe(lambda r, t, gallery: type(r["probe_id"]) is str and t is not None),
+    "identity": _per_probe(lambda r, t, gallery: r["identity"] == t.identity != DISTRACTOR),
+    "camera": _per_probe(lambda r, t, gallery: _is_int(r["camera"], -float("inf")) and r["camera"] == t.camera),
+    "gallery_size": _per_probe(lambda r, t, gallery: _is_int(r["gallery_size"], len(gallery), len(gallery))),
+    "num_positives": _per_probe(lambda r, t, gallery: _is_int(
+        r["num_positives"], 0, r["gallery_size"]) and r["num_positives"] == sum(
+        u.identity == r["identity"] for u in gallery)),
+    "first_correct_rank": _per_probe(lambda r, t, gallery: (
+        r["first_correct_rank"] is None if not r["num_positives"]
+        else _is_int(r["first_correct_rank"], 1, r["gallery_size"] - r["num_positives"] + 1))),
+    "ap": _per_probe(lambda r, t, gallery: (
+        r["ap"] is None if not r["num_positives"] else _is_fraction(r["ap"]) and r["ap"] > 0)),
+}
+
+
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(EvalReport)]
+                         + [f.name for f in dataclasses.fields(ProbeResult)])
+def test_written_report_holds_each_field_as_a_report_holds_it(written_reports, field):
+    """What a report reader may rely on: each field's type and range in every file `evaluate` writes."""
+    assert {d["num_scored"] for _, _, d in written_reports} >= {0, 5, 6}  # none, some and all scored
+    check = REPORT_FIELD_CHECKS[field]
+    for dataset, mode, d in written_reports:
+        assert check(d, dataset, mode) is True, (mode, field, d)
 
 
 def test_report_csv_writes_null_markers_and_exact_floats(tmp_path):

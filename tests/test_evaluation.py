@@ -339,13 +339,28 @@ def test_fused_evaluation_queries_each_key_at_most_once(noisy_gen, strict):
     assert len(provider.keys) == len(noisy_gen.dataset.tracklets) * len(noisy_gen.canon)
 
 
-@pytest.mark.parametrize("mode, has_provider", [("wf", True), (None, True), ("baseline", False)],
-                         ids=["wf", "None", "baseline-without-provider"])
+@pytest.mark.parametrize("mode, has_provider",
+                         [("wf", True), (None, True), ("baseline", False), ("bogus", True), (0, True)],
+                         ids=["wf", "None", "baseline-without-provider", "bogus", "0"])
 def test_a_mode_that_is_no_eval_mode_is_a_type_error_before_any_work(small_gen, mode, has_provider):
     provider = CountingProvider(small_gen.provider) if has_provider else None
     with pytest.raises(TypeError, match=f"^mode {re.escape(repr(mode))} is not an EvalMode$"):
         evaluate(small_gen.dataset, small_gen.canon, provider, ProtocolConfig(), mode)
     assert provider is None or provider.keys == []  # nothing was fetched
+
+
+@pytest.mark.parametrize("config", [None, {"seed": 0}], ids=["None", "dict"])
+@pytest.mark.parametrize("entry", ["evaluate", "score_matrix"])
+def test_a_config_that_is_no_protocol_config_is_a_type_error_before_any_work(small_gen, entry, config):
+    provider = CountingProvider(small_gen.provider)
+    run = {
+        "evaluate": lambda: evaluate(small_gen.dataset, small_gen.canon, provider, config, EvalMode.FUSED),
+        "score_matrix": lambda: score_matrix(small_gen.dataset, small_gen.canon, provider,
+                                             build_protocol(small_gen.dataset, 0), config, EvalMode.FUSED),
+    }[entry]
+    with pytest.raises(TypeError, match=f"^config {re.escape(repr(config))} is not a ProtocolConfig$"):
+        run()
+    assert provider.keys == []  # nothing was fetched
 
 
 def occluded(tracklet):

@@ -189,7 +189,7 @@ def test_representative_frames_draw_each_frame_once_on_first_read(monkeypatch):
     assert sorted(drawn) == sorted((7, "representative", t.tracklet_id) for t in tracklets)
 
 
-@pytest.mark.parametrize("mode", [EvalMode.WF, EvalMode.WPR, EvalMode.FUSED])
+@pytest.mark.parametrize("mode", [EvalMode.WF, EvalMode.WPR, EvalMode.FUSED, EvalMode.BASELINE])
 def test_evaluate_with_a_file_backed_provider_draws_no_representative_frame(monkeypatch, mode):
     gen = generate(GenSpec(identities=4, cameras=2, num_poses=3, feature_dim=8,
                            pose_visibility=((1, 2), (2, 3)), seed=5))
@@ -204,7 +204,7 @@ def test_evaluate_with_a_file_backed_provider_draws_no_representative_frame(monk
     assert report == evaluate(gen.dataset, gen.canon, gen.provider, ProtocolConfig(), mode)
 
 
-@pytest.mark.parametrize("mode", [EvalMode.WF, EvalMode.WPR, EvalMode.FUSED])
+@pytest.mark.parametrize("mode", [EvalMode.WF, EvalMode.WPR, EvalMode.FUSED, EvalMode.BASELINE])
 def test_evaluate_with_a_query_only_provider_draws_once_per_queried_tracklet(monkeypatch, mode):
     gen = generate(GenSpec(identities=4, cameras=2, num_poses=3, feature_dim=8,
                            pose_visibility=((1, 2), (2, 3)), seed=5))
@@ -212,6 +212,7 @@ def test_evaluate_with_a_query_only_provider_draws_once_per_queried_tracklet(mon
     provider = RecordingProvider(gen.dataset.feature_dim)
     evaluate(gen.dataset, gen.canon, provider, ProtocolConfig(), mode)
     queried = {tid for tid, _, _ in provider.calls}
+    assert bool(queried) == (mode is not EvalMode.BASELINE)  # baseline reads no synthetic, so draws none
     assert sorted(drawn) == sorted((0, "representative", tid) for tid in queried)
 
 
