@@ -2,14 +2,16 @@
 
 Every pooling here is one pass over a whole set of tracklets: segment sums
 over rows in frame-id order give each tracklet's real mean
-(`tracklet_means`), and `pose_normalize` adds one quantizer call that
-assigns every frame its canonical pose and, per (tracklet, pose), the
-pooled feature and the fraction of assignable frames.  Only WPR needs
-poses, so only it pays for the quantizer.  To match two tracklets, both
-sides are completed over the union of their observed poses (missing poses
-filled from the synthetic tensor at frequency zero), and the pair score is
-the per-pose cosine weighted by the averaged pose frequencies, normalized
-to sum 1:
+(`tracklet_means`).  Each sum is the first row plus the pairwise sum of the
+rest (in order below 8 rows, 8 strided accumulators to 128, halves above),
+written out in `_pairwise_sum` so that a NumPy upgrade cannot move a pooled
+bit.  `pose_normalize` adds one quantizer call that assigns every frame
+its canonical pose and, per (tracklet, pose), the pooled feature and the
+fraction of assignable frames.  Only WPR needs poses, so only it pays for
+the quantizer.  To match two tracklets, both sides are completed over the
+union of their observed poses (missing poses filled from the synthetic
+tensor at frequency zero), and the pair score is the per-pose cosine
+weighted by the averaged pose frequencies, normalized to sum 1:
 
     score = sum_j nu_j * cosine(left_j, right_j),   sum_j nu_j = 1
 
@@ -32,21 +34,48 @@ from .providers import representative_frames
 from .quantizer import assignment_distances, nearest_poses
 
 
-def _segment_means(
-    rows: np.ndarray, keys: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _pairwise_sum(rows: np.ndarray, at: np.ndarray, n: int) -> np.ndarray:
+    """Per entry of `at`, the sum of rows[at + i] over 0 <= i < n, in a fixed pairwise order.
+
+    In order below 8 terms (from -0.0, an identity, so from the first term); to 128, in 8
+    accumulators that step by 8 and add as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the
+    leftovers in order; above, as two parts split at n//2 rounded down to a multiple of 8.
+    """
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(rows, at, half) + _pairwise_sum(rows, at + half, n - half)
+    if n < 8:
+        total, done = rows[at], 1
+    else:
+        acc = [rows[at + j] for j in range(8)]
+        for i in range(8, n - n % 8):
+            acc[i % 8] += rows[at + i]
+        total, done = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7])), n - n % 8
+    for i in range(done, n):
+        total += rows[at + i]
+    return total
+
+
+def _segment_means(rows: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Keys, lengths and row means of the runs of equal keys in sorted `keys`.
 
-    `np.add.reduceat` sums each run in an order fixed by the run alone, so
-    a tracklet pools to the same bits whether it is pooled alone or in any
-    batch.  That order is NumPy's own: it is not `np.mean`'s, whose result
-    can differ in the last bit.  Pooling no rows is an error.
+    A run sums as its first row plus `_pairwise_sum` of the rest: an order
+    fixed by the run alone, so a tracklet pools to the same bits alone or in
+    any batch.  It is `np.add.reduceat`'s order in NumPy 2.4, written out so
+    that no NumPy upgrade can move a pooled bit; it is not `np.mean`'s.
+    Runs of one length sum together, one (runs, d) gather per row position.
+    Pooling no rows is an error.
     """
     if not len(keys):
         raise ValueError("no tracklets to pool")
     starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
     sizes = np.diff(np.r_[starts, len(keys)])
-    sums = np.add.reduceat(rows, starts)
+    sums = np.empty((len(starts), rows.shape[1]), rows.dtype)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused by name where the rows are used
+        for n in np.unique(sizes).tolist():
+            which = np.flatnonzero(sizes == n)
+            at = starts[which]
+            sums[which] = rows[at] if n == 1 else rows[at] + _pairwise_sum(rows, at + 1, n - 1)
     sums /= sizes[:, None]
     return keys[starts], sizes, sums
 

@@ -83,6 +83,32 @@ def naive_mean(vectors: list[list[float]]) -> list[float]:
     return [math.fsum(v[i] for v in vectors) / len(vectors) for i in range(dim)]
 
 
+def naive_pairwise_sum(values: list[float]) -> float:
+    """Sum in the pairwise order pooling uses: in order below 8 terms, 8 strided accumulators to 128, halves above."""
+    n = len(values)
+    if n < 8:
+        total = -0.0
+        for v in values:
+            total += v
+        return total
+    if n <= 128:
+        acc = values[:8]
+        for i in range(8, n - n % 8, 8):
+            for j in range(8):
+                acc[j] += values[i + j]
+        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+        for v in values[n - n % 8:]:
+            total += v
+        return total
+    half = n // 2 - n // 2 % 8
+    return naive_pairwise_sum(values[:half]) + naive_pairwise_sum(values[half:])
+
+
+def naive_segment_mean(rows: list[list[float]]) -> list[float]:
+    """Per column, the first value plus the pairwise sum of the rest, over the row count."""
+    return [(col[0] + naive_pairwise_sum(list(col[1:]))) / len(col) for col in zip(*rows)]
+
+
 def naive_cosine(u: list[float], v: list[float]) -> float:
     dot = math.fsum(a * b for a, b in zip(u, v))
     nu = math.sqrt(math.fsum(a * a for a in u))

@@ -4,8 +4,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from naive_reference import naive_groups, naive_mean, naive_representative, naive_wpr_score
+from naive_reference import naive_groups, naive_mean, naive_representative, naive_segment_mean, naive_wpr_score
 from pdsr import (
     AllFramesUnassignableError,
     EmptyUnionError,
@@ -16,7 +18,14 @@ from pdsr import (
 )
 from pdsr.generator import GenSpec, generate
 from pdsr.model import FrameRecord, PoseRecord, PoseVector
-from pdsr.regulation import backfill_poses, pose_normalize, tracklet_means, unit_rows, wpr_score_matrix
+from pdsr.regulation import (
+    _segment_means,
+    backfill_poses,
+    pose_normalize,
+    tracklet_means,
+    unit_rows,
+    wpr_score_matrix,
+)
 from pdsr.seeding import rng_for
 
 SEED = 0
@@ -356,6 +365,42 @@ def test_pooling_no_tracklets_is_an_error(small_gen):
         tracklet_means([], SEED)
     with pytest.raises(ValueError, match="no tracklets to pool"):
         pose_normalize([], small_gen.canon, SEED)
+
+
+SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e308, 5e-324, -5e-324, 2.5e-310])
+
+
+def bits(values):
+    """The bits of each value, every NaN as one: NaN payloads are not part of the order."""
+    return np.where(np.isnan(values), np.nan, values).view(np.int64)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sizes=st.lists(st.integers(1, 300), min_size=1, max_size=4), special=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_segment_means_follow_the_written_out_pairwise_order(sizes, special, seed):
+    # Lengths to 300 run the in-order, the 8-accumulator and the halving branches.
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(sum(sizes), 3)) * 10.0 ** rng.integers(-8, 9, size=(sum(sizes), 3))
+    swap = rng.random(rows.shape) < special
+    rows[swap] = rng.choice(SPECIAL, size=int(swap.sum()))
+    starts = np.cumsum([0] + sizes[:-1])
+    _, got_sizes, means = _segment_means(rows, np.repeat(np.arange(len(sizes)), sizes))
+    assert got_sizes.tolist() == sizes
+    reference = np.array([naive_segment_mean(part.tolist()) for part in np.split(rows, starts[1:])])
+    assert bits(means).tolist() == bits(reference).tolist()
+    with np.errstate(over="ignore", invalid="ignore"):
+        reduced = np.add.reduceat(rows, starts) / np.array(sizes)[:, None]
+    assert bits(means).tolist() == bits(reduced).tolist()
+
+
+def test_segment_means_keep_signed_zeros_and_single_rows():
+    row = np.array([[-0.0, 5e-324, -np.inf, 1.5]])
+    rows = np.concatenate([np.full((3, 4), -0.0), row])
+    _, sizes, means = _segment_means(rows, np.array([0, 0, 0, 1]))
+    assert sizes.tolist() == [3, 1]
+    assert means[0].tobytes() == np.full(4, -0.0).tobytes()  # pooled from -0.0, not +0.0
+    assert means[1].tobytes() == row[0].tobytes()
 
 
 def test_unit_rows_retakes_only_the_norms_that_underflow():
