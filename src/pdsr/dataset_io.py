@@ -33,7 +33,6 @@ from typing import Mapping
 import numpy as np
 
 from .errors import FileFormatError
-from .evaluation import EvalReport
 from .model import CanonicalPoseSet, Dataset, PackedFrames, PoseRecord, Tracklet, pack
 
 MAGIC = b"PDSR"

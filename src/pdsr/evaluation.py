@@ -151,12 +151,12 @@ def rank_gallery(scores: np.ndarray) -> np.ndarray:
     return order
 
 
-def cmc_curve(first_correct_ranks: Sequence[int], length: int) -> np.ndarray:
+def cmc_curve(first_correct_ranks: Sequence[int] | np.ndarray, length: int) -> np.ndarray:
     """cmc[k] = fraction of probes whose first match appears by rank k+1.
 
     Example: ranks [1, 3] at length 3 give [0.5, 0.5, 1.0].
     """
-    if not first_correct_ranks:
+    if not len(first_correct_ranks):
         raise ValueError("no ranks to accumulate")
     if length < 1:
         raise ValueError("curve length must be positive")
@@ -167,8 +167,8 @@ def cmc_curve(first_correct_ranks: Sequence[int], length: int) -> np.ndarray:
 
 def _first_rank_and_ap(
     inside: np.ndarray, positive: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per row: positives in the gallery, 1-based first-positive rank, AP.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per row: positives in the gallery, 1-based first-positive rank, AP, gallery size.
 
     Both masks are read along a row's `rank_gallery` order of all columns:
     `inside` marks the gallery and `positive` the probe's identity.  A
@@ -187,13 +187,18 @@ def _first_rank_and_ap(
         precision = np.where(relevant, hits / rank, 0.0)
         ap = np.cumsum(precision, axis=1)[:, -1] / count
     first = np.take_along_axis(rank, relevant.argmax(axis=1)[:, None], axis=1)[:, 0]
-    return count, np.where(count > 0, first, 0), ap
+    return count, np.where(count > 0, first, 0), ap, rank[:, -1]
+
+
+def _mean(values: np.ndarray) -> float | None:
+    """The values summed in order, a left fold the same on every Python, over their count; None if empty."""
+    return float(np.cumsum(values)[-1] / len(values)) if len(values) else None
 
 
 def _columns(
     dataset: Dataset, cases: Sequence[ProbeCase], order: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per case, read along its row of `order`: column cameras, positives and non-probe columns.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per case: column cameras along its row of `order`, its camera, positives and non-probe columns.
 
     Identities are compared as integer codes, the probe by its row.
     """
@@ -207,7 +212,7 @@ def _columns(
     case_identities = np.array([identity_code.get(c.identity, -1) for c in cases])
     probes = np.array([row[c.probe_id] for c in cases])
     positive = identities[order] == case_identities[:, None]
-    return cameras[order], positive, order != probes[:, None]
+    return cameras[order], np.array([c.camera for c in cases]), positive, order != probes[:, None]
 
 
 def camera_confusion(
@@ -223,15 +228,13 @@ def camera_confusion(
     order.  A cell averages its probes' APs in probe order; cells where no
     probe has a positive are None.
     """
-    col_cameras, positive, not_probe = columns
-    case_cameras = np.array([c.camera for c in cases])
+    col_cameras, case_cameras, positive, not_probe = columns
     cameras = dataset.cameras()
     cells = []  # by gallery camera, then probe camera
     for cam_b in cameras:
-        count, _, ap = _first_rank_and_ap(not_probe & (col_cameras == cam_b), positive)
-        cells.append([ap[(count > 0) & (case_cameras == cam_a)].tolist() for cam_a in cameras])
-    matrix = tuple(tuple(sum(aps) / len(aps) if aps else None for aps in row) for row in zip(*cells))
-    return cameras, matrix
+        count, _, ap, _ = _first_rank_and_ap(not_probe & (col_cameras == cam_b), positive)
+        cells.append([_mean(ap[(count > 0) & (case_cameras == cam_a)]) for cam_a in cameras])
+    return cameras, tuple(zip(*cells))
 
 
 def cosine_matrix(
@@ -312,11 +315,9 @@ def evaluate(
 
     scores = score_matrix(dataset, canon, provider, cases, config, mode)
     columns = _columns(dataset, cases, rank_gallery(scores))
-    col_cameras, positive, _ = columns
-    gallery = col_cameras != np.array([c.camera for c in cases])[:, None]
-    count, first, ap = _first_rank_and_ap(gallery, positive)
-    sizes = gallery.sum(axis=1)
-    results = [
+    col_cameras, case_cameras, positive, _ = columns
+    count, first, ap, sizes = _first_rank_and_ap(col_cameras != case_cameras[:, None], positive)
+    results = tuple(
         ProbeResult(
             probe_id=case.probe_id,
             identity=case.identity,
@@ -327,28 +328,19 @@ def evaluate(
             ap=float(ap[i]) if count[i] else None,
         )
         for i, case in enumerate(cases)
-    ]
-
-    scored = [r for r in results if r.ap is not None]
-    if scored:
-        mean_ap = sum(r.ap for r in scored) / len(scored)
-        length = min(CMC_DEPTH, max(r.gallery_size for r in scored))
-        cmc = tuple(
-            float(v)
-            for v in cmc_curve([r.first_correct_rank for r in scored], length)
-        )
-    else:
-        mean_ap = None
-        cmc = ()
-
+    )
+    scored = count > 0
+    cmc = ()
+    if scored.any():
+        cmc = tuple(cmc_curve(first[scored], min(CMC_DEPTH, int(sizes[scored].max()))).tolist())
     camera_ids, confusion = camera_confusion(cases, dataset, columns)
     return EvalReport(
         mode=mode.value,
         num_probes=len(cases),
-        num_scored=len(scored),
-        mean_ap=mean_ap,
+        num_scored=int(scored.sum()),
+        mean_ap=_mean(ap[scored]),
         cmc=cmc,
         camera_ids=camera_ids,
         camera_pair_map=confusion,
-        probe_results=tuple(results),
+        probe_results=results,
     )

@@ -41,5 +41,8 @@ def wf_embeddings(
             f"provider served no canonical pose for tracklet "
             f"{record.tracklet_ids[int(np.argmin(count))]!r}"
         )
+    real = record.real_means
+    if w == 0.0:  # 0 * an overflowed real mean would be NaN, not the synthetic mean alone
+        real = np.where(np.isfinite(real), real, 0.0)
     with np.errstate(over="ignore"):  # an overflow is refused by name where the rows are used
-        return w * record.real_means + synthetic.sum(axis=1) / count[:, None]
+        return w * real + synthetic.sum(axis=1) / count[:, None]

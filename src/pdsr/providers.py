@@ -23,6 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .dataset_io import read_feature_matrix, read_synth_index
 from .errors import FileFormatError, MissingSyntheticError
 from .model import Tracklet, TrackletMeans
 from .seeding import rng_for
@@ -143,8 +144,6 @@ class FileBackedProvider(SyntheticFeatureProvider):
 
 def file_backed_provider(index_path: str | Path, features_path: str | Path) -> FileBackedProvider:
     """Build a FileBackedProvider from a synthetic index file and matrix file."""
-    from .dataset_io import read_feature_matrix, read_synth_index
-
     index = read_synth_index(index_path)
     matrix = read_feature_matrix(features_path)
     try:

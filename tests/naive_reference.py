@@ -9,6 +9,11 @@ oracle must reproduce the same decisions, not just the same math:
     SeedSequence), used for the probe draw and representative choice;
   - the file formats are NOT touched here; oracles work on in-memory
     objects and call provider objects as opaque data sources.
+
+In lenient mode a synthetic vector the provider does not serve leaves WF's
+mean and WPR's pair union (nu renormalises over the poses that remain); in
+strict mode the first miss, over the cells a run asks for in row-major
+order, raises.
 """
 
 from __future__ import annotations
@@ -17,6 +22,8 @@ import hashlib
 import math
 
 import numpy as np
+
+from pdsr.errors import EmptyUnionError, MissingSyntheticError
 
 _MASK64 = (1 << 64) - 1
 
@@ -132,16 +139,29 @@ def naive_baseline_vec(tracklet) -> list[float]:
     return naive_mean([[float(x) for x in f.feature] for f in frames])
 
 
-def naive_synth_mean(tracklet, provider, num_poses: int, rep_frame: int) -> list[float]:
-    vectors = []
-    for j in range(1, num_poses + 1):
-        vectors.append([float(x) for x in provider.query(tracklet.tracklet_id, rep_frame, j)])
-    return naive_mean(vectors)
+def naive_query(provider, tracklet, rep_frame: int, pose: int, strict: bool = True) -> list[float] | None:
+    """The provider's vector for (tracklet, pose); None for a miss in lenient mode."""
+    try:
+        return [float(x) for x in provider.query(tracklet.tracklet_id, rep_frame, pose)]
+    except MissingSyntheticError:
+        if strict:
+            raise
+        return None
 
 
-def naive_wf_vec(tracklet, provider, num_poses: int, w: float, rep_frame: int) -> list[float]:
+def naive_synth_mean(tracklet, provider, num_poses: int, rep_frame: int, strict: bool = True) -> list[float]:
+    vectors = [naive_query(provider, tracklet, rep_frame, j, strict) for j in range(1, num_poses + 1)]
+    served = [v for v in vectors if v is not None]
+    if not served:
+        raise MissingSyntheticError(
+            f"provider served no canonical pose for tracklet {tracklet.tracklet_id!r}"
+        )
+    return naive_mean(served)
+
+
+def naive_wf_vec(tracklet, provider, num_poses: int, w: float, rep_frame: int, strict: bool = True) -> list[float]:
     real = naive_baseline_vec(tracklet)
-    synth = naive_synth_mean(tracklet, provider, num_poses, rep_frame)
+    synth = naive_synth_mean(tracklet, provider, num_poses, rep_frame, strict)
     return [w * r + s for r, s in zip(real, synth)]
 
 
@@ -153,6 +173,7 @@ def naive_wpr_score(
     rep_a: int,
     rep_b: int,
     min_common_joints: int = 4,
+    strict: bool = True,
 ) -> float:
     groups_a, freq_a = naive_groups(tracklet_a, canon, min_common_joints)
     groups_b, freq_b = naive_groups(tracklet_b, canon, min_common_joints)
@@ -166,12 +187,15 @@ def naive_wpr_score(
                 vectors[j] = naive_mean(groups[j])
                 weights[j] = freqs[j]
             else:
-                vectors[j] = [float(x) for x in provider.query(tracklet.tracklet_id, rep, j)]
+                vectors[j] = naive_query(provider, tracklet, rep, j, strict)
                 weights[j] = 0.0
         return vectors, weights
 
     vec_a, w_a = side(groups_a, freq_a, tracklet_a, rep_a)
     vec_b, w_b = side(groups_b, freq_b, tracklet_b, rep_b)
+    union = [j for j in union if vec_a[j] is not None and vec_b[j] is not None]
+    if not union:
+        raise EmptyUnionError(f"{tracklet_a.tracklet_id!r} and {tracklet_b.tracklet_id!r} share no fillable pose")
     raw = {j: (w_a[j] + w_b[j]) / 2.0 for j in union}
     total = math.fsum(raw.values())
     score = 0.0
@@ -228,12 +252,15 @@ def naive_evaluate(
     rep_seed: int | None = None,
     cmc_depth: int = 50,
     min_common_joints: int = 4,
+    strict: bool = True,
 ) -> dict:
     """Full protocol by exhaustive per-pair scoring.
 
-    Returns mean_ap, cmc, camera_ids and confusion in the same conventions
-    as the package: probes without any positive are excluded from mean_ap
-    and cmc, empty confusion cells are None, diagonal cells drop the probe.
+    Returns mean_ap, cmc, camera_ids, confusion and per-probe results in the
+    same conventions as the package: probes without any positive are
+    excluded from mean_ap and cmc, empty confusion cells are None, diagonal
+    cells drop the probe.  WF fuses every tracklet before any pair is
+    scored, so a tracklet with no served pose fails first, as in the package.
     """
     if rep_seed is None:
         rep_seed = seed
@@ -242,19 +269,23 @@ def naive_evaluate(
     by_id = {t.tracklet_id: t for t in tracklets}
     reps = {t.tracklet_id: naive_representative(t, rep_strategy, rep_seed) for t in tracklets}
     probes = naive_probes(dataset, seed)
+    if strict:
+        for tid, j in naive_wanted_cells(tracklets, probes, canon, mode, min_common_joints):
+            provider.query(tid, reps[tid], j)
+    wf_vecs = {}
+    if mode in ("wf", "wf+wpr"):
+        wf_vecs = {t.tracklet_id: naive_wf_vec(t, provider, num_poses, w, reps[t.tracklet_id], strict)
+                   for t in tracklets}
 
     def one_score(probe, other, which: str) -> float:
         if which == "baseline":
             return naive_cosine(naive_baseline_vec(probe), naive_baseline_vec(other))
         if which == "wf":
-            return naive_cosine(
-                naive_wf_vec(probe, provider, num_poses, w, reps[probe.tracklet_id]),
-                naive_wf_vec(other, provider, num_poses, w, reps[other.tracklet_id]),
-            )
+            return naive_cosine(wf_vecs[probe.tracklet_id], wf_vecs[other.tracklet_id])
         if which == "wpr":
             return naive_wpr_score(
                 probe, other, provider, canon,
-                reps[probe.tracklet_id], reps[other.tracklet_id], min_common_joints,
+                reps[probe.tracklet_id], reps[other.tracklet_id], min_common_joints, strict,
             )
         if which == "wf+wpr":
             return one_score(probe, other, "wf") + one_score(probe, other, "wpr")
@@ -271,9 +302,12 @@ def naive_evaluate(
     first_ranks = []
     aps = []
     gallery_sizes = []
+    probe_results = []
     for probe in probes:
         gallery = [t for t in tracklets if t.camera != probe.camera]
         rank, ap = ranked_ap(probe, gallery)
+        positives = sum(1 for t in gallery if t.identity == probe.identity)
+        probe_results.append((probe.tracklet_id, len(gallery), positives, rank, ap))
         if ap is not None:
             first_ranks.append(rank)
             aps.append(ap)
@@ -318,4 +352,27 @@ def naive_evaluate(
         "confusion": confusion,
         "num_probes": len(probes),
         "num_scored": len(aps),
+        "probe_results": probe_results,
     }
+
+
+def naive_wanted_cells(tracklets, probes, canon, mode: str, min_common_joints: int = 4) -> list[tuple[str, int]]:
+    """The (tracklet id, pose) cells a run asks the provider for, in row-major order.
+
+    WF asks for every pose of every tracklet.  WPR asks, for each scored
+    pair (a probe and any other tracklet), for the poses one side observes
+    that the other does not.
+    """
+    poses = range(1, len(canon.joints) + 1)
+    if mode in ("wf", "wf+wpr"):
+        return [(t.tracklet_id, j) for t in tracklets for j in poses]
+    if mode == "baseline":
+        return []
+    observed = {t.tracklet_id: set(naive_groups(t, canon, min_common_joints)[0]) for t in tracklets}
+    wanted = set()
+    for probe in probes:
+        for other in tracklets:
+            if other is not probe:
+                for a, b in ((probe, other), (other, probe)):
+                    wanted |= {(a.tracklet_id, j) for j in observed[b.tracklet_id] - observed[a.tracklet_id]}
+    return sorted(wanted)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import inspect
+import math
 import re
 
 import numpy as np
@@ -12,6 +13,8 @@ from hypothesis.extra import numpy as hnp
 
 from conftest import make_canon
 from naive_reference import naive_ap, naive_baseline_vec, naive_cosine, naive_rank, naive_wf_vec
+from test_acceptance import stressor_spec
+import pdsr.evaluation
 from pdsr import (
     AllFramesUnassignableError,
     CanonicalPoseSet,
@@ -75,7 +78,7 @@ def ranked_metrics(scores, gallery, positive):
     """(gallery orders, first-correct ranks, APs) of the one sort; None without a positive."""
     scores, gallery, positive = (np.atleast_2d(a) for a in (scores, gallery, positive))
     order = rank_gallery(scores)  # the one sort evaluate makes per probe row
-    count, first, ap = _first_rank_and_ap(
+    count, first, ap, _ = _first_rank_and_ap(
         np.take_along_axis(gallery, order, axis=1), np.take_along_axis(positive, order, axis=1)
     )
     firsts = [int(f) if n else None for n, f in zip(count, first)]
@@ -519,6 +522,14 @@ def test_evaluate_rejects_non_finite_scores(gate_gen, mode, overflow):
         evaluate(dataset, canon, gate_gen.provider, ProtocolConfig(), mode)
 
 
+def test_wf_at_weight_zero_scores_a_tracklet_whose_real_mean_overflows(gate_gen):
+    """At w = 0 the fused vector is the synthetic mean alone, so an infinite real mean changes no number."""
+    dataset, canon = _one_tracklet(lambda f: {"features": OVERFLOWS[""](f)})(gate_gen.dataset, gate_gen.canon)
+    config = ProtocolConfig(fusion_weight=0.0)
+    report = evaluate(dataset, canon, gate_gen.provider, config, EvalMode.WF)
+    assert report == evaluate(gate_gen.dataset, canon, gate_gen.provider, config, EvalMode.WF)
+
+
 @pytest.mark.parametrize("mode", list(EvalMode))
 def test_evaluate_scores_a_tracklet_whose_squares_underflow(gate_gen, mode):
     """Features x1e-200 square to 0 yet are no zero vector; cosines of the real rows do not see the scale."""
@@ -603,6 +614,49 @@ def test_camera_confusion_matches_restricted_gallery_oracle():
         assert (matrix[r][r] is not None) == (cam in probed)
 
 
+def neumaier_sum(values, start=0):
+    """The builtin `sum` of CPython 3.12 and later over floats: Neumaier compensated summation."""
+    total, compensation = float(start), 0.0
+    for x in values:
+        t = total + x
+        compensation += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + compensation if compensation and math.isfinite(compensation) else total
+
+
+def in_order_mean(values):
+    total = 0.0
+    for value in values:
+        total += value
+    return total / len(values) if values else None
+
+
+@pytest.mark.parametrize("mode", list(EvalMode))
+def test_averages_are_in_order_sums_on_every_python(monkeypatch, mode):
+    """mAP and each camera cell add their APs in probe order, whatever the builtin `sum` does with floats."""
+    monkeypatch.setattr(pdsr.evaluation, "sum", neumaier_sum, raising=False)
+    gen = generate(stressor_spec(0))
+    config = ProtocolConfig(seed=0)
+    report = evaluate(gen.dataset, gen.canon, gen.provider, config, mode)
+    assert report.mean_ap == in_order_mean([r.ap for r in report.probe_results if r.ap is not None])
+
+    cases = build_protocol(gen.dataset, config.seed)
+    scores = score_matrix(gen.dataset, gen.canon, gen.provider, cases, config, mode)
+    tracklets, by_id = gen.dataset.tracklets, gen.dataset.by_id()
+    for r, cam_a in enumerate(report.camera_ids):
+        for c, cam_b in enumerate(report.camera_ids):
+            aps = []
+            for case, row in zip(cases, scores):
+                if case.camera != cam_a:
+                    continue
+                gallery = [(t.tracklet_id, float(score)) for t, score in zip(tracklets, row)
+                           if t.camera == cam_b and t.tracklet_id != case.probe_id]
+                ap = naive_ap([by_id[g].identity == case.identity for g, _ in naive_rank(gallery)])
+                if ap is not None:
+                    aps.append(ap)
+            assert report.camera_pair_map[r][c] == in_order_mean(aps)
+
+
 def test_confusion_cell_is_none_when_camera_has_no_positive():
     # camera 1 holds only a distractor, so every diagonal/column cell that
     # needs a positive there is None
@@ -653,6 +707,7 @@ def test_one_sort_per_row_ranks_every_gallery_as_a_lexsort_per_gallery(data, sha
                              np.take_along_axis(positive, shared, axis=1))
     assert got[0].tolist() == count.tolist() and got[1].tolist() == first.tolist()
     assert got[2].tobytes() == ap.tobytes()  # bit for bit, NaN where no positive
+    assert got[3].tolist() == gallery.sum(axis=1).tolist()
 
 
 @pytest.mark.parametrize("weight", [-1.0, float("nan"), float("inf")])

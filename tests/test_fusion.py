@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import make_canon
 from naive_reference import naive_cosine, naive_rank, naive_synth_mean, naive_wf_vec
@@ -16,7 +19,7 @@ from pdsr import (
 )
 from pdsr.evaluation import ProbeCase, cosine_matrix, score_matrix
 from pdsr.fusion import wf_embeddings
-from pdsr.model import FrameRecord, PoseVector
+from pdsr.model import FrameRecord, PoseVector, TrackletMeans
 from pdsr.providers import representative_frames
 from pdsr.regulation import tracklet_means
 from pdsr.seeding import rng_for
@@ -113,6 +116,25 @@ def test_weight_zero_is_bitwise_synthetic_only():
     fused = wf_vectors([t], provider, canon, 0.0)[0]
     synth = np.mean(np.stack([provider.query("t0", 0, j) for j in canon.indices]), axis=0)
     assert np.array_equal(fused, synth)
+
+
+@given(real=hnp.arrays(np.float64, (2, 3), elements=st.floats(allow_nan=False, allow_infinity=False)),
+       synthetic=hnp.arrays(np.float64, (2, 2, 3), elements=st.floats(-1e300, 1e300)),
+       w=st.sampled_from([0.0, 1.0, 4.0]) | st.floats(0.0, 1e300))
+def test_wf_embeddings_keep_every_bit_of_a_finite_real_mean(real, synthetic, w):
+    """w * real + synthetic mean, bit for bit and signed zeros included (hypothesis draws -0.0), at every w."""
+    record = TrackletMeans(("a", "b"), (0, 0).__getitem__, real)
+    with np.errstate(over="ignore"):
+        expected = w * real + synthetic.sum(axis=1) / 2
+    assert wf_embeddings(record, synthetic, np.ones((2, 2), dtype=bool), w).tobytes() == expected.tobytes()
+
+
+def test_wf_at_weight_zero_is_the_synthetic_mean_whatever_the_real_mean_holds():
+    real = np.array([[np.inf, -np.inf, np.nan], [1e308, -0.0, 2.0]])
+    synthetic = np.arange(12.0).reshape(2, 2, 3)
+    record = TrackletMeans(("a", "b"), (0, 0).__getitem__, real)
+    fused = wf_embeddings(record, synthetic, np.ones((2, 2), dtype=bool), 0.0)
+    assert np.array_equal(fused, synthetic.mean(axis=1))
 
 
 def test_wf_formula_matches_naive():
