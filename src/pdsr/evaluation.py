@@ -197,10 +197,10 @@ def _mean(values: np.ndarray) -> float | None:
 
 def _columns(
     dataset: Dataset, cases: Sequence[ProbeCase], order: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per case: column cameras along its row of `order`, its camera, positives and non-probe columns.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]]:
+    """Per case: camera codes along its row of `order`, its own, positives and non-probe columns; then the cameras.
 
-    Identities are compared as integer codes, the probe by its row.
+    Identities and cameras are compared as codes (camera c is the c-th camera, ascending), the probe by its row.
     """
     tracklets = dataset.tracklets
     row = {t.tracklet_id: i for i, t in enumerate(tracklets)}
@@ -208,17 +208,18 @@ def _columns(
     identities = np.array(
         [identity_code.setdefault(t.identity, len(identity_code)) for t in tracklets]
     )
-    cameras = np.array([t.camera for t in tracklets], dtype=int)
+    camera_ids = tuple(sorted({t.camera for t in tracklets}))
+    camera_code = {camera: c for c, camera in enumerate(camera_ids)}
+    cameras = np.array([camera_code[t.camera] for t in tracklets])
+    case_cameras = np.array([camera_code.get(c.camera, -1) for c in cases])
     case_identities = np.array([identity_code.get(c.identity, -1) for c in cases])
     probes = np.array([row[c.probe_id] for c in cases])
     positive = identities[order] == case_identities[:, None]
-    return cameras[order], np.array([c.camera for c in cases]), positive, order != probes[:, None]
+    return cameras[order], case_cameras, positive, order != probes[:, None], camera_ids
 
 
 def camera_confusion(
-    cases: Sequence[ProbeCase],
-    dataset: Dataset,
-    columns: tuple[np.ndarray, np.ndarray, np.ndarray],
+    columns: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]],
 ) -> tuple[tuple[int, ...], tuple[tuple[float | None, ...], ...]]:
     """Mean AP per (probe camera, gallery camera) cell.
 
@@ -228,12 +229,11 @@ def camera_confusion(
     order.  A cell averages its probes' APs in probe order; cells where no
     probe has a positive are None.
     """
-    col_cameras, case_cameras, positive, not_probe = columns
-    cameras = dataset.cameras()
+    col_cameras, case_cameras, positive, not_probe, cameras = columns
     cells = []  # by gallery camera, then probe camera
-    for cam_b in cameras:
-        count, _, ap, _ = _first_rank_and_ap(not_probe & (col_cameras == cam_b), positive)
-        cells.append([_mean(ap[(count > 0) & (case_cameras == cam_a)]) for cam_a in cameras])
+    for b in range(len(cameras)):
+        count, _, ap, _ = _first_rank_and_ap(not_probe & (col_cameras == b), positive)
+        cells.append([_mean(ap[(count > 0) & (case_cameras == a)]) for a in range(len(cameras))])
     return cameras, tuple(zip(*cells))
 
 
@@ -258,8 +258,8 @@ def score_matrix(
     Each mode pools all tracklets in one pass: BASELINE and WF read real
     means only, WPR and fused a pose record.  WF and WPR read one synthetic
     fetch.  `provider` may be None in BASELINE mode, which uses no
-    synthetics.  A dataset `validate_dataset` reports is an InvalidDatasetError;
-    a `mode` or `config` of the wrong type is a TypeError before any work.
+    synthetics.  A dataset `validate_dataset` reports is an InvalidDatasetError, a probe
+    that is not in it a ValueError; a `mode` or `config` of the wrong type is a TypeError before any work.
     """
     if not isinstance(mode, EvalMode):
         raise TypeError(f"mode {mode!r} is not an EvalMode")
@@ -272,6 +272,8 @@ def score_matrix(
                                   expected_joints=dataset.joint_count):
         raise InvalidDatasetError(issues)
     row = {t.tracklet_id: i for i, t in enumerate(tracklets)}
+    if missing := [c.probe_id for c in cases if c.probe_id not in row]:
+        raise ValueError(f"probe {missing[0]!r} is not a tracklet of the dataset")
     probe_rows = [row[c.probe_id] for c in cases]
     if mode is EvalMode.BASELINE:  # the representative frames are never drawn
         record = tracklet_means(tracklets, config.seed)
@@ -315,7 +317,7 @@ def evaluate(
 
     scores = score_matrix(dataset, canon, provider, cases, config, mode)
     columns = _columns(dataset, cases, rank_gallery(scores))
-    col_cameras, case_cameras, positive, _ = columns
+    col_cameras, case_cameras, positive, _, _ = columns
     count, first, ap, sizes = _first_rank_and_ap(col_cameras != case_cameras[:, None], positive)
     results = tuple(
         ProbeResult(
@@ -333,7 +335,7 @@ def evaluate(
     cmc = ()
     if scored.any():
         cmc = tuple(cmc_curve(first[scored], min(CMC_DEPTH, int(sizes[scored].max()))).tolist())
-    camera_ids, confusion = camera_confusion(cases, dataset, columns)
+    camera_ids, confusion = camera_confusion(columns)
     return EvalReport(
         mode=mode.value,
         num_probes=len(cases),

@@ -103,6 +103,7 @@ class Tracklet:
     `frames` are PackedFrames or FrameRecords (stacked here).  Frames whose
     ids are not ascending are sorted by a stable argsort; ascending
     PackedFrames are kept as given, so a cut stays a view of its block.
+    `camera` (an integer) is held as an int and `probe` as a bool; other types are a TypeError.
     """
 
     tracklet_id: str
@@ -112,6 +113,12 @@ class Tracklet:
     probe: bool = False
 
     def __post_init__(self) -> None:
+        if isinstance(self.camera, bool) or not isinstance(self.camera, (int, np.integer)):
+            raise TypeError(f"tracklet {self.tracklet_id!r}: camera {self.camera!r} is not an integer")
+        if not isinstance(self.probe, (bool, np.bool_)):
+            raise TypeError(f"tracklet {self.tracklet_id!r}: probe {self.probe!r} is not a bool")
+        object.__setattr__(self, "camera", int(self.camera))  # a NumPy integer as the int it holds
+        object.__setattr__(self, "probe", bool(self.probe))
         frames = self.frames
         if not isinstance(frames, PackedFrames):
             try:
@@ -207,9 +214,6 @@ class Dataset:
             self, "tracklets", tuple(sorted(self.tracklets, key=lambda t: t.tracklet_id))
         )
 
-    def cameras(self) -> tuple[int, ...]:
-        return tuple(sorted({t.camera for t in self.tracklets}))
-
     def by_id(self) -> dict[str, Tracklet]:
         return {t.tracklet_id: t for t in self.tracklets}
 
@@ -266,10 +270,10 @@ def validate_dataset(
     tracklets: Sequence[Tracklet],
     canon: CanonicalPoseSet,
     *,
-    expected_dim: int | None = None,
-    expected_joints: int | None = None,
+    expected_dim: int,
+    expected_joints: int,
 ) -> list[ValidationIssue]:
-    """Check every dataset invariant; the dataset is accepted iff the report is empty.
+    """Check every dataset invariant against the declared shape; accepted iff the report is empty.
 
     Reports (not raises) dimension mismatches, empty tracklets, non-finite or
     all-zero features, out-of-range visible coordinates, duplicate ids, and
@@ -281,19 +285,14 @@ def validate_dataset(
     def add(code: str, message: str) -> None:
         issues.append(ValidationIssue(code, message))
 
-    canon_k = canon.joints.shape[1]
     common = canon.visibility[:, None] & canon.visibility[None]  # (M, M, k)
     same = (canon.joints[:, None] == canon.joints[None]).all(axis=3)
     coincide = common.any(axis=2) & (same | ~common).all(axis=2)
     for a, b in zip(*np.nonzero(np.triu(coincide, 1))):  # row-major: by a, then b
         add("canon_duplicate", f"canonical poses {a + 1} and {b + 1} coincide on their common joints")
 
-    if expected_joints is not None and canon_k != expected_joints:
-        add("canon_joint_mismatch", f"canonical set has k={canon_k}, manifest says {expected_joints}")
-
-    first_dim = next((t.frames.features.shape[1] for t in tracklets if len(t)), None)
-    ref_dim = expected_dim if expected_dim is not None else first_dim
-    ref_k = expected_joints if expected_joints is not None else canon_k
+    if canon.joints.shape[1] != expected_joints:
+        add("canon_joint_mismatch", f"canonical set has k={canon.joints.shape[1]}, manifest says {expected_joints}")
 
     flagged: dict[PackedFrames, tuple[np.ndarray, list[int]]] = {}
     seen_ids: set[str] = set()
@@ -317,17 +316,16 @@ def validate_dataset(
             add("duplicate_frame_id", f"tracklet {t.tracklet_id!r} has duplicate frame ids")
 
         dim, k = frames.features.shape[1], frames.joints.shape[1]
-        wrong_dim = ref_dim is not None and dim != ref_dim
-        for r in range(start, stop) if wrong_dim or k != ref_k else rows:
+        for r in range(start, stop) if dim != expected_dim or k != expected_joints else rows:
             where = f"tracklet {t.tracklet_id!r} frame {block.frame_ids[r]}"
-            if wrong_dim:
-                add("dimension_mismatch", f"{where}: feature dim {dim} != {ref_dim}")
+            if dim != expected_dim:
+                add("dimension_mismatch", f"{where}: feature dim {dim} != {expected_dim}")
             if defects[r, 0]:
                 add("nonfinite_feature", f"{where}: feature contains NaN or Inf")
             elif defects[r, 1]:
                 add("zero_feature", f"{where}: all-zero feature vector")
-            if k != ref_k:
-                add("joint_count_mismatch", f"{where}: k={k} != {ref_k}")
+            if k != expected_joints:
+                add("joint_count_mismatch", f"{where}: k={k} != {expected_joints}")
             if defects[r, 2]:
                 add("coordinate_out_of_range", f"{where}: visible joint outside [0, 1] x [0, 1]")
 

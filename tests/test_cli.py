@@ -678,6 +678,28 @@ def test_a_weight_that_overflows_is_an_error_line(workspace, tmp_path, tmp_path_
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("mode", list(EvalMode), ids=lambda m: m.value)
+def test_eval_scores_and_reports_cameras_of_any_integer_size(workspace, tmp_path, mode):
+    """Cameras -3 and 2**63 (beyond int64) rank as 0 and 1 do, and the reports keep both ids exactly."""
+    root, _ = workspace
+    relabel = {0: -3, 1: 2**63}
+    flags = _with_manifest(workspace, tmp_path / "manifest.json",
+                           lambda old: [{**t, "camera": relabel[t["camera"]]} for t in old])
+    report_path, csv_path = tmp_path / "r.json", tmp_path / "r.csv"
+    run(flags + ["eval", "--mode", mode.value, "--report", str(report_path), "--csv", str(csv_path)])
+    data = root / "data"
+    report = evaluate(load_dataset(tmp_path / "manifest.json", data / "features.bin"),
+                      load_canon(data / "canon.json"),
+                      file_backed_provider(data / "synth-index.tsv", data / "synth-features.bin"),
+                      ProtocolConfig(), mode)
+    original = _evaluated_in_process(root, mode)
+    results = tuple(replace(r, camera=relabel[r.camera]) for r in original.probe_results)
+    assert report == replace(original, camera_ids=(-3, 2**63), probe_results=results)
+    written = json.loads(report_path.read_text(encoding="utf-8"))
+    assert written == report_to_dict(report) and written["camera_ids"] == [-3, 2**63]
+    assert "camera_pair_map,-3->9223372036854775808," in csv_path.read_text(encoding="utf-8")
+
+
 def test_match_with_no_other_camera_is_an_error_line(workspace, tmp_path):
     flags = _with_manifest(workspace, tmp_path / "manifest.json", lambda old: [{**t, "camera": 0} for t in old])
     result = run_process(flags + ["match", "--probe", "id0000-c0-0"])

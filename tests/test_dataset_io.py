@@ -210,6 +210,25 @@ def test_manifest_record_order_does_not_change_metrics(tmp_path, small_gen):
     assert report_to_dict(a) == report_to_dict(b)
 
 
+def test_numpy_cameras_and_probe_flags_are_written_as_their_python_values(tmp_path, small_gen):
+    """A dataset built from arrays (NumPy cameras and probe flags) writes what the same Python values write."""
+    ds = small_gen.dataset
+    from_arrays = dataclasses.replace(ds, tracklets=tuple(
+        dataclasses.replace(t, camera=camera, probe=probe)
+        for t, camera, probe in zip(ds.tracklets, np.array([t.camera for t in ds.tracklets]),
+                                    np.arange(len(ds.tracklets)) % 3 == 0)
+    ))
+    assert type(from_arrays.tracklets[0].probe) is bool
+    plain = dataclasses.replace(ds, tracklets=tuple(
+        dataclasses.replace(t, probe=i % 3 == 0) for i, t in enumerate(ds.tracklets)))
+    for name, dataset in (("arrays", from_arrays), ("plain", plain)):
+        save_dataset(dataset, tmp_path / f"{name}.json", tmp_path / f"{name}.bin")
+        report = evaluate(dataset, small_gen.canon, small_gen.provider, ProtocolConfig(), EvalMode.FUSED)
+        save_report_json(report, tmp_path / f"{name}-report.json")
+    for suffix in (".json", ".bin", "-report.json"):
+        assert (tmp_path / f"arrays{suffix}").read_bytes() == (tmp_path / f"plain{suffix}").read_bytes()
+
+
 def test_empty_dataset_round_trips(tmp_path):
     ds = Dataset("empty", 4, 5, 2, 0, ())
     save_dataset(ds, tmp_path / "m.json", tmp_path / "f.bin")

@@ -31,6 +31,7 @@ from pdsr import (
 )
 from pdsr.evaluation import (
     CMC_DEPTH,
+    ProbeCase,
     _columns,
     _first_rank_and_ap,
     build_protocol,
@@ -516,7 +517,8 @@ OVERFLOWS = {
 def test_evaluate_rejects_non_finite_scores(gate_gen, mode, overflow):
     dataset, canon = _one_tracklet(lambda f: {"features": OVERFLOWS[overflow](f)})(
         gate_gen.dataset, gate_gen.canon)
-    assert validate_dataset(dataset.tracklets, canon) == []
+    assert validate_dataset(dataset.tracklets, canon, expected_dim=dataset.feature_dim,
+                            expected_joints=dataset.joint_count) == []
     victim = dataset.tracklets[3].tracklet_id
     with pytest.raises(ValueError, match=f"tracklet {victim!r}: its vector norm overflowed"):
         evaluate(dataset, canon, gate_gen.provider, ProtocolConfig(), mode)
@@ -534,7 +536,8 @@ def test_wf_at_weight_zero_scores_a_tracklet_whose_real_mean_overflows(gate_gen)
 def test_evaluate_scores_a_tracklet_whose_squares_underflow(gate_gen, mode):
     """Features x1e-200 square to 0 yet are no zero vector; cosines of the real rows do not see the scale."""
     dataset, canon = _one_tracklet(lambda f: {"features": f.features * 1e-200})(gate_gen.dataset, gate_gen.canon)
-    assert validate_dataset(dataset.tracklets, canon) == []
+    assert validate_dataset(dataset.tracklets, canon, expected_dim=dataset.feature_dim,
+                            expected_joints=dataset.joint_count) == []
     report = evaluate(dataset, canon, gate_gen.provider, ProtocolConfig(), mode)
     assert report.num_scored == report.num_probes > 0
     if mode in (EvalMode.BASELINE, EvalMode.WPR):
@@ -564,10 +567,19 @@ def test_score_matrix_names_a_tracklet_that_pools_to_a_zero_vector(gate_gen, mod
 
     dataset, canon = _one_tracklet(cancelling)(gate_gen.dataset, gate_gen.canon)
     victim = dataset.tracklets[3].tracklet_id
-    assert validate_dataset(dataset.tracklets, canon) == [] and len(canon) == 3
+    assert validate_dataset(dataset.tracklets, canon, expected_dim=dataset.feature_dim,
+                            expected_joints=dataset.joint_count) == [] and len(canon) == 3
     provider = CancellingProvider(gate_gen.provider, victim)
     with pytest.raises(ZeroVectorError, match=f"tracklet {victim!r} pools to a zero-norm vector"):
         evaluate(dataset, canon, provider, ProtocolConfig(), mode)
+
+
+@pytest.mark.parametrize("mode", list(EvalMode))
+def test_score_matrix_names_a_probe_not_in_the_dataset(mode):
+    gen = generate(GenSpec(identities=2, cameras=2, feature_dim=8, num_poses=2, seed=1))
+    cases = [*build_protocol(gen.dataset, 0), ProbeCase("nope", "x", 0, ())]
+    with pytest.raises(ValueError, match="probe 'nope' is not a tracklet of the dataset"):
+        score_matrix(gen.dataset, gen.canon, gen.provider, cases, ProtocolConfig(), mode)
 
 
 def test_camera_confusion_matches_restricted_gallery_oracle():
@@ -582,8 +594,8 @@ def test_camera_confusion_matches_restricted_gallery_oracle():
     cases = build_protocol(gen.dataset, config.seed)
     scores = score_matrix(gen.dataset, gen.canon, gen.provider, cases, config, EvalMode.WF)
     columns = _columns(gen.dataset, cases, rank_gallery(scores))
-    cameras, matrix = camera_confusion(cases, gen.dataset, columns)
-    assert cameras == gen.dataset.cameras()
+    cameras, matrix = camera_confusion(columns)
+    assert cameras == tuple(sorted({t.camera for t in gen.dataset.tracklets}))
 
     by_id = gen.dataset.by_id()
     all_ids = sorted(by_id)
@@ -669,7 +681,7 @@ def test_confusion_cell_is_none_when_camera_has_no_positive():
     cases = build_protocol(dataset, config.seed)
     scores = score_matrix(dataset, random_canon(), None, cases, config, EvalMode.BASELINE)
     columns = _columns(dataset, cases, rank_gallery(scores))
-    cameras, matrix = camera_confusion(cases, dataset, columns)
+    cameras, matrix = camera_confusion(columns)
     assert cameras == (0, 1, 2)
     middle = cameras.index(1)
     for r in range(len(cameras)):

@@ -1,5 +1,7 @@
 """Domain types and the validate_dataset invariant checker."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,6 +30,10 @@ def grid_pose(k, offset):
     return PoseVector(joints=np.clip(joints, 0.0, 1.0), visibility=np.ones(k, dtype=bool))
 
 
+#: The shape of `clean_setup`'s tracklets and canon, as a manifest declares it.
+SHAPE = {"expected_dim": 3, "expected_joints": 6}
+
+
 def tracklet_of(*frames):
     return Tracklet(tracklet_id="t7", identity="a", camera=0, frames=frames)
 
@@ -51,6 +57,25 @@ def test_frame_feature_must_be_1d():
 def test_frames_whose_shapes_differ_name_the_tracklet(other):
     with pytest.raises(ValueError, match="tracklet 't7'"):
         tracklet_of(frame(0, [1.0, 2.0]), other)
+
+
+def test_tracklet_holds_a_numpy_camera_as_an_int_and_a_numpy_bool_probe_as_a_bool():
+    t = Tracklet("t7", "a", np.int64(-3), (), probe=np.True_)
+    assert type(t.camera) is int and t.camera == -3 and t.probe is True
+    t = Tracklet("t7", "a", np.uint64(2**64 - 1), (), probe=np.False_)
+    assert type(t.camera) is int and t.camera == 2**64 - 1 and t.probe is False
+    big = 2**63
+    assert Tracklet("t7", "a", big, ()).camera is big  # a Python int is kept as it is
+
+
+@pytest.mark.parametrize("field, value", [
+    ("camera", True), ("camera", np.True_), ("camera", 1.0), ("camera", "1"), ("camera", None),
+    ("probe", "false"), ("probe", 1), ("probe", None),
+])
+def test_tracklet_refuses_a_camera_or_probe_flag_a_manifest_cannot_hold(field, value):
+    fields = {"tracklet_id": "t7", "identity": "a", "camera": 0, "frames": (), field: value}
+    with pytest.raises(TypeError, match=re.escape(f"tracklet 't7': {field} {value!r} is not")):
+        Tracklet(**fields)
 
 
 def test_tracklet_holds_frames_by_ascending_id_with_duplicates_in_storage_order():
@@ -93,7 +118,7 @@ def test_tracklet_keeps_ascending_packed_frames_as_given():
 def test_duplicate_frame_id_in_unsorted_packed_frames_is_reported():
     tracklets, canon = clean_setup()
     tracklets.append(Tracklet("c", "id2", 0, packed([1, 2, 1])))
-    assert codes(validate_dataset(tracklets, canon)) == ["duplicate_frame_id"]
+    assert codes(validate_dataset(tracklets, canon, **SHAPE)) == ["duplicate_frame_id"]
 
 
 def test_pooled_means_do_not_depend_on_storage_order():
@@ -182,7 +207,7 @@ def clean_setup():
 
 def test_clean_dataset_has_no_issues(small_gen):
     tracklets, canon = clean_setup()
-    assert validate_dataset(tracklets, canon) == []
+    assert validate_dataset(tracklets, canon, **SHAPE) == []
     assert (
         validate_dataset(
             small_gen.dataset.tracklets,
@@ -201,33 +226,33 @@ def codes(issues):
 def test_single_dimension_mismatch_yields_one_finding():
     tracklets, canon = clean_setup()
     tracklets.append(Tracklet("c", "id2", 0, (frame(0, np.zeros(64) + 1.0),)))
-    issues = validate_dataset(tracklets, canon, expected_dim=3)
+    issues = validate_dataset(tracklets, canon, **SHAPE)
     assert codes(issues) == ["dimension_mismatch"]
 
 
 def test_duplicate_tracklet_id_detected():
     tracklets, canon = clean_setup()
     tracklets.append(tracklets[0])
-    assert "duplicate_tracklet_id" in codes(validate_dataset(tracklets, canon))
+    assert "duplicate_tracklet_id" in codes(validate_dataset(tracklets, canon, **SHAPE))
 
 
 def test_empty_tracklet_detected():
     tracklets, canon = clean_setup()
     tracklets.append(Tracklet("c", "id2", 0, ()))
-    assert "empty_tracklet" in codes(validate_dataset(tracklets, canon))
+    assert "empty_tracklet" in codes(validate_dataset(tracklets, canon, **SHAPE))
 
 
 def test_duplicate_frame_id_detected():
     tracklets, canon = clean_setup()
     tracklets.append(Tracklet("c", "id2", 0, (frame(0, [1.0, 0, 0]), frame(0, [0, 1.0, 0]))))
-    assert "duplicate_frame_id" in codes(validate_dataset(tracklets, canon))
+    assert "duplicate_frame_id" in codes(validate_dataset(tracklets, canon, **SHAPE))
 
 
 def test_nonfinite_and_zero_features_detected():
     tracklets, canon = clean_setup()
     tracklets.append(Tracklet("c", "id2", 0, (frame(0, [np.nan, 0, 0]),)))
     tracklets.append(Tracklet("d", "id2", 1, (frame(0, [0.0, 0.0, 0.0]),)))
-    found = codes(validate_dataset(tracklets, canon))
+    found = codes(validate_dataset(tracklets, canon, **SHAPE))
     assert "nonfinite_feature" in found
     assert "zero_feature" in found
 
@@ -235,7 +260,7 @@ def test_nonfinite_and_zero_features_detected():
 def test_joint_count_mismatch_detected():
     tracklets, canon = clean_setup()
     tracklets.append(Tracklet("c", "id2", 0, (frame(0, [1.0, 0, 0], k=4),)))
-    assert "joint_count_mismatch" in codes(validate_dataset(tracklets, canon))
+    assert "joint_count_mismatch" in codes(validate_dataset(tracklets, canon, **SHAPE))
 
 
 def test_visible_coordinate_out_of_range_detected():
@@ -244,7 +269,7 @@ def test_visible_coordinate_out_of_range_detected():
     tracklets.append(
         Tracklet("c", "id2", 0, (FrameRecord(0, np.array([1.0, 0, 0]), bad),))
     )
-    assert "coordinate_out_of_range" in codes(validate_dataset(tracklets, canon))
+    assert "coordinate_out_of_range" in codes(validate_dataset(tracklets, canon, **SHAPE))
 
 
 def test_invisible_out_of_range_coordinates_are_fine():
@@ -253,7 +278,7 @@ def test_invisible_out_of_range_coordinates_are_fine():
     tracklets.append(
         Tracklet("c", "id2", 0, (FrameRecord(0, np.array([1.0, 0, 0]), hidden),))
     )
-    assert "coordinate_out_of_range" not in codes(validate_dataset(tracklets, canon))
+    assert "coordinate_out_of_range" not in codes(validate_dataset(tracklets, canon, **SHAPE))
 
 
 #: Coordinates at and beyond the edges of [0, 1], and values no comparison holds for.
@@ -279,7 +304,7 @@ def test_out_of_range_flags_are_those_of_the_per_coordinate_rule(data, n, k):
 def test_duplicate_canonical_poses_detected():
     tracklets, _ = clean_setup()
     canon = make_canon([grid_pose(6, 0.0).joints, grid_pose(6, 0.0).joints])
-    assert "canon_duplicate" in codes(validate_dataset(tracklets, canon))
+    assert "canon_duplicate" in codes(validate_dataset(tracklets, canon, **SHAPE))
 
 
 def test_canon_duplicates_compare_common_visible_joints_pair_by_pair():
@@ -290,7 +315,7 @@ def test_canon_duplicates_compare_common_visible_joints_pair_by_pair():
     visibility[4, 3:] = False
     joints[3, 5] = 0.9  # pose 4 differs from pose 2 on a joint that pose 2 hides
     visibility[1, 5] = False
-    issues = validate_dataset(tracklets, make_canon(joints, visibility))
+    issues = validate_dataset(tracklets, make_canon(joints, visibility), **SHAPE)
     assert [str(i) for i in issues] == [
         "[canon_duplicate] canonical poses 1 and 3 coincide on their common joints",
         "[canon_duplicate] canonical poses 1 and 5 coincide on their common joints",
@@ -299,13 +324,21 @@ def test_canon_duplicates_compare_common_visible_joints_pair_by_pair():
     ]
     blind = visibility.copy()
     blind[0], blind[2] = [True] * 3 + [False] * 3, [False] * 3 + [True] * 3  # no common joint
-    assert "poses 1 and 3" not in str(validate_dataset(tracklets, make_canon(joints, blind)))
+    assert "poses 1 and 3" not in str(validate_dataset(tracklets, make_canon(joints, blind), **SHAPE))
+
+
+def test_validate_dataset_needs_the_declared_shape():
+    tracklets, canon = clean_setup()
+    with pytest.raises(TypeError, match="expected_dim"):
+        validate_dataset(tracklets, canon)
+    with pytest.raises(TypeError, match="expected_joints"):
+        validate_dataset(tracklets, canon, expected_dim=3)
 
 
 def test_canon_joint_mismatch_detected():
     tracklets, canon = clean_setup()
     assert "canon_joint_mismatch" in codes(
-        validate_dataset(tracklets, canon, expected_joints=5)
+        validate_dataset(tracklets, canon, expected_dim=3, expected_joints=5)
     )
 
 
