@@ -33,7 +33,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import FileFormatError
-from .model import CanonicalPoseSet, Dataset, PackedFrames, PoseRecord, Tracklet, pack
+from .model import COUNTS, CanonicalPoseSet, Dataset, PackedFrames, PoseRecord, Tracklet, is_a, pack
 
 MAGIC = b"PDSR"
 FORMAT_VERSION = 1
@@ -190,14 +190,6 @@ def _keypoints(entries: list, k: int) -> np.ndarray | None:
 _KEYPOINT_CONTRACT = "must list {k} joints as [x, y, v]: numbers x and y, v 0 or 1"
 
 
-def _is_a(value: object, kind: type) -> bool:
-    """Whether `value` is a `kind` (e.g. `Integral`, which NumPy's integers are) and not a bool."""
-    return isinstance(value, kind) and not isinstance(value, bool)
-
-
-_COUNTS = ("feature_dim", "joint_count", "num_poses", "camera_count")
-
-
 def _copies(strings: list[str]) -> list[str]:
     """New str objects equal to `strings` (`str(s)` and `s[:]` return `s` itself).
 
@@ -227,8 +219,7 @@ def save_dataset(
         ]
         entry = {key: getattr(t, key) for key in ("tracklet_id", "identity", "camera", "probe")}
         tracklets.append({**entry, "frames": frames})
-    counts = {key: getattr(dataset, key) for key in _COUNTS}
-    manifest = {"name": dataset.name, **counts, "tracklets": tracklets}
+    manifest = {"name": dataset.name, **{key: getattr(dataset, key) for key in COUNTS}, "tracklets": tracklets}
     write_feature_matrix(
         features_path, packed.features if len(packed) else np.zeros((0, dataset.feature_dim))
     )
@@ -240,7 +231,7 @@ def _decode_manifest(manifest_path: str | Path, raw: list[bytes]) -> tuple[list,
     """A manifest's content in canonical order, once every check that needs only its bytes passes.
 
     That is `[name, counts, tracklet ids, identities, cameras, probe flags,
-    offsets]` (counts as `_COUNTS`; tracklet t has frames offsets[t] to
+    offsets]` (counts as `COUNTS`; tracklet t has frames offsets[t] to
     offsets[t + 1]) and the frame ids, rows, joints and visibility.  `raw`
     holds the bytes, let go of once read as text.  The cyclic garbage
     collector is paused while it runs, then restored.
@@ -249,8 +240,8 @@ def _decode_manifest(manifest_path: str | Path, raw: list[bytes]) -> tuple[list,
     try:
         if not isinstance(manifest["name"], str):
             raise FileFormatError(f"{manifest_path}: name {manifest['name']!r} is not a string")
-        for key in _COUNTS:
-            if not (_is_a(manifest[key], Integral) and manifest[key] >= 0):
+        for key in COUNTS:
+            if not (is_a(manifest[key], Integral) and manifest[key] >= 0):
                 raise FileFormatError(f"{manifest_path}: {key} {manifest[key]!r} is not a count")
         k = manifest["joint_count"]
 
@@ -260,7 +251,7 @@ def _decode_manifest(manifest_path: str | Path, raw: list[bytes]) -> tuple[list,
         for t in manifest["tracklets"]:
             if not (isinstance(t["tracklet_id"], str) and isinstance(t["identity"], str)):
                 raise fail(t, "tracklet_id and identity must be strings")
-            if not _is_a(t["camera"], Integral):
+            if not is_a(t["camera"], Integral):
                 raise fail(t, f"camera {t['camera']!r} is not an integer")
             if not isinstance(t.get("probe", False), bool):
                 raise fail(t, f"probe {t['probe']!r} is not true or false")
@@ -276,11 +267,11 @@ def _decode_manifest(manifest_path: str | Path, raw: list[bytes]) -> tuple[list,
             return entries[bisect_right(offsets, i) - 1]
 
         if set(map(type, frame_ids)) - {int}:
-            i = next(i for i, x in enumerate(frame_ids) if not _is_a(x, Integral))
+            i = next(i for i, x in enumerate(frame_ids) if not is_a(x, Integral))
             raise fail(tracklet_of(i), f"frame_id {frame_ids[i]!r} is not an integer")
         # No feature matrix has 2**63 rows; load_dataset checks the rows against the one read.
         if set(map(type, rows)) - {int} or rows and not 0 <= min(rows) <= max(rows) < 2**63:
-            i = next(i for i, x in enumerate(rows) if not (_is_a(x, Integral) and 0 <= x < 2**63))
+            i = next(i for i, x in enumerate(rows) if not (is_a(x, Integral) and 0 <= x < 2**63))
             raise fail(tracklet_of(i), f"row {rows[i]!r} is not a row of the feature matrix")
         if keypoints is None:
             i = next(i for i, f in enumerate(frames) if _keypoints([f["keypoints"]], k) is None)
@@ -290,7 +281,7 @@ def _decode_manifest(manifest_path: str | Path, raw: list[bytes]) -> tuple[list,
         order = np.lexsort((ids, np.repeat(np.arange(len(entries)), np.diff(offsets))))
         if not np.array_equal(order, np.arange(len(order))):  # frames listed out of order
             ids, rows, keypoints = ids[order], rows[order], keypoints[order]
-        meta = [manifest["name"], [manifest[key] for key in _COUNTS],
+        meta = [manifest["name"], [manifest[key] for key in COUNTS],
                 *([t[key] for t in entries] for key in ("tracklet_id", "identity", "camera")),
                 [t.get("probe", False) for t in entries], offsets]
         # Copied, so that the (N, k, 3) triples are freed and the joints are contiguous.
@@ -402,7 +393,7 @@ def load_canon(path: str | Path) -> CanonicalPoseSet:
     payload = read_json(path)
     try:
         k, poses = payload["joint_count"], payload["poses"]
-        if not (_is_a(k, Integral) and k >= 0):
+        if not (is_a(k, Integral) and k >= 0):
             raise FileFormatError(f"{path}: joint_count {k!r} is not a count")
         keypoints = _keypoints(poses, k)
         if keypoints is None:
@@ -420,7 +411,7 @@ def write_synth_index(index: Mapping[tuple[str, int], int], path: str | Path) ->
     write: a pose must be an integer >= 1 and a row an integer >= 0.
     """
     for (tid, pose), row in index.items():
-        if not (_is_a(pose, Integral) and _is_a(row, Integral) and pose >= 1 and row >= 0):
+        if not (is_a(pose, Integral) and is_a(row, Integral) and pose >= 1 and row >= 0):
             raise ValueError(f"index entry ({tid!r}, {pose!r}) -> {row!r}: "
                              "pose must be an integer >= 1 and row an integer >= 0")
     text = tsv_text((tid, pose, row) for (tid, pose), row in sorted(index.items()))
@@ -485,8 +476,8 @@ def write_pose_embeddings(
         [ids[i] for i in t.tolist()], (j + 1).tolist(), repeat("real"),
         record.frequencies[t, j].tolist(), range(len(t)),
     ))
+    write_feature_matrix(matrix_path, record.vectors[t, j])  # first: it refuses before it opens its file
     Path(index_path).write_text(text, encoding="utf-8")
-    write_feature_matrix(matrix_path, record.vectors[t, j])
 
 
 def report_to_dict(report: object) -> object:

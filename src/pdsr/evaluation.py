@@ -15,14 +15,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from numbers import Real
+from numbers import Integral, Real
 from typing import Sequence
 
 import numpy as np
 
 from .errors import InvalidDatasetError
 from .fusion import DEFAULT_FUSION_WEIGHT, wf_embeddings
-from .model import CanonicalPoseSet, Dataset, Tracklet, validate_dataset
+from .model import CanonicalPoseSet, Dataset, Tracklet, is_a, validate_dataset
 from .providers import SyntheticFeatureProvider
 from .regulation import (
     backfill_poses,
@@ -55,11 +55,11 @@ class ProtocolConfig:
     strict: bool = True
 
     def __post_init__(self) -> None:
-        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
+        if not is_a(self.seed, Integral):
             raise TypeError(f"seed {self.seed!r} is not an integer")
         if not isinstance(self.strict, bool):
             raise TypeError(f"strict {self.strict!r} is not a bool")
-        if isinstance(self.fusion_weight, bool) or not isinstance(self.fusion_weight, Real):
+        if not is_a(self.fusion_weight, Real):
             raise TypeError(f"fusion_weight {self.fusion_weight!r} is not a number")
         if not 0.0 <= self.fusion_weight < np.inf:
             raise ValueError(f"fusion_weight {self.fusion_weight!r} is not a finite number >= 0")

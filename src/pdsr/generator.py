@@ -23,9 +23,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .dataset_io import _is_a, read_json
+from .dataset_io import read_json
 from .errors import FileFormatError, MissingSyntheticError
-from .model import DISTRACTOR, CanonicalPoseSet, Dataset, PackedFrames, Tracklet
+from .model import DISTRACTOR, CanonicalPoseSet, Dataset, PackedFrames, Tracklet, is_a
 from .providers import SyntheticFeatureProvider
 from .seeding import rng_for
 
@@ -60,14 +60,14 @@ class GenSpec:
     def __post_init__(self) -> None:
         lo, hi = self.frames_per_tracklet
         for name in _COUNTS:
-            if not _is_a(getattr(self, name), Integral):
+            if not is_a(getattr(self, name), Integral):
                 raise TypeError(f"{name} {getattr(self, name)!r} is not an integer")
-        if not (_is_a(lo, Integral) and _is_a(hi, Integral)):
+        if not (is_a(lo, Integral) and is_a(hi, Integral)):
             raise TypeError(f"frames_per_tracklet {self.frames_per_tracklet!r} is not two integers")
-        if not all(_is_a(p, Integral) for subset in self.pose_visibility or () for p in subset):
+        if not all(is_a(p, Integral) for subset in self.pose_visibility or () for p in subset):
             raise TypeError(f"pose_visibility {self.pose_visibility!r} has a non-integer pose")
         for name in _SCALES:
-            if not _is_a(getattr(self, name), Real):
+            if not is_a(getattr(self, name), Real):
                 raise TypeError(f"{name} {getattr(self, name)!r} is not a number")
         if not isinstance(self.name, str):
             raise TypeError(f"name {self.name!r} is not a string")

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Callable, Sequence
 
 import numpy as np
@@ -30,6 +31,12 @@ import numpy as np
 DISTRACTOR = "DISTRACTOR"
 _BLOCK_FRAMES = 4096  # rows validate_dataset checks per array operation
 _FIELDS = ("frame_ids", "features", "joints", "visibility")  # the arrays of PackedFrames
+COUNTS = ("feature_dim", "joint_count", "num_poses", "camera_count")  # a Dataset's counts
+
+
+def is_a(value: object, kind: type) -> bool:
+    """Whether `value` is a `kind` (e.g. `Integral`, which NumPy's integers are) and not a bool."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,7 +110,8 @@ class Tracklet:
     `frames` are PackedFrames or FrameRecords (stacked here).  Frames whose
     ids are not ascending are sorted by a stable argsort; ascending
     PackedFrames are kept as given, so a cut stays a view of its block.
-    `camera` (an integer) is held as an int and `probe` as a bool; other types are a TypeError.
+    `tracklet_id` and `identity` are strs; `camera` (an integer) is held as
+    an int and `probe` as a bool.  Other types are a TypeError.
     """
 
     tracklet_id: str
@@ -113,7 +121,10 @@ class Tracklet:
     probe: bool = False
 
     def __post_init__(self) -> None:
-        if isinstance(self.camera, bool) or not isinstance(self.camera, (int, np.integer)):
+        if not (isinstance(self.tracklet_id, str) and isinstance(self.identity, str)):
+            name = "identity" if isinstance(self.tracklet_id, str) else "tracklet_id"
+            raise TypeError(f"tracklet {self.tracklet_id!r}: {name} {getattr(self, name)!r} is not a string")
+        if not is_a(self.camera, Integral):
             raise TypeError(f"tracklet {self.tracklet_id!r}: camera {self.camera!r} is not an integer")
         if not isinstance(self.probe, (bool, np.bool_)):
             raise TypeError(f"tracklet {self.tracklet_id!r}: probe {self.probe!r} is not a bool")
@@ -200,7 +211,10 @@ class PoseRecord(TrackletMeans):
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """A loaded or generated dataset: tracklets by ascending id, plus manifest metadata."""
+    """A loaded or generated dataset: tracklets by ascending id, plus manifest metadata.
+
+    `name` is a str and each of `COUNTS` an integer >= 0, held as an int.
+    """
 
     name: str
     feature_dim: int
@@ -210,9 +224,15 @@ class Dataset:
     tracklets: tuple[Tracklet, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "tracklets", tuple(sorted(self.tracklets, key=lambda t: t.tracklet_id))
-        )
+        if not isinstance(self.name, str):
+            raise TypeError(f"name {self.name!r} is not a string")
+        for key in COUNTS:
+            if not is_a(count := getattr(self, key), Integral):
+                raise TypeError(f"{key} {count!r} is not an integer")
+            if count < 0:
+                raise ValueError(f"{key} {count!r} is negative")
+            object.__setattr__(self, key, int(count))  # a NumPy integer as the int it holds
+        object.__setattr__(self, "tracklets", tuple(sorted(self.tracklets, key=lambda t: t.tracklet_id)))
 
     def by_id(self) -> dict[str, Tracklet]:
         return {t.tracklet_id: t for t in self.tracklets}

@@ -5,13 +5,14 @@ over rows in frame-id order give each tracklet's real mean
 (`tracklet_means`).  Each sum is the first row plus the pairwise sum of the
 rest (in order below 8 rows, 8 strided accumulators to 128, halves above),
 written out in `_pairwise_sum` so that a NumPy upgrade cannot move a pooled
-bit.  `pose_normalize` adds one quantizer call that assigns every frame
-its canonical pose and, per (tracklet, pose), the pooled feature and the
-fraction of assignable frames.  Only WPR needs poses, so only it pays for
-the quantizer.  To match two tracklets, both sides are completed over the
-union of their observed poses (missing poses filled from the synthetic
-tensor at frequency zero), and the pair score is the per-pose cosine
-weighted by the averaged pose frequencies, normalized to sum 1:
+bit.  `pose_normalize` returns `tracklet_means`' record plus the per-pose
+cells: one quantizer call assigns every frame its canonical pose, and each
+(tracklet, pose) gets its pooled feature and fraction of assignable frames.
+Only WPR needs poses, so only it pays for the quantizer.  To match two
+tracklets, both sides are completed over the union of their observed poses
+(missing poses filled from the synthetic tensor at frequency zero), and the
+pair score is the per-pose cosine weighted by the averaged pose
+frequencies, normalized to sum 1:
 
     score = sum_j nu_j * cosine(left_j, right_j),   sum_j nu_j = 1
 
@@ -94,43 +95,31 @@ def tracklet_means(tracklets: Sequence[Tracklet], seed: int) -> TrackletMeans:
 
 
 def pose_normalize(tracklets: Sequence[Tracklet], canon: CanonicalPoseSet, seed: int) -> PoseRecord:
-    """Pool every tracklet's frames, in one pass, into a record with one row each.
+    """`tracklet_means`' record of the tracklets plus, per (tracklet, pose), the pooled feature and frequency.
 
     A tracklet no frame of which maps to a canonical pose is an error.
     Missing poses are not filled here; which ones are needed depends on the
     matching partners, so backfill happens at scoring time.
     """
-    ids = tuple(t.tracklet_id for t in tracklets)
     frames, offsets = pack(tracklets)
-    row = np.repeat(np.arange(len(ids)), np.diff(offsets))
+    t, m = len(tracklets), len(canon)
     pose, _ = nearest_poses(assignment_distances(frames.joints, frames.visibility, canon))
     assigned = np.flatnonzero(pose)
-    assignable = np.bincount(row[assigned], minlength=len(ids))
+    cell = np.repeat(np.arange(t), np.diff(offsets)) * m + pose - 1
+    members = np.bincount(cell[assigned], minlength=t * m).reshape(t, m)
+    assignable = members.sum(axis=1)
     if not assignable.all():
-        tid = ids[int(np.argmin(assignable))]
+        tid = tracklets[int(np.argmin(assignable))].tracklet_id
         raise AllFramesUnassignableError(f"no frame of tracklet {tid!r} maps to any canonical pose")
-    real = _segment_means(frames.features, row)[2]
-    m = len(canon)
-    cell = row * m + pose - 1
-    # A stable sort keeps frame-id order inside each (tracklet, pose) run.
-    # The gathered rows are the pass's only (N, d) temporary: a loaded
-    # dataset's features are views of the matrix that was read.
+    means = tracklet_means(tracklets, seed)
+    # A stable sort keeps frame-id order inside each (tracklet, pose) run.  The gathered rows are the
+    # pass's only (N, d) temporary: a loaded dataset's features are views of the matrix that was read.
     order = assigned[np.argsort(cell[assigned], kind="stable")]
-    cells, sizes, means = _segment_means(frames.features[order], cell[order])
-
-    vectors = np.zeros((len(ids), m, means.shape[1]))
-    vectors.reshape(-1, means.shape[1])[cells] = means
-    members = np.zeros(len(ids) * m, dtype=np.int64)
-    members[cells] = sizes
-    members = members.reshape(len(ids), m)
-    return PoseRecord(
-        tracklet_ids=ids,
-        representative_frame=representative_frames(tracklets, seed),
-        real_means=real,
-        vectors=vectors,
-        frequencies=members / assignable[:, None],
-        observed=members > 0,
-    )
+    cells, _, pooled = _segment_means(frames.features[order], cell[order])
+    vectors = np.zeros((t * m, pooled.shape[1]))
+    vectors[cells] = pooled
+    return PoseRecord(means.tracklet_ids, means.representative_frame, means.real_means,
+                      vectors.reshape(t, m, pooled.shape[1]), members / assignable[:, None], members > 0)
 
 
 def backfill_poses(record: PoseRecord, probe_rows: Sequence[int]) -> np.ndarray:

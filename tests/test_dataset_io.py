@@ -229,6 +229,13 @@ def test_numpy_cameras_and_probe_flags_are_written_as_their_python_values(tmp_pa
         assert (tmp_path / f"arrays{suffix}").read_bytes() == (tmp_path / f"plain{suffix}").read_bytes()
 
 
+def test_a_dataset_with_numpy_counts_saves_and_loads_back_equal(tmp_path):
+    ds = generate(GenSpec()).dataset
+    from_numpy = dataclasses.replace(ds, feature_dim=np.int64(32), camera_count=np.uint8(2))
+    save_dataset(from_numpy, tmp_path / "m.json", tmp_path / "f.bin")
+    assert_datasets_equal(load_dataset(tmp_path / "m.json", tmp_path / "f.bin"), ds)
+
+
 def test_empty_dataset_round_trips(tmp_path):
     ds = Dataset("empty", 4, 5, 2, 0, ())
     save_dataset(ds, tmp_path / "m.json", tmp_path / "f.bin")
@@ -515,6 +522,14 @@ def test_pose_embedding_export_without_an_observed_pose_writes_neither_file(tmp_
                             np.zeros((2, 3)), np.zeros((2, 3), dtype=bool))
     with pytest.raises(ValueError, match="no pose entries to export"):
         write_pose_embeddings(unobserved, tmp_path / "e.tsv", tmp_path / "e.bin")
+    assert not list(tmp_path.iterdir())
+
+
+def test_pose_embedding_export_refusing_its_matrix_writes_neither_file(tmp_path, small_gen):
+    record = pose_normalize(small_gen.dataset.tracklets, small_gen.canon, 0)
+    too_large = dataclasses.replace(record, vectors=record.vectors * 1e39)
+    with pytest.raises(ValueError, match="not finite in float32"):
+        write_pose_embeddings(too_large, tmp_path / "e.tsv", tmp_path / "e.bin")
     assert not list(tmp_path.iterdir())
 
 

@@ -155,6 +155,38 @@ def test_dataset_holds_tracklets_by_ascending_id():
     assert isinstance(dataset.tracklets, tuple)
 
 
+def test_dataset_holds_a_numpy_count_as_an_int():
+    dataset = Dataset("d", np.int64(2), np.uint8(6), np.int32(1), 1, ())
+    assert [(type(x), x) for x in (dataset.feature_dim, dataset.joint_count, dataset.num_poses)] == [
+        (int, 2), (int, 6), (int, 1)]
+
+
+@pytest.mark.parametrize("field, value, error, problem", [
+    ("name", None, TypeError, "is not a string"),
+    ("name", b"d", TypeError, "is not a string"),
+    ("feature_dim", True, TypeError, "is not an integer"),
+    ("joint_count", np.True_, TypeError, "is not an integer"),
+    ("num_poses", 2.0, TypeError, "is not an integer"),
+    ("camera_count", "2", TypeError, "is not an integer"),
+    ("feature_dim", -1, ValueError, "is negative"),
+    ("camera_count", np.int64(-2), ValueError, "is negative"),
+])
+def test_dataset_refuses_a_name_or_count_a_manifest_cannot_hold(field, value, error, problem):
+    fields = {"name": "d", "feature_dim": 2, "joint_count": 6, "num_poses": 1, "camera_count": 1, field: value}
+    with pytest.raises(error, match=re.escape(f"{field} {value!r} {problem}")):
+        Dataset(tracklets=(), **fields)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("tracklet_id", 7), ("tracklet_id", b"t7"), ("tracklet_id", None),
+    ("identity", 1), ("identity", b"a"), ("identity", None),
+])
+def test_tracklet_refuses_an_id_or_identity_that_is_not_a_str(field, value):
+    fields = {"tracklet_id": "t7", "identity": "a", "camera": 0, "frames": (), field: value}
+    with pytest.raises(TypeError, match=re.escape(f"{field} {value!r} is not a string")):
+        Tracklet(**fields)
+
+
 def test_canonical_pose_indexing_is_one_based():
     canon = make_canon([pose(fill=0.1).joints, pose(fill=0.9).joints])
     assert len(canon) == 2

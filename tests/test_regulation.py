@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from naive_reference import naive_groups, naive_mean, naive_representative, naive_segment_mean, naive_wpr_score
+from naive_reference import (
+    naive_assign,
+    naive_groups,
+    naive_mean,
+    naive_representative,
+    naive_segment_mean,
+    naive_wpr_score,
+)
 from pdsr import (
     AllFramesUnassignableError,
     EmptyUnionError,
@@ -18,6 +25,7 @@ from pdsr import (
 )
 from pdsr.generator import GenSpec, generate
 from pdsr.model import FrameRecord, PoseRecord, PoseVector
+from pdsr.quantizer import MIN_COMMON_JOINTS
 from pdsr.regulation import (
     _segment_means,
     backfill_poses,
@@ -147,6 +155,34 @@ def test_tracklet_without_assignable_frame_is_named(noisy_gen):
     tracklets[2] = hidden
     with pytest.raises(AllFramesUnassignableError, match=victim.tracklet_id):
         pose_normalize(tracklets, noisy_gen.canon, SEED)
+
+
+def test_pose_record_is_the_means_record_plus_its_cells(noisy_gen):
+    # Frames stored shuffled, and every third stored frame after the first
+    # shows too few joints to be assigned.
+    rng = rng_for(2, "means-plus-cells")
+    tracklets = []
+    for t in noisy_gen.dataset.tracklets:
+        frames = list(shuffled(t, rng).frames)
+        for i in range(1, len(frames), 3):
+            f = frames[i]
+            few = np.arange(len(f.pose.visibility)) < MIN_COMMON_JOINTS - 1
+            frames[i] = FrameRecord(f.frame_id, f.feature, PoseVector(f.pose.joints, few))
+        tracklets.append(Tracklet(t.tracklet_id, t.identity, t.camera, tuple(frames), t.probe))
+    canon = noisy_gen.canon
+    record = pose_normalize(tracklets, canon, SEED)
+    means = tracklet_means(tracklets, SEED)
+    assert record.tracklet_ids == means.tracklet_ids
+    assert record.real_means.tobytes() == means.real_means.tobytes()
+    hidden = 0
+    for row, t in enumerate(tracklets):
+        assert record.representative_frame(row) == means.representative_frame(row)
+        poses = [naive_assign(f.pose, canon) for f in t.frames]
+        hidden += poses.count(None)
+        counts = np.array([poses.count(j) for j in canon.indices])
+        assert np.array_equal(record.frequencies[row], counts / (len(poses) - poses.count(None)))
+        assert np.array_equal(record.observed[row], counts > 0)
+    assert hidden >= len(tracklets)
 
 
 # ------------------------------------------------ union completion
